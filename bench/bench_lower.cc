@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common/env.h"
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
@@ -41,13 +42,6 @@
 
 namespace xqmft {
 namespace {
-
-std::size_t EnvCount(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def;
-  long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : def;
-}
 
 std::vector<std::string> QueryList() {
   const char* env = std::getenv("XQMFT_BENCH_LOWER_QUERIES");
@@ -78,13 +72,13 @@ struct LowerConfig {
 };
 
 void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(cfg.query->text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(cfg.query->text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
-  StreamOptions options = cq.value()->plan()->options().stream;
+  StreamOptions options = plan.value()->options().stream;
   options.engine = cfg.engine;
 
   const bool simd_was = SimdScanEnabled();
@@ -101,7 +95,7 @@ void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
         SetSimdScanEnabled(simd_was);
         return;
       }
-      st = StreamTransformEvents(cq.value()->mft(), events.value().get(),
+      st = StreamTransformEvents(plan.value()->mft(), events.value().get(),
                                  &sink, options, &stats);
     } else {
       Result<std::unique_ptr<ByteSource>> source =
@@ -111,7 +105,7 @@ void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
         SetSimdScanEnabled(simd_was);
         return;
       }
-      st = StreamTransform(cq.value()->mft(), source.value().get(), &sink,
+      st = StreamTransform(plan.value()->mft(), source.value().get(), &sink,
                            options, &stats);
     }
     if (!st.ok()) {
@@ -136,8 +130,7 @@ void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
 }
 
 void RegisterAll() {
-  std::size_t size_bytes =
-      EnvCount("XQMFT_BENCH_LOWER_SIZE_MB", 4) * 1024 * 1024;
+  std::size_t size_bytes = EnvMb("XQMFT_BENCH_LOWER_SIZE_MB", 4);
   Result<std::string> xml = EnsureDataset(DatasetKind::kXmark, size_bytes);
   if (!xml.ok()) {
     std::fprintf(stderr, "bench_lower: %s\n", xml.status().ToString().c_str());

@@ -27,11 +27,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common/env.h"
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
@@ -40,13 +40,6 @@
 
 namespace xqmft {
 namespace {
-
-std::size_t EnvCount(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def;
-  long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : def;
-}
 
 // The first `n` Figure 3 plans, compiled once outside the timed loop.
 bool CompileFirst(std::size_t n,
@@ -146,7 +139,7 @@ void BenchNPass(benchmark::State& state, const std::string& path,
 }
 
 void RegisterAll() {
-  std::size_t size_bytes = EnvCount("XQMFT_BENCH_MQ_SIZE_MB", 1) * 1024 * 1024;
+  std::size_t size_bytes = EnvMb("XQMFT_BENCH_MQ_SIZE_MB", 1);
   Result<std::string> path = EnsureDataset(DatasetKind::kXmark, size_bytes);
   if (!path.ok()) {
     std::fprintf(stderr, "bench_multiquery: %s\n",

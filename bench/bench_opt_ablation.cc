@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_common/env.h"
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
@@ -22,9 +23,7 @@ using namespace xqmft;
 namespace {
 
 std::size_t InputBytes() {
-  const char* env = std::getenv("XQMFT_BENCH_ABLATION_MB");
-  long mb = env != nullptr ? std::atol(env) : 2;
-  return static_cast<std::size_t>(mb > 0 ? mb : 2) * 1024 * 1024;
+  return EnvMb("XQMFT_BENCH_ABLATION_MB", 2);
 }
 
 struct Variant {
@@ -63,12 +62,12 @@ void PrintAblationTable() {
     for (const Variant& v : Variants()) {
       PipelineOptions po;
       po.optimizer = v.options;
-      auto cq = CompiledQuery::Compile(bq.text, po);
-      if (!cq.ok()) {
+      auto plan = CompiledPlan::Compile(bq.text, po);
+      if (!plan.ok()) {
         std::printf(" %18s", "error");
         continue;
       }
-      const Mft& m = cq.value()->mft();
+      const Mft& m = plan.value()->mft();
       std::printf(" %6d/%4zu/%6zu", m.num_states(), m.TotalParams(),
                   m.Size());
     }
@@ -86,15 +85,15 @@ void BenchVariant(benchmark::State& state, const BenchQuery& bq,
   }
   PipelineOptions po;
   po.optimize = optimize;
-  auto cq = CompiledQuery::Compile(bq.text, po);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  auto plan = CompiledPlan::Compile(bq.text, po);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   StreamStats stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamFile(path.value(), &sink, &stats);
+    Status st = plan.value()->StreamFile(path.value(), &sink, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

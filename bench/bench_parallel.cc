@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common/env.h"
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
@@ -43,13 +44,6 @@
 
 namespace xqmft {
 namespace {
-
-std::size_t EnvCount(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def;
-  long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : def;
-}
 
 std::vector<std::size_t> ThreadList() {
   const char* env = std::getenv("XQMFT_BENCH_PAR_THREADS_LIST");
@@ -124,10 +118,10 @@ void ReportRun(benchmark::State& state, const std::vector<StreamStats>& stats,
 }
 
 void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(cfg.query->text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(cfg.query->text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   std::string item_path = cfg.xml_path;
@@ -147,7 +141,7 @@ void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
   std::vector<StreamStats> stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamMany(inputs, &sink, par, &stats);
+    Status st = plan.value()->StreamMany(inputs, &sink, par, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -159,10 +153,10 @@ void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
 }
 
 void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(cfg.query->text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(cfg.query->text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   Result<std::string> forest = EnsureForestPretok(cfg.xml_path, cfg.items);
@@ -175,7 +169,7 @@ void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
   std::vector<StreamStats> stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamShardedPretokFile(
+    Status st = plan.value()->StreamShardedPretokFile(
         forest.value(), /*shards=*/cfg.items, &sink, par, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
@@ -188,8 +182,7 @@ void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
 }
 
 void RegisterAll() {
-  std::size_t size_bytes =
-      EnvCount("XQMFT_BENCH_PAR_SIZE_MB", 1) * 1024 * 1024;
+  std::size_t size_bytes = EnvMb("XQMFT_BENCH_PAR_SIZE_MB", 1);
   std::size_t items = EnvCount("XQMFT_BENCH_PAR_ITEMS", 8);
   const char* qenv = std::getenv("XQMFT_BENCH_PAR_QUERY");
   const BenchQuery& bq = QueryById(qenv != nullptr ? qenv : "q01");

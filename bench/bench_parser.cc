@@ -8,7 +8,7 @@
 //
 // plus a text-heavy document isolating the memchr text scan and a
 // markup-heavy one isolating name/attr scanning. items_per_second = events/s
-// and bytes_per_second = input MB/s in the JSON report; the BENCH_pr3
+// and bytes_per_second = input MB/s in the JSON report; the pretok format's
 // acceptance bar is pretok >= 2x sax on events/s over XMark.
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 
+#include "bench_common/env.h"
 #include "data/generators.h"
 #include "xml/events.h"
 #include "xml/pretok.h"
@@ -23,12 +24,6 @@
 
 namespace xqmft {
 namespace {
-
-std::size_t EnvMb(const char* name, std::size_t def_mb) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def_mb * 1024 * 1024;
-  return static_cast<std::size_t>(std::atoll(v)) * 1024 * 1024;
-}
 
 const std::string& XmarkDoc() {
   static const std::string doc = [] {

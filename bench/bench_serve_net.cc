@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common/env.h"
 #include "net/server.h"
 #include "util/strings.h"
 
@@ -441,13 +442,6 @@ void BenchServeNetCoalesce(benchmark::State& state, double rate,
                         static_cast<double>(ok_runs)
                   : 0.0;
   state.SetItemsProcessed(static_cast<int64_t>(sum.ok));
-}
-
-std::size_t EnvCount(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def;
-  long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : def;
 }
 
 void RegisterAll() {

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common/env.h"
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
@@ -47,13 +48,6 @@
 
 namespace xqmft {
 namespace {
-
-std::size_t EnvCount(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def;
-  long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : def;
-}
 
 struct SvcConfig {
   std::string query_id;
@@ -214,8 +208,7 @@ void BenchServiceMix(benchmark::State& state, const SvcConfig& cfg,
 }
 
 void RegisterAll() {
-  std::size_t size_bytes =
-      EnvCount("XQMFT_BENCH_SVC_SIZE_MB", 1) * 1024 * 1024;
+  std::size_t size_bytes = EnvMb("XQMFT_BENCH_SVC_SIZE_MB", 1);
   std::size_t items = EnvCount("XQMFT_BENCH_SVC_ITEMS", 8);
   std::size_t threads = EnvCount("XQMFT_BENCH_SVC_THREADS", 1);
   std::size_t mix = EnvCount("XQMFT_BENCH_SVC_QUERIES", 4);

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench_common/env.h"
 #include "data/generators.h"
 #include "util/strings.h"
 #include "xml/sax_parser.h"
@@ -19,9 +20,7 @@ constexpr DatasetKind kKinds[] = {DatasetKind::kXmark, DatasetKind::kTreebank,
                                   DatasetKind::kProtein};
 
 std::size_t TargetBytes() {
-  const char* env = std::getenv("XQMFT_BENCH_T1_MB");
-  long mb = env != nullptr ? std::atol(env) : 4;
-  return static_cast<std::size_t>(mb > 0 ? mb : 4) * 1024 * 1024;
+  return EnvMb("XQMFT_BENCH_T1_MB", 4);
 }
 
 void PrintTable1() {

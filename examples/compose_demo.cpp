@@ -26,8 +26,8 @@ int main() {
   // Stage 2: select — keep only the names, flattening the rows.
   const char* stage2 = "<names>{$input/catalog/row/name}</names>";
 
-  auto cq1 = std::move(CompiledQuery::Compile(stage1).ValueOrDie());
-  auto cq2 = std::move(CompiledQuery::Compile(stage2).ValueOrDie());
+  auto cq1 = CompiledPlan::Compile(stage1).ValueOrDie();
+  auto cq2 = CompiledPlan::Compile(stage2).ValueOrDie();
   const Mft& m1 = cq1->mft();
   const Mft& m2 = cq2->mft();
   std::printf("stage 1 optimized to an FT: %s (size %zu)\n",

@@ -20,8 +20,8 @@ int main() {
 
   PipelineOptions raw_options;
   raw_options.optimize = false;
-  auto raw = std::move(CompiledQuery::Compile(query, raw_options).ValueOrDie());
-  auto opt = std::move(CompiledQuery::Compile(query).ValueOrDie());
+  auto raw = CompiledPlan::Compile(query, raw_options).ValueOrDie();
+  auto opt = CompiledPlan::Compile(query).ValueOrDie();
 
   std::printf("translated MFT (unoptimized, %d states, size %zu)\n",
               raw->mft().num_states(), raw->mft().Size());

@@ -20,26 +20,27 @@ int main(int argc, char** argv) {
                : "<report>{ for $p in $input/people/person[./age/text()=\"42\"] "
                  "return <hit>{$p/name/text()}</hit> }</report>";
 
-  Result<std::unique_ptr<CompiledQuery>> compiled =
-      CompiledQuery::Compile(query_text);
+  Result<std::shared_ptr<const CompiledPlan>> compiled =
+      CompiledPlan::Compile(query_text);
   if (!compiled.ok()) {
     std::fprintf(stderr, "compile error: %s\n",
                  compiled.status().ToString().c_str());
     return 1;
   }
-  const CompiledQuery& cq = *compiled.value();
+  const CompiledPlan& plan = *compiled.value();
 
   std::printf("query:\n  %s\n\n", query_text.c_str());
-  std::printf("optimizer: %s\n\n", cq.optimize_report().ToString().c_str());
+  std::printf("optimizer: %s\n\n",
+              plan.optimize_report().ToString().c_str());
   std::printf("transducer (%d states, size %zu):\n%s\n",
-              cq.mft().num_states(), cq.mft().Size(),
-              cq.mft().ToString().c_str());
+              plan.mft().num_states(), plan.mft().Size(),
+              plan.mft().ToString().c_str());
 
   StringSink sink;
   StreamStats stats;
   Status st;
   if (argc > 2) {
-    st = cq.StreamFile(argv[2], &sink, &stats);
+    st = plan.StreamFile(argv[2], &sink, &stats);
   } else {
     const char* doc =
         "<people>"
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
         "<person><name>Cy</name><age>42</age></person>"
         "</people>";
     std::printf("document:\n  %s\n\n", doc);
-    st = cq.StreamString(doc, &sink, &stats);
+    st = plan.StreamString(doc, &sink, &stats);
   }
   if (!st.ok()) {
     std::fprintf(stderr, "stream error: %s\n", st.ToString().c_str());

@@ -42,16 +42,16 @@ int main(int argc, char** argv) {
               "mft memory", "gcx time", "gcx memory", "output");
 
   for (const BenchQuery& bq : Figure3Queries()) {
-    auto cq = CompiledQuery::Compile(bq.text);
-    if (!cq.ok()) {
+    auto plan = CompiledPlan::Compile(bq.text);
+    if (!plan.ok()) {
       std::fprintf(stderr, "%s: %s\n", bq.id,
-                   cq.status().ToString().c_str());
+                   plan.status().ToString().c_str());
       return 1;
     }
     CountingSink mft_sink;
     StreamStats mft_stats;
     auto t0 = std::chrono::steady_clock::now();
-    Status st = cq.value()->StreamFile(path.value(), &mft_sink, &mft_stats);
+    Status st = plan.value()->StreamFile(path.value(), &mft_sink, &mft_stats);
     auto t1 = std::chrono::steady_clock::now();
     if (!st.ok()) {
       std::fprintf(stderr, "%s (mft): %s\n", bq.id, st.ToString().c_str());

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "bench_common/env.h"
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
@@ -19,19 +20,6 @@
 namespace xqmft {
 
 namespace {
-
-std::size_t EnvMb(const char* name, std::size_t def_mb) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def_mb * 1024 * 1024;
-  return static_cast<std::size_t>(std::atoll(v)) * 1024 * 1024;
-}
-
-std::size_t EnvCount(const char* name, std::size_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return def;
-  long long n = std::atoll(v);
-  return n > 0 ? static_cast<std::size_t>(n) : def;
-}
 
 struct Fig4Dataset {
   DatasetKind kind;
@@ -66,17 +54,17 @@ void BenchMft(benchmark::State& state, const BenchQuery& bq,
   }
   PipelineOptions options;
   options.optimize = optimize;
-  Result<std::unique_ptr<CompiledQuery>> cq =
-      CompiledQuery::Compile(bq.text, options);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(bq.text, options);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   StreamStats stats;
   std::size_t out_events = 0;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamFile(path.value(), &sink, &stats);
+    Status st = plan.value()->StreamFile(path.value(), &sink, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -137,9 +125,10 @@ void BenchMftPretok(benchmark::State& state, const BenchQuery& bq,
     state.SkipWithError(xml_bytes.status().ToString().c_str());
     return;
   }
-  Result<std::unique_ptr<CompiledQuery>> cq = CompiledQuery::Compile(bq.text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(bq.text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   StreamStats stats;
@@ -152,7 +141,7 @@ void BenchMftPretok(benchmark::State& state, const BenchQuery& bq,
       return;
     }
     CountingSink sink;
-    Status st = cq.value()->StreamEvents(src.value().get(), &sink, &stats);
+    Status st = plan.value()->StreamEvents(src.value().get(), &sink, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -188,9 +177,10 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
   std::size_t items = EnvCount("XQMFT_BENCH_FIG4_PAR_ITEMS", 4);
   ParallelOptions par;
   par.threads = EnvCount("XQMFT_BENCH_FIG4_PAR_THREADS", 4);
-  Result<std::unique_ptr<CompiledQuery>> cq = CompiledQuery::Compile(bq.text);
-  if (!cq.ok()) {
-    state.SkipWithError(cq.status().ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::Compile(bq.text);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   std::vector<ParallelInput> inputs(items,
@@ -199,7 +189,7 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
   std::size_t bytes_in = 0, out_events = 0, peak = 0;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = cq.value()->StreamMany(inputs, &sink, par, &stats);
+    Status st = plan.value()->StreamMany(inputs, &sink, par, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

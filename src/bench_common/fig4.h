@@ -17,6 +17,8 @@
 //                             doubling query above 200 MB
 //   XQMFT_BENCH_FIG4_PAR_ITEMS / _THREADS   document-set size and worker
 //                             count of the mft_par series (default 4 / 4)
+// An unset, zero, negative or non-numeric knob takes its default
+// (bench_common/env.h).
 #ifndef XQMFT_BENCH_COMMON_FIG4_H_
 #define XQMFT_BENCH_COMMON_FIG4_H_
 

@@ -15,14 +15,14 @@ namespace xqmft {
 namespace {
 
 // A pretok stream tokenized under different SAX options replays different
-// events; parallel runs check before handing a source to an engine, like the
-// CLI does for --pretok-cache.
+// events; every pretok input is checked before it reaches an engine.
 Status CheckPretokOptions(SaxOptions declared, SaxOptions expected,
                           const std::string& what) {
   if (!SameTokenization(declared, expected)) {
     return Status::InvalidArgument(
         "pretok stream " + what +
-        " was tokenized under different SAX options than this pipeline");
+        " was tokenized under different SAX options than this pipeline; "
+        "delete it to re-tokenize");
   }
   return Status::OK();
 }
@@ -132,16 +132,58 @@ Status CompiledPlan::StreamString(const std::string& xml, OutputSink* sink,
   return Stream(&src, sink, stats, scratch);
 }
 
-Status StreamManyTransform(const CompiledPlan& plan,
-                           const std::vector<ParallelInput>& inputs,
-                           OutputSink* sink, const ParallelOptions& par,
-                           std::vector<StreamStats>* stats) {
-  const Mft& mft = plan.mft();
-  // Per-run copy of the plan's baked options: the request's cancel token
-  // (never baked — FinishPlan rejects it) rides in via ParallelOptions and
-  // reaches every worker engine of the fan-out.
+Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
+                                      const SaxOptions& sax) {
+  OpenedInput opened;
+  switch (input.kind) {
+    case ParallelInput::Kind::kXmlFile: {
+      // mmap when available: the parser scans the mapping in place.
+      XQMFT_ASSIGN_OR_RETURN(opened.bytes, MmapSource::Open(input.value));
+      return opened;
+    }
+    case ParallelInput::Kind::kPretokFile: {
+      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
+                             PretokSource::OpenFile(input.value));
+      XQMFT_RETURN_NOT_OK(
+          CheckPretokOptions(src->declared_options(), sax, input.value));
+      opened.events = std::move(src);
+      return opened;
+    }
+    case ParallelInput::Kind::kXmlText:
+      opened.bytes = std::make_unique<StringSource>(input.value);
+      return opened;
+    case ParallelInput::Kind::kPretokBytes: {
+      auto src = std::make_unique<PretokSource>(input.value);
+      // A bad header surfaces as the source's first Next() error instead.
+      if (src->header_ok()) {
+        XQMFT_RETURN_NOT_OK(
+            CheckPretokOptions(src->declared_options(), sax, "(in-memory)"));
+      }
+      opened.events = std::move(src);
+      return opened;
+    }
+  }
+  return Status::Internal("unknown ParallelInput kind");
+}
+
+namespace {
+
+// Per-run copy of a plan's baked options: the request's cancel token
+// (never baked — FinishPlan rejects it) rides in via ParallelOptions and
+// reaches every worker engine of the fan-out.
+StreamOptions StreamOptionsFor(const CompiledPlan& plan,
+                               const ParallelOptions& par) {
   StreamOptions stream = plan.options().stream;
   if (par.cancel != nullptr) stream.cancel = par.cancel;
+  return stream;
+}
+
+}  // namespace
+
+Status CompiledPlan::StreamMany(const std::vector<ParallelInput>& inputs,
+                                OutputSink* sink, const ParallelOptions& par,
+                                std::vector<StreamStats>* stats) const {
+  const StreamOptions stream = StreamOptionsFor(*this, par);
   if (stats != nullptr) {
     stats->assign(inputs.size(), StreamStats{});
   }
@@ -149,49 +191,24 @@ Status StreamManyTransform(const CompiledPlan& plan,
   // before the plan could be shared, so worker engines below can only ever
   // read it.
   auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
-    const ParallelInput& input = inputs[i];
     StreamStats* item_stats = stats != nullptr ? &(*stats)[i] : nullptr;
-    switch (input.kind) {
-      case ParallelInput::Kind::kXmlFile: {
-        XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
-                               MmapSource::Open(input.value));
-        return StreamTransform(mft, src.get(), item_sink, stream, item_stats);
-      }
-      case ParallelInput::Kind::kPretokFile: {
-        XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
-                               PretokSource::OpenFile(input.value));
-        XQMFT_RETURN_NOT_OK(CheckPretokOptions(src->declared_options(),
-                                               stream.sax, input.value));
-        return StreamTransformEvents(mft, src.get(), item_sink, stream,
-                                     item_stats);
-      }
-      case ParallelInput::Kind::kXmlText: {
-        StringSource src(input.value);
-        return StreamTransform(mft, &src, item_sink, stream, item_stats);
-      }
-      case ParallelInput::Kind::kPretokBytes: {
-        PretokSource src(input.value);
-        if (src.header_ok()) {
-          XQMFT_RETURN_NOT_OK(CheckPretokOptions(src.declared_options(),
-                                                 stream.sax, "(in-memory)"));
-        }
-        return StreamTransformEvents(mft, &src, item_sink, stream,
-                                     item_stats);
-      }
-    }
-    return Status::Internal("unknown ParallelInput kind");
+    XQMFT_ASSIGN_OR_RETURN(OpenedInput in,
+                           OpenParallelInput(inputs[i], stream.sax));
+    return in.events != nullptr
+               ? StreamTransformEvents(mft_, in.events.get(), item_sink,
+                                       stream, item_stats)
+               : StreamTransform(mft_, in.bytes.get(), item_sink, stream,
+                                 item_stats);
   };
   return ShardedExecutor::Run(inputs.size(), item, sink, par);
 }
 
-Status StreamShardedPretokTransform(const CompiledPlan& plan,
-                                    std::string_view pretok,
-                                    std::size_t shards, OutputSink* sink,
-                                    const ParallelOptions& par,
-                                    std::vector<StreamStats>* stats) {
-  const Mft& mft = plan.mft();
-  StreamOptions stream = plan.options().stream;
-  if (par.cancel != nullptr) stream.cancel = par.cancel;
+Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
+                                         std::size_t shards, OutputSink* sink,
+                                         const ParallelOptions& par,
+                                         std::vector<StreamStats>* stats)
+    const {
+  const StreamOptions stream = StreamOptionsFor(*this, par);
   if (shards == 0) {
     // Default: split at every top-level forest boundary (the splitter
     // clamps to the tree count). Deliberately NOT the worker count — on a
@@ -212,17 +229,18 @@ Status StreamShardedPretokTransform(const CompiledPlan& plan,
   }
   auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
     PretokShardSource src(&shard_plan, i);
-    return StreamTransformEvents(mft, &src, item_sink, stream,
+    return StreamTransformEvents(mft_, &src, item_sink, stream,
                                  stats != nullptr ? &(*stats)[i] : nullptr);
   };
   return ShardedExecutor::Run(shard_plan.shards.size(), item, sink, par);
 }
 
-Status StreamShardedPretokFileTransform(const CompiledPlan& plan,
-                                        const std::string& path,
-                                        std::size_t shards, OutputSink* sink,
-                                        const ParallelOptions& par,
-                                        std::vector<StreamStats>* stats) {
+Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
+                                             std::size_t shards,
+                                             OutputSink* sink,
+                                             const ParallelOptions& par,
+                                             std::vector<StreamStats>* stats)
+    const {
   XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> backing,
                          MmapSource::Open(path));
   std::string_view contents;
@@ -234,8 +252,7 @@ Status StreamShardedPretokFileTransform(const CompiledPlan& plan,
     while ((n = backing->Read(buf, sizeof buf)) > 0) owned.append(buf, n);
     contents = owned;
   }
-  return StreamShardedPretokTransform(plan, contents, shards, sink, par,
-                                      stats);
+  return StreamShardedPretok(contents, shards, sink, par, stats);
 }
 
 namespace {
@@ -326,98 +343,18 @@ Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
   if (plans.empty() || plans.front() == nullptr) {
     return Status::InvalidArgument("multi-query run needs at least one plan");
   }
-  const SaxOptions sax = plans.front()->options().stream.sax;
-  switch (input.kind) {
-    case ParallelInput::Kind::kXmlFile: {
-      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
-                             MmapSource::Open(input.value));
-      return StreamAllTransform(plans, src.get(), sinks, options, results,
-                                run_stats);
-    }
-    case ParallelInput::Kind::kPretokFile: {
-      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
-                             PretokSource::OpenFile(input.value));
-      XQMFT_RETURN_NOT_OK(
-          CheckPretokOptions(src->declared_options(), sax, input.value));
-      return StreamAllTransformEvents(plans, src.get(), sinks, options,
-                                      results, run_stats);
-    }
-    case ParallelInput::Kind::kXmlText: {
-      StringSource src(input.value);
-      return StreamAllTransform(plans, &src, sinks, options, results,
-                                run_stats);
-    }
-    case ParallelInput::Kind::kPretokBytes: {
-      PretokSource src(input.value);
-      if (src.header_ok()) {
-        XQMFT_RETURN_NOT_OK(
-            CheckPretokOptions(src.declared_options(), sax, "(in-memory)"));
-      }
-      return StreamAllTransformEvents(plans, &src, sinks, options, results,
-                                      run_stats);
-    }
-  }
-  return Status::Internal("unknown ParallelInput kind");
-}
-
-Status CompiledPlan::StreamMany(const std::vector<ParallelInput>& inputs,
-                                OutputSink* sink, const ParallelOptions& par,
-                                std::vector<StreamStats>* stats) const {
-  return StreamManyTransform(*this, inputs, sink, par, stats);
-}
-
-Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
-                                         std::size_t shards, OutputSink* sink,
-                                         const ParallelOptions& par,
-                                         std::vector<StreamStats>* stats)
-    const {
-  return StreamShardedPretokTransform(*this, pretok, shards, sink, par,
-                                      stats);
-}
-
-Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
-                                             std::size_t shards,
-                                             OutputSink* sink,
-                                             const ParallelOptions& par,
-                                             std::vector<StreamStats>* stats)
-    const {
-  return StreamShardedPretokFileTransform(*this, path, shards, sink, par,
-                                          stats);
+  XQMFT_ASSIGN_OR_RETURN(
+      OpenedInput in,
+      OpenParallelInput(input, plans.front()->options().stream.sax));
+  return in.events != nullptr
+             ? StreamAllTransformEvents(plans, in.events.get(), sinks,
+                                        options, results, run_stats)
+             : StreamAllTransform(plans, in.bytes.get(), sinks, options,
+                                  results, run_stats);
 }
 
 Result<Forest> CompiledPlan::Evaluate(const Forest& input) const {
   return RunMft(mft_, input);
-}
-
-QueryRun::QueryRun(std::shared_ptr<const CompiledPlan> plan)
-    : plan_(std::move(plan)), scratch_(plan_->mft()) {}
-
-Status QueryRun::Stream(ByteSource* source, OutputSink* sink,
-                        StreamStats* stats) {
-  return plan_->Stream(source, sink, stats, &scratch_);
-}
-
-Status QueryRun::StreamFile(const std::string& path, OutputSink* sink,
-                            StreamStats* stats) {
-  return plan_->StreamFile(path, sink, stats, &scratch_);
-}
-
-Status QueryRun::StreamString(const std::string& xml, OutputSink* sink,
-                              StreamStats* stats) {
-  return plan_->StreamString(xml, sink, stats, &scratch_);
-}
-
-Status QueryRun::StreamEvents(EventSource* events, OutputSink* sink,
-                              StreamStats* stats) {
-  return plan_->StreamEvents(events, sink, stats, &scratch_);
-}
-
-Result<std::unique_ptr<CompiledQuery>> CompiledQuery::Compile(
-    const std::string& query_text, PipelineOptions options) {
-  std::unique_ptr<CompiledQuery> cq(new CompiledQuery());
-  XQMFT_ASSIGN_OR_RETURN(cq->plan_,
-                         CompiledPlan::Compile(query_text, options));
-  return cq;
 }
 
 }  // namespace xqmft

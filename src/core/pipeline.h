@@ -4,27 +4,25 @@
 //                  --optimize (Section 4.1)--> streaming-friendly MFT
 //                  --streaming engine [30]--> XML-to-XML stream processor
 //
-// The compiled artifact is split along the serving boundary the paper's
-// pitch implies (translate once, stream arbitrarily many documents):
+// The compiled artifact is CompiledPlan, built along the serving boundary
+// the paper's pitch implies (translate once, stream arbitrarily many
+// documents): the parsed query and the translated, optimized MFT with its
+// rule dispatch and base SymbolTable compiled at build time. It is
+// immutable and shareable — the single-query handle of the CLI, the
+// examples and the benches, and what a query cache hands out. The mutable
+// remainder of a run (run-local symbol table, slab arenas) is a
+// StreamScratch (stream/engine.h) the caller may pass to keep warm across
+// documents.
 //
-//   CompiledPlan  — immutable and shareable: the parsed query, the
-//                   translated and optimized MFT with its rule dispatch
-//                   fully compiled and its base SymbolTable interned at
-//                   build time. Safe to share read-only across any number
-//                   of concurrent runs and threads; what a query cache
-//                   hands out.
-//   QueryRun      — cheap mutable per-run state bound to one plan: the
-//                   run-local symbol-table snapshot and the slab arenas,
-//                   reusable across consecutive documents of a serving
-//                   loop. Single-threaded; make one per worker.
-//   CompiledQuery — thin convenience wrapper owning a shared plan; the
-//                   one-query one-caller API the examples and the CLI use.
+// Entry points: the seven CompiledPlan::Stream* methods (one document, a
+// document set, or one sharded pretok stream), and the three StreamAll*
+// functions that feed one document to many plans in a single pass.
 //
 // Typical use:
 //
-//   auto cq = CompiledQuery::Compile("<out>{$input//a}</out>");
+//   auto plan = CompiledPlan::Compile("<out>{$input//a}</out>");
 //   StringSink sink;
-//   cq.value()->StreamFile("input.xml", &sink);
+//   plan.value()->StreamFile("input.xml", &sink);
 #ifndef XQMFT_CORE_PIPELINE_H_
 #define XQMFT_CORE_PIPELINE_H_
 
@@ -87,6 +85,21 @@ struct ParallelInput {
   }
 };
 
+/// \brief A ParallelInput opened for streaming: the text kinds yield a byte
+/// source, the pretok kinds an event source. Exactly one is set.
+struct OpenedInput {
+  std::unique_ptr<ByteSource> bytes;
+  std::unique_ptr<EventSource> events;
+};
+
+/// Opens `input` — the one per-kind dispatch behind StreamMany,
+/// StreamAllTransformInput and the CLI. A pretok input whose header declares
+/// a tokenization other than `sax` is rejected with InvalidArgument (it
+/// would replay different events). The in-memory kinds are read in place,
+/// so `input` must then outlive the result.
+Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
+                                      const SaxOptions& sax);
+
 /// \brief An immutable, shareable compiled query: parse + translate +
 /// optimize happen exactly once, the rule dispatch and base symbol table
 /// are compiled eagerly at build time, and nothing is mutated afterwards.
@@ -97,9 +110,9 @@ struct ParallelInput {
 /// validator (per-run mutable state) is rejected at build time. A
 /// `shared_ptr<const CompiledPlan>` can therefore be handed to any number
 /// of concurrent runs, worker threads, or cache entries without
-/// synchronization — the PR-4 "warm the dispatch before fanning out"
-/// documentation rule is now enforced by this type, and the parallel entry
-/// points take a plan instead of a bare transducer for exactly that reason.
+/// synchronization: the dispatch is warm before any fan-out by
+/// construction, which is why the parallel entry points are plan methods
+/// rather than functions of a bare transducer.
 class CompiledPlan {
  public:
   /// Parses, validates, translates, optimizes (by default), and compiles
@@ -141,8 +154,9 @@ class CompiledPlan {
   std::size_t ApproxBytes() const;
 
   /// Streams a document through the transducer. Thread-safe: concurrent
-  /// calls on one plan each build (or borrow via `scratch`) their own run
-  /// state.
+  /// calls on one plan each build their own run state. A serving loop
+  /// passes a `StreamScratch(plan->mft())` per worker instead, so the
+  /// symbol-table copy and arena blocks are paid once, not per document.
   Status Stream(ByteSource* source, OutputSink* sink,
                 StreamStats* stats = nullptr,
                 StreamScratch* scratch = nullptr) const;
@@ -234,8 +248,7 @@ Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
                                 MultiQueryStats* run_stats = nullptr);
 
 /// StreamAllTransform over any ParallelInput kind (text or pretok, file or
-/// in-memory) — the one-document multi-plan counterpart of
-/// StreamManyTransform's per-input dispatch, shared by the service batch
+/// in-memory), opened by OpenParallelInput; shared by the service batch
 /// path and the CLI.
 Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
                                const ParallelInput& input,
@@ -243,116 +256,6 @@ Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
                                const MultiQueryOptions& options = {},
                                std::vector<MultiPlanResult>* results = nullptr,
                                MultiQueryStats* run_stats = nullptr);
-
-/// Engine-level parallel streaming (the CompiledPlan methods above delegate
-/// here). Taking a CompiledPlan — not a bare Mft — is what makes the
-/// warm-before-fanout contract structural: a plan's dispatch was compiled
-/// before the plan existed, so worker engines can only ever share it
-/// read-only. Contracts as documented on CompiledPlan::StreamMany /
-/// StreamShardedPretok.
-Status StreamManyTransform(const CompiledPlan& plan,
-                           const std::vector<ParallelInput>& inputs,
-                           OutputSink* sink, const ParallelOptions& par = {},
-                           std::vector<StreamStats>* stats = nullptr);
-Status StreamShardedPretokTransform(const CompiledPlan& plan,
-                                    std::string_view pretok,
-                                    std::size_t shards, OutputSink* sink,
-                                    const ParallelOptions& par = {},
-                                    std::vector<StreamStats>* stats = nullptr);
-Status StreamShardedPretokFileTransform(
-    const CompiledPlan& plan, const std::string& path, std::size_t shards,
-    OutputSink* sink, const ParallelOptions& par = {},
-    std::vector<StreamStats>* stats = nullptr);
-
-/// \brief Cheap per-run execution handle over a shared immutable plan: owns
-/// the mutable state one streaming run needs (run-local symbol-table
-/// snapshot, cell/expr slab arenas) and keeps it warm across documents, so
-/// a serving loop pays table copy and block allocation once per worker, not
-/// once per document. Single-threaded; create one per worker. Holds a
-/// shared reference to the plan, so a cached plan stays alive while any
-/// run over it is in flight.
-class QueryRun {
- public:
-  explicit QueryRun(std::shared_ptr<const CompiledPlan> plan);
-
-  const CompiledPlan& plan() const { return *plan_; }
-
-  Status Stream(ByteSource* source, OutputSink* sink,
-                StreamStats* stats = nullptr);
-  Status StreamFile(const std::string& path, OutputSink* sink,
-                    StreamStats* stats = nullptr);
-  Status StreamString(const std::string& xml, OutputSink* sink,
-                      StreamStats* stats = nullptr);
-  Status StreamEvents(EventSource* events, OutputSink* sink,
-                      StreamStats* stats = nullptr);
-
- private:
-  std::shared_ptr<const CompiledPlan> plan_;
-  StreamScratch scratch_;
-};
-
-/// \brief A compiled MinXQuery program, ready to stream documents: a thin
-/// owner of a shared CompiledPlan, kept as the single-query convenience API
-/// (examples, CLI, benches). Serving layers share plan() directly.
-class CompiledQuery {
- public:
-  /// Parses, validates, translates, and (by default) optimizes.
-  static Result<std::unique_ptr<CompiledQuery>> Compile(
-      const std::string& query_text, PipelineOptions options = {});
-
-  /// The shared immutable plan (never null).
-  const std::shared_ptr<const CompiledPlan>& plan() const { return plan_; }
-
-  const Mft& mft() const { return plan_->mft(); }
-  const Mft& unoptimized_mft() const { return plan_->unoptimized_mft(); }
-  const OptimizeReport& optimize_report() const {
-    return plan_->optimize_report();
-  }
-  const QueryExpr& query() const { return plan_->query(); }
-
-  Status Stream(ByteSource* source, OutputSink* sink,
-                StreamStats* stats = nullptr) const {
-    return plan_->Stream(source, sink, stats);
-  }
-  Status StreamFile(const std::string& path, OutputSink* sink,
-                    StreamStats* stats = nullptr) const {
-    return plan_->StreamFile(path, sink, stats);
-  }
-  Status StreamString(const std::string& xml, OutputSink* sink,
-                      StreamStats* stats = nullptr) const {
-    return plan_->StreamString(xml, sink, stats);
-  }
-  Status StreamEvents(EventSource* events, OutputSink* sink,
-                      StreamStats* stats = nullptr) const {
-    return plan_->StreamEvents(events, sink, stats);
-  }
-  Status StreamMany(const std::vector<ParallelInput>& inputs, OutputSink* sink,
-                    const ParallelOptions& par = {},
-                    std::vector<StreamStats>* stats = nullptr) const {
-    return plan_->StreamMany(inputs, sink, par, stats);
-  }
-  Status StreamShardedPretok(std::string_view pretok, std::size_t shards,
-                             OutputSink* sink, const ParallelOptions& par = {},
-                             std::vector<StreamStats>* stats
-                             = nullptr) const {
-    return plan_->StreamShardedPretok(pretok, shards, sink, par, stats);
-  }
-  Status StreamShardedPretokFile(const std::string& path, std::size_t shards,
-                                 OutputSink* sink,
-                                 const ParallelOptions& par = {},
-                                 std::vector<StreamStats>* stats
-                                 = nullptr) const {
-    return plan_->StreamShardedPretokFile(path, shards, sink, par, stats);
-  }
-  Result<Forest> Evaluate(const Forest& input) const {
-    return plan_->Evaluate(input);
-  }
-
- private:
-  CompiledQuery() = default;
-
-  std::shared_ptr<const CompiledPlan> plan_;
-};
 
 }  // namespace xqmft
 

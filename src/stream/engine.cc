@@ -1,6 +1,5 @@
 #include "stream/engine.h"
 
-#include <cstdlib>
 #include <string_view>
 #include <vector>
 
@@ -532,26 +531,6 @@ struct TableMachine {
 
 }  // namespace engine_detail
 
-namespace {
-
-// Resolves kAuto through XQMFT_FORCE_ENGINE ("ops"/"table"); an explicit
-// option always wins over the environment. Read once per process — the
-// variable is a CI/debugging lever, not a runtime switch.
-EngineChoice ResolveEngineChoice(EngineChoice opt) {
-  if (opt != EngineChoice::kAuto) return opt;
-  static const EngineChoice from_env = [] {
-    const char* e = std::getenv("XQMFT_FORCE_ENGINE");
-    if (e == nullptr) return EngineChoice::kAuto;
-    const std::string_view v(e);
-    if (v == "table") return EngineChoice::kTable;
-    if (v == "ops") return EngineChoice::kOps;
-    return EngineChoice::kAuto;
-  }();
-  return from_env;
-}
-
-}  // namespace
-
 // The engine facade: owns the run context and selects the execution core.
 // The lowered ops engine runs whenever the plan is lowerable and the caller
 // did not pin the table machine; unlowerable plans always take the table
@@ -608,7 +587,7 @@ struct Engine::Impl {
                      /*reused=*/scratch != nullptr)),
         options_(options) {
     const lower::LoweredPlan* lowered = nullptr;
-    if (ResolveEngineChoice(options.engine) != EngineChoice::kTable) {
+    if (options.engine != EngineChoice::kTable) {
       lowered = lower::GetLoweredPlan(mft);
     }
     if (lowered != nullptr) {

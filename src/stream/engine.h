@@ -33,14 +33,13 @@ namespace xqmft {
 
 class SchemaValidator;
 
-/// Which execution core runs the transducer. kAuto (the default) picks the
+/// Which execution core runs the transducer. kOps (the default) runs the
 /// lowered opcode engine whenever the plan is lowerable (see lower/lower.h)
-/// and falls back to the table machine otherwise; the XQMFT_FORCE_ENGINE
-/// environment variable ("ops"/"table") overrides kAuto only. kOps also
-/// falls back to the table machine for unlowerable plans — lowering is a
-/// fast path, never a capability switch; callers that want to report the
-/// fallback (the CLI does) ask lower::GetLoweredPlan for the reason.
-enum class EngineChoice : unsigned char { kAuto, kTable, kOps };
+/// and falls back to the table machine otherwise — lowering is a fast path,
+/// never a capability switch; callers that want to report the fallback (the
+/// CLI does) ask lower::GetLoweredPlan for the reason. kTable pins the table
+/// machine, the differential oracle.
+enum class EngineChoice : unsigned char { kOps, kTable };
 
 struct StreamOptions {
   /// Rule applications before aborting with ResourceExhausted (guards
@@ -52,7 +51,7 @@ struct StreamOptions {
   /// input event is fed to the validator; a violation aborts the run.
   SchemaValidator* validator = nullptr;
   /// Execution core selection (see EngineChoice).
-  EngineChoice engine = EngineChoice::kAuto;
+  EngineChoice engine = EngineChoice::kOps;
   /// Optional cooperative cancellation (explicit cancel or deadline): both
   /// engine cores poll the token every `cancel_check_events` input events
   /// (and the table machine additionally every ~1k reduction steps, so a
@@ -110,7 +109,8 @@ struct StreamStats {
 /// the same Mft it was built from. Without a scratch the streaming entry
 /// points build this state per run (copying the base table and growing
 /// fresh slabs), which is correct but pays the per-run setup a serving loop
-/// exists to amortize. QueryRun (core/pipeline.h) is the plan-level wrapper.
+/// exists to amortize. At plan level, pass one to the CompiledPlan::Stream*
+/// methods (core/pipeline.h), built from the plan's mft().
 class StreamScratch {
  public:
   /// Seeds the run table from `mft`'s base table. The dispatch must already

@@ -15,8 +15,7 @@ namespace xqmft {
 namespace {
 
 TEST(PipelineTest, CompileStreamsAndEvaluatesConsistently) {
-  auto cq = std::move(
-      CompiledQuery::Compile("<out>{$input//a}</out>").ValueOrDie());
+  auto cq = CompiledPlan::Compile("<out>{$input//a}</out>").ValueOrDie();
   const char* xml = "<r><a>1</a><b><a>2</a></b></r>";
 
   StringSink sink;
@@ -30,10 +29,10 @@ TEST(PipelineTest, CompileStreamsAndEvaluatesConsistently) {
 }
 
 TEST(PipelineTest, CompileErrorsSurface) {
-  EXPECT_FALSE(CompiledQuery::Compile("<out>").ok());
-  EXPECT_FALSE(CompiledQuery::Compile("<out>{$nope}</out>").ok());
+  EXPECT_FALSE(CompiledPlan::Compile("<out>").ok());
+  EXPECT_FALSE(CompiledPlan::Compile("<out>{$nope}</out>").ok());
   // Join-like query violates the variable restriction.
-  EXPECT_FALSE(CompiledQuery::Compile(
+  EXPECT_FALSE(CompiledPlan::Compile(
                    "for $x in $input/a return for $y in $x/b "
                    "return <r>{$x/c}</r>")
                    .ok());
@@ -42,9 +41,8 @@ TEST(PipelineTest, CompileErrorsSurface) {
 TEST(PipelineTest, OptimizeToggle) {
   PipelineOptions no_opt;
   no_opt.optimize = false;
-  auto raw = std::move(
-      CompiledQuery::Compile(kPersonQuery, no_opt).ValueOrDie());
-  auto opt = std::move(CompiledQuery::Compile(kPersonQuery).ValueOrDie());
+  auto raw = CompiledPlan::Compile(kPersonQuery, no_opt).ValueOrDie();
+  auto opt = CompiledPlan::Compile(kPersonQuery).ValueOrDie();
   EXPECT_GT(raw->mft().TotalParams(), opt->mft().TotalParams());
   EXPECT_EQ(raw->mft().ToString(), raw->unoptimized_mft().ToString());
   EXPECT_GT(opt->optimize_report().unused_params_removed, 0);
@@ -53,8 +51,7 @@ TEST(PipelineTest, OptimizeToggle) {
 TEST(PipelineTest, StreamFileWorks) {
   Result<std::string> path = EnsureDataset(DatasetKind::kXmark, 32 * 1024, 3);
   ASSERT_TRUE(path.ok());
-  auto cq = std::move(
-      CompiledQuery::Compile(QueryById("q01").text).ValueOrDie());
+  auto cq = CompiledPlan::Compile(QueryById("q01").text).ValueOrDie();
   CountingSink sink;
   StreamStats stats;
   ASSERT_TRUE(cq->StreamFile(path.value(), &sink, &stats).ok());
@@ -63,8 +60,7 @@ TEST(PipelineTest, StreamFileWorks) {
 }
 
 TEST(PipelineTest, MissingFileIsAnError) {
-  auto cq = std::move(
-      CompiledQuery::Compile("<out>{$input/a}</out>").ValueOrDie());
+  auto cq = CompiledPlan::Compile("<out>{$input/a}</out>").ValueOrDie();
   StringSink sink;
   Status st = cq->StreamFile("/nonexistent/file.xml", &sink);
   EXPECT_FALSE(st.ok());
@@ -72,7 +68,7 @@ TEST(PipelineTest, MissingFileIsAnError) {
 
 TEST(PipelineTest, AllBenchmarkQueriesCompile) {
   for (const BenchQuery& bq : Figure3Queries()) {
-    auto cq = CompiledQuery::Compile(bq.text);
+    auto cq = CompiledPlan::Compile(bq.text);
     ASSERT_TRUE(cq.ok()) << bq.id << ": " << cq.status().ToString();
     EXPECT_LE(cq.value()->mft().Size(), cq.value()->unoptimized_mft().Size())
         << bq.id;
@@ -91,7 +87,7 @@ TEST(PipelineTest, Theorem2QualifyingQueriesBecomeFTs) {
       "for $v in $input/r/a return <m>{$v/text()}</m>",
   };
   for (const char* text : qualifying) {
-    auto cq = std::move(CompiledQuery::Compile(text).ValueOrDie());
+    auto cq = CompiledPlan::Compile(text).ValueOrDie();
     EXPECT_TRUE(cq->mft().IsForestTransducer())
         << text << "\n"
         << cq->mft().ToString();
@@ -101,8 +97,7 @@ TEST(PipelineTest, Theorem2QualifyingQueriesBecomeFTs) {
 // Queries with predicates genuinely need parameters (the if-then-else
 // encoding), so they must *not* collapse to FTs.
 TEST(PipelineTest, PredicateQueriesKeepParameters) {
-  auto cq = std::move(
-      CompiledQuery::Compile(QueryById("q01").text).ValueOrDie());
+  auto cq = CompiledPlan::Compile(QueryById("q01").text).ValueOrDie();
   EXPECT_FALSE(cq->mft().IsForestTransducer());
 }
 

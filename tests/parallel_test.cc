@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -260,7 +261,7 @@ class ParallelCorpusEquivalence
 
 TEST_P(ParallelCorpusEquivalence, DocumentSetMatchesSerialTextAndPretok) {
   const BenchQuery& bq = QueryById(GetParam());
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = CompiledPlan::Compile(bq.text).ValueOrDie();
   std::vector<std::string> docs = CorpusDocSet(/*seed=*/17);
 
   // Serial baseline: the documents streamed one after another into one
@@ -303,7 +304,7 @@ TEST_P(ParallelCorpusEquivalence, SingleRootedShardingMatchesSerial) {
   // requested, the split finds one top-level tree and the output must be
   // byte-identical to the serial engine over the whole stream.
   const BenchQuery& bq = QueryById(GetParam());
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = CompiledPlan::Compile(bq.text).ValueOrDie();
   Rng rng(4242);
   Forest doc;
   doc.push_back(Tree::Element("site", RandomForest(&rng, 4)));
@@ -329,7 +330,7 @@ TEST_P(ParallelCorpusEquivalence, MultiTreeShardingMatchesSerialShardRuns) {
   // input order — byte-identical to running the same shards through the
   // serial engine one by one, for any thread count.
   const BenchQuery& bq = QueryById(GetParam());
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = CompiledPlan::Compile(bq.text).ValueOrDie();
   Rng rng(987);
   Forest forest;
   for (int t = 0; t < 7; ++t) {
@@ -365,8 +366,7 @@ TEST(ParallelPipelineTest, DefaultShardCountIsMachineIndependent) {
   // count: on a multi-tree forest the decomposition shapes the output, so
   // it may depend only on the input. Same bytes, different thread counts
   // => byte-identical output, equal to an explicit one-shard-per-tree run.
-  auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/a }</out>").ValueOrDie());
+  auto cq = CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie();
   std::string bytes = Tokenize("<a>1</a><a>2</a><a>3</a><a>4</a>");
 
   StringSink per_tree;
@@ -515,8 +515,7 @@ TEST(PretokSplitTest, EmptyForestYieldsOneEmptyShard) {
   EXPECT_EQ(ev.type, XmlEventType::kEndOfDocument);
 
   // The constant query still emits its constant output once.
-  auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/none }</out>").ValueOrDie());
+  auto cq = CompiledPlan::Compile("<out>{ $input/none }</out>").ValueOrDie();
   StringSink out;
   ASSERT_TRUE(cq->StreamShardedPretok(bytes, 4, &out).ok());
   EXPECT_EQ(out.str(), "<out></out>");
@@ -535,8 +534,7 @@ TEST(PretokSplitTest, RejectsMalformedStreams) {
 // ---------------------------------------------------------------------------
 
 TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
-  auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/a }</out>").ValueOrDie());
+  auto cq = CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie();
   std::vector<ParallelInput> inputs;
   inputs.push_back(ParallelInput::XmlText("<a>1</a>"));
   inputs.push_back(ParallelInput::XmlFile("/nonexistent/xqmft.xml"));
@@ -550,8 +548,7 @@ TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
 }
 
 TEST(StreamManyTest, MalformedDocumentAmongManySurfacesItsError) {
-  auto cq = std::move(
-      CompiledQuery::Compile("<out>{ $input/a }</out>").ValueOrDie());
+  auto cq = CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie();
   std::vector<ParallelInput> inputs;
   for (int i = 0; i < 6; ++i) {
     inputs.push_back(ParallelInput::XmlText("<a>ok</a>"));
@@ -562,6 +559,76 @@ TEST(StreamManyTest, MalformedDocumentAmongManySurfacesItsError) {
   StringSink out;
   Status st = cq->StreamMany(inputs, &out, par);
   ASSERT_FALSE(st.ok());
+}
+
+// ---------------------------------------------------------------------------
+// ParallelInput dispatch: every kind through every entry point that opens one
+// ---------------------------------------------------------------------------
+
+TEST(ParallelInputTest, EveryKindMatchesStreamStringAndForeignPretokFails) {
+  auto plan = CompiledPlan::Compile(
+                  "<out>{ for $x in $input/r/a return <hit>{$x/text()}</hit> "
+                  "}</out>")
+                  .ValueOrDie();
+  // Whitespace-only text between elements: a pretok stream that kept it
+  // replays events this plan's tokenization never produces.
+  const std::string xml = "<r>\n  <a>1</a> <b>x</b>\n  <a>2</a>\n</r>";
+  StringSink want;
+  ASSERT_TRUE(plan->StreamString(xml, &want).ok());
+  ASSERT_EQ(want.str(), "<out><hit>1</hit><hit>2</hit></out>");
+
+  SaxOptions keep_whitespace;
+  keep_whitespace.skip_whitespace_text = false;
+  const std::string pretok = Tokenize(xml);
+  const std::string foreign = Tokenize(xml, keep_whitespace);
+  const std::string dir = ::testing::TempDir();
+  const std::string xml_path = dir + "/xqmft_input_kinds.xml";
+  const std::string pretok_path = dir + "/xqmft_input_kinds.ptk";
+  const std::string foreign_path = dir + "/xqmft_input_kinds_ws.ptk";
+  std::ofstream(xml_path, std::ios::binary) << xml;
+  ASSERT_TRUE(WritePretokFile(pretok, pretok_path).ok());
+  ASSERT_TRUE(WritePretokFile(foreign, foreign_path).ok());
+
+  struct Case {
+    const char* name;
+    ParallelInput input;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"xml file", ParallelInput::XmlFile(xml_path), true},
+      {"pretok file", ParallelInput::PretokFile(pretok_path), true},
+      {"xml text", ParallelInput::XmlText(xml), true},
+      {"pretok bytes", ParallelInput::PretokBytes(pretok), true},
+      {"foreign pretok file", ParallelInput::PretokFile(foreign_path), false},
+      {"foreign pretok bytes", ParallelInput::PretokBytes(foreign), false},
+  };
+  for (const Case& c : cases) {
+    StringSink many;
+    Status many_st = plan->StreamMany({c.input}, &many);
+    StringSink all;
+    Status all_st = StreamAllTransformInput({plan.get()}, c.input, {&all});
+    if (c.ok) {
+      ASSERT_TRUE(many_st.ok()) << c.name << ": " << many_st.ToString();
+      ASSERT_TRUE(all_st.ok()) << c.name << ": " << all_st.ToString();
+      EXPECT_EQ(many.str(), want.str()) << c.name;
+      EXPECT_EQ(all.str(), want.str()) << c.name;
+    } else {
+      EXPECT_EQ(many_st.code(), StatusCode::kInvalidArgument)
+          << c.name << ": " << many_st.ToString();
+      EXPECT_EQ(all_st.code(), StatusCode::kInvalidArgument)
+          << c.name << ": " << all_st.ToString();
+    }
+  }
+
+  // Single-document sharding checks the same header, in memory and on disk.
+  StringSink sharded;
+  ASSERT_TRUE(plan->StreamShardedPretok(pretok, 0, &sharded).ok());
+  EXPECT_EQ(sharded.str(), want.str());
+  StringSink rejected;
+  EXPECT_EQ(plan->StreamShardedPretok(foreign, 0, &rejected).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan->StreamShardedPretokFile(foreign_path, 0, &rejected).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -312,7 +312,7 @@ class PretokEquivalence
 TEST_P(PretokEquivalence, PretokMatchesTextStreaming) {
   const auto& [id, seed] = GetParam();
   const BenchQuery& bq = QueryById(id);
-  auto cq = std::move(CompiledQuery::Compile(bq.text).ValueOrDie());
+  auto cq = CompiledPlan::Compile(bq.text).ValueOrDie();
 
   Rng rng(static_cast<std::uint64_t>(seed) * 40009 + 11);
   Forest doc;

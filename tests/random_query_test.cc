@@ -13,7 +13,7 @@
 //      and thread counts, single-document and document-set shapes)
 //   7. the optimized MFT through the QueryCache (service/query_cache):
 //      cold lookup compiles, warm lookup hits — both byte-identical to the
-//      direct CompiledQuery/streaming output
+//      direct CompiledPlan/streaming output
 //   9. the lowered opcode engine vs the table engine (lower/): when the
 //      plan lowers, a forced --engine=ops run must be byte-identical to a
 //      forced table run; when it does not, the ops request must fall back
@@ -292,14 +292,14 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       ParallelOptions serial_par;
       serial_par.threads = 1;
       StringSink sharded_serial;
-      Status ss = StreamShardedPretokTransform(plan, pretok, shard_count,
-                                               &sharded_serial, serial_par);
+      Status ss = plan.StreamShardedPretok(pretok, shard_count,
+                                           &sharded_serial, serial_par);
       ASSERT_TRUE(ss.ok()) << text << "\n" << ss.ToString();
       ParallelOptions par;
       par.threads = 2 + rng.Below(3);
       StringSink sharded_par;
-      Status sp = StreamShardedPretokTransform(plan, pretok, shard_count,
-                                               &sharded_par, par);
+      Status sp = plan.StreamShardedPretok(pretok, shard_count, &sharded_par,
+                                           par);
       ASSERT_TRUE(sp.ok()) << text << "\n" << sp.ToString();
       ASSERT_EQ(sharded_par.str(), sharded_serial.str())
           << "parallel vs serial sharded\nquery: " << text << "\ndoc: "
@@ -322,7 +322,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     ParallelOptions par;
     par.threads = 1 + rng.Below(4);
     StringSink many;
-    Status st = StreamManyTransform(plan, doc_set, &many, par);
+    Status st = plan.StreamMany(doc_set, &many, par);
     ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
     ASSERT_EQ(many.str(), doc_set_serial)
         << "document-set parallel vs serial\nquery: " << text
@@ -331,7 +331,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
 
   // 7. Compile-once cache: a cold QueryCache lookup compiles a plan whose
   // output over the document set is byte-identical to the direct
-  // CompiledQuery/streaming path; the warm lookup hits the same shared plan
+  // CompiledPlan/streaming path; the warm lookup hits the same shared plan
   // (exactly one compile) and streams identically.
   {
     QueryCache cache;

@@ -1,8 +1,8 @@
 // Tests for the serving layer (src/service/): the compile-once QueryCache
 // (normalized keys, LRU + byte-budget eviction, singleflight under
 // concurrency — the suite runs under the tsan preset), the QueryService
-// request path over the parallel streaming machinery, the CompiledPlan /
-// QueryRun split (immutability by construction, scratch reuse across
+// request path over the parallel streaming machinery, the CompiledPlan
+// artifact (immutability by construction, StreamScratch reuse across
 // documents), and the JSON codec behind the serve frontend.
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ const char kDoc[] =
 // Ground truth through the one-query facade (compiled fresh, no cache).
 std::string DirectOutput(const std::string& query, const std::string& xml,
                          const PipelineOptions& options = {}) {
-  auto cq = CompiledQuery::Compile(query, options);
+  auto cq = CompiledPlan::Compile(query, options);
   EXPECT_TRUE(cq.ok()) << cq.status().ToString();
   StringSink sink;
   Status st = cq.value()->StreamString(xml, &sink);
@@ -577,7 +577,7 @@ TEST(QueryServiceTest, BaseNoOptConfigurationIsNotOverridden) {
 }
 
 // ---------------------------------------------------------------------------
-// CompiledPlan / QueryRun
+// CompiledPlan
 // ---------------------------------------------------------------------------
 
 TEST(CompiledPlanTest, FromMftServesParallelRunsWithoutManualWarm) {
@@ -608,10 +608,10 @@ TEST(CompiledPlanTest, RejectsPerRunValidatorState) {
   EXPECT_FALSE(CompiledPlan::Compile(QueryFor("a"), options).ok());
 }
 
-TEST(QueryRunTest, ReusedRunMatchesFreshRunsAcrossDocuments) {
+TEST(PlanScratchTest, ReusedScratchMatchesFreshRunsAcrossDocuments) {
   auto plan = CompiledPlan::Compile(QueryFor("a"));
   ASSERT_TRUE(plan.ok());
-  QueryRun run(plan.value());
+  StreamScratch scratch(plan.value()->mft());
   // Documents with disjoint input alphabets: the run-local table snapshots
   // back to the plan's base between documents, so names interned by one
   // document must not leak into (or corrupt) the next run's emission.
@@ -624,13 +624,14 @@ TEST(QueryRunTest, ReusedRunMatchesFreshRunsAcrossDocuments) {
   for (const std::string& doc : docs) {
     StringSink reused;
     StreamStats stats;
-    ASSERT_TRUE(run.StreamString(doc, &reused, &stats).ok());
+    ASSERT_TRUE(
+        plan.value()->StreamString(doc, &reused, &stats, &scratch).ok());
     EXPECT_EQ(reused.str(), DirectOutput(QueryFor("a"), doc)) << doc;
     EXPECT_GT(stats.rule_applications, 0u);
   }
 }
 
-TEST(QueryRunTest, PeakMemoryIsPerRunNotCumulative) {
+TEST(PlanScratchTest, PeakMemoryIsPerRunNotCumulative) {
   // Pin the table machine: the ops engine streams this query at a flat,
   // document-independent peak, which would make the two peaks equal and
   // prove nothing about per-run accounting.
@@ -638,7 +639,7 @@ TEST(QueryRunTest, PeakMemoryIsPerRunNotCumulative) {
   options.stream.engine = EngineChoice::kTable;
   auto plan = CompiledPlan::Compile("<out>{ $input//a }</out>", options);
   ASSERT_TRUE(plan.ok());
-  QueryRun run(plan.value());
+  StreamScratch scratch(plan.value()->mft());
   // A big document, then a tiny one: the tiny run's peak must reflect the
   // tiny run, not the big run's high-water mark.
   std::string big = "<doc>";
@@ -646,10 +647,13 @@ TEST(QueryRunTest, PeakMemoryIsPerRunNotCumulative) {
   big += "</doc>";
   StreamStats big_stats;
   StringSink s1;
-  ASSERT_TRUE(run.StreamString(big, &s1, &big_stats).ok());
+  ASSERT_TRUE(plan.value()->StreamString(big, &s1, &big_stats, &scratch).ok());
   StreamStats tiny_stats;
   StringSink s2;
-  ASSERT_TRUE(run.StreamString("<doc><a>x</a></doc>", &s2, &tiny_stats).ok());
+  ASSERT_TRUE(plan.value()
+                  ->StreamString("<doc><a>x</a></doc>", &s2, &tiny_stats,
+                                 &scratch)
+                  .ok());
   EXPECT_LT(tiny_stats.peak_bytes, big_stats.peak_bytes);
 }
 

@@ -1,11 +1,13 @@
 // Unit tests for src/util: Status/Result, IntrusivePtr, Arena, Rng, strings,
-// MemoryTracker.
+// MemoryTracker; plus the benchmark binaries' env-knob parsing.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "bench_common/env.h"
 #include "util/arena.h"
 #include "util/intrusive_ptr.h"
 #include "util/memory_tracker.h"
@@ -203,6 +205,24 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.0 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KB");
   EXPECT_EQ(HumanBytes(3 * 1024 * 1024), "3.0 MB");
+}
+
+TEST(BenchEnvTest, NonPositiveOrNonNumericKnobsTakeTheDefault) {
+  const char* kVar = "XQMFT_TEST_BENCH_ENV_KNOB";
+  ::unsetenv(kVar);
+  EXPECT_EQ(EnvCount(kVar, 8), 8u);
+  EXPECT_EQ(EnvMb(kVar, 4), 4u << 20);
+  for (const char* bad : {"-4", "0", "", "abc", "-0"}) {
+    ::setenv(kVar, bad, 1);
+    EXPECT_EQ(EnvCount(kVar, 8), 8u) << bad;
+    EXPECT_EQ(EnvMb(kVar, 4), 4u << 20) << bad;
+  }
+  ::setenv(kVar, "99999999999999999", 1);  // overflows the byte count
+  EXPECT_EQ(EnvMb(kVar, 4), 4u << 20);
+  ::setenv(kVar, "16", 1);
+  EXPECT_EQ(EnvCount(kVar, 8), 16u);
+  EXPECT_EQ(EnvMb(kVar, 4), 16u << 20);
+  ::unsetenv(kVar);
 }
 
 }  // namespace

@@ -153,7 +153,8 @@ struct Flags {
   long threads = 0;  ///< 0 = one worker per hardware thread
   long cache_capacity = -1;  ///< serve: max resident plans (-1 = default)
   long cache_bytes = -1;     ///< serve: plan byte budget (-1 = unbounded)
-  EngineChoice engine = EngineChoice::kAuto;  ///< --engine table|ops
+  EngineChoice engine = EngineChoice::kOps;  ///< --engine table|ops
+  bool engine_ops_given = false;  ///< --engine=ops: note a table fallback
   std::string schema_path;
   std::string pretok_cache;
   // Socket serving / client (serve --port, client).
@@ -306,20 +307,17 @@ int RunClient(const Flags& flags) {
 // the lowered opcode engine (falls back with a note when the plan does not
 // lower). Anything else is a usage error.
 bool ParseEngine(const std::string& value, Flags* flags) {
-  if (value == "table") {
-    flags->engine = EngineChoice::kTable;
-  } else if (value == "ops") {
-    flags->engine = EngineChoice::kOps;
-  } else {
-    return false;
-  }
+  if (value != "table" && value != "ops") return false;
+  flags->engine_ops_given = value == "ops";
+  flags->engine = flags->engine_ops_given ? EngineChoice::kOps
+                                          : EngineChoice::kTable;
   return true;
 }
 
 // When the user asked for the opcode engine explicitly but the plan cannot
 // lower, say why before the run silently serves from the table engine.
 void NoteEngineFallback(const Flags& flags, const Mft& mft) {
-  if (flags.engine != EngineChoice::kOps) return;
+  if (!flags.engine_ops_given) return;
   std::string why;
   if (lower::GetLoweredPlan(mft, &why) == nullptr) {
     // The cached reason already reads "not lowerable: ..."; strip the
@@ -333,20 +331,12 @@ void NoteEngineFallback(const Flags& flags, const Mft& mft) {
   }
 }
 
-// Opens a pretok file as the run's event source, rejecting a stream whose
-// tokenization options differ from the run's (it would replay different
-// events).
-Result<std::unique_ptr<PretokSource>> OpenPretokEvents(const std::string& path,
-                                                       SaxOptions sax) {
-  XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> p,
-                         PretokSource::OpenFile(path));
-  if (!SameTokenization(p->declared_options(), sax)) {
-    return Status::InvalidArgument(
-        "pretok cache " + path +
-        " was tokenized under different SAX options; delete it to "
-        "re-tokenize");
-  }
-  return p;
+// A named input file: a pretok cache streams as events, anything else as
+// text XML — the same sniff on the serial and parallel paths, so adding or
+// dropping --threads never changes how an input is interpreted.
+ParallelInput FileInput(const std::string& path) {
+  return IsPretokFile(path) ? ParallelInput::PretokFile(path)
+                            : ParallelInput::XmlFile(path);
 }
 
 int StreamWith(const CompiledPlan& plan,
@@ -382,8 +372,7 @@ int StreamWith(const CompiledPlan& plan,
   std::vector<StreamStats> par_stats;
 
   // Serial run state.
-  std::unique_ptr<EventSource> events;
-  std::unique_ptr<ByteSource> source;
+  OpenedInput serial;
 
   if (parallel) {
     if (inputs.empty()) {
@@ -420,9 +409,7 @@ int StreamWith(const CompiledPlan& plan,
         if (!IsFile(path)) {
           return Fail(Status::InvalidArgument("cannot open " + path));
         }
-        par_inputs.push_back(IsPretokFile(path)
-                                 ? ParallelInput::PretokFile(path)
-                                 : ParallelInput::XmlFile(path));
+        par_inputs.push_back(FileInput(path));
       }
       if (par_inputs.size() == 1) {
         std::fprintf(stderr,
@@ -459,42 +446,34 @@ int StreamWith(const CompiledPlan& plan,
                    "read\n",
                    flags.pretok_cache.c_str());
     }
-    Result<std::unique_ptr<PretokSource>> p =
-        OpenPretokEvents(flags.pretok_cache, options.sax);
-    if (!p.ok()) return Fail(p.status());
-    events = std::move(p).value();
+    Result<OpenedInput> in = OpenParallelInput(
+        ParallelInput::PretokFile(flags.pretok_cache), options.sax);
+    if (!in.ok()) return Fail(in.status());
+    serial = std::move(in).value();
   } else if (input_arg.empty()) {
-    source = std::make_unique<StdinSource>();
-  } else if (IsPretokFile(input_arg)) {
-    // A pretok cache as the positional input streams as events on the
-    // serial path too — the same sniff the parallel path does, so adding
-    // or dropping --threads never changes how an input is interpreted.
-    Result<std::unique_ptr<PretokSource>> p =
-        OpenPretokEvents(input_arg, options.sax);
-    if (!p.ok()) return Fail(p.status());
-    events = std::move(p).value();
+    serial.bytes = std::make_unique<StdinSource>();
   } else {
-    Result<std::unique_ptr<ByteSource>> f = MmapSource::Open(input_arg);
-    if (!f.ok()) return Fail(f.status());
-    source = std::move(f).value();
+    Result<OpenedInput> in =
+        OpenParallelInput(FileInput(input_arg), options.sax);
+    if (!in.ok()) return Fail(in.status());
+    serial = std::move(in).value();
   }
 
   auto stream = [&](OutputSink* sink, StreamStats* stats) {
     if (parallel) {
       Status st =
           !sharded_pretok.empty()
-              ? StreamShardedPretokFileTransform(plan, sharded_pretok,
-                                                 /*shards=*/0, sink, par,
-                                                 &par_stats)
-              : StreamManyTransform(plan, par_inputs, sink, par, &par_stats);
+              ? plan.StreamShardedPretokFile(sharded_pretok, /*shards=*/0,
+                                             sink, par, &par_stats)
+              : plan.StreamMany(par_inputs, sink, par, &par_stats);
       if (stats != nullptr) *stats = AggregateStreamStats(par_stats);
       return st;
     }
-    return events != nullptr
-               ? StreamTransformEvents(plan.mft(), events.get(), sink,
+    return serial.events != nullptr
+               ? StreamTransformEvents(plan.mft(), serial.events.get(), sink,
                                        options, stats)
-               : StreamTransform(plan.mft(), source.get(), sink, options,
-                                 stats);
+               : StreamTransform(plan.mft(), serial.bytes.get(), sink,
+                                 options, stats);
   };
 
   StreamStats stats;
@@ -625,8 +604,7 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
   } else if (!IsFile(inputs[0])) {
     return Fail(Status::InvalidArgument("cannot open " + inputs[0]));
   } else {
-    input = IsPretokFile(inputs[0]) ? ParallelInput::PretokFile(inputs[0])
-                                    : ParallelInput::XmlFile(inputs[0]);
+    input = FileInput(inputs[0]);
   }
 
   // Each engine records into its own buffer; stdout gets the replays in
@@ -801,23 +779,23 @@ int main(int argc, char** argv) {
     PipelineOptions po;
     po.optimize = !flags.no_opt;
     po.stream.engine = flags.engine;
-    Result<std::unique_ptr<CompiledQuery>> cq =
-        CompiledQuery::Compile(query_text.value(), po);
-    if (!cq.ok()) return Fail(cq.status());
+    Result<std::shared_ptr<const CompiledPlan>> plan =
+        CompiledPlan::Compile(query_text.value(), po);
+    if (!plan.ok()) return Fail(plan.status());
     if (cmd == "compile") {
-      std::printf("%s", cq.value()->mft().ToString().c_str());
+      std::printf("%s", plan.value()->mft().ToString().c_str());
       std::fprintf(stderr, "%s\n",
-                   cq.value()->optimize_report().ToString().c_str());
+                   plan.value()->optimize_report().ToString().c_str());
       return 0;
     }
     if (cmd == "translate") {
-      std::printf("%s", cq.value()->unoptimized_mft().ToString().c_str());
+      std::printf("%s", plan.value()->unoptimized_mft().ToString().c_str());
       return 0;
     }
-    NoteEngineFallback(flags, cq.value()->mft());
-    return StreamWith(
-        *cq.value()->plan(),
-        std::vector<std::string>(args.begin() + 1, args.end()), flags);
+    NoteEngineFallback(flags, plan.value()->mft());
+    return StreamWith(*plan.value(),
+                      std::vector<std::string>(args.begin() + 1, args.end()),
+                      flags);
   }
 
   if (cmd == "mft") {

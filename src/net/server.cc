@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -122,30 +123,11 @@ struct NetServer::Impl {
   bool draining = false;
   std::chrono::steady_clock::time_point drain_deadline;
 
-  // ---- counters ----
-  struct {
-    std::atomic<std::uint64_t> connections{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> completed_ok{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> cancelled_runs{0};
-    std::atomic<std::uint64_t> deadline_exceeded_runs{0};
-    std::atomic<std::uint64_t> rejected_overload{0};
-    std::atomic<std::uint64_t> rejected_shutdown{0};
-    std::atomic<std::uint64_t> rejected_line_length{0};
-    std::atomic<std::uint64_t> rejected_bad_request{0};
-    std::atomic<std::uint64_t> disconnects_inflight{0};
-    std::atomic<std::uint64_t> slow_client_closed{0};
-    std::atomic<std::uint64_t> inline_cmds{0};
-    std::atomic<std::uint64_t> coalesced_runs{0};
-    std::atomic<std::uint64_t> coalesced_requests{0};
-    std::atomic<std::uint64_t> parses_saved{0};
-    // Execution-core split of successful runs (via WireOptions::run_observer):
-    // fully lowered opcode runs, hybrid (opcode + table bridge sub-runs),
-    // and pure table-machine runs.
-    std::atomic<std::uint64_t> ops_runs{0};
-    std::atomic<std::uint64_t> hybrid_runs{0};
-    std::atomic<std::uint64_t> table_runs{0};
+  // ---- counters: one atomic per XQMFT_NET_SERVER_COUNTERS entry ----
+  struct Counters {
+#define XQMFT_ATOMIC_COUNTER(name) std::atomic<std::uint64_t> name{0};
+    XQMFT_NET_SERVER_COUNTERS(XQMFT_ATOMIC_COUNTER)
+#undef XQMFT_ATOMIC_COUNTER
   } counters;
 
   // ---------------------------------------------------------------- setup
@@ -178,6 +160,24 @@ struct NetServer::Impl {
   bool DrainComplete() const;
   void StopWorkers();
 };
+
+namespace {
+
+// Every counter's JSON name, snapshot field, and live atomic, in list order.
+struct CounterField {
+  const char* name;
+  std::uint64_t NetServerCounters::*value;
+  std::atomic<std::uint64_t> NetServer::Impl::Counters::*live;
+};
+
+constexpr CounterField kCounterFields[] = {
+#define XQMFT_COUNTER_FIELD(name) \
+  {#name, &NetServerCounters::name, &NetServer::Impl::Counters::name},
+    XQMFT_NET_SERVER_COUNTERS(XQMFT_COUNTER_FIELD)
+#undef XQMFT_COUNTER_FIELD
+};
+
+}  // namespace
 
 // ------------------------------------------------------------------ setup
 
@@ -276,6 +276,7 @@ void NetServer::Impl::WorkerMain() {
       done[i].seq = group[i]->seq;
     }
     const auto t0 = std::chrono::steady_clock::now();
+    bool ran = false;  // a query executed: its time feeds the retry hint
     if (group.size() == 1) {
       NetJob& job = *group[0];
       // A token tripped while the job sat queued (deadline counted from
@@ -289,9 +290,7 @@ void NetServer::Impl::WorkerMain() {
       } else {
         done[0].code =
             handler.HandleParsed(job.json, &job.token, &done[0].response);
-        retry_hint.Record(std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
+        ran = true;
       }
     } else {
       // A coalesced group: one shared multi-query pass over the common
@@ -314,8 +313,11 @@ void NetServer::Impl::WorkerMain() {
         counters.coalesced_requests.fetch_add(shared_members);
         counters.parses_saved.fetch_add(saved);
       }
-      // The EWMA tracks per-request cost: the pass's wall time is shared
-      // by every member, so each contributes its share.
+      ran = true;
+    }
+    if (ran) {
+      // The EWMA tracks per-request cost: a shared pass's wall time is
+      // split evenly over its members.
       const double elapsed_ms = std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - t0)
                                     .count();
@@ -388,32 +390,22 @@ bool NetServer::Impl::OnData(Conn* c, const char* data, std::size_t n) {
     }
     const std::size_t len =
         static_cast<std::size_t>(static_cast<const char*>(nl) - (data + i));
+    bool overlong = c->discarding;
+    c->discarding = false;
+    if (!overlong) {
+      c->rbuf.append(data + i, len);
+      overlong = limit != 0 && c->rbuf.size() > limit;
+    }
+    std::string line = std::move(c->rbuf);
+    c->rbuf.clear();
     bool alive;
-    if (c->discarding) {
-      c->discarding = false;
+    if (overlong) {
       counters.rejected_line_length.fetch_add(1);
       std::string resp;
-      AppendErrorResponse(&resp, nullptr,
-                          StrFormat("request line exceeds the %zu-byte limit",
-                                    limit),
-                          StatusCode::kInvalidArgument);
+      AppendOverlongLineResponse(&resp, limit);
       alive = Deliver(c, c->next_seq++, std::move(resp));
     } else {
-      c->rbuf.append(data + i, len);
-      if (limit != 0 && c->rbuf.size() > limit) {
-        c->rbuf.clear();
-        counters.rejected_line_length.fetch_add(1);
-        std::string resp;
-        AppendErrorResponse(
-            &resp, nullptr,
-            StrFormat("request line exceeds the %zu-byte limit", limit),
-            StatusCode::kInvalidArgument);
-        alive = Deliver(c, c->next_seq++, std::move(resp));
-      } else {
-        std::string line = std::move(c->rbuf);
-        c->rbuf.clear();
-        alive = ProcessLine(c, std::move(line));
-      }
+      alive = ProcessLine(c, std::move(line));
     }
     if (!alive) return false;
     i += len + 1;
@@ -425,20 +417,21 @@ bool NetServer::Impl::ProcessLine(Conn* c, std::string line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
   if (line.find_first_not_of(" \t") == std::string::npos) return true;
   const std::uint64_t seq = c->next_seq++;
+  auto reply = [&](ResponseWriter w) {
+    std::string resp;
+    w.FinishLine(&resp);
+    return Deliver(c, seq, std::move(resp));
+  };
 
   Result<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) {
-    std::string resp;
-    AppendErrorResponse(&resp, nullptr, parsed.status().ToString(),
-                        parsed.status().code());
-    return Deliver(c, seq, std::move(resp));
+    return reply(ErrorResponse(nullptr, parsed.status().ToString(),
+                               WireStatusString(parsed.status().code())));
   }
   JsonValue& json = parsed.value();
   if (!json.is_object()) {
-    std::string resp;
-    AppendErrorResponse(&resp, nullptr, "request must be a JSON object",
-                        StatusCode::kInvalidArgument);
-    return Deliver(c, seq, std::move(resp));
+    return reply(ErrorResponse(nullptr, "request must be a JSON object",
+                               "invalid_argument"));
   }
   const JsonValue* id = json.Find("id");
 
@@ -459,31 +452,23 @@ bool NetServer::Impl::ProcessLine(Conn* c, std::string line) {
   const JsonValue* dl = json.Find("deadline_ms");
   if (dl != nullptr && (!dl->is_number() || dl->number <= 0)) {
     counters.rejected_bad_request.fetch_add(1);
-    std::string resp;
-    AppendBadRequestResponse(&resp, id,
-                             "deadline_ms must be a positive number");
-    return Deliver(c, seq, std::move(resp));
+    return reply(ErrorResponse(id, "deadline_ms must be a positive number",
+                               "bad_request"));
   }
   const double deadline_ms = dl != nullptr ? dl->number : 0.0;
 
   if (draining) {
     counters.rejected_shutdown.fetch_add(1);
-    ResponseWriter w(id);
-    w.Raw("ok", "false");
-    w.Field("error", "server is shutting down");
-    w.Field("status", "shutting_down");
-    return Deliver(c, seq, w.Finish() + "\n");
+    return reply(ErrorResponse(id, "server is shutting down", "shutting_down"));
   }
 
   const std::size_t depth = scheduler.queued();
   if (depth >= options.queue_limit) {
     counters.rejected_overload.fetch_add(1);
-    ResponseWriter w(id);
-    w.Raw("ok", "false");
-    w.Field("error", "server overloaded: request queue is full");
-    w.Field("status", "overloaded");
-    w.Raw("retry_after_ms", std::to_string(retry_hint.HintMs(depth)));
-    return Deliver(c, seq, w.Finish() + "\n");
+    ResponseWriter w = ErrorResponse(
+        id, "server overloaded: request queue is full", "overloaded");
+    w.Number("retry_after_ms", retry_hint.HintMs(depth));
+    return reply(std::move(w));
   }
 
   auto job = std::make_shared<NetJob>();
@@ -510,15 +495,17 @@ bool NetServer::Impl::Deliver(Conn* c, std::uint64_t seq,
   c->ready[seq] = std::move(response);
   for (auto it = c->ready.find(c->next_to_send); it != c->ready.end();
        it = c->ready.find(c->next_to_send)) {
+    if (options.fault_abort_conn_after_responses != 0 &&
+        c->responses_sent + 1 >= options.fault_abort_conn_after_responses) {
+      // The socket fault hook: the responses before this one leave first,
+      // then the connection drops in place of this one.
+      if (FlushWrites(c)) CloseConn(c, /*abort=*/true);
+      return false;
+    }
     c->wbuf += it->second;
     c->ready.erase(it);
     ++c->next_to_send;
     ++c->responses_sent;
-    if (options.fault_abort_conn_after_responses != 0 &&
-        c->responses_sent >= options.fault_abort_conn_after_responses) {
-      CloseConn(c, /*abort=*/true);
-      return false;
-    }
   }
   if (!FlushWrites(c)) return false;
   if (c->wbuf.size() - c->woff > options.max_write_buffer_bytes) {
@@ -607,76 +594,35 @@ void NetServer::Impl::ProcessCompletions() {
 }
 
 NetServerCounters NetServer::Impl::SnapshotCounters() const {
-  // Load order matters for the snapshot's internal consistency: outcomes
-  // are read BEFORE admissions. Every outcome increment is preceded (in
-  // the seq_cst total order) by its request's admitted increment, so
-  // reading outcomes first guarantees
+  // Load order matters for the snapshot's internal consistency: loading in
+  // reverse list order reads every outcome BEFORE admitted, which the list
+  // keeps ahead of them. Every outcome increment is preceded (in the
+  // seq_cst total order) by its request's admitted increment, so reading
+  // outcomes first guarantees
   //   admitted >= completed_ok + failed + cancelled_runs +
   //               deadline_exceeded_runs
   // in any single snapshot — independent relaxed loads could see an
   // outcome whose admission they miss.
   NetServerCounters out;
-  out.completed_ok = counters.completed_ok.load();
-  out.failed = counters.failed.load();
-  out.cancelled_runs = counters.cancelled_runs.load();
-  out.deadline_exceeded_runs = counters.deadline_exceeded_runs.load();
-  out.coalesced_runs = counters.coalesced_runs.load();
-  out.coalesced_requests = counters.coalesced_requests.load();
-  out.parses_saved = counters.parses_saved.load();
-  out.ops_runs = counters.ops_runs.load();
-  out.hybrid_runs = counters.hybrid_runs.load();
-  out.table_runs = counters.table_runs.load();
-  out.admitted = counters.admitted.load();
-  out.rejected_overload = counters.rejected_overload.load();
-  out.rejected_shutdown = counters.rejected_shutdown.load();
-  out.rejected_line_length = counters.rejected_line_length.load();
-  out.rejected_bad_request = counters.rejected_bad_request.load();
-  out.disconnects_inflight = counters.disconnects_inflight.load();
-  out.slow_client_closed = counters.slow_client_closed.load();
-  out.inline_cmds = counters.inline_cmds.load();
-  out.connections = counters.connections.load();
+  for (std::size_t i = std::size(kCounterFields); i-- > 0;) {
+    const CounterField& field = kCounterFields[i];
+    out.*field.value = (counters.*field.live).load();
+  }
   return out;
 }
 
 void NetServer::Impl::AppendServerStats(const JsonValue* id,
                                         std::string* out) {
   const NetServerCounters snap = SnapshotCounters();
+  ResponseWriter server(nullptr);
+  for (const CounterField& field : kCounterFields) {
+    server.Number(field.name, snap.*field.value);
+  }
+  server.Number("queued", scheduler.queued());
   ResponseWriter w(id);
   w.Raw("ok", "true");
-  w.Raw(
-      "server",
-      StrFormat(
-          "{\"connections\":%llu,\"admitted\":%llu,\"completed_ok\":%llu,"
-          "\"failed\":%llu,\"cancelled_runs\":%llu,"
-          "\"deadline_exceeded_runs\":%llu,\"rejected_overload\":%llu,"
-          "\"rejected_shutdown\":%llu,\"rejected_line_length\":%llu,"
-          "\"rejected_bad_request\":%llu,\"disconnects_inflight\":%llu,"
-          "\"slow_client_closed\":%llu,\"inline_cmds\":%llu,"
-          "\"coalesced_runs\":%llu,\"coalesced_requests\":%llu,"
-          "\"parses_saved\":%llu,\"ops_runs\":%llu,"
-          "\"hybrid_runs\":%llu,\"table_runs\":%llu,\"queued\":%zu}",
-          static_cast<unsigned long long>(snap.connections),
-          static_cast<unsigned long long>(snap.admitted),
-          static_cast<unsigned long long>(snap.completed_ok),
-          static_cast<unsigned long long>(snap.failed),
-          static_cast<unsigned long long>(snap.cancelled_runs),
-          static_cast<unsigned long long>(snap.deadline_exceeded_runs),
-          static_cast<unsigned long long>(snap.rejected_overload),
-          static_cast<unsigned long long>(snap.rejected_shutdown),
-          static_cast<unsigned long long>(snap.rejected_line_length),
-          static_cast<unsigned long long>(snap.rejected_bad_request),
-          static_cast<unsigned long long>(snap.disconnects_inflight),
-          static_cast<unsigned long long>(snap.slow_client_closed),
-          static_cast<unsigned long long>(snap.inline_cmds),
-          static_cast<unsigned long long>(snap.coalesced_runs),
-          static_cast<unsigned long long>(snap.coalesced_requests),
-          static_cast<unsigned long long>(snap.parses_saved),
-          static_cast<unsigned long long>(snap.ops_runs),
-          static_cast<unsigned long long>(snap.hybrid_runs),
-          static_cast<unsigned long long>(snap.table_runs),
-          scheduler.queued()));
-  *out += w.Finish();
-  *out += "\n";
+  w.Raw("server", server.Finish());
+  w.FinishLine(out);
 }
 
 void NetServer::Impl::BeginDrain() {

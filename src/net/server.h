@@ -51,8 +51,8 @@
 //
 // Fault injection: allow_fault_injection exposes the request-level "fault"
 // field (service/fault.h); fault_abort_conn_after_responses is the
-// socket-level hook — the server drops the connection abruptly after that
-// many responses, for client-robustness stress. Both are test harness
+// socket-level hook — the server drops the connection abruptly in place of
+// that many-th response, for client-robustness stress. Both are test harness
 // surfaces, off by default.
 #ifndef XQMFT_NET_SERVER_H_
 #define XQMFT_NET_SERVER_H_
@@ -68,7 +68,9 @@
 
 namespace xqmft {
 
-struct NetServerOptions {
+/// The request-execution knobs (cache, pipeline, default_threads, limits,
+/// allow_fault_injection) are the stdin ServeLoop's, inherited.
+struct NetServerOptions : ServeOptions {
   /// TCP listener: -1 = none, 0 = ephemeral (read the bound port back with
   /// port()). Binds loopback by default; serving beyond localhost is a
   /// deployment decision, not a default.
@@ -104,50 +106,51 @@ struct NetServerOptions {
   /// expires are cancelled.
   std::uint64_t drain_ms = 5000;
 
-  // Request execution (same knobs as the stdin ServeLoop).
-  QueryCacheOptions cache;
-  PipelineOptions pipeline;
-  std::size_t default_threads = 1;
-  RequestLimits limits;
-  bool allow_fault_injection = false;
-
-  /// Socket-level fault hook: abruptly close each connection after this
-  /// many responses (0 = never). Test harness only.
+  /// Socket-level fault hook: abruptly close each connection when its Nth
+  /// response is ready (0 = never). The N-1 responses before it are
+  /// flushed first (best effort); the Nth is dropped with the connection.
+  /// Test harness only.
   std::uint32_t fault_abort_conn_after_responses = 0;
 };
+
+/// The serving counters as X(name), in {"cmd":"server_stats"} order. This
+/// one list generates NetServerCounters, the server's atomic storage, its
+/// snapshot, and the server_stats JSON: a new counter is one line here plus
+/// its increment. Keep admitted ahead of the four outcomes (see below).
+/// parses_saved sums (members - 1) × documents over shared passes; the
+/// *_runs trio splits successful runs of every shape by execution core.
+#define XQMFT_NET_SERVER_COUNTERS(X)                                  \
+  X(connections)            /* accepted */                            \
+  X(admitted)               /* requests admitted to the queue */      \
+  X(completed_ok)           /* admitted requests that succeeded */    \
+  X(failed)                 /* admitted requests that errored */      \
+  X(cancelled_runs)         /* runs aborted by cancellation */        \
+  X(deadline_exceeded_runs) /* runs aborted by deadline */            \
+  X(rejected_overload)      /* shed: queue full */                    \
+  X(rejected_shutdown)      /* shed: draining */                      \
+  X(rejected_line_length)   /* overlong request lines */              \
+  X(rejected_bad_request)   /* structurally invalid fields */         \
+  X(disconnects_inflight)   /* aborts with runs in flight */          \
+  X(slow_client_closed)     /* write-buffer limit closes */           \
+  X(inline_cmds)            /* cmd requests (no queue) */             \
+  X(coalesced_runs)         /* shared passes with >= 2 members */     \
+  X(coalesced_requests)     /* requests served by those passes */     \
+  X(parses_saved)           /* tokenizations avoided by coalescing */ \
+  X(ops_runs)               /* fully lowered opcode runs */           \
+  X(hybrid_runs)            /* opcode runs with bridge sub-runs */    \
+  X(table_runs)             /* table-machine runs */
 
 /// \brief Monotonic serving counters (atomically readable while serving).
 ///
 /// Also exposed over the wire as {"cmd":"server_stats"} — and because cmd
 /// requests bypass admission, the counters stay observable at full load.
-/// Snapshots are ordered (outcomes read before admissions), so any single
-/// snapshot satisfies
+/// Snapshots load in reverse list order, so every outcome is read before
+/// admitted and any single snapshot satisfies
 /// admitted >= completed_ok + failed + cancelled_runs + deadline_exceeded_runs.
 struct NetServerCounters {
-  std::uint64_t connections = 0;     ///< accepted
-  std::uint64_t admitted = 0;        ///< requests admitted to the queue
-  std::uint64_t completed_ok = 0;    ///< admitted requests that succeeded
-  std::uint64_t failed = 0;          ///< admitted requests that errored
-  std::uint64_t cancelled_runs = 0;  ///< runs aborted by cancellation
-  std::uint64_t deadline_exceeded_runs = 0;  ///< runs aborted by deadline
-  std::uint64_t rejected_overload = 0;       ///< shed: queue full
-  std::uint64_t rejected_shutdown = 0;       ///< shed: draining
-  std::uint64_t rejected_line_length = 0;    ///< overlong request lines
-  std::uint64_t rejected_bad_request = 0;    ///< structurally invalid fields
-  std::uint64_t disconnects_inflight = 0;    ///< aborts with runs in flight
-  std::uint64_t slow_client_closed = 0;      ///< write-buffer limit closes
-  std::uint64_t inline_cmds = 0;             ///< cmd requests (no queue)
-  std::uint64_t coalesced_runs = 0;      ///< shared passes with >= 2 members
-  std::uint64_t coalesced_requests = 0;  ///< requests served by those passes
-  /// Document tokenizations avoided by coalescing: for each shared pass,
-  /// (members - 1) × documents streamed.
-  std::uint64_t parses_saved = 0;
-  /// Execution-core split of successful runs (single, batch member, or
-  /// coalesced member): fully lowered opcode runs, hybrid runs (opcode core
-  /// with table-machine bridge sub-runs), and pure table-machine runs.
-  std::uint64_t ops_runs = 0;
-  std::uint64_t hybrid_runs = 0;
-  std::uint64_t table_runs = 0;
+#define XQMFT_DECLARE_COUNTER(name) std::uint64_t name = 0;
+  XQMFT_NET_SERVER_COUNTERS(XQMFT_DECLARE_COUNTER)
+#undef XQMFT_DECLARE_COUNTER
 };
 
 /// \brief The socket server. Construct, Start() (listeners + workers, after

@@ -52,15 +52,22 @@ struct QueryCacheOptions {
   std::size_t max_bytes = 0;
 };
 
+/// The cache's statistics as X(type, name), in {"cmd":"stats"} order. This
+/// one list generates QueryCacheStats and its wire rendering.
+#define XQMFT_QUERY_CACHE_STATS(X)                                        \
+  X(std::uint64_t, hits)      /* served an already-resident plan */       \
+  X(std::uint64_t, misses)    /* compiled, or waited on a compile */      \
+  X(std::uint64_t, compiles)  /* compiles executed (singleflight dedups) */ \
+  X(std::uint64_t, failures)  /* compiles that returned an error */       \
+  X(std::uint64_t, evictions) /* plans dropped by LRU/byte pressure */    \
+  X(std::size_t, entries)     /* resident plans now */                    \
+  X(std::size_t, bytes)       /* approx resident plan bytes now */        \
+  X(double, compile_ms_total) /* wall time spent compiling */
+
 struct QueryCacheStats {
-  std::uint64_t hits = 0;       ///< served an already-resident plan
-  std::uint64_t misses = 0;     ///< compiled, or waited on an in-flight compile
-  std::uint64_t compiles = 0;   ///< compiles executed (singleflight dedups)
-  std::uint64_t failures = 0;   ///< compiles that returned an error
-  std::uint64_t evictions = 0;  ///< plans dropped by LRU/byte pressure
-  std::size_t entries = 0;      ///< resident plans now
-  std::size_t bytes = 0;        ///< approx resident plan bytes now
-  double compile_ms_total = 0.0;  ///< wall time spent compiling
+#define XQMFT_DECLARE_STAT(type, name) type name = 0;
+  XQMFT_QUERY_CACHE_STATS(XQMFT_DECLARE_STAT)
+#undef XQMFT_DECLARE_STAT
 };
 
 /// \brief One lookup's outcome: the plan plus what serving it cost.

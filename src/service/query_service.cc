@@ -28,35 +28,39 @@ StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
   return out;
 }
 
+CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
+                         CancelToken* local) {
+  CancelToken* token = caller;
+  if (deadline_ms > 0) {
+    if (token == nullptr) token = local;
+    if (!token->has_deadline()) token->SetDeadlineAfterMs(deadline_ms);
+  }
+  return token;
+}
+
 QueryService::QueryService(QueryCacheOptions cache_options,
                            PipelineOptions base_options)
     : base_options_(base_options), cache_(cache_options) {}
+
+Result<QueryCacheLookup> QueryService::LookupPlan(const std::string& query,
+                                                  bool no_opt) {
+  PipelineOptions options = base_options_;
+  if (no_opt) options.optimize = false;
+  return cache_.Lookup(query, options);
+}
 
 Status QueryService::Execute(const ServiceRequest& request, OutputSink* sink,
                              ServiceRequestStats* stats) {
   if (request.inputs.empty()) {
     return Status::InvalidArgument("request has no inputs");
   }
-  PipelineOptions options = base_options_;
-  // no_opt can only turn optimization off: a service configured with
-  // optimize=false (e.g. `serve --no-opt`) stays unoptimized for every
-  // request.
-  if (request.no_opt) options.optimize = false;
   XQMFT_ASSIGN_OR_RETURN(QueryCacheLookup lookup,
-                         cache_.Lookup(request.query, options));
+                         LookupPlan(request.query, request.no_opt));
 
   ParallelOptions par;
   par.threads = request.threads;
-  // A deadline with no caller token arms a request-local one; a caller token
-  // that already carries a deadline (armed from admission time, so queue
-  // wait counts against the budget) is left alone.
   CancelToken local_token;
-  CancelToken* token = request.cancel;
-  if (request.deadline_ms > 0) {
-    if (token == nullptr) token = &local_token;
-    if (!token->has_deadline()) token->SetDeadlineAfterMs(request.deadline_ms);
-  }
-  par.cancel = token;
+  par.cancel = ArmDeadline(request.cancel, request.deadline_ms, &local_token);
   std::vector<StreamStats> per_input;
   auto t0 = std::chrono::steady_clock::now();
   Status st = lookup.plan->StreamMany(request.inputs, sink, par, &per_input);
@@ -136,10 +140,8 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
       per_request[i].status = Status::InvalidArgument("request has no inputs");
       continue;
     }
-    PipelineOptions options = base_options_;
-    if (requests[i].no_opt) options.optimize = false;
     Result<QueryCacheLookup> lookup =
-        cache_.Lookup(requests[i].query, options);
+        LookupPlan(requests[i].query, requests[i].no_opt);
     if (!lookup.ok()) {
       per_request[i].status = lookup.status();
       continue;

@@ -34,10 +34,9 @@ struct ServiceRequest {
   /// Skip the Section 4.1 optimizations (measurement requests).
   bool no_opt = false;
   /// Wall-clock budget for the streaming pass, in milliseconds; 0 = none.
-  /// When `cancel` is provided the deadline is armed on it (if the caller
-  /// has not armed one already — a server arms from admission time so queue
-  /// wait counts); otherwise Execute arms a request-local token. A trip
-  /// aborts the run with kDeadlineExceeded at the next engine check.
+  /// Execute arms it through ArmDeadline; ExecuteBatch expects its caller
+  /// to have armed it on `cancel`. A trip aborts the run with
+  /// kDeadlineExceeded at the next engine check.
   std::uint64_t deadline_ms = 0;
   /// Cooperative cancellation for this request (client disconnect, server
   /// shutdown). Must outlive the call; null = not cancellable (unless
@@ -84,6 +83,13 @@ struct ServiceBatchStats {
   std::vector<ServiceRequestStats> per_request;
 };
 
+/// The token a request runs under: `caller` when given, else `*local` when
+/// `deadline_ms` (0 = none) needs carrying, else null. The deadline is armed
+/// only if none is armed yet — a server arms from admission time, so queue
+/// wait counts against the budget.
+CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
+                         CancelToken* local);
+
 /// Sums per-input statistics into one record. Peak memory is the max
 /// engine-tracked peak across inputs (per-engine peaks need not coincide in
 /// time); output staged in the ordered merge is not tracked and comes on
@@ -129,12 +135,13 @@ class QueryService {
                       ServiceBatchStats* stats = nullptr,
                       const MultiQueryOptions& multi_options = {});
 
+  /// The plan for `query` from the cache, compiled under the service's
+  /// options; `no_opt` turns optimization off (it can only turn it off: a
+  /// service configured unoptimized stays so for every request).
+  Result<QueryCacheLookup> LookupPlan(const std::string& query, bool no_opt);
+
   QueryCache* cache() { return &cache_; }
   const QueryCache& cache() const { return cache_; }
-  /// The options every request's plan is compiled under (before per-request
-  /// no_opt). The wire layer uses these to run fault-injected streams
-  /// through the same pipeline configuration as normal requests.
-  const PipelineOptions& base_options() const { return base_options_; }
 
  private:
   PipelineOptions base_options_;

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "service/wire.h"
-#include "util/strings.h"
 
 namespace xqmft {
 
@@ -63,11 +62,7 @@ Status ServeLoop(std::FILE* in, std::FILE* out, const ServeOptions& options) {
     if (read == LineRead::kEof) break;
     response.clear();
     if (read == LineRead::kOverlong) {
-      AppendErrorResponse(
-          &response, nullptr,
-          StrFormat("request line exceeds the %zu-byte limit",
-                    options.limits.max_line_bytes),
-          StatusCode::kInvalidArgument);
+      AppendOverlongLineResponse(&response, options.limits.max_line_bytes);
       XQMFT_RETURN_NOT_OK(WriteAll(out, response));
       continue;
     }

@@ -64,6 +64,8 @@
 
 namespace xqmft {
 
+/// Request-execution knobs, shared with the socket server
+/// (NetServerOptions derives from this).
 struct ServeOptions {
   QueryCacheOptions cache;
   /// Base compile options for every request (per-request no_opt overrides

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,17 +12,6 @@
 #include "xml/sax_parser.h"
 
 namespace xqmft {
-
-namespace {
-
-// The "lowered" response field: how much of the plan the run executed on the
-// opcode engine ("full", "hybrid"), or "no" for a table-engine run.
-const char* LoweredField(const StreamStats& s) {
-  if (!s.used_ops_engine) return "no";
-  return s.hybrid_plan ? "hybrid" : "full";
-}
-
-}  // namespace
 
 void AppendJsonValue(std::string* out, const JsonValue& v) {
   switch (v.kind) {
@@ -81,25 +69,25 @@ const char* WireStatusString(StatusCode code) {
   return "internal";
 }
 
-void AppendErrorResponse(std::string* out, const JsonValue* id,
-                         std::string_view message, StatusCode code) {
+ResponseWriter ErrorResponse(const JsonValue* id, std::string_view message,
+                             std::string_view status) {
   ResponseWriter w(id);
   w.Raw("ok", "false");
   w.Field("error", message);
-  w.Field("status", WireStatusString(code));
-  *out += w.Finish();
-  *out += "\n";
+  w.Field("status", status);
+  return w;
 }
 
-StatusCode AppendBadRequestResponse(std::string* out, const JsonValue* id,
-                                    std::string_view message) {
-  ResponseWriter w(id);
-  w.Raw("ok", "false");
-  w.Field("error", message);
-  w.Field("status", "bad_request");
-  *out += w.Finish();
-  *out += "\n";
-  return StatusCode::kInvalidArgument;
+void AppendErrorResponse(std::string* out, const JsonValue* id,
+                         std::string_view message, StatusCode code) {
+  ErrorResponse(id, message, WireStatusString(code)).FinishLine(out);
+}
+
+void AppendOverlongLineResponse(std::string* out, std::size_t limit) {
+  AppendErrorResponse(
+      out, nullptr,
+      StrFormat("request line exceeds the %zu-byte limit", limit),
+      StatusCode::kInvalidArgument);
 }
 
 std::string CoalesceKey(const JsonValue& json) {
@@ -139,26 +127,11 @@ std::string CoalesceKey(const JsonValue& json) {
 
 namespace {
 
-void AppendError(std::string* out, const JsonValue* id, const Status& st) {
+// Appends the error response for `st`; returns its code.
+StatusCode AppendError(std::string* out, const JsonValue* id,
+                       const Status& st) {
   AppendErrorResponse(out, id, st.ToString(), st.code());
-}
-
-void AppendStatsResponse(std::string* out, const JsonValue* id,
-                         const QueryCacheStats& stats) {
-  ResponseWriter w(id);
-  w.Raw("ok", "true");
-  w.Raw("stats",
-        StrFormat("{\"hits\":%llu,\"misses\":%llu,\"compiles\":%llu,"
-                  "\"failures\":%llu,\"evictions\":%llu,\"entries\":%zu,"
-                  "\"bytes\":%zu,\"compile_ms_total\":%.3f}",
-                  static_cast<unsigned long long>(stats.hits),
-                  static_cast<unsigned long long>(stats.misses),
-                  static_cast<unsigned long long>(stats.compiles),
-                  static_cast<unsigned long long>(stats.failures),
-                  static_cast<unsigned long long>(stats.evictions),
-                  stats.entries, stats.bytes, stats.compile_ms_total));
-  *out += w.Finish();
-  *out += "\n";
+  return st.code();
 }
 
 // Reads a non-negative integer field into *value; false (with an error
@@ -174,6 +147,21 @@ bool ParseCount(const JsonValue& json, std::string_view key,
     return false;
   }
   *value = static_cast<std::uint64_t>(v->number);
+  return true;
+}
+
+// Reads a boolean field into *value; false (with an error appended to *err)
+// when it is not a boolean, true otherwise (absent = untouched).
+bool ParseBool(const JsonValue& json, std::string_view key, bool* value,
+               std::string* err) {
+  const JsonValue* v = json.Find(key);
+  if (v == nullptr) return true;
+  if (!v->is_bool()) {
+    *err = StrFormat("\"%.*s\" must be a boolean",
+                     static_cast<int>(key.size()), key.data());
+    return false;
+  }
+  *value = v->boolean;
   return true;
 }
 
@@ -247,14 +235,9 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
     }
     req.threads = static_cast<std::size_t>(threads->number);
   }
-  if (const JsonValue* no_opt = json.Find("no_opt")) {
-    if (!no_opt->is_bool()) {
-      return Status::InvalidArgument("\"no_opt\" must be a boolean");
-    }
-    req.no_opt = no_opt->boolean;
-  }
   std::string err;
-  if (!ParseCount(json, "deadline_ms", &req.deadline_ms, &err)) {
+  if (!ParseBool(json, "no_opt", &req.no_opt, &err) ||
+      !ParseCount(json, "deadline_ms", &req.deadline_ms, &err)) {
     return Status::InvalidArgument(err);
   }
   if (const JsonValue* fault = json.Find("fault")) {
@@ -284,20 +267,6 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
   return out;
 }
 
-// Resolves the run's cancel token: the transport's token if given (arming
-// the request deadline on it unless the transport armed one from admission
-// time already), a request-local token when only a deadline needs carrying,
-// null when the request is not cancellable at all.
-CancelToken* ResolveToken(CancelToken* transport, std::uint64_t deadline_ms,
-                          CancelToken* local) {
-  CancelToken* token = transport;
-  if (deadline_ms > 0) {
-    if (token == nullptr) token = local;
-    if (!token->has_deadline()) token->SetDeadlineAfterMs(deadline_ms);
-  }
-  return token;
-}
-
 // Streams a fault-injected request: the single input document is wrapped in
 // a FaultInjectingSource between the parser and the engine, then runs
 // through the same compiled plan (from the service's cache) a normal
@@ -315,24 +284,17 @@ Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
     return Status::InvalidArgument(
         "fault injection supports text XML inputs only");
   }
-  PipelineOptions popts = service->base_options();
-  if (req.no_opt) popts.optimize = false;
   XQMFT_ASSIGN_OR_RETURN(QueryCacheLookup lookup,
-                         service->cache()->Lookup(req.query, popts));
+                         service->LookupPlan(req.query, req.no_opt));
   stats->cache_hit = lookup.hit;
   stats->compile_ms = lookup.compile_ms;
 
-  std::unique_ptr<ByteSource> owned;
-  if (in.kind == ParallelInput::Kind::kXmlFile) {
-    XQMFT_ASSIGN_OR_RETURN(owned, MmapSource::Open(in.value));
-  } else {
-    owned = std::make_unique<StringSource>(in.value);
-  }
-  SaxParser parser(owned.get(), lookup.plan->options().stream.sax);
-  FaultInjectingSource events(&parser, fault);
-
   StreamOptions sopts = lookup.plan->options().stream;
   sopts.cancel = cancel;
+  XQMFT_ASSIGN_OR_RETURN(OpenedInput opened, OpenParallelInput(in, sopts.sax));
+  SaxParser parser(opened.bytes.get(), sopts.sax);
+  FaultInjectingSource events(&parser, fault);
+
   StreamStats ss;
   auto t0 = std::chrono::steady_clock::now();
   Status st =
@@ -345,23 +307,85 @@ Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
   return st;
 }
 
+// One ExecuteBatch pass into fresh string sinks, one per request.
+struct BatchRun {
+  Status status;          // ExecuteBatch's result
+  bool rejected = false;  // batch-level rejection: nothing ran
+  std::vector<StringSink> sinks;
+  ServiceBatchStats stats;
+};
+
+BatchRun RunBatch(QueryService* service,
+                  const std::vector<ServiceRequest>& requests,
+                  const MultiQueryOptions& multi) {
+  BatchRun run;
+  run.sinks.resize(requests.size());
+  std::vector<OutputSink*> sink_ptrs;
+  for (StringSink& sink : run.sinks) sink_ptrs.push_back(&sink);
+  run.status = service->ExecuteBatch(requests, sink_ptrs, &run.stats, multi);
+  run.rejected = run.stats.per_request.size() != requests.size();
+  return run;
+}
+
 }  // namespace
+
+struct RequestHandler::RunShape {
+  /// A "queries" batch member: deduped/events_fed/events_skipped in place
+  /// of bytes_in, and no cache_* totals.
+  bool batch_member = false;
+  /// Members of the coalesced pass ("coalesced":N); 0 = not coalesced.
+  std::size_t coalesced = 0;
+};
+
+StatusCode RequestHandler::AppendRun(std::string* out, const JsonValue* id,
+                                     const Status& st,
+                                     const ServiceRequestStats& stats,
+                                     const std::string& output,
+                                     const RunShape& shape) {
+  if (!st.ok()) return AppendError(out, id, st);
+  if (options_.run_observer) options_.run_observer(stats.total);
+  ResponseWriter w(id);
+  w.Raw("ok", "true");
+  w.Number("bytes", output.size());
+  w.Field("cache", stats.cache_hit ? "hit" : "miss");
+  w.Number("compile_ms", stats.compile_ms);
+  w.Number("stream_ms", stats.stream_ms);
+  if (shape.batch_member) {
+    w.Raw("deduped", stats.deduped ? "true" : "false");
+    w.Number("events_fed", stats.events_fed);
+    w.Number("events_skipped", stats.events_skipped);
+  } else {
+    w.Number("bytes_in", stats.total.bytes_in);
+  }
+  w.Number("output_events", stats.total.output_events);
+  w.Number("peak_mem_bytes", stats.total.peak_bytes);
+  w.Field("engine", stats.total.used_ops_engine ? "ops" : "table");
+  // How much of the plan ran on the opcode engine; "no" for a table run.
+  w.Field("lowered", !stats.total.used_ops_engine ? "no"
+                     : stats.total.hybrid_plan    ? "hybrid"
+                                                  : "full");
+  if (shape.coalesced != 0) w.Number("coalesced", shape.coalesced);
+  if (!shape.batch_member) {
+    QueryCacheStats cache = service_->cache()->stats();
+    w.Number("cache_hits", cache.hits);
+    w.Number("cache_misses", cache.misses);
+    w.Number("cache_entries", cache.entries);
+  }
+  w.FinishLine(out);
+  *out += output;
+  *out += "\n";
+  return StatusCode::kOk;
+}
 
 StatusCode RequestHandler::HandleLine(std::string_view line,
                                       CancelToken* cancel, std::string* out) {
   if (options_.limits.max_line_bytes != 0 &&
       line.size() > options_.limits.max_line_bytes) {
-    Status st = Status::InvalidArgument(
-        StrFormat("request line exceeds the %zu-byte limit",
-                  options_.limits.max_line_bytes));
-    AppendError(out, nullptr, st);
-    return st.code();
+    AppendOverlongLineResponse(out, options_.limits.max_line_bytes);
+    return StatusCode::kInvalidArgument;
   }
   Result<JsonValue> parsed = ParseJson(line);
-  if (!parsed.ok()) {
-    AppendError(out, nullptr, parsed.status());
-    return parsed.status().code();
-  }
+  if (!parsed.ok()) return AppendError(out, nullptr, parsed.status());
   return HandleParsed(parsed.value(), cancel, out);
 }
 
@@ -369,24 +393,28 @@ StatusCode RequestHandler::HandleParsed(const JsonValue& json,
                                         CancelToken* cancel,
                                         std::string* out) {
   if (!json.is_object()) {
-    Status st = Status::InvalidArgument("request must be a JSON object");
-    AppendError(out, nullptr, st);
-    return st.code();
+    return AppendError(out, nullptr, Status::InvalidArgument(
+                                         "request must be a JSON object"));
   }
   const JsonValue* id = json.Find("id");
 
   if (const JsonValue* cmd = json.Find("cmd")) {
-    if (!cmd->is_string()) {
-      AppendErrorResponse(out, id, "unknown \"cmd\"",
-                          StatusCode::kInvalidArgument);
-      return StatusCode::kInvalidArgument;
-    }
-    if (options_.cmd_hook && options_.cmd_hook(cmd->string, id, out)) {
-      return StatusCode::kOk;
-    }
-    if (cmd->string == "stats") {
-      AppendStatsResponse(out, id, service_->cache()->stats());
-      return StatusCode::kOk;
+    if (cmd->is_string()) {
+      if (options_.cmd_hook && options_.cmd_hook(cmd->string, id, out)) {
+        return StatusCode::kOk;
+      }
+      if (cmd->string == "stats") {
+        const QueryCacheStats stats = service_->cache()->stats();
+        ResponseWriter fields(nullptr);
+#define XQMFT_STATS_FIELD(type, name) fields.Number(#name, stats.name);
+        XQMFT_QUERY_CACHE_STATS(XQMFT_STATS_FIELD)
+#undef XQMFT_STATS_FIELD
+        ResponseWriter w(id);
+        w.Raw("ok", "true");
+        w.Raw("stats", fields.Finish());
+        w.FinishLine(out);
+        return StatusCode::kOk;
+      }
     }
     AppendErrorResponse(out, id, "unknown \"cmd\"",
                         StatusCode::kInvalidArgument);
@@ -398,10 +426,7 @@ StatusCode RequestHandler::HandleParsed(const JsonValue& json,
   }
 
   Result<WireRequest> request = BuildRequest(json, options_);
-  if (!request.ok()) {
-    AppendError(out, id, request.status());
-    return request.status().code();
-  }
+  if (!request.ok()) return AppendError(out, id, request.status());
   WireRequest& wire = request.value();
   wire.req.cancel = cancel;
 
@@ -410,38 +435,13 @@ StatusCode RequestHandler::HandleParsed(const JsonValue& json,
   Status st;
   if (wire.fault.kind != FaultSpec::Kind::kNone) {
     CancelToken local;
-    CancelToken* token = ResolveToken(cancel, wire.req.deadline_ms, &local);
-    st = ExecuteWithFault(service_, wire.req, wire.fault, token, &sink,
-                          &stats);
+    st = ExecuteWithFault(service_, wire.req, wire.fault,
+                          ArmDeadline(cancel, wire.req.deadline_ms, &local),
+                          &sink, &stats);
   } else {
     st = service_->Execute(wire.req, &sink, &stats);
   }
-  if (!st.ok()) {
-    AppendError(out, id, st);
-    return st.code();
-  }
-
-  if (options_.run_observer) options_.run_observer(stats.total);
-  QueryCacheStats cache = service_->cache()->stats();
-  ResponseWriter w(id);
-  w.Raw("ok", "true");
-  w.Raw("bytes", std::to_string(sink.str().size()));
-  w.Field("cache", stats.cache_hit ? "hit" : "miss");
-  w.Raw("compile_ms", StrFormat("%.3f", stats.compile_ms));
-  w.Raw("stream_ms", StrFormat("%.3f", stats.stream_ms));
-  w.Raw("bytes_in", std::to_string(stats.total.bytes_in));
-  w.Raw("output_events", std::to_string(stats.total.output_events));
-  w.Raw("peak_mem_bytes", std::to_string(stats.total.peak_bytes));
-  w.Field("engine", stats.total.used_ops_engine ? "ops" : "table");
-  w.Field("lowered", LoweredField(stats.total));
-  w.Raw("cache_hits", std::to_string(cache.hits));
-  w.Raw("cache_misses", std::to_string(cache.misses));
-  w.Raw("cache_entries", std::to_string(cache.entries));
-  *out += w.Finish();
-  *out += "\n";
-  *out += sink.str();
-  *out += "\n";
-  return StatusCode::kOk;
+  return AppendRun(out, id, st, stats, sink.str(), RunShape{});
 }
 
 std::uint64_t RequestHandler::HandleCoalesced(std::vector<CoalescedJob>* group,
@@ -450,6 +450,8 @@ std::uint64_t RequestHandler::HandleCoalesced(std::vector<CoalescedJob>* group,
   std::vector<std::size_t> live;       // group indices that reach the pass
   std::vector<const JsonValue*> ids(group->size(), nullptr);
   std::vector<ServiceRequest> requests;
+  // Tokens for members a transport gave none, should a deadline need one.
+  std::vector<CancelToken> local_tokens(group->size());
   for (std::size_t m = 0; m < group->size(); ++m) {
     CoalescedJob& job = (*group)[m];
     ids[m] = job.json->Find("id");
@@ -458,94 +460,54 @@ std::uint64_t RequestHandler::HandleCoalesced(std::vector<CoalescedJob>* group,
     if (job.cancel != nullptr) {
       Status pre = job.cancel->Check();
       if (!pre.ok()) {
-        AppendErrorResponse(job.out, ids[m], pre.ToString(), pre.code());
-        job.code = pre.code();
+        job.code = AppendError(job.out, ids[m], pre);
         continue;
       }
     }
     Result<WireRequest> request = BuildRequest(*job.json, options_);
     if (!request.ok()) {
-      AppendError(job.out, ids[m], request.status());
-      job.code = request.status().code();
+      job.code = AppendError(job.out, ids[m], request.status());
       continue;
     }
     WireRequest& wire = request.value();
-    wire.req.cancel = job.cancel;
-    // Transports arm deadlines at admission; arm here only when one did not
-    // (matching ResolveToken on the single path).
-    if (wire.req.deadline_ms > 0 && job.cancel != nullptr &&
-        !job.cancel->has_deadline()) {
-      job.cancel->SetDeadlineAfterMs(wire.req.deadline_ms);
-    }
+    wire.req.cancel =
+        ArmDeadline(job.cancel, wire.req.deadline_ms, &local_tokens[m]);
     live.push_back(m);
     requests.push_back(std::move(wire.req));
   }
   if (live.empty()) return 0;
 
-  std::vector<StringSink> sinks(requests.size());
-  std::vector<OutputSink*> sink_ptrs;
-  sink_ptrs.reserve(sinks.size());
-  for (StringSink& sink : sinks) sink_ptrs.push_back(&sink);
-  ServiceBatchStats stats;
-  Status st = service_->ExecuteBatch(requests, sink_ptrs, &stats);
-  if (stats.per_request.size() != requests.size()) {
-    // Batch-level rejection: nothing ran; every member gets the error.
+  BatchRun run = RunBatch(service_, requests, MultiQueryOptions{});
+  if (run.rejected) {
+    // Nothing ran; every member gets the error.
     for (std::size_t m : live) {
-      AppendError((*group)[m].out, ids[m], st);
-      (*group)[m].code = st.code();
+      (*group)[m].code = AppendError((*group)[m].out, ids[m], run.status);
     }
     return 0;
   }
 
-  QueryCacheStats cache = service_->cache()->stats();
+  // The single-request response shape plus "coalesced": clients written
+  // against the single path keep parsing, and can see the sharing.
+  const RunShape shape{false, live.size()};
   for (std::size_t k = 0; k < live.size(); ++k) {
     CoalescedJob& job = (*group)[live[k]];
-    const ServiceRequestStats& rs = stats.per_request[k];
-    if (!rs.status.ok()) {
-      AppendError(job.out, ids[live[k]], rs.status);
-      job.code = rs.status.code();
-      continue;
-    }
-    // The single-request response shape plus "coalesced": clients written
-    // against the single path keep parsing, and can see the sharing.
-    if (options_.run_observer) options_.run_observer(rs.total);
-    ResponseWriter w(ids[live[k]]);
-    w.Raw("ok", "true");
-    w.Raw("bytes", std::to_string(sinks[k].str().size()));
-    w.Field("cache", rs.cache_hit ? "hit" : "miss");
-    w.Raw("compile_ms", StrFormat("%.3f", rs.compile_ms));
-    w.Raw("stream_ms", StrFormat("%.3f", rs.stream_ms));
-    w.Raw("bytes_in", std::to_string(rs.total.bytes_in));
-    w.Raw("output_events", std::to_string(rs.total.output_events));
-    w.Raw("peak_mem_bytes", std::to_string(rs.total.peak_bytes));
-    w.Field("engine", rs.total.used_ops_engine ? "ops" : "table");
-    w.Field("lowered", LoweredField(rs.total));
-    w.Raw("coalesced", std::to_string(live.size()));
-    w.Raw("cache_hits", std::to_string(cache.hits));
-    w.Raw("cache_misses", std::to_string(cache.misses));
-    w.Raw("cache_entries", std::to_string(cache.entries));
-    *job.out += w.Finish();
-    *job.out += "\n";
-    *job.out += sinks[k].str();
-    *job.out += "\n";
-    job.code = StatusCode::kOk;
+    const ServiceRequestStats& rs = run.stats.per_request[k];
+    job.code = AppendRun(job.out, ids[live[k]], rs.status, rs,
+                         run.sinks[k].str(), shape);
   }
 
   if (live.size() < 2) return 0;
   if (shared_members != nullptr) *shared_members = live.size();
   // Each document was tokenized once for the whole group instead of once
   // per member.
-  return static_cast<std::uint64_t>(stats.documents) *
+  return static_cast<std::uint64_t>(run.stats.documents) *
          static_cast<std::uint64_t>(live.size() - 1);
 }
 
 StatusCode RequestHandler::HandleBatch(const JsonValue& json,
                                        const JsonValue* id,
                                        CancelToken* cancel, std::string* out) {
-  auto reject = [&](const Status& st) {
-    AppendError(out, id, st);
-    return st.code();
-  };
+  auto reject = [&](const Status& st) { return AppendError(out, id, st); };
   const JsonValue* queries = json.Find("queries");
   if (!queries->is_array() || queries->items.empty()) {
     return reject(
@@ -559,22 +521,16 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
         "batch has no documents (give \"inputs\" paths or inline \"xml\")"));
   }
   MultiQueryOptions multi;
-  if (const JsonValue* up = json.Find("union_projection")) {
-    if (!up->is_bool()) {
-      return reject(
-          Status::InvalidArgument("\"union_projection\" must be a boolean"));
-    }
-    multi.union_projection = up->boolean;
-  }
   std::uint64_t deadline_ms = 0;
   std::string err;
-  if (!ParseCount(json, "deadline_ms", &deadline_ms, &err)) {
+  if (!ParseBool(json, "union_projection", &multi.union_projection, &err) ||
+      !ParseCount(json, "deadline_ms", &deadline_ms, &err)) {
     return reject(Status::InvalidArgument(err));
   }
   // The batch shares one pass per document, so the deadline is batch-wide:
   // a trip aborts every query still streaming.
   CancelToken local;
-  multi.cancel = ResolveToken(cancel, deadline_ms, &local);
+  multi.cancel = ArmDeadline(cancel, deadline_ms, &local);
 
   std::vector<ServiceRequest> requests;
   std::vector<const JsonValue*> ids;
@@ -587,65 +543,33 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
     ServiceRequest req;
     req.query = query->string;
     req.inputs = inputs;
-    if (const JsonValue* no_opt = item.Find("no_opt")) {
-      if (!no_opt->is_bool()) {
-        return reject(Status::InvalidArgument("\"no_opt\" must be a boolean"));
-      }
-      req.no_opt = no_opt->boolean;
+    if (!ParseBool(item, "no_opt", &req.no_opt, &err)) {
+      return reject(Status::InvalidArgument(err));
     }
     ids.push_back(item.Find("id"));
     requests.push_back(std::move(req));
   }
 
-  std::vector<StringSink> sinks(requests.size());
-  std::vector<OutputSink*> sink_ptrs;
-  sink_ptrs.reserve(sinks.size());
-  for (StringSink& sink : sinks) sink_ptrs.push_back(&sink);
-  ServiceBatchStats stats;
-  Status st = service_->ExecuteBatch(requests, sink_ptrs, &stats, multi);
-  if (stats.per_request.size() != requests.size()) {
-    // Batch-level rejection: nothing ran, one error response.
-    return reject(st);
-  }
-
+  BatchRun run = RunBatch(service_, requests, multi);
+  if (run.rejected) return reject(run.status);  // nothing ran
+  const RunShape shape{true, 0};
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ServiceRequestStats& rs = stats.per_request[i];
-    if (!rs.status.ok()) {
-      AppendError(out, ids[i], rs.status);
-      continue;
-    }
-    if (options_.run_observer) options_.run_observer(rs.total);
-    ResponseWriter w(ids[i]);
-    w.Raw("ok", "true");
-    w.Raw("bytes", std::to_string(sinks[i].str().size()));
-    w.Field("cache", rs.cache_hit ? "hit" : "miss");
-    w.Raw("compile_ms", StrFormat("%.3f", rs.compile_ms));
-    w.Raw("stream_ms", StrFormat("%.3f", rs.stream_ms));
-    w.Raw("deduped", rs.deduped ? "true" : "false");
-    w.Raw("events_fed", std::to_string(rs.events_fed));
-    w.Raw("events_skipped", std::to_string(rs.events_skipped));
-    w.Raw("output_events", std::to_string(rs.total.output_events));
-    w.Raw("peak_mem_bytes", std::to_string(rs.total.peak_bytes));
-    w.Field("engine", rs.total.used_ops_engine ? "ops" : "table");
-    w.Field("lowered", LoweredField(rs.total));
-    *out += w.Finish();
-    *out += "\n";
-    *out += sinks[i].str();
-    *out += "\n";
+    const ServiceRequestStats& rs = run.stats.per_request[i];
+    AppendRun(out, ids[i], rs.status, rs, run.sinks[i].str(), shape);
   }
 
+  const ServiceBatchStats& stats = run.stats;
   ResponseWriter w(id);
-  w.Raw("ok", st.ok() ? "true" : "false");
+  w.Raw("ok", run.status.ok() ? "true" : "false");
   w.Raw("batch", "true");
-  w.Raw("requests", std::to_string(requests.size()));
-  w.Raw("documents", std::to_string(stats.documents));
-  w.Raw("parsed_bytes", std::to_string(stats.parsed_bytes));
-  w.Raw("unique_plans", std::to_string(stats.unique_plans));
-  w.Raw("deduped_requests", std::to_string(stats.deduped_requests));
-  w.Raw("stream_ms", StrFormat("%.3f", stats.stream_ms));
-  *out += w.Finish();
-  *out += "\n";
-  return st.code();
+  w.Number("requests", requests.size());
+  w.Number("documents", stats.documents);
+  w.Number("parsed_bytes", stats.parsed_bytes);
+  w.Number("unique_plans", stats.unique_plans);
+  w.Number("deduped_requests", stats.deduped_requests);
+  w.Number("stream_ms", stats.stream_ms);
+  w.FinishLine(out);
+  return run.status.code();
 }
 
 }  // namespace xqmft

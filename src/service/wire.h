@@ -4,9 +4,15 @@
 // ServeLoop (serve.h, stdin/stdout) and NetServer (net/server.h, sockets)
 // speak the same request schema; this layer owns everything between "here
 // is one request line" and "here are the response bytes": JSON parsing,
-// request validation and limits, cmd dispatch, single/batch execution
-// through a QueryService, deadline arming, fault injection, and response
-// framing. A transport only moves bytes and decides admission.
+// request validation and limits, cmd dispatch, execution through a
+// QueryService, fault injection, and response framing. A transport only
+// moves bytes and decides admission.
+//
+// In wire.cc the single path (HandleParsed) runs QueryService::Execute or
+// a fault-injected stream; the "queries" batch (HandleBatch) and the
+// coalesced group (HandleCoalesced) share one ExecuteBatch call, RunBatch.
+// All three write their responses through AppendRun, whose RunShape names
+// the fields that set each shape apart.
 //
 // Responses are appended to a caller-owned string: a header line of JSON,
 // then (for successful query requests) exactly `bytes` bytes of output and
@@ -21,11 +27,13 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "service/json.h"
 #include "service/query_service.h"
 #include "util/cancel.h"
 #include "util/status.h"
+#include "util/strings.h"
 
 namespace xqmft {
 
@@ -72,7 +80,8 @@ struct WireOptions {
 /// whatever their shape).
 void AppendJsonValue(std::string* out, const JsonValue& v);
 
-/// \brief Builds one JSON response header line field by field.
+/// \brief Builds one JSON object field by field: a response header line,
+/// or (with a null id) a nested object such as the stats counters.
 struct ResponseWriter {
   explicit ResponseWriter(const JsonValue* id) {
     line = "{";
@@ -94,11 +103,26 @@ struct ResponseWriter {
     line += raw;
     line += ",";
   }
-  // One JSON line, closing brace swapped in for the trailing comma.
+  /// Integers print in full, doubles (the *_ms timings) with three
+  /// decimals.
+  template <typename T>
+  void Number(std::string_view key, T value) {
+    if constexpr (std::is_floating_point_v<T>) {
+      Raw(key, StrFormat("%.3f", value));
+    } else {
+      Raw(key, std::to_string(value));
+    }
+  }
+  // One JSON object, closing brace swapped in for the trailing comma.
   std::string Finish() {
     if (line.back() == ',') line.back() = '}';
     else line += "}";
     return line;
+  }
+  /// Finish() plus the newline that ends a header line, appended to *out.
+  void FinishLine(std::string* out) {
+    *out += Finish();
+    *out += '\n';
   }
   std::string line;
 };
@@ -108,19 +132,21 @@ struct ResponseWriter {
 /// StatusCode name). Stable: clients dispatch on these.
 const char* WireStatusString(StatusCode code);
 
-/// Appends a complete error response line: ok:false, the message, and the
-/// machine-readable status token ("error" before "status" — existing
-/// clients key on the ok/error adjacency).
+/// Starts an error response header: ok:false, the human-readable message,
+/// then the machine-readable status token ("error" before "status" —
+/// existing clients key on the ok/error adjacency). Transports pass their
+/// own admission tokens ("bad_request", "overloaded", "shutting_down") and
+/// may add fields before finishing the line.
+ResponseWriter ErrorResponse(const JsonValue* id, std::string_view message,
+                             std::string_view status);
+
+/// Appends a complete error response line for a failed request, its status
+/// token WireStatusString(code).
 void AppendErrorResponse(std::string* out, const JsonValue* id,
                          std::string_view message, StatusCode code);
 
-/// Appends a request-rejection response with the literal "bad_request"
-/// status token: the request is structurally unacceptable (e.g. a
-/// malformed deadline_ms) and was refused before admission, as opposed to
-/// an accepted request that failed. Returns kInvalidArgument for the
-/// transport's outcome counters.
-StatusCode AppendBadRequestResponse(std::string* out, const JsonValue* id,
-                                    std::string_view message);
+/// Appends the rejection of a request line longer than `limit` bytes.
+void AppendOverlongLineResponse(std::string* out, std::size_t limit);
 
 /// The scheduler's coalescing key for one parsed request: requests with
 /// equal non-empty keys name the same document list (the raw "inputs" and
@@ -186,12 +212,15 @@ class RequestHandler {
   std::uint64_t HandleCoalesced(std::vector<CoalescedJob>* group,
                                 std::size_t* shared_members = nullptr);
 
-  const WireOptions& options() const { return options_; }
-  QueryService* service() { return service_; }
-
  private:
+  struct RunShape;  // wire.cc
   StatusCode HandleBatch(const JsonValue& json, const JsonValue* id,
                          CancelToken* cancel, std::string* out);
+  /// Appends one run's response: the error when `st` failed, else the
+  /// success header in `shape` followed by `output`. Returns the outcome.
+  StatusCode AppendRun(std::string* out, const JsonValue* id,
+                       const Status& st, const ServiceRequestStats& stats,
+                       const std::string& output, const RunShape& shape);
 
   QueryService* service_;
   WireOptions options_;

@@ -94,14 +94,6 @@ class CancelToken {
     return Status::OK();
   }
 
-  /// Disarms both signals for token reuse across requests (the stdin serve
-  /// loop keeps one token; the net server allocates per request). Must not
-  /// race with a run still holding the token.
-  void Reset() {
-    cancelled_.store(false, std::memory_order_relaxed);
-    has_deadline_.store(false, std::memory_order_release);
-  }
-
  private:
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> has_deadline_{false};

@@ -438,6 +438,18 @@ TEST(ServeLoopTest, DeadlineMsAbortsAStalledRequest) {
 // NetServer
 // ---------------------------------------------------------------------------
 
+// Parses the integer value of `key` out of a response header.
+std::uint64_t HeaderCount(const std::string& header, const std::string& key) {
+  std::size_t pos = header.find("\"" + key + "\":");
+  if (pos == std::string::npos) return 0;
+  pos += key.size() + 3;
+  std::uint64_t n = 0;
+  while (pos < header.size() && header[pos] >= '0' && header[pos] <= '9') {
+    n = n * 10 + static_cast<std::uint64_t>(header[pos++] - '0');
+  }
+  return n;
+}
+
 // A blocking test client over one socket, with just enough response-frame
 // awareness to read interleaved successes (header + payload) and errors.
 class TestClient {
@@ -537,14 +549,8 @@ class TestClient {
   bool ReadResponse(WireResponse* r) {
     r->payload.clear();
     if (!ReadLine(&r->header)) return false;
-    std::size_t pos = r->header.find("\"bytes\":");
-    if (pos == std::string::npos) return true;
-    std::size_t n = 0;
-    for (pos += 8; pos < r->header.size() && r->header[pos] >= '0' &&
-                   r->header[pos] <= '9';
-         ++pos) {
-      n = n * 10 + static_cast<std::size_t>(r->header[pos] - '0');
-    }
+    if (r->header.find("\"bytes\":") == std::string::npos) return true;
+    const std::size_t n = HeaderCount(r->header, "bytes");
     std::string body;
     if (!ReadBytes(n + 1, &body)) return false;  // payload + newline
     r->payload = body.substr(0, n);
@@ -1106,18 +1112,6 @@ TEST(NetServerTest, MalformedDeadlineIsRejectedAsBadRequest) {
   EXPECT_EQ(c.admitted, 1u);  // the rejects never reached the queue
 }
 
-// Parses the integer value of `key` out of a response header.
-std::uint64_t HeaderCount(const std::string& header, const std::string& key) {
-  std::size_t pos = header.find("\"" + key + "\":");
-  if (pos == std::string::npos) return 0;
-  pos += key.size() + 3;
-  std::uint64_t n = 0;
-  while (pos < header.size() && header[pos] >= '0' && header[pos] <= '9') {
-    n = n * 10 + static_cast<std::uint64_t>(header[pos++] - '0');
-  }
-  return n;
-}
-
 TEST(NetServerTest, OverloadHintScalesWithObservedServiceTime) {
   NetServerOptions options;
   options.workers = 1;
@@ -1403,14 +1397,16 @@ TEST(NetServerTest, SocketFaultHookDropsTheConnectionAbruptly) {
   ServerFixture fx(std::move(options));
   TestClient client = fx.Connect();
   ASSERT_TRUE(client.ok());
-  client.Send(SimpleRequest(1));
-  client.Send(SimpleRequest(2));
   // The first response is delivered; the second trips the hook, which
-  // drops the connection abruptly — before flushing — so it never
-  // arrives, and the read side terminates rather than hanging.
+  // drops the connection abruptly in its place, so it never arrives, and
+  // the read side terminates rather than hanging. Request 2 goes out only
+  // after response 1 is read: an abortive close may discard bytes the
+  // client has not read yet.
+  client.Send(SimpleRequest(1));
   TestClient::WireResponse r;
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_NE(r.header.find("\"id\":1,\"ok\":true"), std::string::npos);
+  client.Send(SimpleRequest(2));
   EXPECT_EQ(client.ReadAll().find("\"id\":2,"), std::string::npos);
 
   // The blast radius is that one connection: a fresh one that stays under
@@ -1421,6 +1417,131 @@ TEST(NetServerTest, SocketFaultHookDropsTheConnectionAbruptly) {
   fresh.HalfClose();
   ASSERT_TRUE(fresh.ReadResponse(&r));
   EXPECT_NE(r.header.find("\"id\":3,\"ok\":true"), std::string::npos);
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden response shapes
+// ---------------------------------------------------------------------------
+
+// The header with every numeric JSON value replaced by N: what is left is
+// the key set, the key order, and the string and boolean values.
+std::string MaskNumbers(const std::string& header) {
+  std::string out;
+  for (std::size_t i = 0; i < header.size(); ++i) {
+    out += header[i];
+    if (header[i] != ':' || i == 0 || header[i - 1] != '"') continue;
+    const std::size_t end = header.find_first_not_of("-.0123456789", i + 1);
+    if (end == i + 1) continue;  // not a number
+    out += 'N';
+    i = end - 1;  // npos - 1 when the number ends the header
+  }
+  return out;
+}
+
+// Every header line of a framed response stream, numbers masked; the
+// payload after each successful query header is skipped by its "bytes".
+std::vector<std::string> MaskedHeaders(const std::string& out) {
+  std::vector<std::string> headers;
+  std::size_t pos = 0;
+  while (pos < out.size()) {
+    std::size_t nl = out.find('\n', pos);
+    if (nl == std::string::npos) nl = out.size();
+    std::string header = out.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (header.find("\"ok\":true,\"bytes\":") != std::string::npos) {
+      pos += HeaderCount(header, "bytes") + 1;  // payload + newline
+    }
+    headers.push_back(MaskNumbers(header));
+  }
+  return headers;
+}
+
+TEST(WireShapeTest, EveryResponseShapeKeepsItsKeysAndOrder) {
+  QueryService service;
+  RequestHandler handler(&service, WireOptions{});
+  const std::string query = std::string("\"query\":\"") + kQuery + "\"";
+  const std::string docs = std::string(",\"xml\":[\"") + kSmallDoc + "\"]}";
+  using Headers = std::vector<std::string>;
+
+  // Single query.
+  EXPECT_EQ(MaskedHeaders(HandleOne(&handler, "{\"id\":1," + query + docs)),
+            Headers{"{\"id\":N,\"ok\":true,\"bytes\":N,\"cache\":\"miss\","
+                    "\"compile_ms\":N,\"stream_ms\":N,\"bytes_in\":N,"
+                    "\"output_events\":N,\"peak_mem_bytes\":N,"
+                    "\"engine\":\"ops\",\"lowered\":\"full\",\"cache_hits\":N,"
+                    "\"cache_misses\":N,\"cache_entries\":N}"});
+
+  // Two-member coalesced pass: the single shape plus "coalesced".
+  Result<JsonValue> a = ParseJson("{\"id\":2," + query + docs);
+  Result<JsonValue> b =
+      ParseJson("{\"id\":3,\"query\":\"<b>{$input//b}</b>\"" + docs);
+  ASSERT_TRUE(a.ok() && b.ok());
+  CancelToken tokens[2];
+  std::string outs[2];
+  std::vector<CoalescedJob> group{{&a.value(), &tokens[0], &outs[0]},
+                                  {&b.value(), &tokens[1], &outs[1]}};
+  handler.HandleCoalesced(&group);
+  for (std::size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(group[m].code, StatusCode::kOk);
+    EXPECT_EQ(MaskedHeaders(outs[m]),
+              Headers{"{\"id\":N,\"ok\":true,\"bytes\":N,\"cache\":\"" +
+                      std::string(m == 0 ? "hit" : "miss") +
+                      "\",\"compile_ms\":N,\"stream_ms\":N,\"bytes_in\":N,"
+                      "\"output_events\":N,\"peak_mem_bytes\":N,"
+                      "\"engine\":\"ops\",\"lowered\":\"full\","
+                      "\"coalesced\":N,\"cache_hits\":N,\"cache_misses\":N,"
+                      "\"cache_entries\":N}"});
+  }
+
+  // "queries" batch: a line per member (the second deduped onto the
+  // first), then the summary line.
+  const std::string member =
+      "\"ok\":true,\"bytes\":N,\"cache\":\"hit\",\"compile_ms\":N,"
+      "\"stream_ms\":N,\"deduped\":";
+  const std::string member_tail =
+      ",\"events_fed\":N,\"events_skipped\":N,\"output_events\":N,"
+      "\"peak_mem_bytes\":N,\"engine\":\"ops\",\"lowered\":\"full\"}";
+  EXPECT_EQ(MaskedHeaders(HandleOne(
+                &handler, "{\"id\":\"b\",\"queries\":[{\"id\":4," + query +
+                              "},{\"id\":5," + query + "}]" + docs)),
+            (Headers{"{\"id\":N," + member + "false" + member_tail,
+                     "{\"id\":N," + member + "true" + member_tail,
+                     "{\"id\":\"b\",\"ok\":true,\"batch\":true,"
+                     "\"requests\":N,\"documents\":N,\"parsed_bytes\":N,"
+                     "\"unique_plans\":N,\"deduped_requests\":N,"
+                     "\"stream_ms\":N}"}));
+
+  // An error.
+  EXPECT_EQ(MaskedHeaders(HandleOne(&handler, "{\"id\":6" + docs)),
+            Headers{"{\"id\":N,\"ok\":false,\"error\":\"InvalidArgument: "
+                    "request needs a string \\\"query\\\" field\","
+                    "\"status\":\"invalid_argument\"}"});
+
+  // The query cache's stats.
+  EXPECT_EQ(MaskedHeaders(HandleOne(&handler, "{\"id\":7,\"cmd\":\"stats\"}")),
+            Headers{"{\"id\":N,\"ok\":true,\"stats\":{\"hits\":N,"
+                    "\"misses\":N,\"compiles\":N,\"failures\":N,"
+                    "\"evictions\":N,\"entries\":N,\"bytes\":N,"
+                    "\"compile_ms_total\":N}}"});
+
+  // The socket server's counters.
+  ServerFixture fx{NetServerOptions{}};
+  TestClient client = fx.Connect();
+  ASSERT_TRUE(client.ok());
+  client.Send("{\"id\":8,\"cmd\":\"server_stats\"}\n");
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(MaskNumbers(line),
+            "{\"id\":N,\"ok\":true,\"server\":{\"connections\":N,"
+            "\"admitted\":N,\"completed_ok\":N,\"failed\":N,"
+            "\"cancelled_runs\":N,\"deadline_exceeded_runs\":N,"
+            "\"rejected_overload\":N,\"rejected_shutdown\":N,"
+            "\"rejected_line_length\":N,\"rejected_bad_request\":N,"
+            "\"disconnects_inflight\":N,\"slow_client_closed\":N,"
+            "\"inline_cmds\":N,\"coalesced_runs\":N,"
+            "\"coalesced_requests\":N,\"parses_saved\":N,\"ops_runs\":N,"
+            "\"hybrid_runs\":N,\"table_runs\":N,\"queued\":N}}");
 }
 
 }  // namespace

@@ -197,29 +197,38 @@ extern "C" void HandleShutdownSignal(int) {
   if (g_net_server != nullptr) g_net_server->RequestShutdown();
 }
 
+// Copies a numeric serve flag into its option when it was given: the flags
+// default to -1, and every given value parsed as >= 0.
+template <typename T>
+void SetIfGiven(long flag, T* option) {
+  if (flag >= 0) *option = static_cast<T>(flag);
+}
+
+// The request-execution flags both serve front ends share (NetServerOptions
+// derives from ServeOptions).
+template <typename Options>
+Options ApplyServeFlags(const Flags& flags, Options options) {
+  SetIfGiven(flags.cache_capacity, &options.cache.capacity);
+  SetIfGiven(flags.cache_bytes, &options.cache.max_bytes);
+  options.pipeline.optimize = !flags.no_opt;
+  options.pipeline.stream.engine = flags.engine;
+  if (flags.threads_set) SetIfGiven(flags.threads, &options.default_threads);
+  SetIfGiven(flags.max_line_bytes, &options.limits.max_line_bytes);
+  SetIfGiven(flags.max_xml_bytes, &options.limits.max_inline_xml_bytes);
+  options.allow_fault_injection = flags.enable_fault_injection;
+  return options;
+}
+
 // `serve --port/--unix`: the socket front end (net/server.h).
 int ServeNet(const Flags& flags, NetServerOptions options) {
   if (flags.port_set) options.tcp_port = static_cast<int>(flags.port);
   options.unix_path = flags.unix_path;
-  if (flags.workers > 0) {
-    options.workers = static_cast<std::size_t>(flags.workers);
-  }
-  if (flags.queue_limit > 0) {
-    options.queue_limit = static_cast<std::size_t>(flags.queue_limit);
-  }
-  if (flags.drain_ms >= 0) {
-    options.drain_ms = static_cast<std::uint64_t>(flags.drain_ms);
-  }
-  if (flags.retry_after_ms >= 0) {
-    options.retry_after_ms = static_cast<std::uint64_t>(flags.retry_after_ms);
-  }
-  if (flags.batch_window_ms >= 0) {
-    options.batch_window_ms = static_cast<std::uint64_t>(flags.batch_window_ms);
-  }
-  if (flags.batch_max > 0) {
-    options.batch_max = static_cast<std::size_t>(flags.batch_max);
-  }
-  options.allow_fault_injection = flags.enable_fault_injection;
+  SetIfGiven(flags.workers, &options.workers);
+  SetIfGiven(flags.queue_limit, &options.queue_limit);
+  SetIfGiven(flags.drain_ms, &options.drain_ms);
+  SetIfGiven(flags.retry_after_ms, &options.retry_after_ms);
+  SetIfGiven(flags.batch_window_ms, &options.batch_window_ms);
+  SetIfGiven(flags.batch_max, &options.batch_max);
 
   NetServer server(std::move(options));
   Status st = server.Start();
@@ -845,50 +854,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (flags.port_set || !flags.unix_path.empty()) {
-      NetServerOptions no;
-      if (flags.cache_capacity > 0) {
-        no.cache.capacity = static_cast<std::size_t>(flags.cache_capacity);
-      }
-      if (flags.cache_bytes > 0) {
-        no.cache.max_bytes = static_cast<std::size_t>(flags.cache_bytes);
-      }
-      no.pipeline.optimize = !flags.no_opt;
-      no.pipeline.stream.engine = flags.engine;
-      if (flags.threads_set) {
-        no.default_threads = static_cast<std::size_t>(flags.threads);
-      }
-      if (flags.max_line_bytes >= 0) {
-        no.limits.max_line_bytes =
-            static_cast<std::size_t>(flags.max_line_bytes);
-      }
-      if (flags.max_xml_bytes >= 0) {
-        no.limits.max_inline_xml_bytes =
-            static_cast<std::size_t>(flags.max_xml_bytes);
-      }
-      return ServeNet(flags, std::move(no));
+      return ServeNet(flags, ApplyServeFlags(flags, NetServerOptions{}));
     }
-    ServeOptions so;
-    if (flags.cache_capacity > 0) {
-      so.cache.capacity = static_cast<std::size_t>(flags.cache_capacity);
-    }
-    if (flags.cache_bytes > 0) {
-      so.cache.max_bytes = static_cast<std::size_t>(flags.cache_bytes);
-    }
-    so.pipeline.optimize = !flags.no_opt;
-    so.pipeline.stream.engine = flags.engine;
-    if (flags.threads_set) {
-      so.default_threads = static_cast<std::size_t>(flags.threads);
-    }
-    if (flags.max_line_bytes >= 0) {
-      so.limits.max_line_bytes =
-          static_cast<std::size_t>(flags.max_line_bytes);
-    }
-    if (flags.max_xml_bytes >= 0) {
-      so.limits.max_inline_xml_bytes =
-          static_cast<std::size_t>(flags.max_xml_bytes);
-    }
-    so.allow_fault_injection = flags.enable_fault_injection;
-    Status st = ServeLoop(stdin, stdout, so);
+    Status st =
+        ServeLoop(stdin, stdout, ApplyServeFlags(flags, ServeOptions{}));
     if (!st.ok()) return Fail(st);
     return 0;
   }

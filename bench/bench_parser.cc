@@ -5,6 +5,12 @@
 //   sax_chunked/*  same lexer behind a Read()-only source (refill path,
 //                  what stdin/pipe input pays)
 //   pretok/*       pre-tokenized binary events, zero scanning
+//   sax/skip_subtree/xmark
+//                  SaxParser::SkipSubtree over the whole document below
+//                  its root: the byte-level skip a source projection pays
+//                  for a rejected subtree, against sax/xmark's full
+//                  tokenizing of the same bytes (xqbench's traced mode
+//                  cannot show it: its timing wrapper skips by pulling)
 //
 // plus a text-heavy document isolating the memchr text scan and a
 // markup-heavy one isolating name/attr scanning. items_per_second = events/s
@@ -165,6 +171,32 @@ void BenchPretok(benchmark::State& state, const std::string& doc) {
       static_cast<int64_t>(doc.size() * state.iterations()));
 }
 
+// Pulls the root start event, then skips everything below it.
+void BenchSaxSkip(benchmark::State& state, const std::string& doc) {
+  if (doc.empty()) {
+    state.SkipWithError("document generation failed");
+    return;
+  }
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    StringSource src(doc);
+    SaxParser parser(&src);
+    XmlEvent ev;
+    Status st = parser.Next(&ev);
+    events = 0;
+    if (st.ok()) st = parser.SkipSubtree(&events);
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(parser.bytes_consumed());
+  }
+  state.counters["events"] = static_cast<double>(events);
+  state.SetItemsProcessed(static_cast<int64_t>(events * state.iterations()));
+  state.SetBytesProcessed(
+      static_cast<int64_t>(doc.size() * state.iterations()));
+}
+
 void Register() {
   struct Doc {
     const char* name;
@@ -180,6 +212,12 @@ void Register() {
         (std::string("sax/") + d.name).c_str(),
         [get = d.get](benchmark::State& st) { BenchSax(st, get()); })
         ->Unit(benchmark::kMillisecond);
+    if (d.get == XmarkDoc) {
+      benchmark::RegisterBenchmark(
+          "sax/skip_subtree/xmark",
+          [](benchmark::State& st) { BenchSaxSkip(st, XmarkDoc()); })
+          ->Unit(benchmark::kMillisecond);
+    }
     benchmark::RegisterBenchmark(
         (std::string("sax_chunked/") + d.name).c_str(),
         [get = d.get](benchmark::State& st) { BenchSaxChunked(st, get()); })

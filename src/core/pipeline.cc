@@ -5,6 +5,7 @@
 #include "lower/lower.h"
 #include "mft/dispatch.h"
 #include "mft/interp.h"
+#include "multiquery/union_projection.h"
 #include "parallel/pretok_split.h"
 #include "translate/translate.h"
 #include "xml/pretok.h"
@@ -103,9 +104,45 @@ std::size_t CompiledPlan::ApproxBytes() const {
   return bytes;
 }
 
+namespace {
+
+// The one plan-level run every CompiledPlan::Stream* method ends in: the
+// plan's source projection wraps `events` unless it is whole_document.
+// Plan options never carry a validator (FinishPlan rejects one), so a run
+// here never needs every event; validated runs use the free functions.
+Status RunPlan(const CompiledPlan& plan, EventSource* events,
+               OutputSink* sink, const StreamOptions& options,
+               StreamStats* stats, StreamScratch* scratch = nullptr) {
+  if (plan.projection().whole_document) {
+    if (stats != nullptr) {
+      stats->subtrees_skipped = 0;
+      stats->bytes_skipped = 0;
+    }
+    return StreamTransformEvents(plan.mft(), events, sink, options, stats,
+                                 scratch);
+  }
+  ProjectedSource projected(events, {&plan.projection()}, options.cancel);
+  Status st = StreamTransformEvents(plan.mft(), &projected, sink, options,
+                                    stats, scratch);
+  if (stats != nullptr) {
+    stats->subtrees_skipped = projected.subtrees_skipped();
+    stats->bytes_skipped = projected.bytes_skipped();
+  }
+  return st;
+}
+
+Status RunPlan(const CompiledPlan& plan, ByteSource* source, OutputSink* sink,
+               const StreamOptions& options, StreamStats* stats,
+               StreamScratch* scratch = nullptr) {
+  SaxParser parser(source, options.sax);
+  return RunPlan(plan, &parser, sink, options, stats, scratch);
+}
+
+}  // namespace
+
 Status CompiledPlan::Stream(ByteSource* source, OutputSink* sink,
                             StreamStats* stats, StreamScratch* scratch) const {
-  return StreamTransform(mft_, source, sink, options_.stream, stats, scratch);
+  return RunPlan(*this, source, sink, options_.stream, stats, scratch);
 }
 
 Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
@@ -119,10 +156,11 @@ Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
 }
 
 Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
-                                  StreamStats* stats,
-                                  StreamScratch* scratch) const {
-  return StreamTransformEvents(mft_, events, sink, options_.stream, stats,
-                               scratch);
+                                  StreamStats* stats, StreamScratch* scratch,
+                                  const CancelToken* cancel) const {
+  StreamOptions stream = options_.stream;
+  stream.cancel = cancel;
+  return RunPlan(*this, events, sink, stream, stats, scratch);
 }
 
 Status CompiledPlan::StreamString(const std::string& xml, OutputSink* sink,
@@ -195,10 +233,8 @@ Status CompiledPlan::StreamMany(const std::vector<ParallelInput>& inputs,
     XQMFT_ASSIGN_OR_RETURN(OpenedInput in,
                            OpenParallelInput(inputs[i], stream.sax));
     return in.events != nullptr
-               ? StreamTransformEvents(mft_, in.events.get(), item_sink,
-                                       stream, item_stats)
-               : StreamTransform(mft_, in.bytes.get(), item_sink, stream,
-                                 item_stats);
+               ? RunPlan(*this, in.events.get(), item_sink, stream, item_stats)
+               : RunPlan(*this, in.bytes.get(), item_sink, stream, item_stats);
   };
   return ShardedExecutor::Run(inputs.size(), item, sink, par);
 }
@@ -229,8 +265,8 @@ Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
   }
   auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
     PretokShardSource src(&shard_plan, i);
-    return StreamTransformEvents(mft_, &src, item_sink, stream,
-                                 stats != nullptr ? &(*stats)[i] : nullptr);
+    return RunPlan(*this, &src, item_sink, stream,
+                   stats != nullptr ? &(*stats)[i] : nullptr);
   };
   return ShardedExecutor::Run(shard_plan.shards.size(), item, sink, par);
 }

@@ -16,7 +16,10 @@
 //
 // Entry points: the seven CompiledPlan::Stream* methods (one document, a
 // document set, or one sharded pretok stream), and the three StreamAll*
-// functions that feed one document to many plans in a single pass.
+// functions that feed one document to many plans in a single pass. All of
+// them stream through the plans' source projection, so subtrees no plan
+// reads are skipped in the tokenizer; the free StreamTransform* functions
+// (stream/engine.h) stream unprojected.
 //
 // Typical use:
 //
@@ -144,8 +147,12 @@ class CompiledPlan {
   /// The plan's source projection (multiquery/projection.h), derived once at
   /// compile time: the absolute paths whose matches the query can observe,
   /// or whole_document when nothing can be skipped (FromMft plans, queries
-  /// outside the projectable fragment). Part of the immutable artifact so
-  /// multi-query runs union projections without re-walking query ASTs.
+  /// outside the projectable fragment, copies of every element). Every
+  /// Stream* method below streams through it (ProjectedSource, in
+  /// multiquery/union_projection.h), skipping unobservable subtrees at the
+  /// source; so do the StreamAll* functions, with the plans' union. The
+  /// automaton is built per run; compiling does no projection work beyond
+  /// this derivation.
   const QueryProjection& projection() const { return projection_; }
 
   /// Approximate resident bytes of the compiled artifact (states, rules,
@@ -166,10 +173,13 @@ class CompiledPlan {
   Status StreamString(const std::string& xml, OutputSink* sink,
                       StreamStats* stats = nullptr,
                       StreamScratch* scratch = nullptr) const;
-  /// Streams an already-tokenized event stream (e.g. a pretok cache).
+  /// Streams an event stream (e.g. a pretok cache, or a decorated
+  /// parser). `cancel`, when given, is the run's cooperative cancellation
+  /// token (per request, so never baked into the plan).
   Status StreamEvents(EventSource* events, OutputSink* sink,
                       StreamStats* stats = nullptr,
-                      StreamScratch* scratch = nullptr) const;
+                      StreamScratch* scratch = nullptr,
+                      const CancelToken* cancel = nullptr) const;
 
   /// Document-set sharding: streams every input through its own engine
   /// (private SymbolTable copy, private arenas) across

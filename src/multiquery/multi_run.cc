@@ -76,15 +76,16 @@ Status MultiQueryRun::Run(EventSource* events) {
     }
     engines_.push_back(std::make_unique<Engine>(*p.mft, p.sink, p.options));
   }
-  std::unique_ptr<UnionProjection> projection;
-  if (options_.union_projection) {
-    std::vector<const QueryProjection*> projections;
-    projections.reserve(plans_.size());
-    for (const MultiPlanSpec& p : plans_) projections.push_back(p.projection);
-    projection = std::make_unique<UnionProjection>(projections, &master_);
-    if (!projection->enabled()) projection.reset();
+  std::vector<const QueryProjection*> projections;
+  projections.reserve(plans_.size());
+  for (const MultiPlanSpec& p : plans_) projections.push_back(p.projection);
+  std::unique_ptr<ProjectedSource> projected;
+  if (options_.union_projection && UnionProjection::Applies(projections)) {
+    projected = std::make_unique<ProjectedSource>(
+        events, std::move(projections), options_.cancel);
+    events = projected.get();
   }
-  stats_.projection_enabled = projection != nullptr;
+  stats_.projection_enabled = projected != nullptr;
 
   events->BindSymbols(&master_);
   auto note_output = [&](std::size_t i) {
@@ -102,6 +103,37 @@ Status MultiQueryRun::Run(EventSource* events) {
     }
   }
 
+  std::uint64_t forwarded = 0;
+  // Source-side counters, however the run ends.
+  auto note_source = [&]() {
+    stats_.bytes_in = events->bytes_consumed();
+    stats_.events_total =
+        projected != nullptr ? projected->events_total() : forwarded;
+    if (projected != nullptr) {
+      stats_.events_skipped = projected->events_skipped();
+      stats_.bytes_skipped = projected->bytes_skipped();
+    }
+  };
+  // A source failure or a run-level cancel aborts every unfinished plan;
+  // plans whose output completed before it keep their results, exactly as
+  // their serial runs (which stop reading early) would. No Finish for the
+  // unfinished ones: a live engine's Finish would synthesize end-of-document
+  // and emit output for a run being abandoned.
+  auto abort_run = [&](const Status& st) {
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+      if (!results_[i].status.ok()) continue;
+      if (engines_[i]->done()) {
+        engines_[i]->Finish(&results_[i].stats);
+        results_[i].stats.bytes_in = events->bytes_consumed();
+        results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
+      } else {
+        results_[i].status = st;
+      }
+    }
+    note_source();
+    return st;
+  };
+
   XmlEvent event;
   for (;;) {
     // Like the serial pump, stop reading as soon as no engine's output can
@@ -115,54 +147,14 @@ Status MultiQueryRun::Run(EventSource* events) {
     }
     if (!any_live) break;
     Status st = events->Next(&event);
-    if (!st.ok()) {
-      // A malformed shared source aborts every unfinished plan; plans whose
-      // output completed before the error keep their results, exactly as
-      // their serial runs (which stop reading early) would.
-      for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (!results_[i].status.ok()) continue;
-        if (engines_[i]->done()) {
-          engines_[i]->Finish(&results_[i].stats);
-          results_[i].stats.bytes_in = events->bytes_consumed();
-          results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
-        } else {
-          results_[i].status = st;
-        }
-      }
-      stats_.bytes_in = events->bytes_consumed();
-      return st;
-    }
+    if (!st.ok()) return abort_run(st);
     if (event.type == XmlEventType::kEndOfDocument) break;
-    ++stats_.events_total;
-    // Run-level cancellation, polled here as well as inside the engines:
-    // under the union projection a long unmatchable stretch feeds no engine
-    // at all, so only the shared pump can observe a deadline during it.
-    // Abort handling mirrors a source error: completed plans keep their
-    // results, unfinished ones fail with the token's status.
-    if (options_.cancel != nullptr && (stats_.events_total & 255u) == 0) {
+    ++forwarded;
+    // Run-level cancellation, polled here as well as inside the engines
+    // (and, under projection, after every skipped subtree).
+    if (options_.cancel != nullptr && (forwarded & 255u) == 0) {
       Status cst = options_.cancel->Check();
-      if (!cst.ok()) {
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
-          if (!results_[i].status.ok()) continue;
-          if (engines_[i]->done()) {
-            engines_[i]->Finish(&results_[i].stats);
-            results_[i].stats.bytes_in = events->bytes_consumed();
-            results_[i].stats.bytes_in_at_first_output =
-                first_output_bytes_[i];
-          } else {
-            // No Finish here: the engine is still live, and Finish would
-            // synthesize end-of-document and emit output for a run we are
-            // abandoning. Status only, like a source error.
-            results_[i].status = cst;
-          }
-        }
-        stats_.bytes_in = events->bytes_consumed();
-        return cst;
-      }
-    }
-    if (projection != nullptr && !projection->Feed(event)) {
-      ++stats_.events_skipped;
-      continue;
+      if (!cst.ok()) return abort_run(cst);
     }
     for (std::size_t i = 0; i < engines_.size(); ++i) {
       if (!results_[i].status.ok() || engines_[i]->done()) continue;
@@ -180,6 +172,7 @@ Status MultiQueryRun::Run(EventSource* events) {
     }
   }
   Finish(events);
+  note_source();
   return Status::OK();
 }
 
@@ -193,7 +186,6 @@ void MultiQueryRun::Finish(EventSource* events) {
     results_[i].stats.bytes_in = events->bytes_consumed();
     results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
   }
-  stats_.bytes_in = events->bytes_consumed();
 }
 
 Status MultiQueryRun::RunSource(ByteSource* source, const SaxOptions& sax) {

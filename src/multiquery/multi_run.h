@@ -1,8 +1,9 @@
 // Single-pass multi-query execution: one shared event stream fanned into N
 // push-mode engines (stream/engine.h). The input is tokenized exactly once
 // — the inversion of parallel/'s one-query/many-shards split — and the
-// union projection automaton (union_projection.h) drops events no plan can
-// observe before they reach any engine.
+// shared source streams through the projection decorator
+// (union_projection.h, ProjectedSource), which skips subtrees no plan can
+// observe before they are tokenized into events.
 //
 // Symbol spaces: the shared source binds to the run's master table; each
 // engine keeps its own run-local table (its rule ids live there), bridged
@@ -56,8 +57,9 @@ struct MultiQueryOptions {
   bool union_projection = true;
   /// Run-level cooperative cancellation (batch deadline, client
   /// disconnect): injected into every engine's StreamOptions and also
-  /// polled in the shared pump itself, so projection-skipped stretches —
-  /// where no engine sees events — cannot outrun a deadline. A trip aborts
+  /// polled in the shared pump and after every skipped subtree, so
+  /// projection-skipped stretches — where no engine sees events — cannot
+  /// outrun a deadline. A trip aborts
   /// every unfinished plan with the token's status; plans that already
   /// completed keep their results, mirroring source-error handling. Must
   /// outlive the run; null means not cancellable.
@@ -73,9 +75,12 @@ struct MultiQueryOptions {
 };
 
 struct MultiQueryStats {
-  std::uint64_t events_total = 0;    ///< events the shared source produced
-  std::uint64_t events_skipped = 0;  ///< dropped by the union projection
+  /// Events of the shared input, the same count with projection on or off:
+  /// those inside skipped subtrees are counted by the skipper, never built.
+  std::uint64_t events_total = 0;
+  std::uint64_t events_skipped = 0;  ///< not forwarded by the projection
   std::size_t bytes_in = 0;          ///< shared input bytes, counted once
+  std::size_t bytes_skipped = 0;     ///< input bytes stepped over unbuilt
   bool projection_enabled = false;
 };
 

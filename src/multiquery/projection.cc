@@ -26,6 +26,24 @@ class Builder {
   }
 
  private:
+  void WholeDocument(const char* why) {
+    if (out_.whole_document) return;
+    out_.whole_document = true;
+    out_.why = why;
+  }
+
+  // A keep-subtree path of wildcard steps only matches (or keeps) every
+  // element at every depth, so no element could ever be rejected.
+  static bool AllWildcard(const RelPath& steps) {
+    for (const PathStep& s : steps) {
+      if (s.test.kind != NodeTestKind::kAnyElement &&
+          s.test.kind != NodeTestKind::kAnyNode) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   const Binding* Lookup(const std::string& var) const {
     for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
       if (it->name == var) return &*it;
@@ -40,13 +58,13 @@ class Builder {
   bool Resolve(const Path& path, RelPath* abs) {
     const Binding* b = Lookup(path.variable);
     if (b == nullptr || !b->is_node) {
-      out_.whole_document = true;
+      WholeDocument("path over a let-bound value");
       return false;
     }
     *abs = b->prefix;
     for (const PathStep& s : path.steps) {
       if (s.axis == Axis::kFollowingSibling) {
-        out_.whole_document = true;
+        WholeDocument("following-sibling step");
         return false;
       }
       PathStep clean;
@@ -67,7 +85,11 @@ class Builder {
   void Add(RelPath clean, const RelPath& steps, bool keep_subtree) {
     if (out_.whole_document) return;
     if (clean.empty()) {
-      if (keep_subtree) out_.whole_document = true;
+      if (keep_subtree) WholeDocument("copies the whole input");
+      return;
+    }
+    if (keep_subtree && AllWildcard(clean)) {
+      WholeDocument("copies every element (all-wildcard path)");
       return;
     }
     const std::size_t anchor = clean.size() - steps.size();
@@ -77,7 +99,7 @@ class Builder {
                      clean.begin() + static_cast<long>(anchor + i) + 1);
         for (const PathStep& ps : p.path) {
           if (ps.axis == Axis::kFollowingSibling) {
-            out_.whole_document = true;
+            WholeDocument("following-sibling step");
             return;
           }
           PathStep c;
@@ -120,7 +142,7 @@ class Builder {
         if (e.path.IsBareVariable()) {
           const Binding* b = Lookup(e.path.variable);
           if (b == nullptr) {
-            out_.whole_document = true;  // unreachable after validation
+            WholeDocument("unbound variable");  // unreachable after validation
             return;
           }
           // Copying a let-bound value reads no input beyond what its value
@@ -147,6 +169,7 @@ QueryProjection DeriveProjection(const QueryExpr* query) {
   if (query == nullptr) {
     QueryProjection out;
     out.whole_document = true;
+    out.why = "hand-written transducer";
     return out;
   }
   return Builder().Run(*query);

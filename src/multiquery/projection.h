@@ -19,9 +19,17 @@
 // whose element events must survive but whose unrelated descendants may
 // not; a *keep-subtree* path marks copy targets (ordpath results, predicate
 // paths) whose entire subtree must survive verbatim.
+//
+// Every CompiledPlan run streams through its projection (single-query runs
+// and multi-query unions alike; see union_projection.h), so a projection
+// that cannot reject any element is marked whole_document instead: its
+// automaton would cost every event and skip nothing. That is the case for
+// an all-wildcard keep-subtree path (`$input/*`, `$input//*//*`), which
+// matches or keeps every element of the document.
 #ifndef XQMFT_MULTIQUERY_PROJECTION_H_
 #define XQMFT_MULTIQUERY_PROJECTION_H_
 
+#include <string>
 #include <vector>
 
 #include "xpath/ast.h"
@@ -43,8 +51,12 @@ struct QueryProjection {
   /// The plan may read anywhere; source projection must be disabled for any
   /// run containing it. Set for queries outside the projectable fragment
   /// (bare `$input` output, a following-sibling step, a stepped path over a
-  /// let-bound value) and for hand-written transducers that have no query.
+  /// let-bound value), for copies of every element (an all-wildcard
+  /// keep-subtree path), and for hand-written transducers that have no
+  /// query.
   bool whole_document = false;
+  /// Why whole_document is set (empty otherwise), for `--stats` verdicts.
+  std::string why;
   std::vector<ProjectionPath> paths;
 };
 

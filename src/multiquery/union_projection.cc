@@ -1,5 +1,7 @@
 #include "multiquery/union_projection.h"
 
+#include <utility>
+
 namespace xqmft {
 namespace {
 
@@ -25,12 +27,18 @@ inline bool StepMatchesText(NodeTestKind kind) {
 
 }  // namespace
 
+bool UnionProjection::Applies(
+    const std::vector<const QueryProjection*>& projections) {
+  for (const QueryProjection* qp : projections) {
+    if (qp == nullptr || qp->whole_document) return false;
+  }
+  return true;
+}
+
 UnionProjection::UnionProjection(
     const std::vector<const QueryProjection*>& projections,
     SymbolTable* symbols) {
-  for (const QueryProjection* qp : projections) {
-    if (qp == nullptr || qp->whole_document) return;  // disabled
-  }
+  if (!Applies(projections)) return;  // disabled
   for (const QueryProjection* qp : projections) {
     for (const ProjectionPath& pp : qp->paths) {
       if (pp.steps.empty()) continue;  // document node: no events to keep
@@ -87,18 +95,16 @@ bool UnionProjection::Feed(const XmlEvent& event) {
     case XmlEventType::kEndOfDocument:
       return true;
     case XmlEventType::kText: {
-      if (!frames_.empty() && frames_.back() != FrameKind::kTrack) {
-        return frames_.back() == FrameKind::kKeep;
-      }
+      if (!frames_.empty() && frames_.back() == FrameKind::kKeep) return true;
       for (const Pos& p : sets_[sets_top_]) {
         if (StepMatchesText(paths_[p.path][p.step].kind)) return true;
       }
       return false;
     }
     case XmlEventType::kStartElement: {
-      if (!frames_.empty() && frames_.back() != FrameKind::kTrack) {
-        frames_.push_back(frames_.back());
-        return frames_.back() == FrameKind::kKeep;
+      if (!frames_.empty() && frames_.back() == FrameKind::kKeep) {
+        frames_.push_back(FrameKind::kKeep);
+        return true;
       }
       SymbolId sym = event.symbol;
       bool advanced = false;
@@ -121,10 +127,7 @@ bool UnionProjection::Feed(const XmlEvent& event) {
         frames_.push_back(FrameKind::kKeep);
         return true;
       }
-      if (!advanced && next_.empty()) {
-        frames_.push_back(FrameKind::kSkip);
-        return false;
-      }
+      if (!advanced && next_.empty()) return false;  // caller skips it
       frames_.push_back(FrameKind::kTrack);
       ++sets_top_;
       if (sets_top_ == sets_.size()) sets_.emplace_back();
@@ -134,16 +137,41 @@ bool UnionProjection::Feed(const XmlEvent& event) {
     }
     case XmlEventType::kEndElement: {
       if (frames_.empty()) return true;  // unbalanced input: parser's problem
-      FrameKind k = frames_.back();
+      if (frames_.back() == FrameKind::kTrack) --sets_top_;
       frames_.pop_back();
-      if (k == FrameKind::kTrack) {
-        --sets_top_;
-        return true;
-      }
-      return k == FrameKind::kKeep;
+      return true;
     }
   }
   return true;
+}
+
+ProjectedSource::ProjectedSource(
+    EventSource* inner, std::vector<const QueryProjection*> projections,
+    const CancelToken* cancel)
+    : inner_(inner), projections_(std::move(projections)), cancel_(cancel) {}
+
+void ProjectedSource::BindSymbols(SymbolTable* symbols) {
+  inner_->BindSymbols(symbols);
+  projection_ = std::make_unique<UnionProjection>(projections_, symbols);
+}
+
+Status ProjectedSource::Next(XmlEvent* event) {
+  while (true) {
+    XQMFT_RETURN_NOT_OK(inner_->Next(event));
+    if (event->type == XmlEventType::kEndOfDocument) return Status::OK();
+    ++events_total_;
+    if (projection_->Feed(*event)) return Status::OK();
+    ++events_skipped_;
+    if (event->type != XmlEventType::kStartElement) continue;
+    const std::size_t before = inner_->bytes_consumed();
+    std::uint64_t inside = 0;
+    XQMFT_RETURN_NOT_OK(inner_->SkipSubtree(&inside));
+    events_total_ += inside;
+    events_skipped_ += inside;
+    ++subtrees_skipped_;
+    bytes_skipped_ += inner_->bytes_consumed() - before;
+    if (cancel_ != nullptr) XQMFT_RETURN_NOT_OK(cancel_->Check());
+  }
 }
 
 }  // namespace xqmft

@@ -44,7 +44,9 @@ bool ParseFaultKind(std::string_view name, FaultSpec::Kind* kind);
 /// \brief EventSource decorator applying a FaultSpec to a wrapped source.
 ///
 /// The wrapped source must outlive this one. A kNone spec is a transparent
-/// pass-through, so callers can wrap unconditionally.
+/// pass-through, so callers can wrap unconditionally. SkipSubtree is the
+/// EventSource pull-and-drop default, so `at_event` counts every event of
+/// the input whether or not a projection skips it.
 class FaultInjectingSource : public EventSource {
  public:
   FaultInjectingSource(EventSource* inner, FaultSpec spec)

@@ -20,6 +20,8 @@ StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
     out.cells_arena += s.cells_arena;
     out.exprs_created += s.exprs_created;
     out.bytes_in += s.bytes_in;
+    out.subtrees_skipped += s.subtrees_skipped;
+    out.bytes_skipped += s.bytes_skipped;
     out.output_events += s.output_events;
     out.used_ops_engine = out.used_ops_engine || s.used_ops_engine;
     out.bridge_runs += s.bridge_runs;

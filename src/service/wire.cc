@@ -268,9 +268,10 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
 }
 
 // Streams a fault-injected request: the single input document is wrapped in
-// a FaultInjectingSource between the parser and the engine, then runs
-// through the same compiled plan (from the service's cache) a normal
-// request would use.
+// a FaultInjectingSource between the parser and the plan's projection, then
+// runs through the same compiled plan (from the service's cache) and the
+// same plan-level path a normal request uses. The fault source skips
+// subtrees by pulling them, so fault positions count every event.
 Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
                         const FaultSpec& fault, CancelToken* cancel,
                         OutputSink* sink, ServiceRequestStats* stats) {
@@ -289,16 +290,15 @@ Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
   stats->cache_hit = lookup.hit;
   stats->compile_ms = lookup.compile_ms;
 
-  StreamOptions sopts = lookup.plan->options().stream;
-  sopts.cancel = cancel;
-  XQMFT_ASSIGN_OR_RETURN(OpenedInput opened, OpenParallelInput(in, sopts.sax));
-  SaxParser parser(opened.bytes.get(), sopts.sax);
+  const SaxOptions& sax = lookup.plan->options().stream.sax;
+  XQMFT_ASSIGN_OR_RETURN(OpenedInput opened, OpenParallelInput(in, sax));
+  SaxParser parser(opened.bytes.get(), sax);
   FaultInjectingSource events(&parser, fault);
 
   StreamStats ss;
   auto t0 = std::chrono::steady_clock::now();
-  Status st =
-      StreamTransformEvents(lookup.plan->mft(), &events, sink, sopts, &ss);
+  Status st = lookup.plan->StreamEvents(&events, sink, &ss,
+                                        /*scratch=*/nullptr, cancel);
   stats->stream_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();

@@ -91,6 +91,12 @@ struct StreamStats {
   /// some call sites executed as table-machine sub-runs (see lower/lower.h).
   bool hybrid_plan = false;
   std::size_t bytes_in = 0;        ///< input bytes consumed
+  /// Source projection (CompiledPlan runs only, see
+  /// multiquery/union_projection.h): subtrees skipped at the source, and
+  /// the input bytes stepped over inside them without building events.
+  /// Both 0 when the run streamed unprojected.
+  std::uint64_t subtrees_skipped = 0;
+  std::size_t bytes_skipped = 0;
   std::size_t output_events = 0;   ///< sink events emitted
   /// Input bytes consumed before the first output event: small values mean
   /// genuinely incremental emission.

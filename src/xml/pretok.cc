@@ -267,6 +267,61 @@ Status PretokSource::Next(XmlEvent* event) {
   }
 }
 
+Status PretokSource::SkipSubtree(std::uint64_t* events) {
+  // Next() pushed the rejected start onto open_, so every check below sees
+  // a non-empty stack, exactly as the full replay of this subtree would;
+  // errors match Next()'s message and byte offset.
+  std::size_t depth = 1;
+  while (true) {
+    if (pos_ >= end_) {
+      return Fail(bounded_ ? "bounded range ended inside an element"
+                           : "truncated stream (missing eod)");
+    }
+    unsigned char op = static_cast<unsigned char>(data_[pos_++]);
+    switch (op) {
+      case kOpDefine: {
+        std::uint64_t len;
+        if (!GetVarint(&len) || end_ - pos_ < len) {
+          return Fail("truncated symbol definition");
+        }
+        // Later records may use the id: the id space stays in step.
+        remap_.push_back(
+            symbols_->Intern(NodeKind::kElement, data_.substr(pos_, len)));
+        pos_ += len;
+        continue;
+      }
+      case kOpStart: {
+        std::uint64_t fid;
+        if (!GetVarint(&fid)) return Fail("truncated start record");
+        if (fid >= remap_.size()) return Fail("undefined symbol id");
+        ++depth;
+        break;
+      }
+      case kOpEnd:
+        --depth;
+        break;
+      case kOpText: {
+        std::uint64_t len;
+        if (!GetVarint(&len) || end_ - pos_ < len) {
+          return Fail("truncated text record");
+        }
+        pos_ += len;
+        break;
+      }
+      case kOpEod:
+        return Fail(bounded_ ? "unexpected eod record inside a bounded range"
+                             : "eod with unclosed elements");
+      default:
+        return Fail(StrFormat("unknown opcode 0x%02x", op));
+    }
+    ++*events;
+    if (depth == 0) {
+      open_.pop_back();
+      return Status::OK();
+    }
+  }
+}
+
 // --- Conversion --------------------------------------------------------------
 
 Status PretokenizeXml(ByteSource* source, SaxOptions sax, std::string* out) {

@@ -125,6 +125,11 @@ class PretokSource : public EventSource {
       const std::string& path);
 
   Status Next(XmlEvent* event) override;
+  /// Walks the subtree's records without building events: define records
+  /// still intern, start ids are still checked against the dictionary, text
+  /// payloads are stepped over by length, and every truncation or range
+  /// error is the one Next() would report.
+  Status SkipSubtree(std::uint64_t* events) override;
   /// Bytes consumed: of the whole stream (header included), or of the
   /// record range for a bounded source.
   std::size_t bytes_consumed() const override { return pos_ - range_begin_; }

@@ -402,6 +402,237 @@ Status SaxParser::LexMarkup(XmlEvent* event) {
     // Queue the matching end event behind any attribute-encoding events.
     pending_.push_back({XmlEventType::kEndElement, sym, 0, 0});
   }
+  last_start_closed_ = self_closing;
+  return Status::OK();
+}
+
+// --- Subtree skipping --------------------------------------------------------
+
+void SaxParser::PushSkipName(std::string_view name) {
+  if (mapped_) {
+    skip_stack_.push_back(
+        {static_cast<std::size_t>(name.data() - data_), name.size()});
+  } else {
+    skip_stack_.push_back({skip_names_.size(), name.size()});
+    skip_names_.append(name);
+  }
+}
+
+void SaxParser::PopSkipName() {
+  if (!mapped_) skip_names_.resize(skip_stack_.back().off);
+  skip_stack_.pop_back();
+}
+
+std::string_view SaxParser::SkipTopName() const {
+  if (skip_stack_.empty()) return symbols_->name(open_.back());
+  const NameSpan& top = skip_stack_.back();
+  return std::string_view((mapped_ ? data_ : skip_names_.data()) + top.off,
+                          top.len);
+}
+
+Status SaxParser::SkipSubtree(std::uint64_t* events) {
+  if (pending_head_ > 0) {
+    // The rejected start came off the queue: an expanded attribute, whose
+    // subtree is its queued text (if any) and end.
+    while (pending_head_ < pending_.size()) {
+      ++*events;
+      if (pending_[pending_head_++].type == XmlEventType::kEndElement) break;
+    }
+    return Status::OK();
+  }
+  // The rejected start was lexed from the input: drop its queued attribute
+  // and self-closing events; a self-closing element is then done.
+  *events += pending_.size();
+  pending_head_ = pending_.size();
+  if (last_start_closed_) return Status::OK();
+
+  const bool skip_ws = options_.skip_whitespace_text;
+  const bool expand = options_.expand_attributes;
+  skip_stack_.clear();
+  skip_names_.clear();
+  std::size_t depth = 1;
+  std::uint64_t count = 0;
+  while (true) {
+    // Fast stretch over the window: `p` only ever rests on a construct
+    // boundary, so a hand-off to the slow path restarts that construct.
+    const char* const base = data_ + pos_;
+    const char* const end = data_ + len_;
+    const char* p = base;
+    while (p < end) {
+      if (*p != '<') {
+        bool all_ws = true;
+        const std::size_t n =
+            ScanTextRun(p, static_cast<std::size_t>(end - p), &all_ws);
+        if (p + n == end || p[n] == '&') break;
+        if (!(all_ws && skip_ws)) ++count;
+        p += n;
+      }
+      if (end - p < 2) break;
+      if (p[1] == '/') {
+        const char* q = p + 2;
+        if (q == end || !(CharClassOf(*q) & kClsNameStart)) break;
+        const std::size_t n =
+            1 + ScanNameRun(q + 1, static_cast<std::size_t>(end - q - 1));
+        const char* r = q + n;
+        r += ScanWsRun(r, static_cast<std::size_t>(end - r));
+        if (r == end || *r != '>') break;
+        const std::string_view top = SkipTopName();
+        if (n != top.size() || std::memcmp(q, top.data(), n) != 0) break;
+        ++count;
+        p = r + 1;
+        if (depth == 1) {
+          // The subtree's own end tag: done.
+          Advance(static_cast<std::size_t>(p - base));
+          open_.pop_back();
+          *events += count;
+          return Status::OK();
+        }
+        PopSkipName();
+        --depth;
+        continue;
+      }
+      const char* q = p + 1;
+      if (!(CharClassOf(*q) & kClsNameStart)) break;  // also '!', '?'
+      const std::size_t n =
+          1 + ScanNameRun(q + 1, static_cast<std::size_t>(end - q - 1));
+      const char* r = q + n;
+      std::uint64_t tag_events = 1;
+      bool closed = false;  // '>' or "/>" seen
+      bool empty = false;   // "/>"
+      while (true) {
+        r += ScanWsRun(r, static_cast<std::size_t>(end - r));
+        if (r == end) break;
+        if (*r == '>') {
+          closed = true;
+          ++r;
+          break;
+        }
+        if (*r == '/') {
+          if (end - r >= 2 && r[1] == '>') {
+            closed = empty = true;
+            r += 2;
+          }
+          break;
+        }
+        if (!(CharClassOf(*r) & kClsNameStart)) break;
+        r += 1 + ScanNameRun(r + 1, static_cast<std::size_t>(end - r - 1));
+        r += ScanWsRun(r, static_cast<std::size_t>(end - r));
+        if (r == end || *r != '=') break;
+        ++r;
+        r += ScanWsRun(r, static_cast<std::size_t>(end - r));
+        if (r == end || (*r != '"' && *r != '\'')) break;
+        const char quote = *r++;
+        const std::size_t v =
+            ScanAttrRun(r, static_cast<std::size_t>(end - r), quote);
+        if (r + v == end || r[v] != quote) break;  // '&' or window end
+        if (expand) tag_events += v > 0 ? 3 : 2;
+        r += v + 1;
+      }
+      if (!closed) break;
+      if (empty) {
+        ++tag_events;
+      } else {
+        PushSkipName(std::string_view(q, n));
+        ++depth;
+      }
+      count += tag_events;
+      p = r;
+    }
+    Advance(static_cast<std::size_t>(p - base));
+    XQMFT_RETURN_NOT_OK(SkipConstructSlow(&depth, &count));
+    if (depth == 0) {
+      open_.pop_back();
+      *events += count;
+      return Status::OK();
+    }
+  }
+}
+
+// One construct of a skipped subtree, lexed by the checked helpers Next()
+// uses, in the same order — so skip mode fails where, and with the message,
+// a full pull would.
+Status SaxParser::SkipConstructSlow(std::size_t* depth,
+                                    std::uint64_t* events) {
+  int c = PeekChar();
+  if (c < 0) {
+    return Fail("unexpected end of input; unclosed <" +
+                std::string(SkipTopName()) + ">");
+  }
+  if (c != '<') {
+    XmlEvent text;
+    XQMFT_RETURN_NOT_OK(LexText(&text));
+    if (text.type == XmlEventType::kText) ++*events;
+    return Status::OK();
+  }
+  GetChar();  // '<'
+  c = PeekChar();
+  if (c < 0) return Fail("truncated markup");
+  if (c == '!') {
+    GetChar();
+    c = PeekChar();
+    if (c == '-') return SkipComment();
+    if (c == '[') {
+      std::string_view text;
+      XQMFT_RETURN_NOT_OK(LexCdata(&text));
+      ++*events;
+      return Status::OK();
+    }
+    return SkipDoctype();
+  }
+  if (c == '?') return SkipProcessingInstruction();
+  if (c == '/') {
+    GetChar();
+    std::string_view name;
+    XQMFT_RETURN_NOT_OK(LexName(&name));
+    const std::string_view top = SkipTopName();
+    const bool match = top == name;
+    std::string name_copy;
+    if (!match) name_copy.assign(name);
+    SkipWs();
+    if (GetChar() != '>') return Fail("expected '>' in end tag");
+    if (!match) {
+      return Fail("mismatched end tag </" + name_copy + ">, expected </" +
+                  std::string(top) + ">");
+    }
+    ++*events;
+    if (*depth > 1) PopSkipName();
+    --*depth;
+    return Status::OK();
+  }
+  const std::size_t name_at = pos_;  // mapped sources: offset in the input
+  std::string_view name;
+  XQMFT_RETURN_NOT_OK(LexName(&name));
+  const std::string name_copy(name);  // the view dies at the next refill
+  tag_spill_.clear();
+  std::uint64_t tag_events = 1;
+  while (true) {
+    SkipWs();
+    c = PeekChar();
+    if (c < 0) return Fail("truncated start tag <" + name_copy);
+    if (c == '>') {
+      GetChar();
+      PushSkipName(mapped_ ? std::string_view(data_ + name_at, name_copy.size())
+                           : std::string_view(name_copy));
+      ++*depth;
+      break;
+    }
+    if (c == '/') {
+      GetChar();
+      if (GetChar() != '>') return Fail("expected '/>' in empty-element tag");
+      ++tag_events;
+      break;
+    }
+    std::string_view attr_name;
+    XQMFT_RETURN_NOT_OK(LexName(&attr_name));
+    SkipWs();
+    if (GetChar() != '=') return Fail("expected '=' after attribute name");
+    SkipWs();
+    std::uint32_t value_off = 0;
+    std::uint32_t value_len = 0;
+    XQMFT_RETURN_NOT_OK(LexAttrValue(&value_off, &value_len));
+    if (options_.expand_attributes) tag_events += value_len > 0 ? 3 : 2;
+  }
+  *events += tag_events;
   return Status::OK();
 }
 

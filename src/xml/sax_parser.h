@@ -15,6 +15,18 @@
 // boundary — lands in a per-parser spill arena. Sources that expose their
 // whole input as one region (StringSource, MmapSource) are scanned in place
 // with no buffer copies at all.
+//
+// SkipSubtree (the EventSource hook the source projection calls on a
+// rejected start) steps over a subtree's bytes without building events. A
+// raw-pointer loop over the window handles plain text, start and end tags
+// and attribute values with the same Scan* helpers; it compares each end
+// tag byte for byte against a stack of name spans and accounts lines once
+// per stretch. Anything else — a comment, CDATA, a PI or DOCTYPE, an entity
+// reference, a construct crossing a refill boundary, any irregularity —
+// goes to a checked slow path at the start of that construct, which lexes
+// it with the same helpers Next() uses. So skip mode accepts and rejects
+// exactly what a full pull does, with the same Status message and
+// position; it only never interns names or decodes values it drops.
 #ifndef XQMFT_XML_SAX_PARSER_H_
 #define XQMFT_XML_SAX_PARSER_H_
 
@@ -135,6 +147,10 @@ class SaxParser : public EventSource {
   /// Number of bytes consumed so far.
   std::size_t bytes_consumed() const override { return bytes_consumed_; }
 
+  /// Steps over the subtree of the start just returned (see the file
+  /// comment), dropping its queued attribute and self-closing events.
+  Status SkipSubtree(std::uint64_t* events) override;
+
   /// Re-points name interning at `symbols`; call before the first Next().
   void BindSymbols(SymbolTable* symbols) override { symbols_ = symbols; }
 
@@ -184,6 +200,14 @@ class SaxParser : public EventSource {
   Status LexCdata(std::string_view* out);
   Status DecodeEntity(std::string* out);
 
+  // Subtree skipping. `depth` counts open elements of the skipped subtree,
+  // its root included; names of the elements below the root sit on
+  // skip_stack_ (the root's is open_.back()).
+  Status SkipConstructSlow(std::size_t* depth, std::uint64_t* events);
+  void PushSkipName(std::string_view name);
+  void PopSkipName();
+  std::string_view SkipTopName() const;
+
   ByteSource* source_;
   SaxOptions options_;
   SymbolTable owned_symbols_;     // used when no shared table is supplied
@@ -202,6 +226,7 @@ class SaxParser : public EventSource {
   bool eof_ = false;
   bool done_ = false;
   std::vector<SymbolId> open_;    // element stack for well-formedness
+  bool last_start_closed_ = false;  // the last start tag was self-closing
 
   // Spill arenas (reused, no steady-state allocation): text/CDATA runs that
   // cross a refill or contain entities; names split across a refill;
@@ -214,6 +239,15 @@ class SaxParser : public EventSource {
   std::vector<XmlAttr> attrs_view_;  // backing for XmlEvent::attrs
   std::vector<PendingEvent> pending_;
   std::size_t pending_head_ = 0;
+
+  // Names of open elements inside a skipped subtree: offsets into the
+  // input for mapped sources (stable), into skip_names_ otherwise.
+  struct NameSpan {
+    std::size_t off;
+    std::size_t len;
+  };
+  std::vector<NameSpan> skip_stack_;
+  std::string skip_names_;
 };
 
 /// Parses a whole document (or forest of documents) into a DOM Forest.

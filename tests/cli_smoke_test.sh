@@ -38,6 +38,21 @@ case "$CASE" in
   run)
     OUT=$("$XQMFT" run "$QUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
+    # Source projection: a subtree no path reads is skipped in the
+    # tokenizer and --stats says so; a copy of every element and a
+    # validated run stream unprojected, and --stats says why.
+    PXML="$TMPDIR_SMOKE/proj.xml"
+    printf '<doc><skip><x>1</x></skip><item>a</item></doc>' > "$PXML"
+    STATS=$("$XQMFT" run --stats "$QUERY" "$PXML" 2>&1) || fail "exit $?"
+    expect_contains "$STATS" "<out><hit>a</hit></out>"
+    expect_contains "$STATS" \
+      "projection: on (subtrees skipped: 1, bytes skipped: 15)"
+    STATS=$("$XQMFT" run --stats '<o>{$input/*}</o>' "$PXML" 2>&1) \
+      || fail "exit $?"
+    expect_contains "$STATS" "projection: off (copies every element"
+    STATS=$("$XQMFT" run --stats --schema "$SCHEMA" "$QUERY" "$XML" 2>&1) \
+      || fail "exit $?"
+    expect_contains "$STATS" "projection: off (schema validation"
     ;;
   run_stdin)
     OUT=$("$XQMFT" run "$QUERY" < "$XML") || fail "exit $?"

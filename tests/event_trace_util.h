@@ -2,14 +2,18 @@
 // differential tests in xml_test.cc and pretok_test.cc must compare the
 // *same* notion of an event trace, so it lives here once: an owned-string
 // event record (independent of view lifetimes), Trace() over any
-// EventSource or raw bytes, and a Read()-only source that forces the
-// refill path.
+// EventSource or raw bytes, a Read()-only source that forces the refill
+// path, and the subtree-skip differential (SkipLog) that compares a
+// source's SkipSubtree against EventSource's pull-and-drop default.
 
 #ifndef XQMFT_TESTS_EVENT_TRACE_UTIL_H_
 #define XQMFT_TESTS_EVENT_TRACE_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +71,82 @@ class ChunkedSource : public ByteSource {
   std::string_view s_;
   std::size_t chunk_;
   std::size_t pos_ = 0;
+};
+
+// Forwards everything but SkipSubtree, so a skip through it takes the
+// EventSource pull-and-drop default: the oracle every SkipSubtree override
+// must match.
+class PullOnlySource : public EventSource {
+ public:
+  explicit PullOnlySource(EventSource* inner) : inner_(inner) {}
+  Status Next(XmlEvent* event) override { return inner_->Next(event); }
+  std::size_t bytes_consumed() const override {
+    return inner_->bytes_consumed();
+  }
+  void BindSymbols(SymbolTable* symbols) override {
+    inner_->BindSymbols(symbols);
+  }
+
+ private:
+  EventSource* inner_;
+};
+
+// Pulls `src` to the end (or its first error), calling SkipSubtree on every
+// start event `skip(index, name)` selects (`index` counts the starts pulled
+// so far), and logs every event, every completed skip with its event count,
+// the final Status and bytes_consumed(). Two sources behave alike under skipping
+// iff their logs are equal.
+inline std::string SkipLog(
+    EventSource* src,
+    const std::function<bool(std::size_t, std::string_view)>& skip) {
+  std::string log;
+  XmlEvent ev;
+  std::size_t starts = 0;
+  Status st;
+  while (true) {
+    st = src->Next(&ev);
+    if (!st.ok() || ev.type == XmlEventType::kEndOfDocument) break;
+    switch (ev.type) {
+      case XmlEventType::kStartElement:
+        log += "<" + std::string(ev.name);
+        for (std::size_t i = 0; i < ev.attr_count; ++i) {
+          log += " " + std::string(ev.attrs[i].name) + "=" +
+                 std::string(ev.attrs[i].value);
+        }
+        log += ">";
+        break;
+      case XmlEventType::kEndElement:
+        log += "</" + std::string(ev.name) + ">";
+        break;
+      default:
+        log += "[" + std::string(ev.text) + "]";
+        break;
+    }
+    if (ev.type == XmlEventType::kStartElement && skip(starts++, ev.name)) {
+      std::uint64_t events = 0;
+      st = src->SkipSubtree(&events);
+      // The count is only defined for a completed skip.
+      if (!st.ok()) break;
+      log += "{skip " + std::to_string(events) + "}";
+    }
+  }
+  return log + " | " + st.ToString() + " @" +
+         std::to_string(src->bytes_consumed());
+}
+
+// An input held in a heap buffer of exactly its size (std::string's
+// terminating NUL would hide a one-byte overread from ASan).
+class ExactBuffer {
+ public:
+  explicit ExactBuffer(std::string_view s)
+      : data_(new char[s.size() == 0 ? 1 : s.size()]), size_(s.size()) {
+    std::memcpy(data_.get(), s.data(), s.size());
+  }
+  std::string_view view() const { return {data_.get(), size_}; }
+
+ private:
+  std::unique_ptr<char[]> data_;
+  std::size_t size_;
 };
 
 }  // namespace xqmft

@@ -291,6 +291,46 @@ TEST(MultiQuery, ProjectionSkipsEventsWithoutChangingOutput) {
   }
 }
 
+TEST(MultiQuery, SkippedEventsAreCountedNotBuilt) {
+  // Skipped subtrees are stepped over in the tokenizer, yet events_total
+  // counts every event of the input: the same total as a run with the
+  // projection off, over text and pretok input alike.
+  const std::string xml = XmarkDoc(32 * 1024);
+  Plans plans = CompileSet(Fig3Set(2));
+  std::string pretok;
+  {
+    StringSource src(xml);
+    ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+  }
+  for (bool use_pretok : {false, true}) {
+    MultiQueryStats on, off;
+    for (bool project : {true, false}) {
+      std::vector<StringSink> sinks(plans.size());
+      std::vector<OutputSink*> sink_ptrs;
+      for (auto& s : sinks) sink_ptrs.push_back(&s);
+      MultiQueryOptions options;
+      options.union_projection = project;
+      MultiQueryStats* stats = project ? &on : &off;
+      if (use_pretok) {
+        PretokSource source(pretok);
+        ASSERT_TRUE(StreamAllTransformEvents(Raw(plans), &source, sink_ptrs,
+                                             options, nullptr, stats)
+                        .ok());
+      } else {
+        StringSource source(xml);
+        ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs,
+                                       options, nullptr, stats)
+                        .ok());
+      }
+    }
+    EXPECT_EQ(on.events_total, off.events_total) << use_pretok;
+    EXPECT_GT(on.events_skipped, 0u);
+    EXPECT_GT(on.bytes_skipped, 0u);
+    EXPECT_LT(on.bytes_skipped, on.bytes_in);
+    EXPECT_EQ(off.bytes_skipped, 0u);
+  }
+}
+
 TEST(MultiQuery, ProjectionKeepsAncestorSpines) {
   // The reparenting counterexample: //c/d and //d/e over a document where
   // the real //d/e match sits under a c, separated by an x. A projection
@@ -438,6 +478,23 @@ TEST(Projection, BareInputIsUnprojectable) {
   auto plan = CompiledPlan::Compile("<out>{$input}</out>");
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE(plan.value()->projection().whole_document);
+}
+
+TEST(Projection, WholeDocumentExactlyWhereNothingCanBeSkipped) {
+  // q04's following-sibling step is outside the projectable fragment; the
+  // copy queries hold an all-wildcard keep-subtree path, which could
+  // reject no element, so their runs must not pay for an automaton.
+  for (const char* id : {"q04", "double", "fourstar", "deepdup"}) {
+    auto plan = CompiledPlan::Compile(QueryById(id).text);
+    ASSERT_TRUE(plan.ok()) << id;
+    EXPECT_TRUE(plan.value()->projection().whole_document) << id;
+    EXPECT_FALSE(plan.value()->projection().why.empty()) << id;
+  }
+  for (const char* id : {"q01", "q02", "q13", "q16", "q17"}) {
+    auto plan = CompiledPlan::Compile(QueryById(id).text);
+    ASSERT_TRUE(plan.ok()) << id;
+    EXPECT_FALSE(plan.value()->projection().whole_document) << id;
+  }
 }
 
 TEST(Projection, PredicatePathsBecomeKeepSubtree) {

@@ -1,5 +1,6 @@
 // Tests for the pre-tokenized binary event format: event-stream round trips,
-// symbol remapping into a consumer table, corruption handling, and the
+// symbol remapping into a consumer table, corruption handling, subtree
+// skipping (record walks match the full replay, errors included), and the
 // differential guarantee the streaming engine relies on — byte-identical
 // output whether it consumes text XML or a pretok cache, across the Figure 3
 // query corpus.
@@ -8,12 +9,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
+#include "data/generators.h"
 #include "event_trace_util.h"
 #include "stream/engine.h"
 #include "util/rng.h"
@@ -284,6 +287,98 @@ TEST(PretokTest, RepeatedEndOfDocumentClearsViews) {
   EXPECT_TRUE(ev.name.empty());
   EXPECT_TRUE(ev.text.empty());
   EXPECT_EQ(ev.attrs, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Subtree skipping: PretokSource::SkipSubtree vs pull-and-drop replay.
+// ---------------------------------------------------------------------------
+
+// SkipLog (event_trace_util.h) of a pretok region through the record-walking
+// skip and through the pull-and-drop oracle, for every single-start skip
+// position; bounded sources replay [begin, end) of `bytes`.
+void ExpectPretokSkipMatchesPull(std::string_view bytes, std::size_t begin,
+                                 std::size_t end, bool bounded) {
+  ExactBuffer buf(bytes);
+  std::vector<std::string_view> no_prefix;
+  for (std::size_t k = 0; k < 8; ++k) {
+    auto skip = [k](std::size_t i, std::string_view) { return i == k; };
+    auto open = [&]() {
+      return bounded ? std::make_unique<PretokSource>(buf.view(), begin, end,
+                                                      &no_prefix, 0)
+                     : std::make_unique<PretokSource>(buf.view());
+    };
+    std::unique_ptr<PretokSource> skipping = open();
+    std::unique_ptr<PretokSource> pulled = open();
+    PullOnlySource pulling(pulled.get());
+    EXPECT_EQ(SkipLog(skipping.get(), skip), SkipLog(&pulling, skip))
+        << "skip start #" << k << ", " << bytes.size() << " bytes"
+        << (bounded ? " (bounded)" : "");
+  }
+}
+
+const char* const kPretokSkipDoc =
+    "<r><s a=\"1\"><x>t</x><y/></s><n>u</n><s><s>v</s></s></r>";
+
+TEST(PretokSkipTest, SkipMatchesReplayOnTruncatedStreams) {
+  const std::string bytes = Tokenize(kPretokSkipDoc);
+  for (std::size_t n = 0; n <= bytes.size(); ++n) {
+    ExpectPretokSkipMatchesPull(std::string_view(bytes).substr(0, n), 0, n,
+                                false);
+  }
+  // Bounded ranges cut at every record byte keep their range errors.
+  const std::size_t records_begin = PretokSource(bytes).bytes_consumed();
+  for (std::size_t end = records_begin; end < bytes.size(); ++end) {
+    ExpectPretokSkipMatchesPull(bytes, records_begin, end, true);
+  }
+}
+
+TEST(PretokSkipTest, SkipMatchesReplayOnCorruptStreams) {
+  const std::string bytes = Tokenize(kPretokSkipDoc);
+  const std::size_t records_begin = PretokSource(bytes).bytes_consumed();
+  for (std::size_t i = records_begin; i < bytes.size(); ++i) {
+    for (unsigned char v : {0x00, 0x01, 0x02, 0x03, 0x04, 0x07, 0x7f, 0xff}) {
+      std::string bad = bytes;
+      bad[i] = static_cast<char>(v);
+      ExpectPretokSkipMatchesPull(bad, 0, bad.size(), false);
+    }
+  }
+}
+
+TEST(PretokSkipTest, ProjectedRunMatchesFullReplay) {
+  // A plan run over pretok input skips records (CompiledPlan::StreamEvents
+  // projects); the free StreamTransformEvents replays every event. Output
+  // and Status must be identical, also on truncated and corrupt streams.
+  const std::string bytes = Tokenize(
+      GenerateDatasetString(DatasetKind::kXmark, 1500, 3).ValueOrDie());
+  for (const char* id : {"q01", "q02", "q13", "q16", "q17"}) {
+    auto plan = CompiledPlan::Compile(QueryById(id).text).ValueOrDie();
+    ASSERT_FALSE(plan->projection().whole_document) << id;
+    auto run_both = [&](std::string_view stream, const std::string& what) {
+      ExactBuffer buf(stream);
+      PretokSource projected_src(buf.view());
+      StringSink projected_out;
+      StreamStats stats;
+      Status projected =
+          plan->StreamEvents(&projected_src, &projected_out, &stats);
+      PretokSource full_src(buf.view());
+      StringSink full_out;
+      Status full = StreamTransformEvents(plan->mft(), &full_src, &full_out,
+                                          plan->options().stream);
+      EXPECT_EQ(projected.ToString(), full.ToString()) << id << " " << what;
+      EXPECT_EQ(projected_out.str(), full_out.str()) << id << " " << what;
+      return stats.subtrees_skipped;
+    };
+    EXPECT_GT(run_both(bytes, "whole"), 0u) << id;
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      run_both(std::string_view(bytes).substr(0, n),
+               "truncated at " + std::to_string(n));
+    }
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      std::string bad = bytes;
+      bad[i] = static_cast<char>(0x03);
+      run_both(bad, "byte " + std::to_string(i) + " corrupted");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -475,6 +477,169 @@ TEST(SimdScanTest, SimdAndScalarTracesAgree) {
   EXPECT_EQ(chunked_trace.value(), scalar_trace.value());
 
   SetSimdScanEnabled(was_enabled);
+}
+
+// ---- Subtree skipping: SaxParser::SkipSubtree vs pull-and-drop. ----
+
+// Valid documents covering every construct a skipped subtree can hold:
+// nesting, self-closing and attribute-bearing elements (expanded or not),
+// entities in text and attribute values, CDATA, comments, PIs, DOCTYPE,
+// whitespace-only runs, `</a >` end tags, and names longer than small
+// refill windows.
+const char* const kSkipCorpus[] = {
+    "<r><s><a>x</a><b/></s><t>y</t></r>",
+    "<r><s a=\"1\" b='' c=\"v&amp;w\"><i x=\"\"/>t</s><u/></r>",
+    "<r><s><a >x</a ><b\n/></s\n>tail</r>",
+    "<r>\n  <s>\n    <a>  </a>\n  </s>\n  <t/>\n</r>",
+    "<r><s>&lt;&#65;&#x42;&gt;<![CDATA[c]]]]>d]]><!-- n --><?p i?></s></r>",
+    "<r><s><!DOCTYPE x [<!ELEMENT x ANY>]><a/></s><t/></r>",
+    "<r><s><s><s>deep</s></s></s><s/></r>",
+    "<r><same same=\"same\"><same>x</same></same></r>",
+    "<r><a_rather_long_element_name_crossing_windows k=\"value\">t"
+    "</a_rather_long_element_name_crossing_windows></r>",
+    "<a/><b><c/></b><d>t</d>",
+};
+
+// Malformed documents whose error sits inside a subtree a skip can reject.
+const char* const kSkipMalformed[] = {
+    "<r><s><a>x</b></s></r>",           // mismatched end tag
+    "<r><s><a>x</a ></t></r>",          // mismatched after whitespace
+    "<r><s>< a/></s></r>",              // bad name start
+    "<r><s></ a></s></r>",              // bad end-tag name start
+    "<r><s><1a/></s></r>",              // digit cannot start a name
+    "<r><s><!-- never",                 // unterminated comment
+    "<r><s><![CDATA[ never",            // unterminated CDATA
+    "<r><s><![CDAT x]]></s></r>",       // malformed CDATA
+    "<r><s><?pi never",                 // unterminated PI
+    "<r><s><a x=\"never/></s></r>",     // unterminated attribute value
+    "<r><s><a x=1/></s></r>",           // unquoted attribute value
+    "<r><s><a x/></s></r>",             // missing '='
+    "<r><s><a/ ></s></r>",              // broken empty-element tag
+    "<r><s><a x=\"1\"</s></r>",         // attribute then junk
+    "<r><s>&bogus;</s></r>",            // unknown entity
+    "<r><s a=\"&bogus;\"/><t/></r>",    // unknown entity in a value
+    "<r><s>&#0;</s></r>",               // bad character reference
+    "<r><s>&aaaaaaaaaaaaaaa;</s></r>",  // entity reference too long
+    "<r><s>&amp</s></r>",               // unterminated entity
+    "<r><s><a>x</a>",                   // input ends inside the subtree
+    "<r><s><a",                         // truncated start tag
+    "<r><s><",                          // truncated markup
+    "<r><s></a",                        // truncated end tag
+};
+
+// Runs SkipLog over `xml` through SaxParser and through its pull-and-drop
+// oracle, for every source shape (mapped, and chunked at 1-7 bytes per
+// Read) and SIMD on and off; the logs must be equal.
+void ExpectSkipMatchesPull(
+    std::string_view xml, SaxOptions opts,
+    const std::function<bool(std::size_t, std::string_view)>& skip,
+    const std::string& what) {
+  const bool was_enabled = SimdScanEnabled();
+  ExactBuffer buf(xml);
+  for (bool simd : {true, false}) {
+    SetSimdScanEnabled(simd);
+    for (std::size_t chunk = 0; chunk <= 7; ++chunk) {
+      std::unique_ptr<ByteSource> a, b;
+      if (chunk == 0) {
+        a = std::make_unique<StringSource>(buf.view());
+        b = std::make_unique<StringSource>(buf.view());
+      } else {
+        a = std::make_unique<ChunkedSource>(buf.view(), chunk);
+        b = std::make_unique<ChunkedSource>(buf.view(), chunk);
+      }
+      SaxParser skipping(a.get(), opts);
+      SaxParser pulling_parser(b.get(), opts);
+      PullOnlySource pulling(&pulling_parser);
+      EXPECT_EQ(SkipLog(&skipping, skip), SkipLog(&pulling, skip))
+          << what << "\nxml: " << xml << "\nchunk: " << chunk
+          << " simd: " << simd;
+    }
+  }
+  SetSimdScanEnabled(was_enabled);
+}
+
+// Every single-start skip position, plus skipping every start named "s".
+void ExpectEverySkipMatches(std::string_view xml, SaxOptions opts) {
+  for (std::size_t k = 0; k < 12; ++k) {
+    ExpectSkipMatchesPull(
+        xml, opts, [k](std::size_t i, std::string_view) { return i == k; },
+        "skip start #" + std::to_string(k));
+  }
+  ExpectSkipMatchesPull(
+      xml, opts, [](std::size_t, std::string_view n) { return n == "s"; },
+      "skip every <s>");
+}
+
+TEST(SaxSkipTest, SkipMatchesPullOnTheCorpus) {
+  for (const char* xml : kSkipCorpus) {
+    for (bool expand : {true, false}) {
+      SaxOptions opts;
+      opts.expand_attributes = expand;
+      ExpectEverySkipMatches(xml, opts);
+    }
+    SaxOptions keep_ws;
+    keep_ws.skip_whitespace_text = false;
+    ExpectEverySkipMatches(xml, keep_ws);
+  }
+}
+
+TEST(SaxSkipTest, ErrorsInsideASkippedSubtreeAreIdentical) {
+  for (const char* xml : kSkipMalformed) {
+    ExpectEverySkipMatches(xml, SaxOptions{});
+    // The skip must still see the error: skipping <s> is never OK here.
+    StringSource src(xml);
+    SaxParser parser(&src);
+    std::string log = SkipLog(
+        &parser, [](std::size_t, std::string_view n) { return n == "s"; });
+    EXPECT_EQ(log.find("| OK"), std::string::npos) << xml << "\n" << log;
+  }
+}
+
+TEST(SaxSkipTest, TruncationAtEveryByteIsIdentical) {
+  const std::string xml =
+      "<r><s a=\"v&amp;\"><!-- c --><x>t&lt;</x ><![CDATA[d]]><y/></s>"
+      "<?p?><t>u</t></r>";
+  for (std::size_t n = 0; n <= xml.size(); ++n) {
+    ExpectEverySkipMatches(std::string_view(xml).substr(0, n), SaxOptions{});
+  }
+}
+
+TEST(SaxSkipTest, EdgeCasesCountAndConsumeExactly) {
+  // A rejected self-closing element: its queued end is the whole subtree.
+  {
+    StringSource src("<r><a x=\"1\"/><b/></r>");
+    SaxParser parser(&src);
+    EXPECT_EQ(SkipLog(&parser,
+                      [](std::size_t, std::string_view n) { return n == "a"; }),
+              "<r><a>{skip 4}<b></b></r> | OK @21");
+  }
+  // With attributes left on the start event, only the end is queued.
+  {
+    StringSource src("<r><a x=\"1\"/><b/></r>");
+    SaxOptions opts;
+    opts.expand_attributes = false;
+    SaxParser parser(&src, opts);
+    EXPECT_EQ(SkipLog(&parser,
+                      [](std::size_t, std::string_view n) { return n == "a"; }),
+              "<r><a x=1>{skip 1}<b></b></r> | OK @21");
+  }
+  // A rejected expanded attribute: its queued text and end.
+  {
+    StringSource src("<r a=\"1\" b=\"\">t</r>");
+    SaxParser parser(&src);
+    EXPECT_EQ(SkipLog(&parser,
+                      [](std::size_t, std::string_view n) { return n == "a"; }),
+              "<r><a>{skip 2}<b></b>[t]</r> | OK @19");
+  }
+  // `</a >` ends the skip; the bytes after it are the parser's again.
+  {
+    StringSource src("<r><a><a>x</a ></a\n>y</r>");
+    SaxParser parser(&src);
+    EXPECT_EQ(SkipLog(&parser,
+                      [](std::size_t i, std::string_view) { return i == 1; }),
+              "<r><a>{skip 4}[y]</r> | OK @25");
+    EXPECT_EQ(parser.line(), 2u);
+  }
 }
 
 }  // namespace

@@ -478,11 +478,19 @@ int StreamWith(const CompiledPlan& plan,
       if (stats != nullptr) *stats = AggregateStreamStats(par_stats);
       return st;
     }
+    // A validator must see every event, so validated runs stream
+    // unprojected through the free functions; the rest take the plan path,
+    // which projects.
+    if (options.validator != nullptr) {
+      return serial.events != nullptr
+                 ? StreamTransformEvents(plan.mft(), serial.events.get(),
+                                         sink, options, stats)
+                 : StreamTransform(plan.mft(), serial.bytes.get(), sink,
+                                   options, stats);
+    }
     return serial.events != nullptr
-               ? StreamTransformEvents(plan.mft(), serial.events.get(), sink,
-                                       options, stats)
-               : StreamTransform(plan.mft(), serial.bytes.get(), sink,
-                                 options, stats);
+               ? plan.StreamEvents(serial.events.get(), sink, stats)
+               : plan.Stream(serial.bytes.get(), sink, stats);
   };
 
   StreamStats stats;
@@ -525,6 +533,21 @@ int StreamWith(const CompiledPlan& plan,
                  static_cast<unsigned long long>(stats.bridge_runs),
                  stats.used_ops_engine ? "ops" : "table",
                  lowered ? "yes" : "no", why.c_str());
+    // The projection verdict: whether the run skipped subtrees at the
+    // source, and if not, why.
+    if (options.validator != nullptr) {
+      std::fprintf(stderr, "projection: off (schema validation reads every "
+                           "event)\n");
+    } else if (plan.projection().whole_document) {
+      std::fprintf(stderr, "projection: off (%s)\n",
+                   plan.projection().why.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "projection: on (subtrees skipped: %llu, bytes skipped: "
+                   "%zu)\n",
+                   static_cast<unsigned long long>(stats.subtrees_skipped),
+                   stats.bytes_skipped);
+    }
   }
   return 0;
 }

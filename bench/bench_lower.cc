@@ -1,9 +1,7 @@
 // Execution-lowering benchmark: the table engine vs the lowered opcode
-// engine (lower/ops_engine) on the Figure 3 corpus. The parameter-free
-// queries (q02, q13, double, fourstar, deepdup) lower fully; the predicate
-// queries (q01, q04, q16, q17) lower hybrid — rope-register opcodes for
-// their accumulating parameters plus table-machine bridge sub-runs at the
-// selector sites — so every corpus query now has an ops point.
+// engine (lower/ops_engine) on the Figure 3 corpus. Every corpus query
+// lowers fully: the predicate queries (q01, q04, q16, q17) run their
+// selector clusters on choice frames, so every query has an ops point.
 //
 // Two input shapes per query:
 //
@@ -123,8 +121,6 @@ void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
   state.counters["cells_refcounted"] =
       static_cast<double>(stats.cells_created);
   state.counters["ops_engine"] = stats.used_ops_engine ? 1.0 : 0.0;
-  state.counters["hybrid"] = stats.hybrid_plan ? 1.0 : 0.0;
-  state.counters["bridge_runs"] = static_cast<double>(stats.bridge_runs);
   state.SetBytesProcessed(
       static_cast<int64_t>(stats.bytes_in * state.iterations()));
 }

@@ -28,19 +28,41 @@ constexpr std::uint32_t kPreallocPerSpawn = 96;
 
 // How a state executes under the lowered plan.
 enum class StateClass : unsigned char {
-  kPlain,        ///< parameter-free, compiles to opcode programs
-  kPlainBridged, ///< parameter-free but matches on text content: table-only
-  kAppend,       ///< parameters thread linearly: rope registers, native
-  kSelector,     ///< pass-through cluster: factored + bridged at call sites
-  kGeneral,      ///< anything else: reachable only through a kBridge
+  kPlain,     ///< parameter-free, compiles to opcode programs
+  kAppend,    ///< parameters thread linearly: rope registers
+  kSelector,  ///< pass-through cluster: choice-frame programs
+  kGeneral,   ///< anything else: a call to it keeps the plan table-only
+};
+
+// A value of a selector cluster while a choice program is compiled: a
+// residual of the site, a parameter of the running consumer's frame, or a
+// cluster call not yet evaluated (its arguments are further values). Calls
+// are followed through x0 at compile time; what remains runs as consumers.
+struct ChoiceExpr {
+  enum class Kind : unsigned char { kResidual, kOwn, kCall };
+  Kind kind = Kind::kResidual;
+  std::uint32_t index = 0;  ///< residual / parameter index
+  StateId state = -1;       ///< kCall: callee
+  InputVar input = InputVar::kX0;
+  std::uint32_t ctx = 0;    ///< kCall: context the call's rule fires in
+  std::vector<int> args;    ///< kCall: argument values
+  int fresh = -1;           ///< kCall: frame created for it, once emitted
+};
+
+// The values of one choice program (a site's entry code, or one cluster
+// state's program) and the frames it has created so far.
+struct ChoiceScope {
+  std::vector<ChoiceExpr> exprs;
+  std::uint32_t n_fresh = 0;
 };
 
 // Compilation context of a program: which input the state is being applied
 // to, which determines how %t and x1 resolve.
 //   [0, width)   element node with that interned symbol (%t is a literal)
 //   width        element node with an id outside the alphabet (%t is kOpenCur)
-//   width + 1    text node (%t is kTextCur; x1 is the empty forest)
+//   width + 1    text node matching no literal (%t is kTextCur; x1 is empty)
 //   width + 2    end of forest (epsilon rule; emission only)
+//   width + 3 + i  text node whose content is text literal i
 class Compiler {
  public:
   explicit Compiler(const Mft& mft)
@@ -53,56 +75,26 @@ class Compiler {
     if (mft_.num_params(q0) > 0) {
       return Fail("initial state carries parameters");
     }
-    if (class_[static_cast<std::size_t>(q0)] == StateClass::kPlainBridged) {
-      return Fail("state '" + mft_.state_name(q0) +
-                  "' matches on text content");
-    }
 
-    const std::size_t n_ctx = static_cast<std::size_t>(width_) + 3;
-    memo_.assign(static_cast<std::size_t>(mft_.num_states()) * n_ctx, -1);
+    memo_.assign(static_cast<std::size_t>(mft_.num_states()) * NumCtx(), -1);
 
     plan_.width = width_;
     plan_.initial = q0;
+    plan_.choice_params = choice_params_;
     plan_.states.resize(static_cast<std::size_t>(mft_.num_states()));
     for (StateId q = 0; q < mft_.num_states(); ++q) {
       const StateClass cls = class_[static_cast<std::size_t>(q)];
-      // Selector/general parameter states and text-content matchers have no
-      // programs: they only ever run inside a table-machine bridge.
       if (cls != StateClass::kPlain && cls != StateClass::kAppend) continue;
-      LoweredState& st = plan_.states[static_cast<std::size_t>(q)];
-      st.n_ropes = cls == StateClass::kAppend
-                       ? static_cast<std::uint8_t>(mft_.num_params(q))
-                       : 0;
-      st.element.resize(width_);
-      for (SymbolId id = 0; id < width_; ++id) {
-        int p = CompileProgram(q, id);
-        if (p < 0) return Fail(error_);
-        st.element[id] = finished_[static_cast<std::size_t>(p)];
-      }
-      int p = CompileProgram(q, CtxDefault());
-      if (p < 0) return Fail(error_);
-      st.element_default = finished_[static_cast<std::size_t>(p)];
-      p = CompileProgram(q, CtxText());
-      if (p < 0) return Fail(error_);
-      st.text = finished_[static_cast<std::size_t>(p)];
-      p = CompileProgram(q, CtxEps());
-      if (p < 0) return Fail(error_);
-      st.eps = finished_[static_cast<std::size_t>(p)];
+      if (!CompileState(q)) return Fail(error_);
     }
-
-    if (!sites_.empty()) {
-      BuildBridgeMft();
-      plan_.hybrid = true;
-      std::string states;
-      for (StateId q : site_states_) {
-        if (!states.empty()) states += ", ";
-        states += "'" + mft_.state_name(q) + "'";
-      }
-      plan_.lowering_note = "hybrid: " + std::to_string(sites_.size()) +
-                            " table-bridge site(s) through " + states;
-    } else {
-      plan_.lowering_note = "full";
+    // Cluster states compile only once a site reaches them: an unreachable
+    // cluster need not be total.
+    while (!sel_queue_.empty()) {
+      const StateId q = sel_queue_.back();
+      sel_queue_.pop_back();
+      if (!CompileState(q)) return Fail(error_);
     }
+    plan_.lowering_note = "full";
     return std::move(plan_);
   }
 
@@ -110,44 +102,98 @@ class Compiler {
   std::uint32_t CtxDefault() const { return width_; }
   std::uint32_t CtxText() const { return width_ + 1; }
   std::uint32_t CtxEps() const { return width_ + 2; }
+  std::uint32_t CtxLit(std::size_t i) const {
+    return width_ + 3 + static_cast<std::uint32_t>(i);
+  }
+  bool IsTextCtx(std::uint32_t ctx) const {
+    return ctx == CtxText() || ctx >= CtxLit(0);
+  }
+  std::size_t NumCtx() const {
+    return static_cast<std::size_t>(width_) + 3 + plan_.text_literals.size();
+  }
 
   static Status Fail(std::string why) {
     return Status::InvalidArgument("not lowerable: " + std::move(why));
   }
 
-  bool HasTextContentRules(StateId q) const {
-    for (const auto& [symbol, rhs] : mft_.rules(q).symbol_rules) {
-      (void)rhs;
-      if (symbol.kind == NodeKind::kText) return true;
+  // The rule `q` applies in context `ctx` (null when it has none).
+  const Rhs* RuleAt(StateId q, std::uint32_t ctx) const {
+    if (ctx <= CtxDefault()) return dispatch_.ForElement(q, ctx);
+    if (ctx == CtxText()) return dispatch_.TextFallback(q);
+    if (ctx == CtxEps()) return dispatch_.Epsilon(q);
+    return dispatch_.ForText(q, plan_.text_literals[ctx - CtxLit(0)]);
+  }
+
+  // Compiles every context of an executable state into plan_.states[q]
+  // (the vector is sized once up front, so the reference stays valid).
+  bool CompileState(StateId q) {
+    const StateClass cls = class_[static_cast<std::size_t>(q)];
+    LoweredState& st = plan_.states[static_cast<std::size_t>(q)];
+    st.n_ropes = cls == StateClass::kAppend
+                     ? static_cast<std::uint8_t>(mft_.num_params(q))
+                     : 0;
+    st.choice = cls == StateClass::kSelector;
+    auto compile = [&](std::uint32_t ctx, LoweredProgramRef* dst) {
+      const int p = CompileProgram(q, ctx);
+      if (p < 0) return false;
+      *dst = finished_[static_cast<std::size_t>(p)];
+      return true;
+    };
+    if (!compile(CtxDefault(), &st.element_default) ||
+        !compile(CtxText(), &st.text) || !compile(CtxEps(), &st.eps)) {
+      return false;
     }
-    return false;
+    // A cluster rule without x0 calls compiles the same in every element
+    // context (clusters emit nothing, so %t cannot fold either): elements
+    // that take the default rule share its program.
+    const Rhs* fallback = RuleAt(q, CtxDefault());
+    const bool shared = st.choice && !CallsX0(*fallback);
+    st.element.resize(width_);
+    for (SymbolId id = 0; id < width_; ++id) {
+      const Rhs* rule = dispatch_.ForElement(q, id);
+      if (shared && (rule == nullptr || rule == fallback)) {
+        st.element[id] = st.element_default;
+      } else if (!compile(id, &st.element[id])) {
+        return false;
+      }
+    }
+    if (text_dep_[static_cast<std::size_t>(q)]) {
+      st.text_cases.resize(plan_.text_literals.size());
+      for (std::size_t i = 0; i < plan_.text_literals.size(); ++i) {
+        if (!compile(CtxLit(i), &st.text_cases[i])) return false;
+      }
+    }
+    return true;
   }
 
   // ---------------------------------------------------------------- analysis
 
-  // Classifies every state (see StateClass) and computes the escape set:
-  // escapes_[q] is true when running q at a node can read that node's
-  // *following siblings* (an x2 call in q's x0-closure, including call
-  // arguments, which are evaluated at the caller's position). A bridged
-  // sub-run feeds only the anchor subtree, so only non-escaping states (and
-  // non-escaping argument forests) may cross the bridge.
+  // Classifies every state (see StateClass), collects the plan's text
+  // literals, and marks the states whose text program depends on content.
   void Classify() {
     const std::size_t n = static_cast<std::size_t>(mft_.num_states());
     class_.assign(n, StateClass::kGeneral);
+    queued_.assign(n, false);
     sel_.assign(n, false);
     app_.assign(n, false);
-    escapes_.assign(n, false);
+    text_dep_.assign(n, false);
 
     for (StateId q = 0; q < mft_.num_states(); ++q) {
       const int np = mft_.num_params(q);
       if (np == 0) {
-        class_[static_cast<std::size_t>(q)] = HasTextContentRules(q)
-                                                  ? StateClass::kPlainBridged
-                                                  : StateClass::kPlain;
+        class_[static_cast<std::size_t>(q)] = StateClass::kPlain;
       } else {
         sel_[static_cast<std::size_t>(q)] = true;
         app_[static_cast<std::size_t>(q)] =
-            np <= static_cast<int>(kMaxRopeParams) && !HasTextContentRules(q);
+            np <= static_cast<int>(kMaxRopeParams);
+      }
+      for (const RuleDispatch::TextCase& c : dispatch_.TextCases(q)) {
+        text_dep_[static_cast<std::size_t>(q)] = true;
+        const std::string lit(c.literal);
+        if (std::find(plan_.text_literals.begin(), plan_.text_literals.end(),
+                      lit) == plan_.text_literals.end()) {
+          plan_.text_literals.push_back(lit);
+        }
       }
     }
 
@@ -162,6 +208,9 @@ class Compiler {
         }
       }
     }
+    // A cluster state runs on choice frames wherever it is called, so it
+    // cannot also be a rope-register state.
+    for (std::size_t i = 0; i < n; ++i) app_[i] = app_[i] && !sel_[i];
     for (bool changed = true; changed;) {
       changed = false;
       for (StateId q = 0; q < mft_.num_states(); ++q) {
@@ -171,14 +220,15 @@ class Compiler {
         }
       }
     }
-    // Least fixpoint: escaping requires an actual x2 somewhere, so growing
-    // from "nothing escapes" is exact even through x0 cycles.
+    // Least fixpoint: a text program depends on content when the state
+    // tests literals or its text rule inlines (x0) a state that does.
     for (bool changed = true; changed;) {
       changed = false;
       for (StateId q = 0; q < mft_.num_states(); ++q) {
-        if (escapes_[static_cast<std::size_t>(q)]) continue;
-        if (StateEscapes(q)) {
-          escapes_[static_cast<std::size_t>(q)] = true;
+        const Rhs* text = dispatch_.TextFallback(q);
+        if (!text_dep_[static_cast<std::size_t>(q)] && text != nullptr &&
+            InlinesTextDependent(*text)) {
+          text_dep_[static_cast<std::size_t>(q)] = true;
           changed = true;
         }
       }
@@ -190,42 +240,25 @@ class Compiler {
       class_[i] = app_[i] ? StateClass::kAppend
                           : (sel_[i] ? StateClass::kSelector
                                      : StateClass::kGeneral);
+      if (class_[i] == StateClass::kSelector) {
+        choice_params_ = std::max(
+            choice_params_, static_cast<std::uint32_t>(mft_.num_params(q)));
+      }
     }
   }
 
-  bool StateEscapes(StateId q) const {
-    const StateRules& r = mft_.rules(q);
-    for (const auto& [symbol, rhs] : r.symbol_rules) {
-      (void)symbol;
-      if (RhsEscapes(rhs)) return true;
-    }
-    if (r.text_rule && RhsEscapes(*r.text_rule)) return true;
-    if (r.default_rule && RhsEscapes(*r.default_rule)) return true;
-    // Epsilon rules cannot reference x2 (no input); x0 calls in them are
-    // epsilon-recursion and cannot reach siblings either.
-    return false;
-  }
-
-  bool RhsEscapes(const Rhs& rhs) const {
+  bool InlinesTextDependent(const Rhs& rhs) const {
     for (const RhsNode& item : rhs) {
-      switch (item.kind) {
-        case RhsKind::kLabel:
-          if (RhsEscapes(item.children)) return true;
-          break;
-        case RhsKind::kParam:
-          break;
-        case RhsKind::kCall: {
-          if (item.input == InputVar::kX2) return true;
-          if (item.input == InputVar::kX0 &&
-              escapes_[static_cast<std::size_t>(item.state)]) {
-            return true;
-          }
-          // Arguments are evaluated at the caller's position, whatever the
-          // call's input variable — x2 inside them reads the same siblings.
-          for (const Rhs& arg : item.args) {
-            if (RhsEscapes(arg)) return true;
-          }
-          break;
+      if (item.kind == RhsKind::kLabel) {
+        if (InlinesTextDependent(item.children)) return true;
+      } else if (item.kind == RhsKind::kCall) {
+        if (item.input == InputVar::kX0 && item.state >= 0 &&
+            text_dep_[static_cast<std::size_t>(item.state)]) {
+          return true;
+        }
+        // Arguments are evaluated at the caller's position.
+        for (const Rhs& arg : item.args) {
+          if (InlinesTextDependent(arg)) return true;
         }
       }
     }
@@ -275,6 +308,9 @@ class Compiler {
     if (n0.kind != RhsKind::kCall) return false;
     if (n0.state < 0 || mft_.num_params(n0.state) == 0) return false;
     if (!sel_[static_cast<std::size_t>(n0.state)]) return false;
+    if (static_cast<int>(n0.args.size()) != mft_.num_params(n0.state)) {
+      return false;
+    }
     for (const Rhs& a : n0.args) {
       if (!SelectorArg(a)) return false;
     }
@@ -350,11 +386,12 @@ class Compiler {
     return true;
   }
 
-  // Every state a bridged sub-run can reach must be able to fire: missing
-  // default/epsilon rules would turn a table-engine error into silently
-  // different lowered output, so the drop-the-call optimization (all
-  // arguments identical) is gated on cluster totality.
-  bool ClusterTotal(StateId q0) const {
+  // Every state a choice site can reach must be able to fire: the opcode
+  // core evaluates every branch of the cluster eagerly, where the table
+  // machine only evaluates the branch the input selects, so a missing
+  // default/epsilon rule would turn "never evaluated" into a run error.
+  // Returns the first state without both rules, or -1 when total.
+  StateId ClusterGap(StateId q0) const {
     std::vector<StateId> stack{q0};
     std::set<StateId> seen{q0};
     auto visit = [&](const Rhs& rhs, auto&& self) -> void {
@@ -373,7 +410,7 @@ class Compiler {
       const StateId q = stack.back();
       stack.pop_back();
       const StateRules& r = mft_.rules(q);
-      if (!r.default_rule || !r.epsilon_rule) return false;
+      if (!r.default_rule || !r.epsilon_rule) return q;
       for (const auto& [symbol, rhs] : r.symbol_rules) {
         (void)symbol;
         visit(rhs, visit);
@@ -382,40 +419,55 @@ class Compiler {
       visit(*r.default_rule, visit);
       visit(*r.epsilon_rule, visit);
     }
-    return true;
+    return -1;
   }
 
-  // Whether a forest may cross a bridge as a call argument: evaluated at
-  // the anchor with the sibling stream truncated, so it must not reference
-  // x2 and every x0 call in it must be non-escaping.
-  bool ArgBridgeable(const Rhs& rhs) {
-    for (const RhsNode& item : rhs) {
-      switch (item.kind) {
-        case RhsKind::kLabel:
-          if (!ArgBridgeable(item.children)) return false;
-          break;
-        case RhsKind::kParam:
-          error_ = "parameter reference in a bridged argument";
-          return false;
-        case RhsKind::kCall: {
-          if (item.input == InputVar::kX2) {
-            error_ = "bridged arguments reference following siblings";
-            return false;
+  // Why a call to the general parameter state `q0` keeps the plan on the
+  // table machine: names a reachable state whose rule duplicates a
+  // parameter (the case rope registers and choice frames cannot express).
+  std::string GeneralReason(StateId q0) const {
+    std::vector<StateId> stack{q0};
+    std::set<StateId> seen{q0};
+    while (!stack.empty()) {
+      const StateId q = stack.back();
+      stack.pop_back();
+      bool dup = false;
+      auto visit = [&](const Rhs& rhs, std::vector<int>* uses,
+                       auto&& self) -> void {
+        for (const RhsNode& item : rhs) {
+          if (item.kind == RhsKind::kLabel) {
+            self(item.children, uses, self);
+          } else if (item.kind == RhsKind::kParam) {
+            const std::size_t i = static_cast<std::size_t>(item.param);
+            if (i < uses->size() && ++(*uses)[i] > 1) dup = true;
+          } else {
+            if (item.state >= 0 && mft_.num_params(item.state) > 0 &&
+                seen.insert(item.state).second) {
+              stack.push_back(item.state);
+            }
+            for (const Rhs& arg : item.args) self(arg, uses, self);
           }
-          if (item.input == InputVar::kX0 &&
-              escapes_[static_cast<std::size_t>(item.state)]) {
-            error_ = "bridged state '" + mft_.state_name(item.state) +
-                     "' reads past the anchor subtree";
-            return false;
-          }
-          for (const Rhs& arg : item.args) {
-            if (!ArgBridgeable(arg)) return false;
-          }
-          break;
         }
+      };
+      const StateRules& r = mft_.rules(q);
+      auto rule = [&](const Rhs& rhs) {
+        std::vector<int> uses(static_cast<std::size_t>(mft_.num_params(q)) + 1);
+        visit(rhs, &uses, visit);
+      };
+      for (const auto& [symbol, rhs] : r.symbol_rules) {
+        (void)symbol;
+        rule(rhs);
+      }
+      if (r.text_rule) rule(*r.text_rule);
+      if (r.default_rule) rule(*r.default_rule);
+      if (r.epsilon_rule) rule(*r.epsilon_rule);
+      if (dup) {
+        return "nonlinear parameter use in state '" + mft_.state_name(q) +
+               "' (reached from '" + mft_.state_name(q0) + "')";
       }
     }
-    return true;
+    return "state '" + mft_.state_name(q0) +
+           "' is neither append-only nor a selector cluster";
   }
 
   // ----------------------------------------------------------- compilation
@@ -425,47 +477,38 @@ class Compiler {
   // closure of some rule revisits (q, ctx) before emitting anything that
   // consumes input — the lazy engine would spin on it too.
   int CompileProgram(StateId q, std::uint32_t ctx) {
-    const std::size_t n_ctx = static_cast<std::size_t>(width_) + 3;
-    std::int32_t& slot = memo_[static_cast<std::size_t>(q) * n_ctx + ctx];
+    std::int32_t& slot = memo_[static_cast<std::size_t>(q) * NumCtx() + ctx];
     if (slot >= 0) return slot;
     if (slot == kInProgress) {
       error_ = "x0-call cycle through state '" + mft_.state_name(q) + "'";
       return -1;
     }
+    if (ctx < width_ && dispatch_.ForElement(q, ctx) == nullptr) {
+      // A text-kind id: no element event can carry it, but the dense table
+      // must stay rectangular — alias the generic-element program.
+      slot = kInProgress;
+      const int p = CompileProgram(q, CtxDefault());
+      slot = p;
+      return p;
+    }
     slot = kInProgress;
 
-    const Rhs* rhs;
-    if (ctx < width_) {
-      rhs = dispatch_.ForElement(q, ctx);
-      if (rhs == nullptr) {
-        // A text-kind id: no element event can carry it, but the dense table
-        // must stay rectangular — alias the generic-element program.
-        int p = CompileProgram(q, CtxDefault());
-        slot = p;
-        return p;
-      }
-    } else if (ctx == CtxDefault()) {
-      rhs = dispatch_.ForElement(q, width_);
-    } else if (ctx == CtxText()) {
-      // Safe without content: states with text-content rules are never
-      // compiled, so ForText never takes its content-keyed probe path here.
-      rhs = dispatch_.ForText(q, std::string_view());
-    } else {
-      rhs = dispatch_.Epsilon(q);
-    }
+    const Rhs* rhs = RuleAt(q, ctx);
     if (rhs == nullptr) {
       error_ = "state '" + mft_.state_name(q) + "' has no applicable rule";
       return -1;
     }
 
-    const StateId owner =
-        mft_.num_params(q) > 0 &&
-                app_[static_cast<std::size_t>(q)]
-            ? q
-            : -1;
-    bool used[kMaxRopeParams] = {false, false, false, false};
     std::vector<LoweredInsn> tmp;
-    if (!EmitRhs(*rhs, owner, ctx, used, &tmp)) return -1;
+    if (class_[static_cast<std::size_t>(q)] == StateClass::kSelector) {
+      if (!EmitClusterProgram(q, *rhs, ctx, &tmp)) return -1;
+    } else {
+      const StateId owner =
+          mft_.num_params(q) > 0 && app_[static_cast<std::size_t>(q)] ? q
+                                                                       : -1;
+      bool used[kMaxRopeParams] = {false, false, false, false};
+      if (!EmitRhs(*rhs, owner, ctx, used, &tmp)) return -1;
+    }
 
     int ref = Intern(std::move(tmp));
     if (ref < 0) return -1;
@@ -492,7 +535,7 @@ class Compiler {
               out->push_back({LowerOp::kOpenCur, 0});
               if (!EmitRhs(item.children, owner, ctx, used, out)) return false;
               out->push_back({LowerOp::kCloseCur, 0});
-            } else if (ctx == CtxText()) {
+            } else if (IsTextCtx(ctx)) {
               // %t over a text node copies its content; an output text node
               // has no children to emit (the lazy engine never forces them).
               out->push_back({LowerOp::kTextCur, 0});
@@ -542,38 +585,26 @@ class Compiler {
     return true;
   }
 
-  // An argument-free state call: the parameter-free fast path, plus the
-  // bridge for plain states that match on text content.
+  // An argument-free state call: the parameter-free fast path.
   bool EmitPlainCall(const RhsNode& item, std::uint32_t ctx,
                      std::vector<LoweredInsn>* out) {
     const StateId callee = item.state;
-    const StateClass cls = class_[static_cast<std::size_t>(callee)];
     if (mft_.num_params(callee) > 0) {
       error_ = "call to state '" + mft_.state_name(callee) +
                "' is missing its arguments";
       return false;
     }
     switch (item.input) {
-      case InputVar::kX0: {
-        if (cls == StateClass::kPlain) return Splice(callee, ctx, out);
-        // Text-content matcher: run it on the table engine over exactly
-        // this anchor.
-        return EmitBridge(RhsNode::Call(callee, InputVar::kX0), ctx, out);
-      }
+      case InputVar::kX0:
+        return Splice(callee, ctx, out);
       case InputVar::kX1: {
-        if (ctx == CtxText()) {
+        if (IsTextCtx(ctx)) {
           // A text node's child forest is empty: running q over it is
-          // exactly q's epsilon program (safe even for text-content
-          // matchers — epsilon has no content to probe).
+          // exactly q's epsilon program.
           return Splice(callee, CtxEps(), out);
         }
         if (ctx == CtxEps()) {
           error_ = "x1 in an epsilon rule";  // excluded by Validate()
-          return false;
-        }
-        if (cls != StateClass::kPlain) {
-          error_ = "state '" + mft_.state_name(callee) +
-                   "' matches on text content";
           return false;
         }
         out->push_back(
@@ -585,11 +616,6 @@ class Compiler {
           error_ = "x2 in an epsilon rule";  // excluded by Validate()
           return false;
         }
-        if (cls != StateClass::kPlain) {
-          error_ = "state '" + mft_.state_name(callee) +
-                   "' matches on text content";
-          return false;
-        }
         out->push_back({LowerOp::kSib, static_cast<std::uint32_t>(callee)});
         return true;
       }
@@ -598,11 +624,10 @@ class Compiler {
     return false;
   }
 
-  // A parameter-carrying call. Tries, in order:
-  //   1. native rope execution (append-only callee, compilable arguments);
-  //   2. common-suffix factoring against a selector cluster, bridging the
-  //      residual arguments and emitting the suffix as caller code;
-  //   3. a direct table bridge over the anchor subtree.
+  // A parameter-carrying call. Append-only callees run on rope registers
+  // (x0 calls inline the callee's rule with the arguments substituted);
+  // selector clusters become choice sites; anything else keeps the plan on
+  // the table machine.
   bool EmitParamCall(const RhsNode& item, StateId owner, std::uint32_t ctx,
                      bool* used, std::vector<LoweredInsn>* out) {
     const StateId callee = item.state;
@@ -618,140 +643,357 @@ class Compiler {
       return false;
     }
 
-    // 1) Native rope registers.
-    if (app_[static_cast<std::size_t>(callee)] &&
-        item.input != InputVar::kX0) {
-      if (item.input == InputVar::kX1 && ctx == CtxText()) {
-        // Empty child forest: the callee's epsilon rule with these
-        // arguments substituted — folds to plain emission at compile time.
-        const Rhs* eps = mft_.rules(callee).epsilon_rule
-                             ? &*mft_.rules(callee).epsilon_rule
-                             : nullptr;
-        if (eps == nullptr) {
-          error_ = "state '" + mft_.state_name(callee) +
-                   "' has no applicable rule";
+    if (sel_[static_cast<std::size_t>(callee)]) {
+      return EmitChoiceSite(item, owner, ctx, used, out);
+    }
+    if (app_[static_cast<std::size_t>(callee)]) {
+      if (item.input != InputVar::kX0) {
+        return EmitRopeCall(item, owner, ctx, used, out);
+      }
+      error_ = "x0 call to append-only state '" + mft_.state_name(callee) +
+               "'";
+    } else if (item.input == InputVar::kX0) {
+      error_ = "call to '" + mft_.state_name(callee) +
+               "': " + GeneralReason(callee);
+    } else {
+      error_ = item.input == InputVar::kX1
+                   ? "parameter-carrying call over children does not lower"
+                   : "parameter-carrying call over following siblings";
+    }
+    return false;
+  }
+
+  // An x1/x2 call to an append-only state.
+  bool EmitRopeCall(const RhsNode& item, StateId owner, std::uint32_t ctx,
+                    bool* used, std::vector<LoweredInsn>* out) {
+    const StateId callee = item.state;
+    const int cn = mft_.num_params(callee);
+    if (item.input == InputVar::kX1 && IsTextCtx(ctx)) {
+      // Empty child forest: the callee's epsilon rule with these arguments
+      // substituted — plain emission. The arguments read the caller's
+      // node, so the rule compiles in the caller's context, which is only
+      // sound while the epsilon rule makes no calls of its own.
+      const Rhs* eps = RuleAt(callee, CtxEps());
+      if (eps == nullptr || HasCall(*eps)) {
+        error_ = "state '" + mft_.state_name(callee) +
+                 (eps == nullptr ? "' has no applicable rule"
+                                 : "' calls a state from its epsilon rule");
+        return false;
+      }
+      return EmitRhs(SubstParams(*eps, item.args), owner, ctx, used, out);
+    }
+    // Identity pass q'(xi, y1..yn): the spawned consumer simply inherits
+    // the caller's register file — a plain kChild/kSib, which keeps the
+    // sibling-scan hot path allocation-free.
+    if (owner >= 0 && cn == mft_.num_params(owner) &&
+        IsIdentityArgs(item.args)) {
+      for (int i = 0; i < cn; ++i) {
+        if (used[i]) {
+          error_ = "state '" + mft_.state_name(owner) +
+                   "' uses a parameter twice";
           return false;
         }
-        return EmitRhs(SubstParams(*eps, item.args), owner, ctx, used, out);
+        used[i] = true;
       }
-      // Identity pass q'(xi, y1..yn): the spawned consumer simply inherits
-      // the caller's register file — a plain kChild/kSib, which keeps the
-      // sibling-scan hot path allocation-free.
-      if (owner >= 0 && cn == mft_.num_params(owner) &&
-          IsIdentityArgs(item.args)) {
-        for (int i = 0; i < cn; ++i) {
-          if (used[i]) {
-            error_ = "state '" + mft_.state_name(owner) +
-                     "' uses a parameter twice";
-            return false;
-          }
-          used[i] = true;
-        }
-        out->push_back({item.input == InputVar::kX1 ? LowerOp::kChild
-                                                    : LowerOp::kSib,
-                        static_cast<std::uint32_t>(callee)});
-        return true;
-      }
-      // Stage the register file rope by rope.
-      std::vector<LoweredInsn> tmp;
-      bool saved[kMaxRopeParams];
-      std::copy(used, used + kMaxRopeParams, saved);
-      bool ok = true;
+      out->push_back({item.input == InputVar::kX1 ? LowerOp::kChild
+                                                  : LowerOp::kSib,
+                      static_cast<std::uint32_t>(item.state)});
+      return true;
+    }
+    // Stage the register file rope by rope.
+    for (const Rhs& arg : item.args) {
+      out->push_back({LowerOp::kRopeNew, 0});
+      if (!EmitRopeArg(arg, owner, ctx, used, out)) return false;
+    }
+    out->push_back({item.input == InputVar::kX1 ? LowerOp::kRopeChild
+                                                : LowerOp::kRopeSib,
+                    static_cast<std::uint32_t>(item.state)});
+    return true;
+  }
+
+  // A call into a selector cluster: `q(x, R_1·C, .., R_n·C)`. Whichever
+  // argument the cluster selects, the output is R_w·C, so C is emitted as
+  // ordinary caller code after the site and only the residuals R_i wait on
+  // the choice. When the cluster's verdict is already fixed at compile time
+  // (a text or epsilon anchor, or a rule that selects without reading
+  // input) only the winning residual is emitted; otherwise the residuals go
+  // to held segments and the cluster runs on choice frames.
+  bool EmitChoiceSite(const RhsNode& item, StateId owner, std::uint32_t ctx,
+                      bool* used, std::vector<LoweredInsn>* out) {
+    const StateId callee = item.state;
+    const StateId gap = ClusterGap(callee);
+    if (gap >= 0) {
+      error_ = "selector cluster '" + mft_.state_name(callee) +
+               "' is not total: state '" + mft_.state_name(gap) +
+               "' lacks a default or epsilon rule";
+      return false;
+    }
+    if (choice_params_ > kMaxChoiceParams) {
+      error_ = "selector cluster '" + mft_.state_name(callee) +
+               "' carries more than " + std::to_string(kMaxChoiceParams) +
+               " parameters";
+      return false;
+    }
+
+    // Common-suffix factoring.
+    std::size_t min_len = item.args[0].size();
+    for (const Rhs& arg : item.args) min_len = std::min(min_len, arg.size());
+    std::size_t suffix = 0;
+    while (suffix < min_len) {
+      const RhsNode& probe = item.args[0][item.args[0].size() - 1 - suffix];
+      bool all = true;
       for (const Rhs& arg : item.args) {
-        tmp.push_back({LowerOp::kRopeNew, 0});
-        if (!EmitRopeArg(arg, owner, ctx, used, &tmp)) {
-          ok = false;
+        if (!(arg[arg.size() - 1 - suffix] == probe)) {
+          all = false;
           break;
         }
       }
-      if (ok) {
-        out->insert(out->end(), tmp.begin(), tmp.end());
-        out->push_back({item.input == InputVar::kX1 ? LowerOp::kRopeChild
-                                                    : LowerOp::kRopeSib,
-                        static_cast<std::uint32_t>(callee)});
-        return true;
-      }
-      std::copy(saved, saved + kMaxRopeParams, used);
-      error_.clear();  // fall through to the bridge paths
+      if (!all) break;
+      ++suffix;
+    }
+    const Rhs& a0 = item.args[0];
+    const Rhs common(a0.end() - static_cast<std::ptrdiff_t>(suffix), a0.end());
+    std::vector<Rhs> residuals;
+    bool identical = true;
+    for (const Rhs& arg : item.args) {
+      residuals.emplace_back(arg.begin(),
+                             arg.end() - static_cast<std::ptrdiff_t>(suffix));
+      identical = identical && arg.size() == suffix;
+    }
+    if (identical) {
+      // Identical arguments: whichever the cluster selects, the output is
+      // the shared forest — drop the call entirely.
+      return EmitRhs(a0, owner, ctx, used, out);
     }
 
-    // 2) Common-suffix factoring against a selector cluster: with
-    //    arguments A_i = A'_i · C the cluster's output is A'_w · C for the
-    //    winner w the input selects, so bridging the residuals A'_i and
-    //    emitting C as ordinary caller code is exact.
-    if (sel_[static_cast<std::size_t>(callee)]) {
-      std::size_t min_len = item.args[0].size();
-      for (const Rhs& arg : item.args) min_len = std::min(min_len, arg.size());
-      std::size_t suffix = 0;
-      while (suffix < min_len) {
-        const RhsNode& probe =
-            item.args[0][item.args[0].size() - 1 - suffix];
-        bool all = true;
-        for (const Rhs& arg : item.args) {
-          if (!(arg[arg.size() - 1 - suffix] == probe)) {
-            all = false;
-            break;
-          }
-        }
-        if (!all) break;
-        ++suffix;
-      }
-      bool all_empty = true;
-      for (const Rhs& arg : item.args) {
-        if (arg.size() != suffix) {
-          all_empty = false;
-          break;
-        }
-      }
-      if (all_empty && ClusterTotal(callee)) {
-        // Identical arguments: whichever the cluster selects, the output is
-        // the shared forest — drop the call entirely.
-        return EmitRhs(item.args[0], owner, ctx, used, out);
-      }
-      if (item.input == InputVar::kX0 &&
-          !escapes_[static_cast<std::size_t>(callee)]) {
-        std::vector<Rhs> residuals;
-        residuals.reserve(item.args.size());
-        bool ok = true;
-        for (const Rhs& arg : item.args) {
-          Rhs res(arg.begin(), arg.end() - static_cast<std::ptrdiff_t>(suffix));
-          if (!ArgBridgeable(res)) {
-            ok = false;
-            break;
-          }
-          residuals.push_back(std::move(res));
-        }
-        if (ok) {
-          if (!EmitBridge(
-                  RhsNode::Call(callee, InputVar::kX0, std::move(residuals)),
-                  ctx, out)) {
-            return false;
-          }
-          const Rhs& a0 = item.args[0];
-          Rhs c(a0.end() - static_cast<std::ptrdiff_t>(suffix), a0.end());
-          return EmitRhs(c, owner, ctx, used, out);
-        }
-        // error_ set by ArgBridgeable; keep the more specific message.
-        return false;
-      }
+    ChoiceScope scope;
+    std::vector<int> values;
+    for (std::size_t i = 0; i < residuals.size(); ++i) {
+      ChoiceExpr r;
+      r.kind = ChoiceExpr::Kind::kResidual;
+      r.index = static_cast<std::uint32_t>(i);
+      values.push_back(Push(&scope, std::move(r)));
+    }
+    ChoiceExpr root;
+    root.kind = ChoiceExpr::Kind::kCall;
+    root.state = callee;
+    root.input = item.input;
+    root.ctx = ctx;
+    root.args = values;
+    const int e = Follow(&scope, Push(&scope, std::move(root)));
+    if (e < 0) return false;
+    if (scope.exprs[static_cast<std::size_t>(e)].kind ==
+        ChoiceExpr::Kind::kResidual) {
+      const Rhs& win = residuals[scope.exprs[static_cast<std::size_t>(e)].index];
+      return EmitRhs(win, owner, ctx, used, out) &&
+             EmitRhs(common, owner, ctx, used, out);
     }
 
-    // 3) Direct bridge: x0, non-escaping callee, anchor-local arguments.
-    if (item.input == InputVar::kX0) {
-      if (escapes_[static_cast<std::size_t>(callee)]) {
-        error_ = "bridged state '" + mft_.state_name(callee) +
-                 "' reads past the anchor subtree";
-        return false;
-      }
-      for (const Rhs& arg : item.args) {
-        if (!ArgBridgeable(arg)) return false;
-      }
-      RhsNode call = item;  // deep copy, arguments included
-      return EmitBridge(std::move(call), ctx, out);
+    out->push_back(
+        {LowerOp::kChoiceOpen, static_cast<std::uint32_t>(residuals.size())});
+    for (std::size_t i = 0; i < residuals.size(); ++i) {
+      if (i > 0) out->push_back({LowerOp::kChoiceNext, 0});
+      if (!EmitRhs(residuals[i], owner, ctx, used, out)) return false;
     }
-    error_ = item.input == InputVar::kX1
-                 ? "parameter-carrying call over children does not lower"
-                 : "parameter-carrying call over following siblings";
+    out->push_back({LowerOp::kChoiceClose, 0});
+    if (!EmitSpawn(&scope, e, /*target=*/0, /*own=*/false, out)) return false;
+    return EmitRhs(common, owner, ctx, used, out);
+  }
+
+  // The program of cluster state `q` in context `ctx`: resolve the running
+  // frame (`self`) with a value, or hand it to the consumer that decides it.
+  bool EmitClusterProgram(StateId q, const Rhs& rule, std::uint32_t ctx,
+                          std::vector<LoweredInsn>* out) {
+    ChoiceScope scope;
+    std::vector<int> own;
+    for (int i = 0; i < mft_.num_params(q); ++i) {
+      ChoiceExpr p;
+      p.kind = ChoiceExpr::Kind::kOwn;
+      p.index = static_cast<std::uint32_t>(i);
+      own.push_back(Push(&scope, std::move(p)));
+    }
+    int e = MakeExpr(&scope, rule[0], own, ctx);
+    e = Follow(&scope, e);
+    if (e < 0) return false;
+    if (scope.exprs[static_cast<std::size_t>(e)].kind ==
+        ChoiceExpr::Kind::kCall) {
+      return EmitSpawn(&scope, e, /*target=*/0, /*own=*/true, out);
+    }
+    const std::int64_t v = Materialize(&scope, e, out);
+    if (v < 0) return false;
+    out->push_back({LowerOp::kChoiceArg, static_cast<std::uint32_t>(v)});
+    out->push_back({LowerOp::kChoiceResolve, 0});
+    return true;
+  }
+
+  static int Push(ChoiceScope* scope, ChoiceExpr e) {
+    scope->exprs.push_back(std::move(e));
+    return static_cast<int>(scope->exprs.size()) - 1;
+  }
+
+  // The value of one rule node (a parameter or a cluster call) whose rule
+  // fires in `ctx` with parameters bound to `env`.
+  int MakeExpr(ChoiceScope* scope, const RhsNode& node,
+               const std::vector<int>& env, std::uint32_t ctx) {
+    if (node.kind == RhsKind::kParam) {
+      return env[static_cast<std::size_t>(node.param) - 1];
+    }
+    ChoiceExpr call;
+    call.kind = ChoiceExpr::Kind::kCall;
+    call.state = node.state;
+    call.input = node.input;
+    call.ctx = ctx;
+    for (const Rhs& arg : node.args) {
+      call.args.push_back(MakeExpr(scope, arg[0], env, ctx));
+    }
+    return Push(scope, std::move(call));
+  }
+
+  bool SameExpr(const ChoiceScope& scope, int a, int b) const {
+    if (a == b) return true;
+    const ChoiceExpr& x = scope.exprs[static_cast<std::size_t>(a)];
+    const ChoiceExpr& y = scope.exprs[static_cast<std::size_t>(b)];
+    if (x.kind != y.kind) return false;
+    if (x.kind != ChoiceExpr::Kind::kCall) return x.index == y.index;
+    if (x.state != y.state || x.input != y.input || x.ctx != y.ctx ||
+        x.args.size() != y.args.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < x.args.size(); ++i) {
+      if (!SameExpr(scope, x.args[i], y.args[i])) return false;
+    }
+    return true;
+  }
+
+  // Evaluates a value as far as compile time allows: a call whose
+  // arguments are all the same value is that value (the cluster is total),
+  // x0 calls apply the callee's rule at the same node, and x1 over a text
+  // node is the callee's epsilon rule. Stops at a parameter/residual or at
+  // a call that reads input (x1 over an element, or x2). Returns -1 with
+  // error_ set on an x0 cycle.
+  int Follow(ChoiceScope* scope, int e) {
+    std::vector<std::pair<StateId, std::uint32_t>> seen;
+    while (true) {
+      const ChoiceExpr cur = scope->exprs[static_cast<std::size_t>(e)];
+      if (cur.kind != ChoiceExpr::Kind::kCall) return e;
+      bool same = true;
+      for (int a : cur.args) same = same && SameExpr(*scope, a, cur.args[0]);
+      if (same) {
+        e = cur.args[0];
+        continue;
+      }
+      std::uint32_t rctx;
+      if (cur.input == InputVar::kX0) {
+        rctx = cur.ctx;
+      } else if (cur.input == InputVar::kX1 && IsTextCtx(cur.ctx)) {
+        rctx = CtxEps();
+      } else {
+        return e;
+      }
+      const std::pair<StateId, std::uint32_t> key{cur.state, rctx};
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+        error_ = "x0-call cycle through state '" +
+                 mft_.state_name(cur.state) + "'";
+        return -1;
+      }
+      seen.push_back(key);
+      const Rhs* rule = RuleAt(cur.state, rctx);
+      if (rule == nullptr) {
+        error_ = "state '" + mft_.state_name(cur.state) +
+                 "' has no applicable rule";
+        return -1;
+      }
+      e = MakeExpr(scope, (*rule)[0], cur.args, rctx);
+    }
+  }
+
+  // The kChoiceArg operand for a value, creating (and spawning) the frame
+  // of a call that reads input the first time it is needed. -1 on error.
+  std::int64_t Materialize(ChoiceScope* scope, int e,
+                           std::vector<LoweredInsn>* out) {
+    e = Follow(scope, e);
+    if (e < 0) return -1;
+    const ChoiceExpr& x = scope->exprs[static_cast<std::size_t>(e)];
+    auto operand = [](ChoiceOperand kind, std::uint32_t index) {
+      return static_cast<std::int64_t>(
+          (static_cast<std::uint32_t>(kind) << kChoiceKindShift) | index);
+    };
+    if (x.kind == ChoiceExpr::Kind::kResidual) {
+      return operand(ChoiceOperand::kResidual, x.index);
+    }
+    if (x.kind == ChoiceExpr::Kind::kOwn) {
+      return operand(ChoiceOperand::kOwn, x.index);
+    }
+    if (x.fresh >= 0) {
+      return operand(ChoiceOperand::kFresh,
+                     static_cast<std::uint32_t>(x.fresh));
+    }
+    if (scope->n_fresh >= kMaxChoiceFresh) {
+      error_ = "selector program creates more than " +
+               std::to_string(kMaxChoiceFresh) + " frames";
+      return -1;
+    }
+    const std::uint32_t k = scope->n_fresh++;
+    scope->exprs[static_cast<std::size_t>(e)].fresh = static_cast<int>(k);
+    out->push_back({LowerOp::kChoiceNew, 0});
+    if (!EmitSpawn(scope, e, k + 1, /*own=*/false, out)) return -1;
+    return operand(ChoiceOperand::kFresh, k);
+  }
+
+  // Starts the consumer that decides `target` (0 = the running frame, k+1
+  // = fresh frame k): call `e` reads input, so its state runs over the
+  // children or the following siblings with the call's arguments as the
+  // frame's parameters. A cluster program passing its own parameters
+  // through unchanged keeps its frame: a plain kChild/kSib.
+  bool EmitSpawn(ChoiceScope* scope, int e, std::uint32_t target, bool own,
+                 std::vector<LoweredInsn>* out) {
+    const ChoiceExpr call = scope->exprs[static_cast<std::size_t>(e)];
+    const bool child = call.input == InputVar::kX1;
+    std::vector<std::uint32_t> ops;
+    bool identity = own && target == 0;
+    for (std::size_t i = 0; i < call.args.size(); ++i) {
+      const std::int64_t v = Materialize(scope, call.args[i], out);
+      if (v < 0) return false;
+      ops.push_back(static_cast<std::uint32_t>(v));
+      identity = identity &&
+                 ops.back() == ((static_cast<std::uint32_t>(ChoiceOperand::kOwn)
+                                 << kChoiceKindShift) |
+                                static_cast<std::uint32_t>(i));
+    }
+    if (!queued_[static_cast<std::size_t>(call.state)]) {
+      queued_[static_cast<std::size_t>(call.state)] = true;
+      sel_queue_.push_back(call.state);
+    }
+    if (identity) {
+      out->push_back({child ? LowerOp::kChild : LowerOp::kSib,
+                      static_cast<std::uint32_t>(call.state)});
+      return true;
+    }
+    for (std::uint32_t v : ops) out->push_back({LowerOp::kChoiceArg, v});
+    out->push_back({child ? LowerOp::kChoiceSpawnChild
+                          : LowerOp::kChoiceSpawnSib,
+                    ChoiceSpawn(static_cast<std::uint32_t>(call.state),
+                                target)});
+    return true;
+  }
+
+  static bool CallsX0(const Rhs& rhs) {
+    for (const RhsNode& item : rhs) {
+      if (item.kind == RhsKind::kLabel && CallsX0(item.children)) return true;
+      if (item.kind != RhsKind::kCall) continue;
+      if (item.input == InputVar::kX0) return true;
+      for (const Rhs& arg : item.args) {
+        if (CallsX0(arg)) return true;
+      }
+    }
+    return false;
+  }
+
+  static bool HasCall(const Rhs& rhs) {
+    for (const RhsNode& item : rhs) {
+      if (item.kind == RhsKind::kCall) return true;
+      if (item.kind == RhsKind::kLabel && HasCall(item.children)) return true;
+    }
     return false;
   }
 
@@ -846,61 +1088,6 @@ class Compiler {
     return true;
   }
 
-  bool EmitBridge(RhsNode call, std::uint32_t ctx,
-                  std::vector<LoweredInsn>* out) {
-    if (call.input == InputVar::kX0 &&
-        escapes_[static_cast<std::size_t>(call.state)]) {
-      error_ = "bridged state '" + mft_.state_name(call.state) +
-               "' reads past the anchor subtree";
-      return false;
-    }
-    int site = -1;
-    for (std::size_t i = 0; i < sites_.size(); ++i) {
-      if (sites_[i] == call) {
-        site = static_cast<int>(i);
-        break;
-      }
-    }
-    if (site < 0) {
-      if (sites_.size() >= kBridgeSiteMask) {
-        error_ = "too many bridge sites";
-        return false;
-      }
-      site = static_cast<int>(sites_.size());
-      site_states_.insert(call.state);
-      sites_.push_back(std::move(call));
-    }
-    BridgeCtx kind = BridgeCtx::kElement;
-    if (ctx == CtxText()) kind = BridgeCtx::kText;
-    if (ctx == CtxEps()) kind = BridgeCtx::kEps;
-    out->push_back(
-        {LowerOp::kBridge,
-         (static_cast<std::uint32_t>(kind) << kBridgeCtxShift) |
-             static_cast<std::uint32_t>(site)});
-    return true;
-  }
-
-  void BuildBridgeMft() {
-    auto bm = std::make_unique<Mft>(mft_);
-    for (std::size_t i = 0; i < sites_.size(); ++i) {
-      StateId root =
-          bm->AddState("bridge#" + std::to_string(i), /*num_params=*/0);
-      Rhs rhs{sites_[i]};
-      // One synthetic root covers all three anchor kinds: the default rule
-      // fires on an element anchor, the text rule on a text anchor, and the
-      // epsilon rule on an empty sub-run (x0 at end of forest — the table
-      // machine resolves the x0 call against the epsilon cell).
-      bm->SetDefaultRule(root, rhs);
-      bm->SetTextRule(root, rhs);
-      bm->SetEpsilonRule(root, rhs);
-      plan_.bridge_sites.push_back(root);
-    }
-    // Force-compile now: sub-runs may start on concurrent engine threads,
-    // and the lazy dispatch fill is single-threaded by contract.
-    bm->dispatch();
-    plan_.bridge_mft = std::move(bm);
-  }
-
   bool Splice(StateId q, std::uint32_t ctx, std::vector<LoweredInsn>* out) {
     int p = CompileProgram(q, ctx);
     if (p < 0) return false;
@@ -932,10 +1119,12 @@ class Compiler {
       switch (insn.op) {
         case LowerOp::kChild:
         case LowerOp::kRopeChild:
+        case LowerOp::kChoiceSpawnChild:
           ++ref.n_child;
           break;
         case LowerOp::kSib:
         case LowerOp::kRopeSib:
+        case LowerOp::kChoiceSpawnSib:
           ++ref.n_sib;
           break;
         case LowerOp::kRopeOpen:
@@ -974,11 +1163,12 @@ class Compiler {
   const SymbolId width_;
   LoweredPlan plan_;
   std::vector<StateClass> class_;
-  std::vector<bool> sel_;      // selector-cluster shape (factoring license)
-  std::vector<bool> app_;      // append-only shape (rope registers)
-  std::vector<bool> escapes_;  // x0-closure can read following siblings
-  std::vector<RhsNode> sites_;        // bridge call sites, deduplicated
-  std::set<StateId> site_states_;     // bridged callee states (for the note)
+  std::vector<bool> sel_;       // selector-cluster shape
+  std::vector<bool> app_;       // append-only shape (rope registers)
+  std::vector<bool> text_dep_;  // text program depends on content
+  std::uint32_t choice_params_ = 0;  // widest selector state
+  std::vector<StateId> sel_queue_;   // cluster states awaiting programs
+  std::vector<bool> queued_;         // ever pushed onto sel_queue_
   std::vector<std::int32_t> memo_;  // (state, ctx) -> finished_ index
   std::vector<LoweredProgramRef> finished_;
   std::map<std::vector<std::uint64_t>, int> dedupe_;

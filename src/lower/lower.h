@@ -15,13 +15,16 @@
 //   kOpenCur     emit <current-label>      kChild q     run q over children
 //   kCloseCur    emit </current-label>     kSib q       run q over siblings
 //
+// plus the kRope* family for rope registers and the kChoice* family for
+// choice frames (both below, at LowerOp).
+//
 // Stay moves (x0 calls) are inlined at compile time — a program is the whole
 // x0-closure of a rule, so the runtime never "applies a rule" at all; it
 // executes one program per (consumer, event). Programs are deduplicated and
 // memoized per (state, context); an x0 cycle (which the lazy engine would
 // grind through its step budget) makes the plan unlowerable instead.
 //
-// Accumulating parameters (this file's PR 10 extension) lower two ways:
+// Accumulating parameters lower two ways:
 //
 //   * Append-only parameters become *rope registers*: a bounded number
 //     (kMaxRopeParams) of byte ropes whose chunks come from the engine's
@@ -32,33 +35,37 @@
 //     append literal/current-label records, splice a parameter through,
 //     spawn the callee with the staged register file, or emit a register
 //     into the output stream.
-//   * Everything else that is *anchor-local* bridges to the table engine:
-//     an x0 call to a general parameter-carrying state (or to a plain state
-//     that matches on text content) whose arguments are free of x2 lowers
-//     to kBridge — a sub-run of the lazy table machine over exactly the
-//     anchor subtree, spliced into the output at the call position. The
-//     caller keeps running on the opcode core; the plan is *hybrid*.
-//     Call sites whose arguments share a common suffix (the translation's
-//     `q(x0, A·C, B·C)` shape, where the suffix is the sibling-scan
-//     continuation) are factored first: when the callee is a pure
-//     *selector* cluster — every rule passes parameters through verbatim
-//     and terminates in exactly one of them — the call is equivalent to
-//     bridging the residual arguments and emitting the suffix as ordinary
-//     caller code, which makes the residuals x2-free and keeps the scan on
-//     the opcode engine. This is what takes the q01/q04-style predicate
-//     queries off the pure table path.
+//   * *Selector clusters* — the states XPath predicates translate to, where
+//     every rule is a bare y_i or one cluster call whose arguments are y_js
+//     or further cluster calls — become *choice frames*. A cluster's output
+//     is exactly one of its call's arguments, so a call site
+//     `q(x, R_1·C, .., R_n·C)` is factored: the shared suffix C stays
+//     caller code, each residual R_i runs as caller code into its own
+//     *held* output segment, and the cluster runs as consumers whose
+//     registers hold a frame (a pending choice among residual indices and
+//     other frames). The frame that resolves the site releases the winner's
+//     segments in place and drops the losers'; frames no longer reachable
+//     from the site die (refcounted) and their consumers drop at their next
+//     event. The kChoice* opcodes build frames and resolve them. Eager
+//     evaluation matches the table machine's lazy one only when the cluster
+//     is total (every reachable state has default and epsilon rules), so a
+//     non-total cluster keeps the plan on the table machine.
 //
-// A plan is lowerable iff every reachable call site lands in one of those
-// classes, x0-call inlining terminates, and the generated code stays under
-// the size cap. Unlowerable plans keep the table engine; lowering is a
-// strict fast path, never a semantics change (asserted wholesale by the
-// differential suites).
+// Text nodes dispatch on content too: a state that tests text literals (or
+// inlines one through an x0 call) gets one text program per literal of the
+// plan, chosen at runtime by comparing the event's content against the
+// literals RuleDispatch precompiled.
+//
+// A plan is lowerable iff every call site lands in one of those classes,
+// x0-call inlining terminates, and the generated code stays under the size
+// cap. A plan with any other call site — a general or nonlinear parameter
+// state, such as the Section 2.1 example's `y1` used twice — runs wholly on
+// the table machine; lowering is a strict fast path, never a semantics
+// change (asserted wholesale by the differential suites).
 #ifndef XQMFT_LOWER_LOWER_H_
 #define XQMFT_LOWER_LOWER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,8 +86,6 @@ enum class LowerOp : unsigned char {
   kTextCur,      ///< Text(current text event's content)
   kChild,        ///< spawn a consumer in state arg over the node's children
   kSib,          ///< continue in state arg over the node's following siblings
-  // Hybrid execution: a table-machine sub-run over the anchor subtree.
-  kBridge,       ///< arg = (BridgeCtx << kBridgeCtxShift) | site index
   // Rope registers for append-only accumulating parameters. A program
   // stages the callee's register file one rope at a time (kRopeNew opens a
   // fresh staging rope; the append/splice ops extend the most recently
@@ -96,24 +101,49 @@ enum class LowerOp : unsigned char {
   kRopeChild,     ///< kChild with the staged register file as arguments
   kRopeSib,       ///< kSib with the staged register file as arguments
   kRopeEmit,      ///< copy own register arg into the output stream
+  // Choice frames for selector clusters. A site opens with kChoiceOpen,
+  // runs each residual into its own held segment (kChoiceNext between
+  // them), and kChoiceClose starts the continuation segment and the site's
+  // root frame; the cluster's entry code follows. Values are operands
+  // (ChoiceOperand): a residual index, the running frame's own parameter,
+  // or a frame created earlier in the same program.
+  kChoiceOpen,        ///< open a site with arg residuals
+  kChoiceNext,        ///< start the next residual's held segment
+  kChoiceClose,       ///< end the residuals; the site's root frame is `self`
+  kChoiceNew,         ///< create a pending frame (the next fresh index)
+  kChoiceArg,         ///< stage operand arg as the next frame parameter
+  kChoiceSpawnChild,  ///< arg = ChoiceSpawn(state, target): staged params
+  kChoiceSpawnSib,    ///< go to the target, whose consumer runs over x1/x2
+  kChoiceResolve,     ///< resolve `self` with the one staged value
 };
 
 /// Number of LowerOp values (dispatch-table size for the execution loop).
-inline constexpr int kNumLowerOps = 20;
+inline constexpr int kNumLowerOps = 27;
 
 /// Bound on rope registers per state (parameters of an append-only state).
 /// Small by design: the register file travels inline with each consumer.
 inline constexpr std::uint32_t kMaxRopeParams = 4;
 
-/// The input context a kBridge site anchors to, packed into the high bits
-/// of the instruction argument (the low bits are the site index).
-enum class BridgeCtx : std::uint32_t {
-  kElement = 0,  ///< anchored at an element: sub-run over the whole subtree
-  kText = 1,     ///< x0 over a text node: one-event sub-run, inline
-  kEps = 2,      ///< x0 at end of forest: empty sub-run, inline
+/// Bounds on a selector cluster: parameters per frame, and frames one
+/// program may create. Wider clusters keep the plan on the table machine.
+inline constexpr std::uint32_t kMaxChoiceParams = 8;
+inline constexpr std::uint32_t kMaxChoiceFresh = 16;
+
+/// Operand kinds of kChoiceArg, packed into the high byte of the argument.
+enum class ChoiceOperand : std::uint32_t {
+  kResidual = 0,  ///< residual index of the site
+  kOwn = 1,       ///< parameter of the running consumer's frame
+  kFresh = 2,     ///< frame created by this program's kChoiceNew
 };
-inline constexpr std::uint32_t kBridgeCtxShift = 24;
-inline constexpr std::uint32_t kBridgeSiteMask = (1u << kBridgeCtxShift) - 1;
+inline constexpr std::uint32_t kChoiceKindShift = 24;
+inline constexpr std::uint32_t kChoiceIndexMask = (1u << kChoiceKindShift) - 1;
+
+/// kChoiceSpawn* argument: the callee state in the low bits, the target in
+/// the high byte (0 = `self`, k + 1 = fresh frame k).
+inline constexpr std::uint32_t ChoiceSpawn(std::uint32_t state,
+                                           std::uint32_t target) {
+  return (target << kChoiceKindShift) | state;
+}
 
 struct LoweredInsn {
   LowerOp op;
@@ -150,58 +180,37 @@ struct LoweredProgramRef {
 struct LoweredState {
   std::vector<LoweredProgramRef> element;  ///< by SymbolId, size = width
   LoweredProgramRef element_default;       ///< element ids >= width
-  LoweredProgramRef text;                  ///< any text node
+  LoweredProgramRef text;                  ///< text matching no literal
   LoweredProgramRef eps;                   ///< end of the consumed forest
+  /// Per LoweredPlan::text_literals: the program for a text node with that
+  /// content. Empty unless the state's text rule depends on content.
+  std::vector<LoweredProgramRef> text_cases;
   std::uint8_t n_ropes = 0;  ///< rope registers (the state's parameters)
+  /// A selector-cluster state: its consumers carry a choice frame instead
+  /// of a register file, and drop once the frame is dead.
+  bool choice = false;
 };
 
 /// \brief The lowered form of a transducer. Immutable once built; shared by
 /// every concurrent run of the plan (same contract as RuleDispatch).
-/// Move-only: hybrid plans own the bridge transducer.
 struct LoweredPlan {
-  LoweredPlan() = default;
-  LoweredPlan(LoweredPlan&&) = default;
-  LoweredPlan& operator=(LoweredPlan&&) = default;
-
   std::vector<LoweredInsn> code;
   std::vector<LoweredState> states;  ///< by StateId
   SymbolId width = 0;                ///< dense-table width (= dispatch width)
   StateId initial = 0;
 
-  /// Hybrid support: a clone of the source transducer extended with one
-  /// synthetic root state per bridge site (rules `root -> callee(x0, ...)`
-  /// for element/text/eps), dispatch pre-compiled so concurrent runs never
-  /// race a lazy fill. Null for fully lowered plans.
-  std::unique_ptr<const Mft> bridge_mft;
-  /// Per-site synthetic root state in `bridge_mft`, indexed by the site
-  /// half of a kBridge instruction argument.
-  std::vector<StateId> bridge_sites;
-  /// True when the plan contains at least one kBridge site (some states
-  /// execute on the table engine under the opcode core).
+  /// The text literals any state's text cases test, in the order of
+  /// LoweredState::text_cases.
+  std::vector<std::string> text_literals;
+  /// Parameter slots of every choice frame (the widest selector state).
+  std::uint32_t choice_params = 0;
+
+  /// Always false; kept for bench/xqbench, which reads it.
   bool hybrid = false;
-  /// Human-readable summary of how the plan lowered ("full", or
-  /// "hybrid: ..." naming what bridges), surfaced by --stats and serving.
+  /// Human-readable summary of how the plan lowered ("full"), surfaced by
+  /// --stats and serving.
   std::string lowering_note;
 };
-
-/// \brief One table-machine sub-run behind a kBridge site. Constructed by
-/// the BridgeFactory when the opcode engine reaches the site's anchor; fed
-/// exactly the anchor subtree's events (start, interior, end — or a single
-/// text event, or nothing for an eps site); finished once to flush and
-/// verify. Output lands in the sink the factory was given.
-class BridgeRun {
- public:
-  virtual ~BridgeRun() = default;
-  virtual Status Feed(const XmlEvent& event) = 0;
-  virtual Status Finish() = 0;
-};
-
-/// Supplied by the engine facade (stream/engine.cc), which owns the run
-/// context the sub-runs share: builds the BridgeRun for `site` writing into
-/// `sink`. The factory outlives the OpsEngine it is handed to.
-using BridgeFactory =
-    std::function<std::unique_ptr<BridgeRun>(std::uint32_t site,
-                                             OutputSink* sink)>;
 
 /// Compiles `mft` to a LoweredPlan. The dispatch is compiled as a side
 /// effect (lowering translates its tables). Fails with InvalidArgument and a
@@ -211,7 +220,7 @@ Result<LoweredPlan> LowerMft(const Mft& mft);
 /// The cached lowering of `mft`: compiles on first call and parks the result
 /// (or the not-lowerable reason) in the transducer's lowering-cache slot.
 /// Returns null when the plan is not lowerable, with the reason in `*why`;
-/// on success `*why` carries the lowering note ("full" / "hybrid: ...").
+/// on success `*why` carries the lowering note ("full").
 /// Same thread contract as Mft::dispatch(): the first call is
 /// single-threaded; afterwards the plan is immutable and safe to share
 /// (CompiledPlan forces the fill before a plan can be shared).

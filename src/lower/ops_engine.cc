@@ -45,8 +45,7 @@ OpsEngine::OpsEngine(const LoweredPlan& plan, OutputSink* sink,
                      SymbolTable* symbols, MemoryTracker* tracker,
                      std::uint64_t max_steps, SchemaValidator* validator,
                      const CancelToken* cancel,
-                     std::uint32_t cancel_check_events,
-                     const BridgeFactory* bridges)
+                     std::uint32_t cancel_check_events)
     : plan_(&plan),
       sink_(sink),
       symbols_(symbols),
@@ -55,15 +54,17 @@ OpsEngine::OpsEngine(const LoweredPlan& plan, OutputSink* sink,
       validator_(validator),
       cancel_(cancel),
       cancel_check_events_(cancel_check_events),
-      bridge_factory_(bridges),
-      arena_(tracker) {}
+      arena_(tracker),
+      frame_pool_(tracker),
+      choice_pool_(tracker) {
+  const std::uint32_t k = plan.choice_params;
+  frame_pool_.set_size(sizeof(Frame) + k * sizeof(std::uintptr_t));
+  choice_pool_.set_size(sizeof(Choice) + k * sizeof(Segment*));
+}
 
 OpsEngine::~OpsEngine() {
   // Segments may still hold charges when a run ends early (error or an
-  // abandoned engine); settle the shared tracker's balance wholesale. The
-  // bridge records must go first: their sub-runs recycle cells and exprs
-  // into the shared scratch slabs the engine's owner destroys after us.
-  bridges_.clear();
+  // abandoned engine); settle the shared tracker's balance wholesale.
   tracker_->Release(charged_bytes_);
 }
 
@@ -77,8 +78,10 @@ OpsEngine::Segment* OpsEngine::NewSegment() {
     s = all_segments_.back().get();
   }
   s->next = nullptr;
+  s->hold = nullptr;
   s->closed = false;
   s->live = false;
+  s->drop = false;
   const std::size_t charge = sizeof(Segment) + s->data.capacity();
   tracker_->Charge(charge);
   charged_bytes_ += charge;
@@ -95,6 +98,7 @@ void OpsEngine::RecycleSegment(Segment* s) {
 }
 
 void OpsEngine::ChargeAppend(Segment* s, const char* bytes, std::size_t n) {
+  if (s->drop) return;  // a losing residual's writer is still running
   const std::size_t old_cap = s->data.capacity();
   s->data.append(bytes, n);
   const std::size_t new_cap = s->data.capacity();
@@ -112,6 +116,8 @@ OpsEngine::Segment* OpsEngine::SplitAfter(Segment* cur) {
 OpsEngine::Segment* OpsEngine::InsertAfter(Segment* prev) {
   Segment* s = NewSegment();
   s->next = prev->next;
+  s->hold = prev->hold;
+  s->drop = prev->drop;
   prev->next = s;
   return s;
 }
@@ -200,12 +206,14 @@ void OpsEngine::ReplayBytes(std::string_view data) {
 void OpsEngine::FlushHead() {
   while (head_ != nullptr) {
     Segment* s = head_;
+    if (s->hold != nullptr) return;  // waits on a pending choice
     if (s->closed) {
       ReplayBytes(s->data);
       head_ = s->next;
       RecycleSegment(s);
       continue;
     }
+    if (s->drop) return;  // its writer still runs; nothing will ever show
     if (!s->live) {
       // The head is still being written: drain what it buffered and switch
       // it to write-through until its writer splits or closes it.
@@ -294,107 +302,194 @@ OpsEngine::Rope* OpsEngine::MaterializeFile() {
   return file;
 }
 
-// ----------------------------------------------------------------- bridges
+// ----------------------------------------------------------------- choices
 
-void OpsEngine::SegSink::StartElement(std::string_view name) {
-  engine_->EmitStart(seg_,
-                     engine_->symbols_->Intern(NodeKind::kElement, name));
-}
-
-void OpsEngine::SegSink::EndElement(std::string_view name) {
-  engine_->EmitEnd(seg_,
-                   engine_->symbols_->Intern(NodeKind::kElement, name));
-}
-
-void OpsEngine::SegSink::Text(std::string_view content) {
-  engine_->EmitTextBytes(seg_, content);
-}
-
-void OpsEngine::StartElementBridge(std::uint32_t site, Segment* seg,
-                                   const XmlEvent* event, SymbolId sym) {
-  if (bridge_factory_ == nullptr || !*bridge_factory_) {
-    if (exec_status_.ok()) {
-      exec_status_ =
-          Status::Internal("hybrid plan executed without a bridge factory");
+void* OpsEngine::FixedPool::Alloc() {
+  void* p = free_;
+  if (p != nullptr) {
+    free_ = *static_cast<void**>(p);
+  } else {
+    const std::size_t block = std::max<std::size_t>(4096, size_);
+    if (blocks_.empty() || block - used_ < size_) {
+      blocks_.push_back(std::make_unique<char[]>(block));
+      used_ = 0;
     }
-    seg->closed = true;  // nothing will ever write it
-    return;
+    p = blocks_.back().get() + used_;
+    used_ += size_;
   }
-  auto rec = std::make_unique<BridgeRec>(this, seg);
-  rec->seg = seg;
-  rec->anchor_depth = depth_;
-  rec->run = (*bridge_factory_)(site, &rec->sink);
-  ++bridges_spawned_;
-  // The routing in Feed only reaches bridges that already exist, so the
-  // anchor's own StartElement is delivered here.
-  XmlEvent anchor = *event;
-  anchor.symbol = sym;
-  Status s = rec->run->Feed(anchor);
-  if (!s.ok() && exec_status_.ok()) exec_status_ = std::move(s);
-  bridges_.push_back(std::move(rec));
+  ++live_;
+  tracker_->Charge(size_);
+  return p;
 }
 
-void OpsEngine::RunInlineBridge(std::uint32_t site, Segment* cur,
-                                const XmlEvent* event) {
-  if (bridge_factory_ == nullptr || !*bridge_factory_) {
-    if (exec_status_.ok()) {
-      exec_status_ =
-          Status::Internal("hybrid plan executed without a bridge factory");
+OpsEngine::Frame* OpsEngine::NewFrame(Choice* site) {
+  Frame* f = static_cast<Frame*>(frame_pool_.Alloc());
+  f->site = site;
+  f->value = 0;
+  f->refs = 0;
+  f->dead = false;
+  f->orphan = false;
+  std::fill(f->params(), f->params() + plan_->choice_params,
+            std::uintptr_t{0});
+  ++site->frames;
+  return f;
+}
+
+void OpsEngine::Unref(std::uintptr_t v) {
+  if (v == 0 || (v & 1) != 0) return;
+  if (--reinterpret_cast<Frame*>(v)->refs != 0) return;
+  // The last holder let go. A pending frame whose consumer still runs is
+  // dead: it releases its parameters now, and the consumer drops at its
+  // next event. Anything else is freed with what it holds. Iterative —
+  // chains of frames can be as long as a sibling list.
+  unref_work_.push_back(reinterpret_cast<Frame*>(v));
+  auto release = [this](std::uintptr_t u) {
+    if (u != 0 && (u & 1) == 0 && --reinterpret_cast<Frame*>(u)->refs == 0) {
+      unref_work_.push_back(reinterpret_cast<Frame*>(u));
     }
-    return;
+  };
+  while (!unref_work_.empty()) {
+    Frame* f = unref_work_.back();
+    unref_work_.pop_back();
+    if (f->value != 0) {
+      release(f->value);
+    } else {
+      std::uintptr_t* p = f->params();
+      for (std::uint32_t i = 0; i < plan_->choice_params; ++i) {
+        release(p[i]);
+        p[i] = 0;
+      }
+      if (!f->orphan) {
+        f->dead = true;
+        continue;
+      }
+    }
+    Choice* c = f->site;
+    frame_pool_.Free(f);
+    if (--c->frames == 0 && c->done) choice_pool_.Free(c);
   }
-  // A text or eps anchor is a complete sub-input: run it synchronously into
-  // the caller's segment (one text event, or nothing at all).
-  SegSink sink(this, cur);
-  std::unique_ptr<BridgeRun> run = (*bridge_factory_)(site, &sink);
-  ++bridges_spawned_;
-  Status s = Status::OK();
-  if (event != nullptr) s = run->Feed(*event);
-  if (s.ok()) s = run->Finish();
-  if (!s.ok() && exec_status_.ok()) exec_status_ = std::move(s);
 }
 
-Status OpsEngine::FeedBridges(const XmlEvent& event) {
-  for (std::unique_ptr<BridgeRec>& rec : bridges_) {
-    XQMFT_RETURN_NOT_OK(rec->run->Feed(event));
-  }
-  return Status::OK();
+void OpsEngine::Drop(void* regs) {
+  Frame* f = static_cast<Frame*>(regs);
+  f->orphan = true;
+  ++f->refs;
+  Unref(reinterpret_cast<std::uintptr_t>(f));
 }
 
-Status OpsEngine::CompleteBridges() {
-  Status result = Status::OK();
-  while (!bridges_.empty() && bridges_.back()->anchor_depth == depth_) {
-    std::unique_ptr<BridgeRec> rec = std::move(bridges_.back());
-    bridges_.pop_back();
-    Status s = rec->run->Finish();
-    rec->seg->closed = true;
-    if (!s.ok() && result.ok()) result = std::move(s);
+void OpsEngine::SetParams(Frame* f) {
+  // The staged values' references move into the frame; the old parameters'
+  // are dropped after the copy (a staged value may be an old parameter).
+  std::uintptr_t old[kMaxChoiceParams];
+  std::uintptr_t* p = f->params();
+  const std::uint32_t k = plan_->choice_params;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    old[i] = p[i];
+    p[i] = i < staged_vals_n_ ? staged_vals_[i] : 0;
   }
-  return result;
+  staged_vals_n_ = 0;
+  for (std::uint32_t i = 0; i < k; ++i) Unref(old[i]);
+}
+
+void OpsEngine::Resolve(Frame* f, std::uintptr_t v) {
+  // The deciding consumer holds f until the end; v's staged reference
+  // becomes the frame's value reference.
+  ++f->refs;
+  f->value = v;
+  std::uintptr_t* p = f->params();
+  for (std::uint32_t i = 0; i < plan_->choice_params; ++i) {
+    const std::uintptr_t u = p[i];
+    p[i] = 0;
+    Unref(u);
+  }
+  Choice* c = f->site;
+  if (!c->done && c->root == f) {
+    if ((v & 1) != 0) {
+      Settle(c, static_cast<std::uint32_t>(v >> 1));
+    } else {
+      // The site's verdict now follows v: its root reference moves there.
+      c->root = reinterpret_cast<Frame*>(v);
+      Ref(v);
+      Unref(reinterpret_cast<std::uintptr_t>(f));
+    }
+  }
+  Unref(reinterpret_cast<std::uintptr_t>(f));
+}
+
+void OpsEngine::Abandon(Choice* c) {
+  c->done = true;
+  Frame* root = c->root;
+  c->root = nullptr;
+  // The root holds the site's last frame count until it is released, so
+  // the site is freed by whichever frame goes last.
+  if (root != nullptr) Unref(reinterpret_cast<std::uintptr_t>(root));
+}
+
+void OpsEngine::DropSegment(Segment* s) {
+  s->drop = true;
+  s->hold = nullptr;
+  s->data.clear();
+}
+
+void OpsEngine::Settle(Choice* c, std::uint32_t winner) {
+  // The residuals' segments are contiguous in the chain, residual by
+  // residual, up to the continuation: splits always insert right after
+  // their writer's segment.
+  Segment** first = c->first();
+  std::uint32_t res = 0;
+  for (Segment* s = first[0]; s != c->end; s = s->next) {
+    while (res + 1 < c->n && s == first[res + 1]) ++res;
+    Choice* h = s->hold;
+    if (h == nullptr) continue;  // dropped by a nested site already
+    if (res == winner) {
+      // Released in place; a nested site still pending now waits directly
+      // on whatever this site waited on.
+      if (h == c) {
+        s->hold = c->parent;
+      } else if (h->parent == c) {
+        h->parent = c->parent;
+      }
+    } else {
+      if (h != c && !h->done) Abandon(h);  // a site inside a losing residual
+      DropSegment(s);
+    }
+  }
+  Abandon(c);
 }
 
 // -------------------------------------------------------------- execution
 
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the ops core dispatches through labels-as-values (GCC or Clang)"
+#endif
+
 void OpsEngine::ExecProgram(const LoweredProgramRef& ref, Segment* cur,
-                            SymbolId sym, std::string_view text,
-                            const XmlEvent* event, Rope* ropes,
+                            SymbolId sym, std::string_view text, void* regs,
                             Consumer* child_out, std::uint32_t* child_n,
                             Consumer* sib_out, std::uint32_t* sib_n) {
   const LoweredInsn* pc = plan_->code.data() + ref.off;
   const LoweredInsn* const end = pc + ref.len;
+  Rope* const ropes = static_cast<Rope*>(regs);
+  // The frame kChoice* instructions decide: a cluster consumer's own, or a
+  // site's root after kChoiceClose. `fresh` holds the frames this program
+  // (or this site's entry code) created, by kChoiceNew order.
+  Frame* self = static_cast<Frame*>(regs);
+  Frame* fresh[kMaxChoiceFresh];
+  std::uint32_t n_fresh = 0;
 
-#if defined(__GNUC__) || defined(__clang__)
   // Direct-threaded dispatch: each handler jumps straight to the next
   // instruction's handler, giving the branch predictor one indirect target
   // per opcode instead of a single shared switch branch.
   static const void* const kJump[kNumLowerOps] = {
-      &&op_open_lit,      &&op_close_lit,      &&op_open_cur,
-      &&op_close_cur,     &&op_text_lit,       &&op_text_cur,
-      &&op_child,         &&op_sib,            &&op_bridge,
-      &&op_rope_new,      &&op_rope_open,      &&op_rope_close,
-      &&op_rope_text,     &&op_rope_open_cur,  &&op_rope_close_cur,
-      &&op_rope_text_cur, &&op_rope_splice,    &&op_rope_child,
-      &&op_rope_sib,      &&op_rope_emit,
+      &&op_open_lit,       &&op_close_lit,       &&op_open_cur,
+      &&op_close_cur,      &&op_text_lit,        &&op_text_cur,
+      &&op_child,          &&op_sib,             &&op_rope_new,
+      &&op_rope_open,      &&op_rope_close,      &&op_rope_text,
+      &&op_rope_open_cur,  &&op_rope_close_cur,  &&op_rope_text_cur,
+      &&op_rope_splice,    &&op_rope_child,      &&op_rope_sib,
+      &&op_rope_emit,      &&op_choice_open,     &&op_choice_next,
+      &&op_choice_close,   &&op_choice_new,      &&op_choice_arg,
+      &&op_choice_spawn_child, &&op_choice_spawn_sib, &&op_choice_resolve,
   };
 #define XQMFT_OPS_DISPATCH()                          \
   do {                                                \
@@ -432,12 +527,13 @@ op_child: {
   ++pc;
   if (pc == end) {
     // Tail spawn: the child inherits the writer's segment outright (and its
-    // register file — the identity parameter pass compiles to this).
-    child_out[(*child_n)++] = Consumer{q, cur, ropes};
+    // register file or frame — the identity parameter pass compiles to
+    // this).
+    child_out[(*child_n)++] = Consumer{q, cur, regs};
     return;
   }
   Segment* child_seg = SplitAfter(cur);
-  child_out[(*child_n)++] = Consumer{q, child_seg, ropes};
+  child_out[(*child_n)++] = Consumer{q, child_seg, regs};
   cur = InsertAfter(child_seg);
   XQMFT_OPS_DISPATCH();
 }
@@ -445,31 +541,12 @@ op_sib: {
   const std::uint32_t q = pc->arg;
   ++pc;
   if (pc == end) {
-    sib_out[(*sib_n)++] = Consumer{q, cur, ropes};
+    sib_out[(*sib_n)++] = Consumer{q, cur, regs};
     return;
   }
   Segment* sib_seg = SplitAfter(cur);
-  sib_out[(*sib_n)++] = Consumer{q, sib_seg, ropes};
+  sib_out[(*sib_n)++] = Consumer{q, sib_seg, regs};
   cur = InsertAfter(sib_seg);
-  XQMFT_OPS_DISPATCH();
-}
-op_bridge: {
-  const std::uint32_t site = pc->arg & kBridgeSiteMask;
-  const BridgeCtx bctx = static_cast<BridgeCtx>(pc->arg >> kBridgeCtxShift);
-  ++pc;
-  if (bctx == BridgeCtx::kElement) {
-    if (pc == end) {
-      // Tail bridge: the sub-run takes over the segment outright; it closes
-      // at the anchor's EndElement.
-      StartElementBridge(site, cur, event, sym);
-      return;
-    }
-    Segment* bseg = SplitAfter(cur);
-    StartElementBridge(site, bseg, event, sym);
-    cur = InsertAfter(bseg);
-  } else {
-    RunInlineBridge(site, cur, bctx == BridgeCtx::kText ? event : nullptr);
-  }
   XQMFT_OPS_DISPATCH();
 }
 op_rope_new:
@@ -568,162 +645,95 @@ op_rope_emit:
   RopeEmit(cur, &ropes[pc->arg]);
   ++pc;
   XQMFT_OPS_DISPATCH();
-op_done:
-  cur->closed = true;
-#undef XQMFT_OPS_DISPATCH
-#else
-  // Portable fallback: plain switch dispatch, same semantics.
-  while (pc != end) {
-    const LoweredInsn insn = *pc++;
-    switch (insn.op) {
-      case LowerOp::kOpenLit:
-        EmitStart(cur, insn.arg);
-        break;
-      case LowerOp::kCloseLit:
-        EmitEnd(cur, insn.arg);
-        break;
-      case LowerOp::kOpenCur:
-        EmitStart(cur, sym);
-        break;
-      case LowerOp::kCloseCur:
-        EmitEnd(cur, sym);
-        break;
-      case LowerOp::kTextLit:
-        EmitTextSym(cur, insn.arg);
-        break;
-      case LowerOp::kTextCur:
-        EmitTextBytes(cur, text);
-        break;
-      case LowerOp::kChild: {
-        if (pc == end) {
-          child_out[(*child_n)++] = Consumer{insn.arg, cur, ropes};
-          return;
-        }
-        Segment* child_seg = SplitAfter(cur);
-        child_out[(*child_n)++] = Consumer{insn.arg, child_seg, ropes};
-        cur = InsertAfter(child_seg);
-        break;
-      }
-      case LowerOp::kSib: {
-        if (pc == end) {
-          sib_out[(*sib_n)++] = Consumer{insn.arg, cur, ropes};
-          return;
-        }
-        Segment* sib_seg = SplitAfter(cur);
-        sib_out[(*sib_n)++] = Consumer{insn.arg, sib_seg, ropes};
-        cur = InsertAfter(sib_seg);
-        break;
-      }
-      case LowerOp::kBridge: {
-        const std::uint32_t site = insn.arg & kBridgeSiteMask;
-        const BridgeCtx bctx =
-            static_cast<BridgeCtx>(insn.arg >> kBridgeCtxShift);
-        if (bctx == BridgeCtx::kElement) {
-          if (pc == end) {
-            StartElementBridge(site, cur, event, sym);
-            return;
-          }
-          Segment* bseg = SplitAfter(cur);
-          StartElementBridge(site, bseg, event, sym);
-          cur = InsertAfter(bseg);
-        } else {
-          RunInlineBridge(site, cur,
-                          bctx == BridgeCtx::kText ? event : nullptr);
-        }
-        break;
-      }
-      case LowerOp::kRopeNew:
-        staged_[staged_n_++] = Rope{};
-        break;
-      case LowerOp::kRopeOpen:
-        RopePack(&staged_[staged_n_ - 1], 'S', insn.arg);
-        break;
-      case LowerOp::kRopeClose:
-        RopePack(&staged_[staged_n_ - 1], 'E', insn.arg);
-        break;
-      case LowerOp::kRopeText:
-        RopePack(&staged_[staged_n_ - 1], 'L', insn.arg);
-        break;
-      case LowerOp::kRopeOpenCur:
-        RopePack(&staged_[staged_n_ - 1], 'S', sym);
-        break;
-      case LowerOp::kRopeCloseCur:
-        RopePack(&staged_[staged_n_ - 1], 'E', sym);
-        break;
-      case LowerOp::kRopeTextCur: {
-        Rope* r = &staged_[staged_n_ - 1];
-        char hdr[5];
-        PackTag(hdr, 'T', static_cast<std::uint32_t>(text.size()));
-        RopeAppend(r, hdr, sizeof(hdr));
-        // RopeAppend keeps records whole; emulate by appending into the
-        // same chunk RopeAppend just guaranteed room in.
-        RopeChunk* t = r->tail;
-        if (t->cap - t->len >= text.size()) {
-          std::memcpy(t->bytes() + t->len, text.data(), text.size());
-          t->len += static_cast<std::uint32_t>(text.size());
-        } else {
-          // Undo the header and re-append the whole record into one chunk.
-          t->len -= sizeof(hdr);
-          char* rec = static_cast<char*>(
-              RopeAlloc(sizeof(RopeChunk) + sizeof(hdr) + text.size()));
-          RopeChunk* c = reinterpret_cast<RopeChunk*>(rec);
-          c->next = nullptr;
-          c->len = static_cast<std::uint32_t>(sizeof(hdr) + text.size());
-          c->cap = c->len;
-          std::memcpy(c->bytes(), hdr, sizeof(hdr));
-          std::memcpy(c->bytes() + sizeof(hdr), text.data(), text.size());
-          if (r->tail == nullptr) {
-            r->head = c;
-          } else {
-            r->tail->next = c;
-          }
-          r->tail = c;
-        }
-        break;
-      }
-      case LowerOp::kRopeSplice: {
-        Rope& src = ropes[insn.arg];
-        if (src.head != nullptr) {
-          Rope& dst = staged_[staged_n_ - 1];
-          if (dst.tail != nullptr) {
-            dst.tail->next = src.head;
-            dst.tail = src.tail;
-          } else {
-            dst = src;
-          }
-          src = Rope{};
-        }
-        break;
-      }
-      case LowerOp::kRopeChild: {
-        Rope* file = MaterializeFile();
-        if (pc == end) {
-          child_out[(*child_n)++] = Consumer{insn.arg, cur, file};
-          return;
-        }
-        Segment* child_seg = SplitAfter(cur);
-        child_out[(*child_n)++] = Consumer{insn.arg, child_seg, file};
-        cur = InsertAfter(child_seg);
-        break;
-      }
-      case LowerOp::kRopeSib: {
-        Rope* file = MaterializeFile();
-        if (pc == end) {
-          sib_out[(*sib_n)++] = Consumer{insn.arg, cur, file};
-          return;
-        }
-        Segment* sib_seg = SplitAfter(cur);
-        sib_out[(*sib_n)++] = Consumer{insn.arg, sib_seg, file};
-        cur = InsertAfter(sib_seg);
-        break;
-      }
-      case LowerOp::kRopeEmit:
-        RopeEmit(cur, &ropes[insn.arg]);
-        break;
-    }
+op_choice_open: {
+  // The first residual's held segment. Inside a losing residual the site
+  // is moot from the start: its segments drop and its frames are dead.
+  Choice* c = static_cast<Choice*>(choice_pool_.Alloc());
+  c->root = nullptr;
+  c->parent = cur->hold;
+  c->end = nullptr;
+  c->n = 1;
+  c->frames = 0;
+  c->done = cur->drop;
+  cur = SplitAfter(cur);
+  if (!cur->drop) cur->hold = c;
+  c->first()[0] = cur;
+  open_choices_.push_back(c);
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+}
+op_choice_next: {
+  Choice* c = open_choices_.back();
+  cur = SplitAfter(cur);
+  if (!cur->drop) cur->hold = c;
+  c->first()[c->n++] = cur;
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+}
+op_choice_close: {
+  Choice* c = open_choices_.back();
+  open_choices_.pop_back();
+  cur = SplitAfter(cur);
+  if (!cur->drop) cur->hold = c->parent;
+  c->end = cur;
+  self = NewFrame(c);
+  if (!c->done) {
+    c->root = self;
+    self->refs = 1;  // held by the site until it settles
   }
-  cur->closed = true;
-#endif
+  n_fresh = 0;
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+}
+op_choice_new:
+  fresh[n_fresh++] = NewFrame(self->site);
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+op_choice_arg: {
+  const std::uint32_t index = pc->arg & kChoiceIndexMask;
+  std::uintptr_t v;
+  switch (static_cast<ChoiceOperand>(pc->arg >> kChoiceKindShift)) {
+    case ChoiceOperand::kResidual:
+      v = (std::uintptr_t{index} << 1) | 1;
+      break;
+    case ChoiceOperand::kOwn:
+      v = Chase(self->params()[index]);
+      break;
+    default:  // kFresh
+      v = reinterpret_cast<std::uintptr_t>(fresh[index]);
+      break;
+  }
+  Ref(v);
+  staged_vals_[staged_vals_n_++] = v;
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+}
+op_choice_spawn_child: {
+  const std::uint32_t target = pc->arg >> kChoiceKindShift;
+  Frame* f = target == 0 ? self : fresh[target - 1];
+  SetParams(f);
+  child_out[(*child_n)++] =
+      Consumer{pc->arg & kChoiceIndexMask, nullptr, f};
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+}
+op_choice_spawn_sib: {
+  const std::uint32_t target = pc->arg >> kChoiceKindShift;
+  Frame* f = target == 0 ? self : fresh[target - 1];
+  SetParams(f);
+  sib_out[(*sib_n)++] = Consumer{pc->arg & kChoiceIndexMask, nullptr, f};
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+}
+op_choice_resolve:
+  staged_vals_n_ = 0;
+  Resolve(self, staged_vals_[0]);
+  ++pc;
+  XQMFT_OPS_DISPATCH();
+op_done:
+  // Cluster programs have no segment; everything else closes its own.
+  if (cur != nullptr) cur->closed = true;
+#undef XQMFT_OPS_DISPATCH
 }
 
 Status OpsEngine::Prime() {
@@ -763,26 +773,14 @@ Status OpsEngine::Feed(const XmlEvent& event) {
   if (validator_ != nullptr) {
     XQMFT_RETURN_NOT_OK(Sticky(validator_->Feed(event)));
   }
-  // Bridge routing wraps the consumer handlers: an active table sub-run
-  // receives every event of its anchor subtree even when the ops consumers
-  // skipped it (skip_depth_), and completes at the anchor's close. depth_
-  // tracks raw input nesting for exactly this purpose.
   switch (event.type) {
     case XmlEventType::kStartElement:
-      if (!bridges_.empty()) XQMFT_RETURN_NOT_OK(Sticky(FeedBridges(event)));
-      ++depth_;
       XQMFT_RETURN_NOT_OK(Sticky(OnStartElement(event)));
       break;
     case XmlEventType::kText:
-      if (!bridges_.empty()) XQMFT_RETURN_NOT_OK(Sticky(FeedBridges(event)));
       XQMFT_RETURN_NOT_OK(Sticky(OnText(event)));
       break;
     case XmlEventType::kEndElement:
-      if (!bridges_.empty()) {
-        XQMFT_RETURN_NOT_OK(Sticky(FeedBridges(event)));
-        XQMFT_RETURN_NOT_OK(Sticky(CompleteBridges()));
-      }
-      if (depth_ > 0) --depth_;
       XQMFT_RETURN_NOT_OK(Sticky(OnEndElement()));
       break;
     case XmlEventType::kEndOfDocument:
@@ -792,7 +790,7 @@ Status OpsEngine::Feed(const XmlEvent& event) {
       return Sticky(Status::Internal("unknown event type"));
   }
   FlushHead();
-  if (total_consumers_ == 0 && bridges_.empty()) done_ = true;
+  if (total_consumers_ == 0) done_ = true;
   return Status::OK();
 }
 
@@ -823,13 +821,18 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
   for (std::uint32_t i = 0; i < top.count; ++i) {
     const Consumer& c = top.items[i];
     const LoweredState& st = plan_->states[c.state];
+    if (st.choice && Dead(c.regs)) {
+      Drop(c.regs);
+      all_simple = false;  // the survivors are rebuilt below
+      continue;
+    }
     const LoweredProgramRef* prog =
         sym < plan_->width ? &st.element[sym] : &st.element_default;
     all_simple = all_simple && prog->simple_sib;
     total_child += prog->n_child;
     total_sib += prog->n_sib;
     total_prealloc += prog->prealloc_bytes;
-    scratch_.push_back(PendingExec{c.state, prog, c.seg, c.ropes});
+    scratch_.push_back(PendingExec{prog, c.seg, c.regs});
   }
 
   if (all_simple) {
@@ -875,8 +878,8 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
   std::uint32_t n_child = 0;
   std::uint32_t n_sib = 0;
   for (const PendingExec& p : scratch_) {
-    ExecProgram(*p.prog, p.seg, sym, std::string_view(), &event, p.ropes,
-                children, &n_child, sibs, &n_sib);
+    ExecProgram(*p.prog, p.seg, sym, std::string_view(), p.regs, children,
+                &n_child, sibs, &n_sib);
   }
 
   total_consumers_ += n_sib + n_child;
@@ -897,7 +900,6 @@ Status OpsEngine::OnStartElement(const XmlEvent& event) {
     scope.mark = mark;
     scopes_.push_back(scope);
   }
-  if (!exec_status_.ok()) return exec_status_;
   return Status::OK();
 }
 
@@ -917,12 +919,27 @@ Status OpsEngine::OnText(const XmlEvent& event) {
   scratch_.clear();
   std::uint32_t total_sib = 0;
   bool all_simple = true;
+  // Index of the text literal the content equals: probed once, and only
+  // when some consumer's state has text cases (-1 none, -2 not probed).
+  int literal = -2;
   for (std::uint32_t i = 0; i < top.count; ++i) {
     const Consumer& c = top.items[i];
-    const LoweredProgramRef* prog = &plan_->states[c.state].text;
+    const LoweredState& st = plan_->states[c.state];
+    if (st.choice && Dead(c.regs)) {
+      Drop(c.regs);
+      all_simple = false;
+      continue;
+    }
+    const LoweredProgramRef* prog = &st.text;
+    if (!st.text_cases.empty()) {
+      if (literal == -2) literal = MatchLiteral(event.text);
+      if (literal >= 0) {
+        prog = &st.text_cases[static_cast<std::size_t>(literal)];
+      }
+    }
     all_simple = all_simple && prog->simple_sib;
     total_sib += prog->n_sib;
-    scratch_.push_back(PendingExec{c.state, prog, c.seg, c.ropes});
+    scratch_.push_back(PendingExec{prog, c.seg, c.regs});
   }
 
   if (all_simple) {
@@ -945,8 +962,8 @@ Status OpsEngine::OnText(const XmlEvent& event) {
   std::uint32_t n_sib = 0;
   for (const PendingExec& p : scratch_) {
     std::uint32_t n_child = 0;
-    ExecProgram(*p.prog, p.seg, kInvalidSymbol, event.text, &event, p.ropes,
-                nullptr, &n_child, sibs, &n_sib);
+    ExecProgram(*p.prog, p.seg, kInvalidSymbol, event.text, p.regs, nullptr,
+                &n_child, sibs, &n_sib);
   }
 
   total_consumers_ += n_sib;
@@ -955,8 +972,15 @@ Status OpsEngine::OnText(const XmlEvent& event) {
   top.items = sibs;
   top.count = n_sib;
   top.cap = sib_cap;
-  if (!exec_status_.ok()) return exec_status_;
   return Status::OK();
+}
+
+int OpsEngine::MatchLiteral(std::string_view text) const {
+  const std::vector<std::string>& lits = plan_->text_literals;
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    if (lits[i] == text) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 Status OpsEngine::OnEndElement() {
@@ -969,21 +993,28 @@ Status OpsEngine::OnEndElement() {
   }
   Scope top = scopes_.back();
   XQMFT_RETURN_NOT_OK(ChargeSteps(top.count));
-  for (std::uint32_t i = 0; i < top.count; ++i) {
-    const Consumer& c = top.items[i];
-    std::uint32_t n_child = 0;
-    std::uint32_t n_sib = 0;
-    // Epsilon programs are emission-only (register emits and eps bridges
-    // included); ExecProgram closes the segment.
-    ExecProgram(plan_->states[c.state].eps, c.seg, kInvalidSymbol,
-                std::string_view(), nullptr, c.ropes, nullptr, &n_child,
-                nullptr, &n_sib);
-  }
-  total_consumers_ -= top.count;
+  RunEpsilon(top);
   scopes_.pop_back();
   arena_.Reset(top.mark);
-  if (!exec_status_.ok()) return exec_status_;
   return Status::OK();
+}
+
+void OpsEngine::RunEpsilon(const Scope& scope) {
+  for (std::uint32_t i = 0; i < scope.count; ++i) {
+    const Consumer& c = scope.items[i];
+    const LoweredState& st = plan_->states[c.state];
+    if (st.choice && Dead(c.regs)) {
+      Drop(c.regs);
+      continue;
+    }
+    std::uint32_t n_child = 0;
+    std::uint32_t n_sib = 0;
+    // Epsilon programs only emit, emit registers, or resolve frames; they
+    // never allocate. ExecProgram closes the segment.
+    ExecProgram(st.eps, c.seg, kInvalidSymbol, std::string_view(), c.regs,
+                nullptr, &n_child, nullptr, &n_sib);
+  }
+  total_consumers_ -= scope.count;
 }
 
 Status OpsEngine::OnEndOfDocument() {
@@ -992,18 +1023,9 @@ Status OpsEngine::OnEndOfDocument() {
   }
   Scope& top = scopes_.back();
   XQMFT_RETURN_NOT_OK(ChargeSteps(top.count));
-  for (std::uint32_t i = 0; i < top.count; ++i) {
-    const Consumer& c = top.items[i];
-    std::uint32_t n_child = 0;
-    std::uint32_t n_sib = 0;
-    ExecProgram(plan_->states[c.state].eps, c.seg, kInvalidSymbol,
-                std::string_view(), nullptr, c.ropes, nullptr, &n_child,
-                nullptr, &n_sib);
-  }
-  total_consumers_ -= top.count;
+  RunEpsilon(top);
   top.count = 0;
   input_done_ = true;
-  if (!exec_status_.ok()) return exec_status_;
   return Status::OK();
 }
 

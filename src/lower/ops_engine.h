@@ -33,12 +33,22 @@
 //     pre-allocated *before* the event's child mark (LoweredProgramRef::
 //     prealloc_bytes bounds it statically), so ropes handed to sibling
 //     continuations survive the subtree reset.
-//   * kBridge instructions execute *hybrid* plans: the site's anchor subtree
-//     is run through a table-machine sub-run (built by the BridgeFactory the
-//     engine was given) whose output lands in a dedicated segment at the
-//     call position. The ops core keeps scanning concurrently; the sub-run
-//     is fed every event of the anchor subtree and finished at the anchor's
-//     close.
+//   * Selector clusters (XPath predicates) run on *choice frames*. A site
+//     writes each residual argument into its own *held* segment: a held
+//     segment never goes live and never drains, so it blocks the chain
+//     behind it and the output stays in order. The cluster's consumers
+//     carry a frame in their register slot — the pending value a rule's
+//     bare y_i resolves — whose parameters are residual indices or further
+//     frames. When the site's root frame resolves to a residual, the
+//     winner's segments (and every segment split from them) are released in
+//     place, the losers' are cleared and keep dropping writes until their
+//     writers finish, and every frame of the site is dead. Frames are
+//     refcounted, so a frame no longer reachable from the site dies as soon
+//     as the frame that held it resolves, and its consumer drops at its
+//     next event (this keeps q04-shaped predicates linear). Frames and
+//     sites come from fixed-size free-list pools rather than the arena: a
+//     frame created deep in a subtree may be the value of a frame created
+//     above it, so scope lifetimes do not bound theirs.
 //
 // Same contract as the table machine behind Engine: done() may become true
 // before the input ends (drivers stop feeding), errors are sticky, Finish
@@ -47,6 +57,7 @@
 #ifndef XQMFT_LOWER_OPS_ENGINE_H_
 #define XQMFT_LOWER_OPS_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -75,14 +86,10 @@ class OpsEngine {
   /// the sticky run status before the event does any work, so the sink ends
   /// at the previous event boundary and Finish never drains the segments a
   /// cancelled run left buffered (stream/engine.h's cancelled-run contract).
-  /// `bridges` builds the table-machine sub-runs behind kBridge sites; it
-  /// must outlive the engine and may be null only for non-hybrid plans
-  /// (reaching a kBridge without a factory is a run error).
   OpsEngine(const LoweredPlan& plan, OutputSink* sink, SymbolTable* symbols,
             MemoryTracker* tracker, std::uint64_t max_steps,
             SchemaValidator* validator, const CancelToken* cancel = nullptr,
-            std::uint32_t cancel_check_events = 128,
-            const BridgeFactory* bridges = nullptr);
+            std::uint32_t cancel_check_events = 128);
   ~OpsEngine();
   OpsEngine(const OpsEngine&) = delete;
   OpsEngine& operator=(const OpsEngine&) = delete;
@@ -97,18 +104,24 @@ class OpsEngine {
   std::uint64_t steps() const { return steps_; }
   /// Consumer records served from the arena (reported as cells_arena).
   std::uint64_t consumers_spawned() const { return spawned_; }
-  /// Table-machine sub-runs started for kBridge sites.
-  std::uint64_t bridge_runs() const { return bridges_spawned_; }
 
  private:
   // A single-writer span of the output stream. `data` buffers packed records
   // ('S'/'E'/'L' + symbol id, 'T' + length + bytes) until the segment
   // becomes the chain head; a live head skips the buffer entirely.
+  struct Choice;
+
+  // A single-writer span of the output stream. `data` buffers packed records
+  // ('S'/'E'/'L' + symbol id, 'T' + length + bytes) until the segment
+  // becomes the chain head; a live head skips the buffer entirely. Segments
+  // split from a held or dropped segment inherit its state.
   struct Segment {
     std::string data;
     Segment* next = nullptr;
+    Choice* hold = nullptr;  ///< innermost pending site it waits on
     bool closed = false;  ///< writer finished; drains when it becomes head
     bool live = false;    ///< is the open head: writes go straight to sink
+    bool drop = false;    ///< belongs to a losing residual: writes vanish
   };
 
   // One rope-register chunk: a header followed by `cap` payload bytes, all
@@ -131,8 +144,67 @@ class OpsEngine {
 
   struct Consumer {
     std::uint32_t state;
-    Segment* seg;
-    Rope* ropes;  ///< register file, null for parameter-free states
+    Segment* seg;  ///< null for cluster states, which never write
+    /// Rope* register file (null for parameter-free states), or the Frame*
+    /// a cluster state decides (LoweredState::choice).
+    void* regs;
+  };
+
+  // A frame: the pending value of one cluster call, plus the parameters of
+  // the consumer deciding it (trailing, LoweredPlan::choice_params slots).
+  // Values are 0 (none), a residual index r as 2r+1, or a Frame*. Every
+  // pending frame has exactly one deciding consumer; `refs` counts the
+  // other holders (parameter slots, resolved frames' values, the site's
+  // root). A pending frame whose refs reach 0 is dead; a frame is freed
+  // once it has neither holders nor a consumer.
+  struct Frame {
+    Choice* site;
+    std::uintptr_t value;  ///< 0 while pending
+    std::uint32_t refs;
+    bool dead;    ///< unreachable before it resolved: its consumer drops
+    bool orphan;  ///< pending, but its consumer dropped it
+    std::uintptr_t* params() {
+      return reinterpret_cast<std::uintptr_t*>(this + 1);
+    }
+  };
+
+  // One choice site: its residuals' first segments (trailing, `n` of them),
+  // the continuation segment after them, and the root frame its verdict
+  // follows. Freed once done and no frame of it is left.
+  struct Choice {
+    Frame* root;
+    Choice* parent;  ///< pending site the caller's segment waits on
+    Segment* end;
+    std::uint32_t n;
+    std::uint32_t frames;  ///< live frames of this site
+    bool done;  ///< resolved, or dropped inside a losing residual
+    Segment** first() { return reinterpret_cast<Segment**>(this + 1); }
+  };
+
+  // Fixed-size free-list allocator for frames and sites. Live objects are
+  // charged to the tracker, like the arena's live bytes.
+  class FixedPool {
+   public:
+    explicit FixedPool(MemoryTracker* tracker) : tracker_(tracker) {}
+    ~FixedPool() { tracker_->Release(live_ * size_); }
+    void set_size(std::size_t n) {
+      size_ = std::max<std::size_t>((n + 7) & ~std::size_t{7}, sizeof(void*));
+    }
+    void* Alloc();
+    void Free(void* p) {
+      *static_cast<void**>(p) = free_;
+      free_ = p;
+      --live_;
+      tracker_->Release(size_);
+    }
+
+   private:
+    MemoryTracker* tracker_;
+    std::vector<std::unique_ptr<char[]>> blocks_;
+    void* free_ = nullptr;
+    std::size_t size_ = sizeof(void*);
+    std::size_t used_ = 0;  ///< bytes carved from the newest block
+    std::size_t live_ = 0;
   };
 
   // Bump allocator for consumer records. Reset(mark) retires everything
@@ -185,39 +257,9 @@ class OpsEngine {
   // Program resolution snapshot taken before execution: sibling rewrites may
   // reuse the scope's own array in place, so consumers are copied out first.
   struct PendingExec {
-    std::uint32_t state;
     const LoweredProgramRef* prog;
     Segment* seg;
-    Rope* ropes;
-  };
-
-  // Adapts the OutputSink interface back onto a segment: a bridged table
-  // sub-run emits resolved names, which are re-interned and written as
-  // packed records (or streamed straight through when the segment is the
-  // live head). Symbol ids are shared — the sub-run uses the same run table.
-  class SegSink : public OutputSink {
-   public:
-    SegSink(OpsEngine* engine, Segment* seg) : engine_(engine), seg_(seg) {}
-    void StartElement(std::string_view name) override;
-    void EndElement(std::string_view name) override;
-    void Text(std::string_view content) override;
-
-   private:
-    OpsEngine* engine_;
-    Segment* seg_;
-  };
-
-  // One in-flight kBridge sub-run over an element anchor. Lives from the
-  // anchor's StartElement (fed synthetically at creation, since the routing
-  // in Feed only reaches bridges that already exist) to its EndElement, at
-  // which point the run is finished and the segment closed. Text/eps anchors
-  // never create a record: their sub-runs complete inline.
-  struct BridgeRec {
-    BridgeRec(OpsEngine* engine, Segment* seg) : sink(engine, seg) {}
-    SegSink sink;
-    std::unique_ptr<BridgeRun> run;
-    Segment* seg = nullptr;
-    std::uint64_t anchor_depth = 0;
+    void* regs;
   };
 
   Status Sticky(Status s) {
@@ -230,18 +272,17 @@ class OpsEngine {
   Status OnText(const XmlEvent& event);
   Status OnEndElement();
   Status OnEndOfDocument();
+  void RunEpsilon(const Scope& scope);  ///< the scope's forest has ended
+  int MatchLiteral(std::string_view text) const;  ///< index, or -1
 
   // Runs one program over the current event. `cur` is the consumer's
-  // segment; `ropes` its register file; `event` the driving input event
-  // (null for epsilon programs — only bridges read it). Spawns append to
+  // segment; `regs` its register file or frame. Spawns append to
   // child_out/sib_out (counts via *child_n / *sib_n). Closes `cur` unless
-  // the final instruction handed it off. Failures (a bridge site without a
-  // factory, a sub-run error) land in exec_status_ — callers check after
-  // the event's programs ran.
+  // the final instruction handed it off.
   void ExecProgram(const LoweredProgramRef& ref, Segment* cur, SymbolId sym,
-                   std::string_view text, const XmlEvent* event, Rope* ropes,
-                   Consumer* child_out, std::uint32_t* child_n,
-                   Consumer* sib_out, std::uint32_t* sib_n);
+                   std::string_view text, void* regs, Consumer* child_out,
+                   std::uint32_t* child_n, Consumer* sib_out,
+                   std::uint32_t* sib_n);
 
   Consumer* AllocConsumers(std::uint32_t n) {
     return static_cast<Consumer*>(arena_.Alloc(n * sizeof(Consumer)));
@@ -269,15 +310,29 @@ class OpsEngine {
   void RopeEmit(Segment* cur, Rope* rope);
   Rope* MaterializeFile();
 
-  // Bridge machinery: starts the sub-run for `site` over an element anchor
-  // writing into `seg` (the anchor StartElement is fed from `event`), or
-  // runs a text/eps anchor to completion inline.
-  void StartElementBridge(std::uint32_t site, Segment* seg,
-                          const XmlEvent* event, SymbolId sym);
-  void RunInlineBridge(std::uint32_t site, Segment* cur,
-                       const XmlEvent* event);
-  Status FeedBridges(const XmlEvent& event);
-  Status CompleteBridges();  ///< finish bridges anchored at depth_
+  // Choice machinery.
+  Frame* NewFrame(Choice* site);
+  void Drop(void* regs);  ///< a dead frame's consumer lets go of it
+  static bool Dead(const void* regs) {
+    const Frame* f = static_cast<const Frame*>(regs);
+    return f->dead || f->site->done;
+  }
+  static std::uintptr_t Chase(std::uintptr_t v) {
+    while (v != 0 && (v & 1) == 0 &&
+           reinterpret_cast<Frame*>(v)->value != 0) {
+      v = reinterpret_cast<Frame*>(v)->value;
+    }
+    return v;
+  }
+  static void Ref(std::uintptr_t v) {
+    if (v != 0 && (v & 1) == 0) ++reinterpret_cast<Frame*>(v)->refs;
+  }
+  void Unref(std::uintptr_t v);
+  void SetParams(Frame* f);  ///< the staged values become f's parameters
+  void Resolve(Frame* f, std::uintptr_t v);
+  void Settle(Choice* c, std::uint32_t winner);
+  void Abandon(Choice* c);  ///< done: release the root, free when empty
+  void DropSegment(Segment* s);
 
   const LoweredPlan* plan_;
   OutputSink* sink_;
@@ -287,7 +342,6 @@ class OpsEngine {
   SchemaValidator* validator_;
   const CancelToken* cancel_;
   const std::uint32_t cancel_check_events_;
-  const BridgeFactory* bridge_factory_;
   std::uint32_t events_since_cancel_check_ = 0;
 
   BumpArena arena_;
@@ -308,15 +362,15 @@ class OpsEngine {
   char* prealloc_cur_ = nullptr;
   char* prealloc_end_ = nullptr;
 
-  // Active element-anchored bridge sub-runs, a stack ordered by anchor
-  // depth (anchors nest with the input). depth_ counts open elements of the
-  // whole input — independent of skip_depth_, which only governs consumer
-  // scopes; a bridge keeps receiving the events of a subtree the ops
-  // consumers skipped.
-  std::vector<std::unique_ptr<BridgeRec>> bridges_;
-  std::uint64_t depth_ = 0;
-  std::uint64_t bridges_spawned_ = 0;
-  Status exec_status_ = Status::OK();  ///< first failure inside ExecProgram
+  // Choice state: sites between kChoiceOpen and kChoiceClose (residual
+  // code can open nested sites), the values staged for the next frame, and
+  // the worklist Unref cascades through.
+  std::vector<Choice*> open_choices_;
+  std::uintptr_t staged_vals_[kMaxChoiceParams];
+  std::uint32_t staged_vals_n_ = 0;
+  std::vector<Frame*> unref_work_;
+  FixedPool frame_pool_;
+  FixedPool choice_pool_;
 
   bool started_ = false;
   bool input_done_ = false;

@@ -47,7 +47,7 @@ bool RhsUsesCurrentLabel(const Rhs& rhs) {
 
 }  // namespace
 
-RuleDispatch::RuleDispatch(const Mft& mft, SymbolTable* table) : mft_(&mft) {
+RuleDispatch::RuleDispatch(const Mft& mft, SymbolTable* table) {
   // Pass 1: intern every symbol mentioned anywhere (LHS patterns and RHS
   // output labels) so the dense width covers the whole rule alphabet.
   for (StateId q = 0; q < mft.num_states(); ++q) {
@@ -100,7 +100,7 @@ RuleDispatch::RuleDispatch(const Mft& mft, SymbolTable* table) : mft_(&mft) {
     }
     for (const auto& [sym, rhs] : r.symbol_rules) {
       if (sym.kind == NodeKind::kText) {
-        row.has_text_symbols = true;
+        row.text_cases.push_back(TextCase{sym.name, &rhs});
         continue;
       }
       row.slots[table->Find(sym.kind, sym.name)] = &rhs;

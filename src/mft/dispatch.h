@@ -14,8 +14,8 @@
 // Ids not in any rule's alphabet — input names first seen at runtime get ids
 // >= width() — resolve through the per-state fallback slots without looking
 // at the name. Text nodes carry content, not ids: they dispatch through
-// ForText, which only falls back to a (content-keyed) hash probe for the
-// rare states that actually test text literals.
+// ForText, which compares the content against the precompiled literal cases
+// of the rare states that actually test text literals.
 //
 // Compilation also resolves every RHS output label to its id
 // (RhsNode::symbol_id), so rule instantiation copies ids instead of strings.
@@ -23,6 +23,7 @@
 #define XQMFT_MFT_DISPATCH_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mft/mft.h"
@@ -48,16 +49,34 @@ class RuleDispatch {
     return row.element_fallback;
   }
 
+  /// One text-literal rule of a state: fires on a text node whose content
+  /// equals `literal` exactly. The view points into the Mft's rule keys.
+  struct TextCase {
+    std::string_view literal;
+    const Rhs* rhs;
+  };
+
   /// Rule for state `q` on a text node with the given content.
   const Rhs* ForText(StateId q, std::string_view content) const {
     const Row& row = rows_[static_cast<std::size_t>(q)];
-    if (row.has_text_symbols) {
-      // The state tests text literals: a content-keyed probe is inherent
-      // (content is unbounded input data, never interned). The key copy
-      // only happens for these rare literal-testing states.
-      return mft_->LookupRule(q, NodeKind::kText, std::string(content));
+    // Literal-testing states compare the content against their precompiled
+    // cases (content is unbounded input data, never interned); no key is
+    // built and no hash is probed.
+    for (const TextCase& c : row.text_cases) {
+      if (c.literal == content) return c.rhs;
     }
     return row.text_fallback;
+  }
+
+  /// The text-literal cases of `q`, in the order ForText tries them. The
+  /// lowered ops core compiles one program per case from this same list.
+  const std::vector<TextCase>& TextCases(StateId q) const {
+    return rows_[static_cast<std::size_t>(q)].text_cases;
+  }
+
+  /// Rule for state `q` on a text node that matches none of its cases.
+  const Rhs* TextFallback(StateId q) const {
+    return rows_[static_cast<std::size_t>(q)].text_fallback;
   }
 
   /// Epsilon rule of `q`. Never null on a validated transducer.
@@ -83,10 +102,9 @@ class RuleDispatch {
     const Rhs* element_fallback = nullptr;  // default rule
     const Rhs* text_fallback = nullptr;     // text rule, else default rule
     const Rhs* epsilon = nullptr;
-    bool has_text_symbols = false;  // state has Symbol(kText, ...) rules
+    std::vector<TextCase> text_cases;  // Symbol(kText, ...) rules
   };
 
-  const Mft* mft_;
   SymbolId width_ = 0;
   bool captures_text_ = false;
   std::vector<Row> rows_;

@@ -81,8 +81,6 @@ struct NetServer::Impl {
     wire.run_observer = [this](const StreamStats& total) {
       if (!total.used_ops_engine) {
         counters.table_runs.fetch_add(1);
-      } else if (total.hybrid_plan) {
-        counters.hybrid_runs.fetch_add(1);
       } else {
         counters.ops_runs.fetch_add(1);
       }

@@ -137,7 +137,7 @@ struct NetServerOptions : ServeOptions {
   X(coalesced_requests)     /* requests served by those passes */     \
   X(parses_saved)           /* tokenizations avoided by coalescing */ \
   X(ops_runs)               /* fully lowered opcode runs */           \
-  X(hybrid_runs)            /* opcode runs with bridge sub-runs */    \
+  X(hybrid_runs)            /* always 0; kept for bench/xqbench */    \
   X(table_runs)             /* table-machine runs */
 
 /// \brief Monotonic serving counters (atomically readable while serving).

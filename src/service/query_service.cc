@@ -24,8 +24,6 @@ StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
     out.bytes_skipped += s.bytes_skipped;
     out.output_events += s.output_events;
     out.used_ops_engine = out.used_ops_engine || s.used_ops_engine;
-    out.bridge_runs += s.bridge_runs;
-    out.hybrid_plan = out.hybrid_plan || s.hybrid_plan;
   }
   return out;
 }

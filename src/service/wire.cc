@@ -361,9 +361,7 @@ StatusCode RequestHandler::AppendRun(std::string* out, const JsonValue* id,
   w.Number("peak_mem_bytes", stats.total.peak_bytes);
   w.Field("engine", stats.total.used_ops_engine ? "ops" : "table");
   // How much of the plan ran on the opcode engine; "no" for a table run.
-  w.Field("lowered", !stats.total.used_ops_engine ? "no"
-                     : stats.total.hybrid_plan    ? "hybrid"
-                                                  : "full");
+  w.Field("lowered", stats.total.used_ops_engine ? "full" : "no");
   if (shape.coalesced != 0) w.Number("coalesced", shape.coalesced);
   if (!shape.batch_member) {
     QueryCacheStats cache = service_->cache()->stats();

@@ -71,7 +71,7 @@ struct WireOptions {
   /// Called once per successfully executed run (single, batch member, or
   /// coalesced member) with the run's aggregated stream stats. Transports
   /// use it to count which execution core served (the net server's
-  /// ops/table/hybrid run counters). May be called from worker threads;
+  /// ops/table run counters). May be called from worker threads;
   /// the callback must be thread-safe.
   std::function<void(const StreamStats& total)> run_observer;
 };

@@ -183,7 +183,7 @@ struct TableMachine {
     // Root thunk: q0 applied to the whole (pending) input forest.
     IntrusivePtr<Expr> root = NewExpr();
     root->kind = ExprKind::kCall;
-    root->state = start_state_ >= 0 ? start_state_ : mft_.initial_state();
+    root->state = mft_.initial_state();
     root->cell = builder_.TakeRoot();
     stack_.push_back(Frame{std::move(root), kInvalidSymbol});
     return Sticky(Pump());
@@ -502,9 +502,6 @@ struct TableMachine {
 
   const Mft& mft_;
   const RuleDispatch* dispatch_;
-  // Root-state override: a kBridge sub-run starts in its site's synthetic
-  // root instead of the transducer's initial state. Set before Prime.
-  StateId start_state_ = -1;
   // The run context (tracker, arenas, run-local symbol table — the table is
   // deliberately outside the tracked metric: it is bounded by the number of
   // *distinct* names, alphabet-sized like the transducer, while the tracker
@@ -539,85 +536,24 @@ struct TableMachine {
 // driver — single-query pumps, multi-query fan-out, sharding, the service
 // loop — inherits the selection untouched.
 struct Engine::Impl {
-  // What the table-machine sub-runs behind a hybrid plan's kBridge sites
-  // consumed, folded into the run's stats at Finish. A sub-run reports at
-  // its own Finish (the ops engine finishes every bridge it starts).
-  struct BridgeAccounting {
-    std::uint64_t runs = 0;
-    std::uint64_t steps = 0;
-    std::uint64_t cells = 0;
-    std::uint64_t exprs = 0;
-  };
-
-  // One kBridge sub-run: a table machine over the plan's bridge transducer,
-  // rooted at the site's synthetic state, sharing the outer run's context
-  // (symbol table, tracker, slab arenas — the slabs are free-list based, so
-  // interleaved sub-runs coexist; nothing is truncated between them).
-  class BridgeRunImpl : public lower::BridgeRun {
-   public:
-    BridgeRunImpl(Engine::Impl* impl, std::uint32_t site, OutputSink* sink)
-        : impl_(impl),
-          machine_(*impl->lowered_->bridge_mft, sink, impl->BridgeOptions(),
-                   impl->ctx_) {
-      machine_.start_state_ = impl->lowered_->bridge_sites[site];
-    }
-
-    Status Feed(const XmlEvent& event) override { return machine_.Feed(event); }
-
-    Status Finish() override {
-      StreamStats st;
-      Status s = machine_.Finish(&st);
-      impl_->bridge_acc_.runs += 1;
-      impl_->bridge_acc_.steps += st.rule_applications;
-      impl_->bridge_acc_.cells += st.cells_created;
-      impl_->bridge_acc_.exprs += st.exprs_created;
-      return s;
-    }
-
-   private:
-    Engine::Impl* impl_;
-    engine_detail::TableMachine machine_;
-  };
-
   Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options,
        StreamScratch::Impl* scratch)
       : owned_(scratch == nullptr ? std::make_unique<StreamScratch::Impl>(mft)
                                   : nullptr),
         ctx_(Prepare(scratch != nullptr ? scratch : owned_.get(),
-                     /*reused=*/scratch != nullptr)),
-        options_(options) {
+                     /*reused=*/scratch != nullptr)) {
     const lower::LoweredPlan* lowered = nullptr;
     if (options.engine != EngineChoice::kTable) {
       lowered = lower::GetLoweredPlan(mft);
     }
     if (lowered != nullptr) {
-      lowered_ = lowered;
-      if (lowered->hybrid) {
-        bridge_factory_ = [this](std::uint32_t site, OutputSink* s) {
-          return std::unique_ptr<lower::BridgeRun>(
-              std::make_unique<BridgeRunImpl>(this, site, s));
-        };
-      }
       ops_ = std::make_unique<lower::OpsEngine>(
           *lowered, sink, &ctx_->symbols, &ctx_->tracker, options.max_steps,
-          options.validator, options.cancel, options.cancel_check_events,
-          lowered->hybrid ? &bridge_factory_ : nullptr);
+          options.validator, options.cancel, options.cancel_check_events);
     } else {
       table_ = std::make_unique<engine_detail::TableMachine>(mft, sink,
                                                              options, ctx_);
     }
-  }
-
-  // Options for one sub-run: validation already happened on the outer feed
-  // path, and the step budget is the run's shared remainder — the total a
-  // hybrid run may consume matches what the same plan gets on either pure
-  // core.
-  StreamOptions BridgeOptions() const {
-    StreamOptions o = options_;
-    o.validator = nullptr;
-    const std::uint64_t used = ops_->steps() + bridge_acc_.steps;
-    o.max_steps = options_.max_steps > used ? options_.max_steps - used : 0;
-    return o;
   }
 
   // Re-entry of a serving loop: snapshot the run table back to the plan's
@@ -649,13 +585,9 @@ struct Engine::Impl {
     if (stats != nullptr) {
       stats->peak_bytes = ctx_->tracker.peak_bytes();
       stats->final_bytes = ctx_->tracker.current_bytes();
-      stats->rule_applications = ops_->steps() + bridge_acc_.steps;
-      stats->cells_created = bridge_acc_.cells;
-      stats->exprs_created = bridge_acc_.exprs;
+      stats->rule_applications = ops_->steps();
       stats->cells_arena = ops_->consumers_spawned();
       stats->used_ops_engine = true;
-      stats->bridge_runs = ops_->bridge_runs();
-      stats->hybrid_plan = lowered_->hybrid;
       stats->output_events = ops_->output_events();
     }
     return s;
@@ -663,14 +595,9 @@ struct Engine::Impl {
 
   // owned_ precedes the machines: members destruct in reverse order, and
   // the table machine's cells/exprs must be recycled before their slabs
-  // free their blocks. ops_ is last: it may hold live bridge sub-runs whose
-  // machines point into ctx_ and whose factory is bridge_factory_.
+  // free their blocks.
   std::unique_ptr<StreamScratch::Impl> owned_;
   StreamScratch::Impl* ctx_;
-  StreamOptions options_;
-  const lower::LoweredPlan* lowered_ = nullptr;
-  BridgeAccounting bridge_acc_;
-  lower::BridgeFactory bridge_factory_;
   std::unique_ptr<engine_detail::TableMachine> table_;
   std::unique_ptr<lower::OpsEngine> ops_;
 };

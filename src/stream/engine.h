@@ -84,12 +84,8 @@ struct StreamStats {
   std::uint64_t cells_arena = 0;
   /// True when the run executed on the lowered opcode engine.
   bool used_ops_engine = false;
-  /// Table-machine sub-runs a hybrid plan bridged into (0 for fully lowered
-  /// plans and for the table machine itself).
+  /// Always 0; kept for bench/xqbench, which reads it.
   std::uint64_t bridge_runs = 0;
-  /// True when the plan lowered hybrid: the opcode core ran the scan but
-  /// some call sites executed as table-machine sub-runs (see lower/lower.h).
-  bool hybrid_plan = false;
   std::size_t bytes_in = 0;        ///< input bytes consumed
   /// Source projection (CompiledPlan runs only, see
   /// multiquery/union_projection.h): subtrees skipped at the source, and

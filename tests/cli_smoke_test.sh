@@ -200,7 +200,7 @@ case "$CASE" in
     ;;
   run_engine_fallback)
     # --engine=ops on a plan that does not lower: every corpus query now
-    # lowers (fully or hybrid), so the fallback needs a hand-written
+    # lowers fully, so the fallback needs a hand-written
     # transducer with a nonlinear parameter (y1 y1 is outside the rope
     # fragment). A stderr note names the reason and the run serves from the
     # table engine.
@@ -222,10 +222,10 @@ q2(eps, y1) -> y1'
     expect_contains "$STATS" "engine: table"
     expect_contains "$STATS" "lowered: no (parameter-carrying call"
     ;;
-  run_engine_hybrid)
-    # A predicate query lowers hybrid: the opcode core runs the scan and the
-    # selector remainder executes as table-machine bridge sub-runs. --stats
-    # reports the classification and the bridge-run count.
+  run_engine_predicate)
+    # A predicate query lowers fully: its selector cluster runs on choice
+    # frames and its literal test on a text case. --stats reports the
+    # classification, and the output matches the table engine's.
     PQUERY='<out>{ for $x in $input/doc/item[./text()="a"] return <hit>ok</hit> }</out>'
     OUT=$("$XQMFT" run --engine=ops "$PQUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "<out><hit>ok</hit></out>"
@@ -234,8 +234,8 @@ q2(eps, y1) -> y1'
     STATS=$("$XQMFT" run --engine=ops --stats "$PQUERY" "$XML" 2>&1) \
       || fail "exit $?"
     expect_contains "$STATS" "engine: ops"
-    expect_contains "$STATS" "lowered: yes (hybrid"
-    expect_contains "$STATS" "bridge runs: 2"
+    expect_contains "$STATS" "lowered: yes (full)"
+    expect_contains "$STATS" "cells refcounted: 0"
     ;;
   run_dag)
     OUT=$("$XQMFT" run --dag "$QUERY" "$XML") || fail "exit $?"

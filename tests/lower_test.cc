@@ -14,6 +14,7 @@
 #include "data/generators.h"
 #include "event_trace_util.h"
 #include "lower/lower.h"
+#include "util/cancel.h"
 #include "mft/mft.h"
 #include "schema/schema.h"
 #include "stream/engine.h"
@@ -43,6 +44,24 @@ std::string XmarkDoc(std::size_t bytes) {
   auto doc = GenerateDatasetString(DatasetKind::kXmark, bytes, /*seed=*/11);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   return doc.value();
+}
+
+// Runs `m` forced-ops over `xml`, checks byte equality against the table
+// machine, and returns the ops run's stats.
+StreamStats DiffOpsVsTable(const Mft& m, const std::string& xml) {
+  StreamOptions table_opts;
+  table_opts.engine = EngineChoice::kTable;
+  StringSink want;
+  EXPECT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
+  StreamOptions ops_opts;
+  ops_opts.engine = EngineChoice::kOps;
+  StringSink got;
+  StreamStats stats;
+  Status st = StreamTransformString(m, xml, &got, ops_opts, &stats);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(stats.used_ops_engine);
+  EXPECT_EQ(got.str(), want.str());
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -81,17 +100,18 @@ TEST(Lowerability, AccumulatingParametersLowerWithRopes) {
   EXPECT_EQ(why, "full");
 }
 
-TEST(Lowerability, PredicateQueriesLowerHybrid) {
+TEST(Lowerability, PredicateQueriesLowerFully) {
   // q01's predicate compiles to a selector cluster; the lowering factors the
-  // common suffix and bridges the remainder into a table-machine sub-run.
+  // common suffix and runs the cluster on choice frames, and the literal
+  // test ("person0") on content-keyed text programs.
   auto plan = MustCompile(QueryById("q01").text);
   std::string why;
   const lower::LoweredPlan* lp = lower::GetLoweredPlan(plan->mft(), &why);
   ASSERT_NE(lp, nullptr) << why;
-  EXPECT_TRUE(lp->hybrid);
-  EXPECT_NE(lp->bridge_mft, nullptr);
-  EXPECT_FALSE(lp->bridge_sites.empty());
-  EXPECT_NE(why.find("hybrid"), std::string::npos) << why;
+  EXPECT_FALSE(lp->hybrid);
+  EXPECT_EQ(why, "full");
+  EXPECT_GT(lp->choice_params, 0u);
+  EXPECT_EQ(lp->text_literals, std::vector<std::string>{"person0"});
 }
 
 TEST(Lowerability, NonlinearParameterDoesNotLower) {
@@ -113,9 +133,9 @@ TEST(Lowerability, NonlinearParameterDoesNotLower) {
       << why;
 }
 
-TEST(Lowerability, TextContentMatchDoesNotLower) {
-  // A rule keyed on text content ("hit") needs the event's character data
-  // for dispatch; the opcode programs are resolved per element id only.
+TEST(Lowerability, TextContentMatchLowers) {
+  // A rule keyed on text content ("hit") compiles to a text case: the ops
+  // core picks the state's program by comparing the event's content.
   Mft m = MustParseMft(
       "q(\"hit\"(x1)x2) -> mark(eps) q(x2)\n"
       "q(%t(x1)x2) -> q(x2)\n"
@@ -123,8 +143,10 @@ TEST(Lowerability, TextContentMatchDoesNotLower) {
   ASSERT_TRUE(m.Validate().ok());
   m.dispatch();
   std::string why;
-  EXPECT_EQ(lower::GetLoweredPlan(m, &why), nullptr);
-  EXPECT_NE(why.find("matches on text content"), std::string::npos) << why;
+  ASSERT_NE(lower::GetLoweredPlan(m, &why), nullptr) << why;
+  EXPECT_EQ(why, "full");
+  StreamStats stats = DiffOpsVsTable(m, "<a>hit</a>hit<b>hi</b>hitt<c/>hit");
+  EXPECT_EQ(stats.cells_created, 0u);
 }
 
 TEST(Lowerability, X0CallCycleDoesNotLower) {
@@ -141,22 +163,16 @@ TEST(Lowerability, X0CallCycleDoesNotLower) {
 }
 
 TEST(Lowerability, Fig3CorpusClassification) {
-  // The whole Figure 3 corpus now leaves the pure table path: parameter-free
-  // queries lower fully; predicate queries (accumulating parameters fed by a
-  // selector cluster) lower hybrid with table-machine bridge sites.
-  const std::set<std::string> kHybrid = {"q01", "q04", "q16", "q17"};
+  // The whole Figure 3 corpus lowers fully: parameter-free queries to plain
+  // opcode programs, predicate queries (q01, q04, q16, q17) to choice
+  // frames for their selector clusters.
   for (const BenchQuery& q : Figure3Queries()) {
     auto plan = MustCompile(q.text);
     std::string why;
     const lower::LoweredPlan* lp = lower::GetLoweredPlan(plan->mft(), &why);
     ASSERT_NE(lp, nullptr) << q.id << ": " << why;
-    if (kHybrid.count(q.id) != 0) {
-      EXPECT_TRUE(lp->hybrid) << q.id << ": " << why;
-      EXPECT_NE(why.find("hybrid"), std::string::npos) << q.id << ": " << why;
-    } else {
-      EXPECT_FALSE(lp->hybrid) << q.id << ": " << why;
-      EXPECT_EQ(why, "full") << q.id;
-    }
+    EXPECT_FALSE(lp->hybrid) << q.id << ": " << why;
+    EXPECT_EQ(why, "full") << q.id;
   }
 }
 
@@ -167,9 +183,7 @@ TEST(LoweredDifferential, Fig3CorpusChunkedRefill) {
   const std::string xml = XmarkDoc(16 * 1024);
   for (const BenchQuery& q : Figure3Queries()) {
     auto plan = MustCompile(q.text);
-    const lower::LoweredPlan* lp = lower::GetLoweredPlan(plan->mft());
-    const bool lowers = lp != nullptr;
-    const bool hybrid = lowers && lp->hybrid;
+    ASSERT_NE(lower::GetLoweredPlan(plan->mft()), nullptr) << q.id;
 
     StreamOptions table_opts;
     table_opts.engine = EngineChoice::kTable;
@@ -192,27 +206,15 @@ TEST(LoweredDifferential, Fig3CorpusChunkedRefill) {
       ASSERT_TRUE(st.ok()) << q.id << " chunk=" << chunk << ": "
                            << st.ToString();
       ASSERT_EQ(got.str(), want.str()) << q.id << " chunk=" << chunk;
-      EXPECT_EQ(stats.used_ops_engine, lowers) << q.id;
-      if (lowers && !hybrid) {
-        // Fully lowered: arena-served consumers, no refcounted cells, no
-        // thunks, no table sub-runs.
-        EXPECT_GT(stats.cells_arena, 0u) << q.id;
-        EXPECT_EQ(stats.cells_created, 0u) << q.id;
-        EXPECT_EQ(stats.exprs_created, 0u) << q.id;
-        EXPECT_EQ(stats.bridge_runs, 0u) << q.id;
-        EXPECT_FALSE(stats.hybrid_plan) << q.id;
-        EXPECT_GT(stats.rule_applications, 0u) << q.id;
-        EXPECT_GT(stats.peak_bytes, 0u) << q.id;
-      } else if (lowers) {
-        // Hybrid: the opcode core ran the scan (arena consumers) while the
-        // bridge sites executed as table-machine sub-runs, which account
-        // their refcounted cells/thunks into the same stats.
-        EXPECT_GT(stats.cells_arena, 0u) << q.id;
-        EXPECT_GT(stats.bridge_runs, 0u) << q.id;
-        EXPECT_TRUE(stats.hybrid_plan) << q.id;
-        EXPECT_GT(stats.rule_applications, 0u) << q.id;
-        EXPECT_GT(stats.peak_bytes, 0u) << q.id;
-      }
+      // Fully lowered: arena-served consumers, no refcounted cells, no
+      // thunks, no table-machine sub-runs.
+      EXPECT_TRUE(stats.used_ops_engine) << q.id;
+      EXPECT_GT(stats.cells_arena, 0u) << q.id;
+      EXPECT_EQ(stats.cells_created, 0u) << q.id;
+      EXPECT_EQ(stats.exprs_created, 0u) << q.id;
+      EXPECT_EQ(stats.bridge_runs, 0u) << q.id;
+      EXPECT_GT(stats.rule_applications, 0u) << q.id;
+      EXPECT_GT(stats.peak_bytes, 0u) << q.id;
     }
   }
 }
@@ -441,24 +443,6 @@ const char kRopeTextAccumMft[] =
     "p(%t(x1)x2, y1) -> p(x2, y1)\n"
     "p(eps, y1) -> y1\n";
 
-// Runs `m` forced-ops over `xml`, checks byte equality against the table
-// machine, and returns the ops run's stats.
-StreamStats DiffOpsVsTable(const Mft& m, const std::string& xml) {
-  StreamOptions table_opts;
-  table_opts.engine = EngineChoice::kTable;
-  StringSink want;
-  EXPECT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
-  StreamOptions ops_opts;
-  ops_opts.engine = EngineChoice::kOps;
-  StringSink got;
-  StreamStats stats;
-  Status st = StreamTransformString(m, xml, &got, ops_opts, &stats);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(stats.used_ops_engine);
-  EXPECT_EQ(got.str(), want.str());
-  return stats;
-}
-
 TEST(RopeRegisters, EmptyParameterEmitsNothing) {
   Mft m = MustParseMft(kRopeCollectMft);
   ASSERT_TRUE(m.Validate().ok());
@@ -535,14 +519,15 @@ TEST(RopeRegisters, StepBudgetTripsMidAppend) {
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid differential: the paper's section 2.1 example crosses the bridge
+// The paper's section 2.1 example: y1 is used twice, which neither rope
+// registers nor choice frames express, so the plan runs wholly on the table
+// machine — and a forced ops run falls back byte-identically.
 
-TEST(LoweredDifferential, Section21HybridChunkedRefill) {
+TEST(LoweredDifferential, Section21TableOnlyChunkedRefill) {
   auto plan = MustCompile(kSection21Query);
   std::string why;
-  const lower::LoweredPlan* lp = lower::GetLoweredPlan(plan->mft(), &why);
-  ASSERT_NE(lp, nullptr) << why;
-  EXPECT_TRUE(lp->hybrid) << why;
+  EXPECT_EQ(lower::GetLoweredPlan(plan->mft(), &why), nullptr);
+  EXPECT_NE(why.find("nonlinear"), std::string::npos) << why;
   const std::string xml =
       "<r><a><b><c>1</c><d>2</d><b><c>3</c></b></b></a>"
       "<a>t<b><d>4</d></b></a></r>";
@@ -561,10 +546,246 @@ TEST(LoweredDifferential, Section21HybridChunkedRefill) {
         StreamTransform(plan->mft(), &source, &got, ops_opts, &stats);
     ASSERT_TRUE(st.ok()) << "chunk=" << chunk << ": " << st.ToString();
     EXPECT_EQ(got.str(), want.str()) << "chunk=" << chunk;
-    EXPECT_TRUE(stats.used_ops_engine);
-    EXPECT_TRUE(stats.hybrid_plan);
-    EXPECT_GT(stats.bridge_runs, 0u);
+    EXPECT_FALSE(stats.used_ops_engine);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Choice frames: predicates on the opcode core
+
+// Runs `m` on both cores over `xml` (at the given refill chunk size) and
+// requires byte-identical output and the same status. Returns the ops run's
+// stats.
+StreamStats DiffCores(const Mft& m, const std::string& xml,
+                      std::size_t chunk = 4096,
+                      StreamOptions base = StreamOptions()) {
+  StreamOptions table_opts = base;
+  table_opts.engine = EngineChoice::kTable;
+  ChunkedSource table_src(xml, chunk);
+  StringSink want;
+  Status ts = StreamTransform(m, &table_src, &want, table_opts);
+  StreamOptions ops_opts = base;
+  ops_opts.engine = EngineChoice::kOps;
+  ChunkedSource ops_src(xml, chunk);
+  StringSink got;
+  StreamStats stats;
+  Status os = StreamTransform(m, &ops_src, &got, ops_opts, &stats);
+  EXPECT_EQ(os.code(), ts.code()) << os.ToString() << " vs " << ts.ToString();
+  EXPECT_EQ(got.str(), want.str()) << xml;
+  return stats;
+}
+
+// One open_auction with `n` bidders; `xx` / `yy` are the positions of the
+// bidders naming personXX / personYY (-1: none).
+std::string AuctionDoc(int n, int xx, int yy) {
+  std::string xml = "<site><open_auctions><open_auction><reserve>r1</reserve>";
+  for (int i = 0; i < n; ++i) {
+    const char* who = i == xx ? "personXX" : i == yy ? "personYY" : "other";
+    xml += "<bidder><date>d</date><personref><personref_person>";
+    xml += who;
+    xml += "</personref_person></personref><increase>1</increase></bidder>";
+  }
+  xml += "</open_auction><open_auction><bidder><personref><personref_person>"
+         "personXX</personref_person></personref></bidder></open_auction>"
+         "</open_auctions></site>";
+  return xml;
+}
+
+TEST(ChoiceFrames, NestedChoiceMatchesTableAndStaysLinear) {
+  // q04: each bidder opens one more following-sibling continuation inside
+  // the predicate. Frames no longer reachable from the site are pruned, so
+  // the work stays linear in the number of siblings.
+  auto plan = MustCompile(QueryById("q04").text);
+  std::string why;
+  ASSERT_NE(lower::GetLoweredPlan(plan->mft(), &why), nullptr) << why;
+  struct Shape {
+    const char* name;
+    int xx, yy;  // -2 = last bidder
+  };
+  const Shape kShapes[] = {{"winner first", 0, -2},
+                           {"winner last", -2, 0},
+                           {"winner absent", -1, -2},
+                           {"winner late", -3, -2}};
+  for (const Shape& shape : kShapes) {
+    std::uint64_t steps_128 = 0;
+    for (int n : {1, 2, 3, 16, 128, 256}) {
+      auto pos = [n](int p) { return p == -2 ? n - 1 : p == -3 ? n - 2 : p; };
+      const std::string xml = AuctionDoc(n, pos(shape.xx), pos(shape.yy));
+      // Held segments must not care how parser refills slice the input.
+      if (n <= 16) DiffCores(plan->mft(), xml, /*chunk=*/7);
+      StreamStats stats = DiffCores(plan->mft(), xml);
+      EXPECT_TRUE(stats.used_ops_engine);
+      EXPECT_EQ(stats.cells_created, 0u);
+      if (n == 128) steps_128 = stats.rule_applications;
+      if (n == 256) {
+        EXPECT_LE(stats.rule_applications * 10, steps_128 * 22)
+            << shape.name << ": 128 -> " << steps_128 << ", 256 -> "
+            << stats.rule_applications;
+      }
+    }
+  }
+}
+
+// A cluster whose unselected branch cannot fire: r over <c> defers to s,
+// whose default rule is removed below (the parser only builds total
+// transducers). The table machine never evaluates s when a later <b>
+// selects y1; eager evaluation would fail there.
+const char kNonTotalMft[] =
+    "q(a(x1)x2) -> p(x0, hit(eps), miss(eps)) q(x2)\n"
+    "q(%t(x1)x2) -> q(x2)\n"
+    "q(eps) -> eps\n"
+    "p(%t(x1)x2, y1, y2) -> r(x1, y1, y2)\n"
+    "p(eps, y1, y2) -> y2\n"
+    "r(b(x1)x2, y1, y2) -> y1\n"
+    "r(c(x1)x2, y1, y2) -> r(x2, y1, s(x1, y1, y2))\n"
+    "r(%t(x1)x2, y1, y2) -> r(x2, y1, y2)\n"
+    "r(eps, y1, y2) -> y2\n"
+    "s(%t(x1)x2, y1, y2) -> y2\n"
+    "s(eps, y1, y2) -> y1\n";
+
+TEST(ChoiceFrames, NonTotalClusterStaysOnTable) {
+  Mft m = MustParseMft(kNonTotalMft);
+  for (StateId q = 0; q < m.num_states(); ++q) {
+    if (m.state_name(q) == "s") m.mutable_rules(q).default_rule.reset();
+  }
+  m.dispatch();
+  std::string why;
+  EXPECT_EQ(lower::GetLoweredPlan(m, &why), nullptr);
+  EXPECT_NE(why.find("not total"), std::string::npos) << why;
+  EXPECT_NE(why.find("'s'"), std::string::npos) << why;
+  // s is never evaluated here ...
+  StreamStats ok = DiffCores(m, "<a><c><z/></c><b/></a><a/>");
+  EXPECT_FALSE(ok.used_ops_engine);
+  // ... but is here, and both cores report the same failure.
+  DiffCores(m, "<a><c><z/></c></a>");
+}
+
+TEST(ChoiceFrames, LiteralEncodingsMatchTable) {
+  // The literal test compares decoded content: a character reference, a
+  // CDATA section, and a literal a comment splits all behave as on the
+  // table machine, at every refill boundary.
+  auto plan = MustCompile(QueryById("q01").text);
+  ASSERT_NE(lower::GetLoweredPlan(plan->mft()), nullptr);
+  const std::string kIds[] = {"person&#48;", "<![CDATA[person0]]>",
+                              "person<!--c-->0", "person0", "person00",
+                              "", "person"};
+  for (const std::string& id : kIds) {
+    const std::string xml = "<site><people><person><name>A</name><person_id>" +
+                            id + "</person_id><name>B</name></person>" +
+                            "</people></site>";
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{5}, std::size_t{4096}}) {
+      StreamStats stats = DiffCores(plan->mft(), xml, chunk);
+      EXPECT_TRUE(stats.used_ops_engine);
+    }
+  }
+}
+
+TEST(ChoiceFrames, StepBudgetTripsInsideChoice) {
+  auto plan = MustCompile(QueryById("q04").text);
+  StreamOptions budget;
+  budget.max_steps = 40;  // trips while the first auction's choice pends
+  const std::string xml = AuctionDoc(32, 0, 31);
+  for (EngineChoice engine : {EngineChoice::kTable, EngineChoice::kOps}) {
+    StreamOptions o = budget;
+    o.engine = engine;
+    StringSink sink;
+    Status st = StreamTransformString(plan->mft(), xml, &sink, o);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  }
+}
+
+// Feeds `xml` event by event on the ops core, cancelling before event
+// `cut`: the tripped Feed and Finish must add nothing, and the sink must
+// hold a prefix of the uncancelled output that contains `held` only once
+// the event `decided` (an index) has run.
+void CheckCancelAt(const Mft& m, const std::vector<TracedEvent>& events,
+                   std::size_t cut, const std::string& full,
+                   const std::string& held, std::size_t decided) {
+  CancelToken token;
+  StreamOptions o;
+  o.engine = EngineChoice::kOps;
+  o.cancel = &token;
+  o.cancel_check_events = 1;
+  StringSink sink;
+  Engine engine(m, &sink, o);
+  ASSERT_TRUE(engine.Prime().ok());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    XmlEvent ev;
+    ev.type = events[i].type;
+    ev.name = events[i].name;
+    ev.text = events[i].text;
+    if (i == cut) {
+      const std::string before = sink.str();
+      token.Cancel();
+      EXPECT_EQ(engine.Feed(ev).code(), StatusCode::kCancelled);
+      EXPECT_EQ(engine.Finish().code(), StatusCode::kCancelled);
+      EXPECT_EQ(sink.str(), before) << "cut=" << cut;
+      EXPECT_EQ(full.compare(0, before.size(), before), 0)
+          << "cut=" << cut << ": " << before;
+      if (!held.empty() && cut <= decided) {
+        EXPECT_EQ(before.find(held), std::string::npos) << "cut=" << cut;
+      }
+      return;
+    }
+    ASSERT_TRUE(engine.Feed(ev).ok());
+  }
+}
+
+// Cuts at every event. `held` is output that waits on a choice which the
+// first text event equal to `decider` settles.
+void CheckCancelEverywhere(const Mft& m, const std::string& xml,
+                           const std::string& held = "",
+                           const std::string& decider = "") {
+  ASSERT_NE(lower::GetLoweredPlan(m), nullptr);
+  StreamOptions o;
+  o.engine = EngineChoice::kTable;
+  StringSink full;
+  ASSERT_TRUE(StreamTransformString(m, xml, &full, o).ok());
+  StringSource src(xml);
+  Result<std::vector<TracedEvent>> trace = Trace(&src);
+  ASSERT_TRUE(trace.ok());
+  const std::vector<TracedEvent>& events = trace.value();
+  std::size_t decided = 0;
+  while (decided < events.size() && events[decided].text != decider) {
+    ++decided;
+  }
+  for (std::size_t cut = 0; cut < events.size(); ++cut) {
+    CheckCancelAt(m, events, cut, full.str(), held, decided);
+  }
+}
+
+TEST(ChoiceFrames, CancelWhileChoicePendsAtElementAnchor) {
+  // NAME is written into the winner's held segment before "person0"
+  // decides the choice: no cut before that may leak it.
+  auto plan = MustCompile(QueryById("q01").text);
+  CheckCancelEverywhere(
+      plan->mft(),
+      "<site><people><person><name>NAME</name><person_id>person0"
+      "</person_id></person><person><name>LOST</name></person></people>"
+      "</site>",
+      "NAME", "person0");
+}
+
+TEST(ChoiceFrames, CancelAroundTextAnchor) {
+  // node() iterates text nodes too: the predicate's site anchors at each
+  // text node and resolves within its event.
+  auto plan = MustCompile(
+      "<out>{ for $n in $input/r/node()[empty(./b)] return <n>{$n}</n> }"
+      "</out>");
+  CheckCancelEverywhere(plan->mft(), "<r>t1<a><b/></a>t2<c>x</c></r>");
+}
+
+TEST(ChoiceFrames, CancelAroundEpsilonAnchor) {
+  // The site sits in an epsilon rule: it anchors at the end of each forest.
+  Mft m = MustParseMft(
+      "q(%t(x1)x2) -> %t(q(x1)) q(x2)\n"
+      "q(eps) -> p(x0, yes(eps), no(eps))\n"
+      "p(%t(x1)x2, y1, y2) -> y1\n"
+      "p(eps, y1, y2) -> y2\n");
+  ASSERT_TRUE(m.Validate().ok());
+  m.dispatch();
+  CheckCancelEverywhere(m, "<a><b>t</b><c/></a>");
+  DiffCores(m, "<a><b>t</b><c/></a>");
 }
 
 }  // namespace

@@ -57,7 +57,11 @@ namespace {
 
 class QueryGen {
  public:
-  explicit QueryGen(Rng* rng) : rng_(*rng) {}
+  /// `predicate_heavy` biases toward the shapes that exercise choice
+  /// frames: nested predicates, two predicates on one step, and a
+  /// predicate on most steps.
+  explicit QueryGen(Rng* rng, bool predicate_heavy = false)
+      : rng_(*rng), heavy_(predicate_heavy) {}
 
   std::string Generate() {
     var_counter_ = 0;
@@ -91,20 +95,23 @@ class QueryGen {
     }
   }
 
-  std::string PredPath(int max_steps) {
+  std::string PredPath(int max_steps, int nest) {
     std::string p = ".";
     int steps = 1 + static_cast<int>(rng_.Below(
                         static_cast<std::uint64_t>(max_steps)));
-    for (int i = 0; i < steps; ++i) p += Axis(true) + NodeTest();
+    for (int i = 0; i < steps; ++i) {
+      p += Axis(true) + NodeTest();
+      if (heavy_ && nest > 0 && rng_.Chance(1, 3)) p += Predicate(nest - 1);
+    }
     return p;
   }
 
-  std::string Predicate() {
+  std::string Predicate(int nest = 1) {
     switch (rng_.Below(4)) {
-      case 0: return "[" + PredPath(2) + "]";
-      case 1: return "[empty(" + PredPath(2) + ")]";
-      case 2: return "[" + PredPath(1) + "/text()=\"x\"]";
-      default: return "[" + PredPath(1) + "/text()!=\"x\"]";
+      case 0: return "[" + PredPath(2, nest) + "]";
+      case 1: return "[empty(" + PredPath(2, nest) + ")]";
+      case 2: return "[" + PredPath(1, nest) + "/text()=\"x\"]";
+      default: return "[" + PredPath(1, nest) + "/text()!=\"x\"]";
     }
   }
 
@@ -115,7 +122,8 @@ class QueryGen {
     int steps = 1 + static_cast<int>(rng_.Below(3));
     for (int i = 0; i < steps; ++i) {
       p += Axis(!(var.empty() && i == 0)) + NodeTest();
-      if (rng_.Chance(1, 4)) p += Predicate();
+      if (rng_.Chance(1, heavy_ ? 2 : 4)) p += Predicate();
+      if (heavy_ && rng_.Chance(1, 4)) p += Predicate();
     }
     return p;
   }
@@ -187,6 +195,7 @@ class QueryGen {
   }
 
   Rng& rng_;
+  const bool heavy_;
   int var_counter_ = 0;
 };
 
@@ -402,18 +411,10 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     std::string why;
     const lower::LoweredPlan* lp = lower::GetLoweredPlan(opt, &why);
     const bool lowers = lp != nullptr;
-    const bool hybrid = lowers && lp->hybrid;
     if (debug && !lowers) std::fprintf(stderr, "no lowering: %s\n", why.c_str());
-    // The classification and its note must agree: hybrid plans carry bridge
-    // sites and say so; full plans say "full".
+    // The classification and its note must agree: lowered plans say "full".
     if (lowers) {
-      if (hybrid) {
-        ASSERT_FALSE(lp->bridge_sites.empty()) << text;
-        ASSERT_NE(lp->bridge_mft, nullptr) << text;
-        ASSERT_NE(why.find("hybrid"), std::string::npos) << text << ": " << why;
-      } else {
-        ASSERT_EQ(why, "full") << text;
-      }
+      ASSERT_EQ(why, "full") << text;
     }
     for (const ParallelInput& doc : doc_set) {
       StreamOptions table_opts;
@@ -433,8 +434,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
                                         &ops_stats);
       ASSERT_TRUE(os.ok()) << text << "\n" << os.ToString();
       ASSERT_EQ(ops_stats.used_ops_engine, lowers) << text;
-      ASSERT_EQ(ops_stats.hybrid_plan, hybrid) << text;
-      if (lowers && !hybrid) {
+      if (lowers) {
         // Fully lowered runs never enter the table machine.
         ASSERT_EQ(ops_stats.bridge_runs, 0u) << text;
         ASSERT_EQ(ops_stats.cells_created, 0u) << text;
@@ -449,6 +449,55 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryProperty, ::testing::Range(0, 80));
+
+// Predicate-heavy queries through the reference evaluator and both engine
+// cores: the choice-frame lowering (held residuals, pruning, text cases)
+// must agree with the lazy table machine and with the reference.
+class RandomPredicateProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomPredicateProperty, TableOpsAndReferenceAgree) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2862933555777941757ULL + 3);
+  QueryGen gen(&rng, /*predicate_heavy=*/true);
+  const std::string text = gen.Generate();
+  auto parsed = ParseQuery(text);
+  ASSERT_TRUE(parsed.ok()) << text << "\n" << parsed.status().ToString();
+  const QueryExpr& query = *parsed.value();
+  ASSERT_TRUE(ValidateQuery(query).ok()) << text;
+  auto raw = TranslateQuery(query);
+  ASSERT_TRUE(raw.ok()) << text << "\n" << raw.status().ToString();
+  Mft opt = OptimizeMft(raw.value());
+  ASSERT_TRUE(opt.Validate().ok()) << text;
+  opt.dispatch();
+  std::string why;
+  const bool lowers = lower::GetLoweredPlan(opt, &why) != nullptr;
+
+  for (int d = 0; d < 4; ++d) {
+    Forest doc = RandomDoc(&rng, 4);
+    const std::string xml = ForestToXml(doc);
+    Result<Forest> reference = EvaluateQuery(query, doc);
+    ASSERT_TRUE(reference.ok()) << text;
+    StringSink want;
+    EmitForest(reference.value(), &want);
+    for (EngineChoice engine : {EngineChoice::kTable, EngineChoice::kOps}) {
+      StreamOptions o;
+      o.engine = engine;
+      StringSink got;
+      StreamStats stats;
+      Status st = StreamTransformString(opt, xml, &got, o, &stats);
+      ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
+      ASSERT_EQ(got.str(), want.str())
+          << (engine == EngineChoice::kOps ? "ops" : "table")
+          << " vs reference\nquery: " << text << "\ndoc: " << xml
+          << "\nlowers: " << lowers << " (" << why << ")";
+      if (engine == EngineChoice::kOps) {
+        ASSERT_EQ(stats.used_ops_engine, lowers) << text;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomPredicateProperty,
+                         ::testing::Range(0, 120));
 
 }  // namespace
 }  // namespace xqmft

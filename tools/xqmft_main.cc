@@ -512,7 +512,7 @@ int StreamWith(const CompiledPlan& plan,
   }
   if (flags.stats) {
     // The lowering verdict is a plan property, independent of which engine
-    // this run used: "yes (full)", "yes (hybrid: ...)", or "no (<reason>)".
+    // this run used: "yes (full)" or "no (<reason>)".
     std::string why;
     const bool lowered = lower::GetLoweredPlan(plan.mft(), &why) != nullptr;
     const std::string prefix = "not lowerable: ";
@@ -523,14 +523,13 @@ int StreamWith(const CompiledPlan& plan,
                  "bytes in: %zu, output events: %zu, peak memory: %s, "
                  "rule applications: %llu, cells arena: %llu, "
                  "cells refcounted: %llu, exprs created: %llu, "
-                 "bridge runs: %llu, engine: %s, lowered: %s (%s)\n",
+                 "engine: %s, lowered: %s (%s)\n",
                  stats.bytes_in, stats.output_events,
                  HumanBytes(stats.peak_bytes).c_str(),
                  static_cast<unsigned long long>(stats.rule_applications),
                  static_cast<unsigned long long>(stats.cells_arena),
                  static_cast<unsigned long long>(stats.cells_created),
                  static_cast<unsigned long long>(stats.exprs_created),
-                 static_cast<unsigned long long>(stats.bridge_runs),
                  stats.used_ops_engine ? "ops" : "table",
                  lowered ? "yes" : "no", why.c_str());
     // The projection verdict: whether the run skipped subtrees at the

@@ -13,6 +13,7 @@
 
 #include "bench_common/env.h"
 #include "bench_common/queries.h"
+#include "bench_common/samples.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "util/strings.h"
@@ -109,16 +110,12 @@ void BenchVariant(benchmark::State& state, const BenchQuery& bq,
 int main(int argc, char** argv) {
   PrintAblationTable();
   for (const BenchQuery& bq : Figure3Queries()) {
-    benchmark::RegisterBenchmark(
+    Sampled(benchmark::RegisterBenchmark(
         StrFormat("ablation/%s/noopt", bq.id).c_str(),
-        [&bq](benchmark::State& st) { BenchVariant(st, bq, false); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
+        [&bq](benchmark::State& st) { BenchVariant(st, bq, false); }));
+    Sampled(benchmark::RegisterBenchmark(
         StrFormat("ablation/%s/opt", bq.id).c_str(),
-        [&bq](benchmark::State& st) { BenchVariant(st, bq, true); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+        [&bq](benchmark::State& st) { BenchVariant(st, bq, true); }));
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_common/env.h"
+#include "bench_common/samples.h"
 #include "data/generators.h"
 #include "util/strings.h"
 #include "xml/sax_parser.h"
@@ -86,16 +87,12 @@ void BenchParse(benchmark::State& state, DatasetKind kind) {
 int main(int argc, char** argv) {
   PrintTable1();
   for (DatasetKind kind : kKinds) {
-    benchmark::RegisterBenchmark(
+    Sampled(benchmark::RegisterBenchmark(
         StrFormat("table1/generate/%s", DatasetName(kind)).c_str(),
-        [kind](benchmark::State& st) { BenchGenerate(st, kind); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
+        [kind](benchmark::State& st) { BenchGenerate(st, kind); }));
+    Sampled(benchmark::RegisterBenchmark(
         StrFormat("table1/parse/%s", DatasetName(kind)).c_str(),
-        [kind](benchmark::State& st) { BenchParse(st, kind); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+        [kind](benchmark::State& st) { BenchParse(st, kind); }));
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

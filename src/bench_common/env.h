@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <vector>
 
 namespace xqmft {
 
@@ -19,12 +21,40 @@ inline std::size_t EnvCount(const char* name, std::size_t def) {
   return n > 0 ? static_cast<std::size_t>(n) : def;
 }
 
+/// `mb` MiB in bytes, or 0 when `mb` is not positive or its byte count
+/// would overflow.
+inline std::size_t MbToBytes(long long mb) {
+  if (mb <= 0 || static_cast<unsigned long long>(mb) > (SIZE_MAX >> 20)) {
+    return 0;
+  }
+  return static_cast<std::size_t>(mb) << 20;
+}
+
 /// A size given in MiB by `name` (default `def_mb`), returned in bytes. A
 /// value whose byte count would overflow also takes the default.
 inline std::size_t EnvMb(const char* name, std::size_t def_mb) {
-  std::size_t mb = EnvCount(name, def_mb);
-  if (mb > (SIZE_MAX >> 20)) mb = def_mb;
-  return mb << 20;
+  const char* v = std::getenv(name);
+  std::size_t bytes =
+      v != nullptr ? MbToBytes(std::strtoll(v, nullptr, 10)) : 0;
+  return bytes != 0 ? bytes : def_mb << 20;
+}
+
+/// A comma-separated list of MiB sizes from `name`, returned in bytes.
+/// Entries that EnvMb would reject are dropped; when the knob is unset or
+/// has no valid entry, `def_spec` is parsed instead.
+inline std::vector<std::size_t> EnvMbList(const char* name,
+                                          const char* def_spec) {
+  const char* env = std::getenv(name);
+  std::vector<std::size_t> out;
+  for (const char* spec : {env, def_spec}) {
+    for (const char* p = spec; p != nullptr; p = std::strchr(p, ',')) {
+      if (*p == ',') ++p;
+      std::size_t bytes = MbToBytes(std::strtoll(p, nullptr, 10));
+      if (bytes != 0) out.push_back(bytes);
+    }
+    if (!out.empty()) break;
+  }
+  return out;
 }
 
 }  // namespace xqmft

@@ -4,11 +4,11 @@
 
 #include <sys/stat.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "bench_common/env.h"
 #include "bench_common/queries.h"
+#include "bench_common/samples.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "gcx/gcx_engine.h"
@@ -29,7 +29,7 @@ struct Fig4Dataset {
 
 std::vector<Fig4Dataset> DatasetsFor(bool include_table1) {
   std::vector<Fig4Dataset> out;
-  for (std::size_t bytes : BenchSizesBytes()) {
+  for (std::size_t bytes : EnvMbList("XQMFT_BENCH_SIZES_MB", "1,4,16")) {
     out.push_back({DatasetKind::kXmark, bytes,
                    StrFormat("xmark_%zuMB", bytes >> 20)});
   }
@@ -162,8 +162,8 @@ void BenchMftPretok(benchmark::State& state, const BenchQuery& bq,
 // small document set (XQMFT_BENCH_FIG4_PAR_ITEMS copies, default 4) fanned
 // across worker threads (XQMFT_BENCH_FIG4_PAR_THREADS, default 4) — the
 // serving shape the sharding layer exists for. The knobs are deliberately
-// distinct from bench_parallel's XQMFT_BENCH_PAR_* so tuning one binary in
-// a bench_runner sweep cannot silently reshape the other's workload. One
+// distinct from bench_parallel's XQMFT_BENCH_PAR_* so that tuning one
+// binary cannot silently reshape the other's workload. One
 // measurement covers all items and bytes-processed scales with them, so the
 // throughput column compares aggregate parallel MB/s directly against
 // mft_opt's single-engine MB/s.
@@ -262,50 +262,26 @@ void BenchGcx(benchmark::State& state, const BenchQuery& bq,
 
 }  // namespace
 
-std::vector<std::size_t> BenchSizesBytes() {
-  const char* env = std::getenv("XQMFT_BENCH_SIZES_MB");
-  std::string spec = env != nullptr ? env : "1,4,16";
-  std::vector<std::size_t> out;
-  for (const std::string& part : SplitString(spec, ',')) {
-    long mb = std::atol(part.c_str());
-    if (mb > 0) out.push_back(static_cast<std::size_t>(mb) * 1024 * 1024);
-  }
-  if (out.empty()) out.push_back(1024 * 1024);
-  return out;
-}
-
 void RegisterFig4Benchmarks(const std::string& query_id,
                             bool include_table1_datasets) {
   const BenchQuery& bq = QueryById(query_id);
   std::size_t noopt_cap = EnvMb("XQMFT_BENCH_NOOPT_CAP_MB", 4);
   for (const Fig4Dataset& ds : DatasetsFor(include_table1_datasets)) {
+    auto add = [&](const char* series, auto body) {
+      Sampled(benchmark::RegisterBenchmark(
+          StrFormat("%s/%s/%s", bq.id, series, ds.display.c_str()).c_str(),
+          body));
+    };
     if (ds.bytes <= noopt_cap) {
-      benchmark::RegisterBenchmark(
-          StrFormat("%s/mft_noopt/%s", bq.id, ds.display.c_str()).c_str(),
-          [bq, ds](benchmark::State& st) { BenchMft(st, bq, ds, false); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+      add("mft_noopt",
+          [bq, ds](benchmark::State& st) { BenchMft(st, bq, ds, false); });
     }
-    benchmark::RegisterBenchmark(
-        StrFormat("%s/mft_opt/%s", bq.id, ds.display.c_str()).c_str(),
-        [bq, ds](benchmark::State& st) { BenchMft(st, bq, ds, true); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        StrFormat("%s/mft_pretok/%s", bq.id, ds.display.c_str()).c_str(),
-        [bq, ds](benchmark::State& st) { BenchMftPretok(st, bq, ds); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        StrFormat("%s/mft_par/%s", bq.id, ds.display.c_str()).c_str(),
-        [bq, ds](benchmark::State& st) { BenchMftPar(st, bq, ds); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        StrFormat("%s/gcx/%s", bq.id, ds.display.c_str()).c_str(),
-        [bq, ds](benchmark::State& st) { BenchGcx(st, bq, ds); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+    add("mft_opt",
+        [bq, ds](benchmark::State& st) { BenchMft(st, bq, ds, true); });
+    add("mft_pretok",
+        [bq, ds](benchmark::State& st) { BenchMftPretok(st, bq, ds); });
+    add("mft_par", [bq, ds](benchmark::State& st) { BenchMftPar(st, bq, ds); });
+    add("gcx", [bq, ds](benchmark::State& st) { BenchGcx(st, bq, ds); });
   }
 }
 

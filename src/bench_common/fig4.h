@@ -4,10 +4,14 @@
 // engines — MFT (no opt), MFT (opt), GCX — over growing inputs. One bench
 // binary per sub-figure calls RegisterFig4Benchmarks with its query id; the
 // driver registers one google-benchmark per (engine, dataset, size) cell,
-// reporting peak tracked memory and output events as counters.
+// reporting peak tracked memory and output events as counters. Each cell
+// reports the median and quartiles of repeated single passes
+// (bench_common/samples.h).
 //
 // Environment knobs:
-//   XQMFT_BENCH_SIZES_MB   comma-separated XMark sizes (default "1,4,16")
+//   XQMFT_BENCH_SIZES_MB   comma-separated XMark sizes in MiB (default
+//                          "1,4,16"; bad entries are dropped, and a list
+//                          with none left takes the default)
 //   XQMFT_BENCH_NOOPT_CAP_MB  largest size run without optimization
 //                             (default 4: the unoptimized transducer
 //                             buffers the whole input, like the paper's
@@ -23,12 +27,8 @@
 #define XQMFT_BENCH_COMMON_FIG4_H_
 
 #include <string>
-#include <vector>
 
 namespace xqmft {
-
-/// Sizes (bytes) for the XMark sweep.
-std::vector<std::size_t> BenchSizesBytes();
 
 /// Registers all series of one Figure 4 sub-figure. For the corner-case
 /// queries (double/fourstar/deepdup, Figures 4(g-i)) the paper also runs

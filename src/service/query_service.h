@@ -1,14 +1,13 @@
 // Multi-query serving: (cached plan × input batch) execution.
 //
 // A QueryService owns the process-wide QueryCache and executes requests of
-// the shape "this query over these documents with this many workers"
-// through the existing streaming paths: one input streams through a single
-// engine; a batch fans out through CompiledPlan::StreamMany (document-set
-// sharding with ordered merge, PR 4), so responses are byte-identical to
-// streaming the batch serially whatever the thread count. Compile cost is
-// paid at most once per distinct query and reported separately from stream
-// cost in the per-request stats — the compile-amortization story
-// bench_service measures.
+// the shape "this query over these documents with this many workers".
+// Every request, one input or many, streams through
+// CompiledPlan::StreamMany (document-set sharding with ordered merge), so
+// responses are byte-identical to streaming the inputs serially whatever
+// the thread count. Compile cost is paid at most once per distinct query
+// and reported separately from stream cost in the per-request stats
+// (xqbench `serve` reads both from the response headers).
 #ifndef XQMFT_SERVICE_QUERY_SERVICE_H_
 #define XQMFT_SERVICE_QUERY_SERVICE_H_
 

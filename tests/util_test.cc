@@ -225,5 +225,25 @@ TEST(BenchEnvTest, NonPositiveOrNonNumericKnobsTakeTheDefault) {
   ::unsetenv(kVar);
 }
 
+TEST(BenchEnvTest, SizeListsDropBadEntriesAndFallBackToTheDefault) {
+  const char* kVar = "XQMFT_TEST_BENCH_ENV_LIST";
+  const std::vector<std::size_t> kDefault = {1u << 20, 4u << 20, 16u << 20};
+  ::unsetenv(kVar);
+  EXPECT_EQ(EnvMbList(kVar, "1,4,16"), kDefault);
+  // No valid entry: the documented default, not a single 1 MiB point.
+  for (const char* bad : {"", "0", "-2", "abc", ",,", "99999999999999",
+                          "0,-1,99999999999999"}) {
+    ::setenv(kVar, bad, 1);
+    EXPECT_EQ(EnvMbList(kVar, "1,4,16"), kDefault) << bad;
+  }
+  // Bad entries are dropped, including one whose byte count would wrap.
+  ::setenv(kVar, "99999999999999,2", 1);
+  EXPECT_EQ(EnvMbList(kVar, "1,4,16"), std::vector<std::size_t>{2u << 20});
+  ::setenv(kVar, "8,x,,-3,32", 1);
+  EXPECT_EQ(EnvMbList(kVar, "1,4,16"),
+            (std::vector<std::size_t>{8u << 20, 32u << 20}));
+  ::unsetenv(kVar);
+}
+
 }  // namespace
 }  // namespace xqmft

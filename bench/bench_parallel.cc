@@ -136,17 +136,18 @@ void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
   std::vector<ParallelInput> inputs(
       cfg.items, pretok ? ParallelInput::PretokFile(item_path)
                         : ParallelInput::XmlFile(item_path));
-  ParallelOptions par;
+  RunOptions par;
   par.threads = cfg.threads;
-  std::vector<StreamStats> stats;
+  std::vector<RunResult> results;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = plan.value()->StreamMany(inputs, &sink, par, &stats);
+    Status st = Run({plan.value().get()}, inputs, {&sink}, par, &results);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
   }
+  const std::vector<StreamStats>& stats = results.front().per_input;
   std::size_t bytes = 0;
   for (const StreamStats& s : stats) bytes += s.bytes_in;
   ReportRun(state, stats, cfg.threads, bytes);
@@ -164,7 +165,7 @@ void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
     state.SkipWithError(forest.status().ToString().c_str());
     return;
   }
-  ParallelOptions par;
+  RunOptions par;
   par.threads = cfg.threads;
   std::vector<StreamStats> stats;
   for (auto _ : state) {

@@ -175,7 +175,7 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
     return;
   }
   std::size_t items = EnvCount("XQMFT_BENCH_FIG4_PAR_ITEMS", 4);
-  ParallelOptions par;
+  RunOptions par;
   par.threads = EnvCount("XQMFT_BENCH_FIG4_PAR_THREADS", 4);
   Result<std::shared_ptr<const CompiledPlan>> plan =
       CompiledPlan::Compile(bq.text);
@@ -185,11 +185,11 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
   }
   std::vector<ParallelInput> inputs(items,
                                     ParallelInput::XmlFile(path.value()));
-  std::vector<StreamStats> stats;
+  std::vector<RunResult> results;
   std::size_t bytes_in = 0, out_events = 0, peak = 0;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = plan.value()->StreamMany(inputs, &sink, par, &stats);
+    Status st = Run({plan.value().get()}, inputs, {&sink}, par, &results);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -197,7 +197,7 @@ void BenchMftPar(benchmark::State& state, const BenchQuery& bq,
     bytes_in = 0;
     out_events = 0;
     peak = 0;
-    for (const StreamStats& s : stats) {
+    for (const StreamStats& s : results.front().per_input) {
       bytes_in += s.bytes_in;
       out_events += s.output_events;
       if (s.peak_bytes > peak) peak = s.peak_bytes;

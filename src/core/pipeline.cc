@@ -1,11 +1,14 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+#include <deque>
 #include <limits>
 
 #include "lower/lower.h"
 #include "mft/dispatch.h"
 #include "mft/interp.h"
 #include "multiquery/union_projection.h"
+#include "parallel/merge_sink.h"
 #include "parallel/pretok_split.h"
 #include "translate/translate.h"
 #include "xml/pretok.h"
@@ -42,8 +45,8 @@ Status FinishPlan(const Mft& mft, const PipelineOptions& options) {
   if (options.stream.cancel != nullptr) {
     return Status::InvalidArgument(
         "a cancel token is per-request state and cannot be baked into an "
-        "immutable CompiledPlan; pass it per run via ParallelOptions / "
-        "MultiQueryOptions or per-run StreamOptions instead");
+        "immutable CompiledPlan; pass it per run via RunOptions or per-run "
+        "StreamOptions instead");
   }
   XQMFT_RETURN_NOT_OK(mft.Validate());
   mft.dispatch();  // compile-once: warm before the plan is shareable
@@ -131,18 +134,12 @@ Status RunPlan(const CompiledPlan& plan, EventSource* events,
   return st;
 }
 
-Status RunPlan(const CompiledPlan& plan, ByteSource* source, OutputSink* sink,
-               const StreamOptions& options, StreamStats* stats,
-               StreamScratch* scratch = nullptr) {
-  SaxParser parser(source, options.sax);
-  return RunPlan(plan, &parser, sink, options, stats, scratch);
-}
-
 }  // namespace
 
 Status CompiledPlan::Stream(ByteSource* source, OutputSink* sink,
                             StreamStats* stats, StreamScratch* scratch) const {
-  return RunPlan(*this, source, sink, options_.stream, stats, scratch);
+  SaxParser parser(source, options_.stream.sax);
+  return RunPlan(*this, &parser, sink, options_.stream, stats, scratch);
 }
 
 Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
@@ -177,6 +174,7 @@ Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
     case ParallelInput::Kind::kXmlFile: {
       // mmap when available: the parser scans the mapping in place.
       XQMFT_ASSIGN_OR_RETURN(opened.bytes, MmapSource::Open(input.value));
+      opened.events = std::make_unique<SaxParser>(opened.bytes.get(), sax);
       return opened;
     }
     case ParallelInput::Kind::kPretokFile: {
@@ -189,6 +187,7 @@ Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
     }
     case ParallelInput::Kind::kXmlText:
       opened.bytes = std::make_unique<StringSource>(input.value);
+      opened.events = std::make_unique<SaxParser>(opened.bytes.get(), sax);
       return opened;
     case ParallelInput::Kind::kPretokBytes: {
       auto src = std::make_unique<PretokSource>(input.value);
@@ -204,47 +203,15 @@ Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
   return Status::Internal("unknown ParallelInput kind");
 }
 
-namespace {
-
-// Per-run copy of a plan's baked options: the request's cancel token
-// (never baked — FinishPlan rejects it) rides in via ParallelOptions and
-// reaches every worker engine of the fan-out.
-StreamOptions StreamOptionsFor(const CompiledPlan& plan,
-                               const ParallelOptions& par) {
-  StreamOptions stream = plan.options().stream;
-  if (par.cancel != nullptr) stream.cancel = par.cancel;
-  return stream;
-}
-
-}  // namespace
-
-Status CompiledPlan::StreamMany(const std::vector<ParallelInput>& inputs,
-                                OutputSink* sink, const ParallelOptions& par,
-                                std::vector<StreamStats>* stats) const {
-  const StreamOptions stream = StreamOptionsFor(*this, par);
-  if (stats != nullptr) {
-    stats->assign(inputs.size(), StreamStats{});
-  }
-  // No warm-up call needed here: a CompiledPlan's dispatch was compiled
-  // before the plan could be shared, so worker engines below can only ever
-  // read it.
-  auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
-    StreamStats* item_stats = stats != nullptr ? &(*stats)[i] : nullptr;
-    XQMFT_ASSIGN_OR_RETURN(OpenedInput in,
-                           OpenParallelInput(inputs[i], stream.sax));
-    return in.events != nullptr
-               ? RunPlan(*this, in.events.get(), item_sink, stream, item_stats)
-               : RunPlan(*this, in.bytes.get(), item_sink, stream, item_stats);
-  };
-  return ShardedExecutor::Run(inputs.size(), item, sink, par);
-}
-
 Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
                                          std::size_t shards, OutputSink* sink,
-                                         const ParallelOptions& par,
+                                         const RunOptions& options,
                                          std::vector<StreamStats>* stats)
     const {
-  const StreamOptions stream = StreamOptionsFor(*this, par);
+  // The request's cancel token (never baked — FinishPlan rejects it) rides
+  // in per run and reaches every worker engine of the fan-out.
+  StreamOptions stream = options_.stream;
+  if (options.cancel != nullptr) stream.cancel = options.cancel;
   if (shards == 0) {
     // Default: split at every top-level forest boundary (the splitter
     // clamps to the tree count). Deliberately NOT the worker count — on a
@@ -268,13 +235,14 @@ Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
     return RunPlan(*this, &src, item_sink, stream,
                    stats != nullptr ? &(*stats)[i] : nullptr);
   };
-  return ShardedExecutor::Run(shard_plan.shards.size(), item, sink, par);
+  return ShardedExecutor::Run(shard_plan.shards.size(), item, sink,
+                              options.threads);
 }
 
 Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
                                              std::size_t shards,
                                              OutputSink* sink,
-                                             const ParallelOptions& par,
+                                             const RunOptions& options,
                                              std::vector<StreamStats>* stats)
     const {
   XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> backing,
@@ -288,13 +256,16 @@ Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
     while ((n = backing->Read(buf, sizeof buf)) > 0) owned.append(buf, n);
     contents = owned;
   }
-  return StreamShardedPretok(contents, shards, sink, par, stats);
+  return StreamShardedPretok(contents, shards, sink, options, stats);
 }
 
 namespace {
 
+// One spec per plan, each carrying its member cancel token (if any), so a
+// pass may run any subset of the plans.
 Status BuildMultiSpecs(const std::vector<const CompiledPlan*>& plans,
                        const std::vector<OutputSink*>& sinks,
+                       const RunOptions& options,
                        std::vector<MultiPlanSpec>* specs) {
   if (plans.empty()) {
     return Status::InvalidArgument("multi-query run needs at least one plan");
@@ -312,30 +283,30 @@ Status BuildMultiSpecs(const std::vector<const CompiledPlan*>& plans,
     spec.mft = &plans[i]->mft();
     spec.projection = &plans[i]->projection();
     spec.options = plans[i]->options().stream;
+    if (i < options.per_plan_cancel.size()) {
+      spec.options.cancel = options.per_plan_cancel[i];
+    }
     spec.sink = sinks[i];
     specs->push_back(spec);
   }
   return Status::OK();
 }
 
-// Shared tail: copy out per-plan results / run stats and fold plan failures
-// into the returned Status per the contract documented in pipeline.h.
-Status FinishMultiRun(const MultiQueryRun& run, Status run_status,
-                      std::vector<MultiPlanResult>* results,
-                      MultiQueryStats* run_stats) {
-  if (run_stats != nullptr) *run_stats = run.stats();
-  if (results != nullptr) *results = run.results();
-  if (!run_status.ok()) return run_status;
+// The returned-Status contract of Run and StreamAllTransform*: the
+// lowest-index plan failure when per-plan results are not requested or when
+// every plan failed, so failures cannot go unobserved.
+template <typename PlanResult>
+Status FoldPlanFailures(const std::vector<PlanResult>& results,
+                        bool results_requested) {
   Status first_failure;
   std::size_t failed = 0;
-  for (const MultiPlanResult& r : run.results()) {
-    if (!r.status.ok()) {
-      if (first_failure.ok()) first_failure = r.status;
-      ++failed;
-    }
+  for (const PlanResult& r : results) {
+    if (r.status.ok()) continue;
+    if (first_failure.ok()) first_failure = r.status;
+    ++failed;
   }
   if (!first_failure.ok() &&
-      (results == nullptr || failed == run.results().size())) {
+      (!results_requested || failed == results.size())) {
     return first_failure;
   }
   return Status::OK();
@@ -346,47 +317,125 @@ Status FinishMultiRun(const MultiQueryRun& run, Status run_status,
 Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
                           ByteSource* source,
                           const std::vector<OutputSink*>& sinks,
-                          const MultiQueryOptions& options,
+                          const RunOptions& options,
                           std::vector<MultiPlanResult>* results,
                           MultiQueryStats* run_stats) {
-  std::vector<MultiPlanSpec> specs;
-  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, &specs));
-  const SaxOptions sax = plans.front()->options().stream.sax;
-  MultiQueryRun run(std::move(specs), options);
-  Status st = run.RunSource(source, sax);
-  return FinishMultiRun(run, st, results, run_stats);
+  if (plans.empty() || plans.front() == nullptr) {
+    return Status::InvalidArgument("multi-query run needs at least one plan");
+  }
+  SaxParser parser(source, plans.front()->options().stream.sax);
+  return StreamAllTransformEvents(plans, &parser, sinks, options, results,
+                                  run_stats);
 }
 
 Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
                                 EventSource* events,
                                 const std::vector<OutputSink*>& sinks,
-                                const MultiQueryOptions& options,
+                                const RunOptions& options,
                                 std::vector<MultiPlanResult>* results,
                                 MultiQueryStats* run_stats) {
   std::vector<MultiPlanSpec> specs;
-  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, &specs));
+  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, options, &specs));
   MultiQueryRun run(std::move(specs), options);
   Status st = run.Run(events);
-  return FinishMultiRun(run, st, results, run_stats);
+  if (run_stats != nullptr) *run_stats = run.stats();
+  if (results != nullptr) *results = run.results();
+  if (!st.ok()) return st;
+  return FoldPlanFailures(run.results(), results != nullptr);
 }
 
-Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
-                               const ParallelInput& input,
-                               const std::vector<OutputSink*>& sinks,
-                               const MultiQueryOptions& options,
-                               std::vector<MultiPlanResult>* results,
-                               MultiQueryStats* run_stats) {
-  if (plans.empty() || plans.front() == nullptr) {
-    return Status::InvalidArgument("multi-query run needs at least one plan");
+Status Run(const std::vector<const CompiledPlan*>& plans,
+           const std::vector<ParallelInput>& inputs,
+           const std::vector<OutputSink*>& sinks, const RunOptions& options,
+           std::vector<RunResult>* results, MultiQueryStats* stats) {
+  std::vector<MultiPlanSpec> specs;
+  Status setup = BuildMultiSpecs(plans, sinks, options, &specs);
+  if (!setup.ok()) {
+    if (results != nullptr) results->assign(plans.size(), {setup, {}, 0});
+    return setup;
   }
-  XQMFT_ASSIGN_OR_RETURN(
-      OpenedInput in,
-      OpenParallelInput(input, plans.front()->options().stream.sax));
-  return in.events != nullptr
-             ? StreamAllTransformEvents(plans, in.events.get(), sinks,
-                                        options, results, run_stats)
-             : StreamAllTransform(plans, in.bytes.get(), sinks, options,
-                                  results, run_stats);
+  const std::size_t k = plans.size();
+  const std::size_t n = inputs.size();
+  const SaxOptions sax = plans.front()->options().stream.sax;
+  // One merge per plan: input i's output reaches the plan's sink after
+  // that of inputs 0..i-1, and never once the plan failed before i.
+  std::deque<OrderedMerge> merges;
+  for (OutputSink* sink : sinks) merges.emplace_back(sink, n);
+  std::vector<RunResult> per_plan(k);
+  for (RunResult& r : per_plan) r.per_input.resize(n);
+  std::vector<std::uint64_t> fed(n * k, 0);  // [i * k + p]
+  std::vector<MultiQueryStats> passes(n);
+
+  ShardedExecutor::ForEach(n, options.threads, [&](std::size_t i) {
+    std::vector<std::size_t> live;
+    std::vector<MultiPlanSpec> live_specs;
+    std::vector<EventBuffer> buffers(k);
+    for (std::size_t p = 0; p < k; ++p) {
+      if (merges[p].first_failed() < i) {
+        merges[p].Commit(i, EventBuffer(),
+                         Status::Cancelled("plan failed on an earlier input"));
+        continue;
+      }
+      live.push_back(p);
+      live_specs.push_back(specs[p]);
+      live_specs.back().sink = &buffers[p];
+    }
+    if (live.empty()) return false;  // every plan failed: nothing left
+
+    // A run-level cancel, an unopenable input or a setup rejection fails
+    // every live plan; otherwise each plan gets its own pass result.
+    Status st = options.cancel != nullptr ? options.cancel->Check()
+                                          : Status::OK();
+    std::vector<MultiPlanResult> pass_results;
+    if (st.ok()) {
+      Result<OpenedInput> in = OpenParallelInput(inputs[i], sax);
+      st = in.status();
+      if (in.ok()) {
+        MultiQueryRun run(std::move(live_specs), options);
+        st = run.Run(in.value().events.get());
+        if (run.results().size() == live.size()) pass_results = run.results();
+        passes[i] = run.stats();
+      }
+    }
+    if (pass_results.empty()) {
+      pass_results.assign(live.size(), MultiPlanResult{st, {}, 0});
+    }
+    passes[i].documents = 1;
+    bool any_ok = false;
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      const MultiPlanResult& r = pass_results[j];
+      per_plan[live[j]].per_input[i] = r.stats;
+      fed[i * k + live[j]] = r.events_fed;
+      any_ok = any_ok || r.status.ok();
+      merges[live[j]].Commit(i, std::move(buffers[live[j]]), r.status);
+    }
+    return any_ok;
+  });
+
+  for (std::size_t p = 0; p < k; ++p) {
+    per_plan[p].status = merges[p].Finish();
+    // A failed plan streamed the inputs through its failing one.
+    const std::size_t streamed = std::min(n, merges[p].first_failed() + 1);
+    per_plan[p].per_input.resize(streamed);
+    for (std::size_t i = 0; i < streamed; ++i) {
+      per_plan[p].events_fed += fed[i * k + p];
+    }
+  }
+  if (stats != nullptr) {
+    *stats = MultiQueryStats{};
+    for (const MultiQueryStats& s : passes) {
+      stats->documents += s.documents;
+      stats->events_total += s.events_total;
+      stats->events_skipped += s.events_skipped;
+      stats->bytes_in += s.bytes_in;
+      stats->bytes_skipped += s.bytes_skipped;
+      stats->projection_enabled =
+          stats->projection_enabled || s.projection_enabled;
+    }
+  }
+  Status st = FoldPlanFailures(per_plan, results != nullptr);
+  if (results != nullptr) *results = std::move(per_plan);
+  return st;
 }
 
 Result<Forest> CompiledPlan::Evaluate(const Forest& input) const {

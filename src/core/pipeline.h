@@ -14,12 +14,13 @@
 // StreamScratch (stream/engine.h) the caller may pass to keep warm across
 // documents.
 //
-// Entry points: the seven CompiledPlan::Stream* methods (one document, a
-// document set, or one sharded pretok stream), and the three StreamAll*
-// functions that feed one document to many plans in a single pass. All of
-// them stream through the plans' source projection, so subtrees no plan
-// reads are skipped in the tokenizer; the free StreamTransform* functions
-// (stream/engine.h) stream unprojected.
+// Entry points: Run (every plan over every document of a set, one shared
+// pass per document, documents spread over worker threads), the six
+// CompiledPlan::Stream* methods (one document, or one sharded pretok
+// stream), and the two StreamAll* functions that feed one source to many
+// plans in a single pass. All of them stream through the plans' source
+// projection, so subtrees no plan reads are skipped in the tokenizer; the
+// free StreamTransform* functions (stream/engine.h) stream unprojected.
 //
 // Typical use:
 //
@@ -58,7 +59,7 @@ struct PipelineOptions {
   StreamOptions stream;
 };
 
-/// \brief One document of a parallel workload (see CompiledPlan::StreamMany).
+/// \brief One document of a Run.
 ///
 /// The in-memory kinds let tests and embedders shard without touching the
 /// filesystem; `value` is a path for the file kinds and the raw bytes
@@ -88,15 +89,15 @@ struct ParallelInput {
   }
 };
 
-/// \brief A ParallelInput opened for streaming: the text kinds yield a byte
-/// source, the pretok kinds an event source. Exactly one is set.
+/// \brief A ParallelInput opened for streaming as events: the pretok kinds
+/// replay their records, the text kinds parse `bytes`.
 struct OpenedInput {
-  std::unique_ptr<ByteSource> bytes;
-  std::unique_ptr<EventSource> events;
+  std::unique_ptr<ByteSource> bytes;    ///< text kinds only
+  std::unique_ptr<EventSource> events;  ///< always set
 };
 
-/// Opens `input` — the one per-kind dispatch behind StreamMany,
-/// StreamAllTransformInput and the CLI. A pretok input whose header declares
+/// Opens `input` — the one per-kind dispatch behind Run and the CLI; text
+/// parses under `sax`. A pretok input whose header declares
 /// a tokenization other than `sax` is rejected with InvalidArgument (it
 /// would replay different events). The in-memory kinds are read in place,
 /// so `input` must then outlive the result.
@@ -114,8 +115,8 @@ Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
 /// `shared_ptr<const CompiledPlan>` can therefore be handed to any number
 /// of concurrent runs, worker threads, or cache entries without
 /// synchronization: the dispatch is warm before any fan-out by
-/// construction, which is why the parallel entry points are plan methods
-/// rather than functions of a bare transducer.
+/// construction, which is why the parallel entry points take plans rather
+/// than bare transducers.
 class CompiledPlan {
  public:
   /// Parses, validates, translates, optimizes (by default), and compiles
@@ -150,9 +151,9 @@ class CompiledPlan {
   /// outside the projectable fragment, copies of every element). Every
   /// Stream* method below streams through it (ProjectedSource, in
   /// multiquery/union_projection.h), skipping unobservable subtrees at the
-  /// source; so do the StreamAll* functions, with the plans' union. The
-  /// automaton is built per run; compiling does no projection work beyond
-  /// this derivation.
+  /// source; so do Run and the StreamAll* functions, with the plans' union.
+  /// The automaton is built per run; compiling does no projection work
+  /// beyond this derivation.
   const QueryProjection& projection() const { return projection_; }
 
   /// Approximate resident bytes of the compiled artifact (states, rules,
@@ -181,17 +182,6 @@ class CompiledPlan {
                       StreamScratch* scratch = nullptr,
                       const CancelToken* cancel = nullptr) const;
 
-  /// Document-set sharding: streams every input through its own engine
-  /// (private SymbolTable copy, private arenas) across
-  /// `par.threads` workers, merging outputs into `sink` in input order —
-  /// byte-identical to streaming the inputs serially, for any thread count.
-  /// On failure the run returns the lowest-index failed input's error and
-  /// the sink holds the in-order output of the successful inputs before it.
-  /// `stats`, when given, is resized to one entry per input.
-  Status StreamMany(const std::vector<ParallelInput>& inputs, OutputSink* sink,
-                    const ParallelOptions& par = {},
-                    std::vector<StreamStats>* stats = nullptr) const;
-
   /// Single-document sharding: splits one pretok event stream at top-level
   /// forest boundaries into at most `shards` byte ranges (0 = one shard
   /// per top-level tree, so the decomposition — and therefore the output on
@@ -202,14 +192,15 @@ class CompiledPlan {
   /// whole stream; for a multi-tree forest each shard's trees evaluate as an
   /// independent forest (see parallel/pretok_split.h for the contract).
   /// `pretok` must outlive the call and match this plan's SAX options.
+  /// `options.threads` and `options.cancel` apply; the rest is for Run.
   Status StreamShardedPretok(std::string_view pretok, std::size_t shards,
-                             OutputSink* sink, const ParallelOptions& par = {},
+                             OutputSink* sink, const RunOptions& options = {},
                              std::vector<StreamStats>* stats = nullptr) const;
 
   /// StreamShardedPretok over a pretok cache file (memory-mapped).
   Status StreamShardedPretokFile(const std::string& path, std::size_t shards,
                                  OutputSink* sink,
-                                 const ParallelOptions& par = {},
+                                 const RunOptions& options = {},
                                  std::vector<StreamStats>* stats
                                  = nullptr) const;
 
@@ -243,7 +234,7 @@ class CompiledPlan {
 Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
                           ByteSource* source,
                           const std::vector<OutputSink*>& sinks,
-                          const MultiQueryOptions& options = {},
+                          const RunOptions& options = {},
                           std::vector<MultiPlanResult>* results = nullptr,
                           MultiQueryStats* run_stats = nullptr);
 
@@ -253,19 +244,44 @@ Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
 Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
                                 EventSource* events,
                                 const std::vector<OutputSink*>& sinks,
-                                const MultiQueryOptions& options = {},
+                                const RunOptions& options = {},
                                 std::vector<MultiPlanResult>* results = nullptr,
                                 MultiQueryStats* run_stats = nullptr);
 
-/// StreamAllTransform over any ParallelInput kind (text or pretok, file or
-/// in-memory), opened by OpenParallelInput; shared by the service batch
-/// path and the CLI.
-Status StreamAllTransformInput(const std::vector<const CompiledPlan*>& plans,
-                               const ParallelInput& input,
-                               const std::vector<OutputSink*>& sinks,
-                               const MultiQueryOptions& options = {},
-                               std::vector<MultiPlanResult>* results = nullptr,
-                               MultiQueryStats* run_stats = nullptr);
+/// \brief One plan's outcome of a Run.
+struct RunResult {
+  /// OK, or the error of the lowest-index input this plan failed on. The
+  /// plan's sink then holds exactly the output of the inputs before it.
+  Status status;
+  /// One entry per input, in input order, through the failing one.
+  std::vector<StreamStats> per_input;
+  std::uint64_t events_fed = 0;  ///< events the plan's engines consumed
+};
+
+/// The one run loop around the engines: streams every input through every
+/// plan. Each input is one MultiQueryRun pass (a single tokenization, the
+/// plans' union projection) over the plans still live; the inputs spread
+/// over `options.threads` workers (ShardedExecutor), and each plan's output
+/// reaches its sink in input order, byte-identical to streaming the inputs
+/// serially, for any thread count. One sink per plan, in plan order; each
+/// plan streams under its own baked options, and the plans' SAX options
+/// must tokenize identically.
+///
+/// Failures are isolated per plan: a plan that fails on input i keeps the
+/// output of the inputs before i and drops out, and its siblings keep
+/// streaming. A source failure (unreadable or malformed input) or a tripped
+/// `options.cancel` fails every plan not yet done with that input. The
+/// returned Status covers setup errors, plus, so failures cannot go
+/// unobserved, the lowest-index plan failure when `results` is not
+/// requested or when every plan failed. `results` gets one entry per plan
+/// (a setup error is every plan's); `stats`, when given, is the sum over
+/// the shared passes run.
+Status Run(const std::vector<const CompiledPlan*>& plans,
+           const std::vector<ParallelInput>& inputs,
+           const std::vector<OutputSink*>& sinks,
+           const RunOptions& options = {},
+           std::vector<RunResult>* results = nullptr,
+           MultiQueryStats* stats = nullptr);
 
 }  // namespace xqmft
 

@@ -5,25 +5,34 @@
 namespace xqmft {
 
 MultiQueryRun::MultiQueryRun(std::vector<MultiPlanSpec> plans,
-                             MultiQueryOptions options)
+                             RunOptions options)
     : plans_(std::move(plans)), options_(options) {}
 
 MultiQueryRun::~MultiQueryRun() = default;
 
-SymbolId MultiQueryRun::SymbolRemap::Map(SymbolTable* dst,
-                                         const XmlEvent& event) {
-  // Events without a master id (hand-built) fall back to the engine's
-  // by-name interning in CellBuilder.
-  if (event.symbol == kInvalidSymbol) return kInvalidSymbol;
-  const std::size_t i = event.symbol;
-  if (i >= ids.size()) ids.resize(i + 1, kInvalidSymbol);
-  if (ids[i] == kInvalidSymbol) {
-    ids[i] = dst->Intern(NodeKind::kElement, event.name);
-  }
-  return ids[i];
-}
+namespace {
 
-Status MultiQueryRun::CheckPlans(const SaxOptions* source_sax) const {
+// Master id -> engine id, grown lazily: the per-event per-engine cost of a
+// shared pump is an array index, not a hash lookup.
+struct SymbolRemap {
+  std::vector<SymbolId> ids;
+
+  SymbolId Map(SymbolTable* dst, const XmlEvent& event) {
+    // Events without a master id (hand-built) fall back to the engine's
+    // by-name interning in CellBuilder.
+    if (event.symbol == kInvalidSymbol) return kInvalidSymbol;
+    const std::size_t i = event.symbol;
+    if (i >= ids.size()) ids.resize(i + 1, kInvalidSymbol);
+    if (ids[i] == kInvalidSymbol) {
+      ids[i] = dst->Intern(NodeKind::kElement, event.name);
+    }
+    return ids[i];
+  }
+};
+
+}  // namespace
+
+Status MultiQueryRun::CheckPlans() const {
   if (plans_.empty()) {
     return Status::InvalidArgument("multi-query run needs at least one plan");
   }
@@ -38,9 +47,7 @@ Status MultiQueryRun::CheckPlans(const SaxOptions* source_sax) const {
           "validator must see the full stream, which source projection "
           "drops events from");
     }
-    const SaxOptions& base =
-        source_sax != nullptr ? *source_sax : plans_.front().options.sax;
-    if (!SameTokenization(base, p.options.sax)) {
+    if (!SameTokenization(plans_.front().options.sax, p.options.sax)) {
       return Status::InvalidArgument(
           "multi-query plans disagree on tokenization options; they must "
           "share one event stream");
@@ -54,23 +61,15 @@ Status MultiQueryRun::Run(EventSource* events) {
     return Status::InvalidArgument("MultiQueryRun may only run once");
   }
   ran_ = true;
-  XQMFT_RETURN_NOT_OK(CheckPlans(nullptr));
+  XQMFT_RETURN_NOT_OK(CheckPlans());
 
   results_.resize(plans_.size());
-  remaps_.resize(plans_.size());
   first_output_bytes_.assign(plans_.size(), 0);
-  std::vector<char> saw_output(plans_.size(), 0);
   engines_.reserve(plans_.size());
-  for (std::size_t i = 0; i < plans_.size(); ++i) {
-    MultiPlanSpec& p = plans_[i];
-    // Token priority per engine: the spec's own token, then the plan's
-    // member token (per_plan_cancel), then the run-level token. A member
-    // token tripping makes that engine's Feed fail, which the loop below
-    // isolates like any per-plan failure; the run-level token is still
-    // polled in the shared pump either way.
-    if (p.options.cancel == nullptr && i < options_.per_plan_cancel.size()) {
-      p.options.cancel = options_.per_plan_cancel[i];
-    }
+  for (MultiPlanSpec& p : plans_) {
+    // Token priority per engine: the spec's own (member) token, then the
+    // run-level token. A member token tripping makes that engine's Feed
+    // fail, which the pump isolates like any per-plan failure.
     if (options_.cancel != nullptr && p.options.cancel == nullptr) {
       p.options.cancel = options_.cancel;
     }
@@ -86,112 +85,113 @@ Status MultiQueryRun::Run(EventSource* events) {
     events = projected.get();
   }
   stats_.projection_enabled = projected != nullptr;
+  stats_.documents = 1;
 
+  std::uint64_t forwarded = 0;
+  Status st;
+  if (plans_.size() == 1 && (options_.cancel == nullptr ||
+                             plans_[0].options.cancel == options_.cancel)) {
+    // One plan whose engine polls the run's token itself: the serial pull
+    // loop, so a one-plan run costs what a single-query run does.
+    st = PumpEngine(engines_[0].get(), events, &forwarded,
+                    &first_output_bytes_[0]);
+    results_[0].events_fed = forwarded;
+  } else {
+    st = PumpShared(events, &forwarded);
+  }
+  for (std::size_t i = 0; i < engines_.size(); ++i) {
+    // After a source failure or a run-level cancel (`st`), a plan still
+    // live takes that status and is not finished: its Finish would
+    // synthesize end-of-document and emit output for an abandoned run.
+    // Every other engine finishes. Done ones keep their results, as their
+    // serial runs (which stop reading early) would; Finish supplies the
+    // end-of-document to live engines of a completed run, is a stats-only
+    // no-op on failed (sticky) ones, and fills stats either way.
+    if (!st.ok() && results_[i].status.ok() && !engines_[i]->done()) {
+      results_[i].status = st;
+      continue;
+    }
+    Status fst = engines_[i]->Finish(&results_[i].stats);
+    if (results_[i].status.ok() && !fst.ok()) results_[i].status = fst;
+  }
+
+  // Source-side counters: the run's, and each plan's view of them (the
+  // whole shared input, as its serial run would read it).
+  stats_.bytes_in = events->bytes_consumed();
+  stats_.events_total =
+      projected != nullptr ? projected->events_total() : forwarded;
+  std::uint64_t subtrees_skipped = 0;
+  if (projected != nullptr) {
+    stats_.events_skipped = projected->events_skipped();
+    stats_.bytes_skipped = projected->bytes_skipped();
+    subtrees_skipped = projected->subtrees_skipped();
+  }
+  for (std::size_t i = 0; i < results_.size(); ++i) {
+    StreamStats& s = results_[i].stats;
+    s.bytes_in = stats_.bytes_in;
+    s.bytes_in_at_first_output = first_output_bytes_[i];
+    s.subtrees_skipped = subtrees_skipped;
+    s.bytes_skipped = stats_.bytes_skipped;
+  }
+  return st;
+}
+
+Status MultiQueryRun::PumpShared(EventSource* events,
+                                 std::uint64_t* forwarded) {
+  const std::size_t n = engines_.size();
+  std::vector<SymbolRemap> remaps(n);
   events->BindSymbols(&master_);
+  std::vector<char> saw_output(n, 0);
   auto note_output = [&](std::size_t i) {
     if (saw_output[i] == 0 && engines_[i]->output_events() > 0) {
       saw_output[i] = 1;
       first_output_bytes_[i] = events->bytes_consumed();
     }
   };
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
+  // live[i]: engine i can still change its output (not done, not failed).
+  // Like the serial pump, the run stops reading once no engine is live.
+  std::vector<char> live(n, 0);
+  std::size_t live_count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     Status st = engines_[i]->Prime();
     if (!st.ok()) {
       results_[i].status = st;
-    } else {
-      note_output(i);
+      continue;
     }
+    note_output(i);
+    live[i] = !engines_[i]->done();
+    live_count += live[i];
   }
 
-  std::uint64_t forwarded = 0;
-  // Source-side counters, however the run ends.
-  auto note_source = [&]() {
-    stats_.bytes_in = events->bytes_consumed();
-    stats_.events_total =
-        projected != nullptr ? projected->events_total() : forwarded;
-    if (projected != nullptr) {
-      stats_.events_skipped = projected->events_skipped();
-      stats_.bytes_skipped = projected->bytes_skipped();
-    }
-  };
-  // A source failure or a run-level cancel aborts every unfinished plan;
-  // plans whose output completed before it keep their results, exactly as
-  // their serial runs (which stop reading early) would. No Finish for the
-  // unfinished ones: a live engine's Finish would synthesize end-of-document
-  // and emit output for a run being abandoned.
-  auto abort_run = [&](const Status& st) {
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      if (!results_[i].status.ok()) continue;
-      if (engines_[i]->done()) {
-        engines_[i]->Finish(&results_[i].stats);
-        results_[i].stats.bytes_in = events->bytes_consumed();
-        results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
-      } else {
-        results_[i].status = st;
-      }
-    }
-    note_source();
-    return st;
-  };
-
   XmlEvent event;
-  for (;;) {
-    // Like the serial pump, stop reading as soon as no engine's output can
-    // still change (all done or failed).
-    bool any_live = false;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      if (results_[i].status.ok() && !engines_[i]->done()) {
-        any_live = true;
-        break;
-      }
-    }
-    if (!any_live) break;
-    Status st = events->Next(&event);
-    if (!st.ok()) return abort_run(st);
+  while (live_count > 0) {
+    XQMFT_RETURN_NOT_OK(events->Next(&event));
     if (event.type == XmlEventType::kEndOfDocument) break;
-    ++forwarded;
+    ++*forwarded;
     // Run-level cancellation, polled here as well as inside the engines
     // (and, under projection, after every skipped subtree).
-    if (options_.cancel != nullptr && (forwarded & 255u) == 0) {
-      Status cst = options_.cancel->Check();
-      if (!cst.ok()) return abort_run(cst);
+    if (options_.cancel != nullptr && (*forwarded & 255u) == 0) {
+      XQMFT_RETURN_NOT_OK(options_.cancel->Check());
     }
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      if (!results_[i].status.ok() || engines_[i]->done()) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (live[i] == 0) continue;
       XmlEvent copy = event;
       copy.symbol = event.type == XmlEventType::kStartElement
-                        ? remaps_[i].Map(engines_[i]->symbols(), event)
+                        ? remaps[i].Map(engines_[i]->symbols(), event)
                         : kInvalidSymbol;
       Status fst = engines_[i]->Feed(copy);
       if (!fst.ok()) {
         results_[i].status = fst;  // isolated: siblings keep streaming
-        continue;
+      } else {
+        ++results_[i].events_fed;
+        note_output(i);
+        if (!engines_[i]->done()) continue;
       }
-      ++results_[i].events_fed;
-      note_output(i);
+      live[i] = 0;
+      --live_count;
     }
   }
-  Finish(events);
-  note_source();
   return Status::OK();
-}
-
-void MultiQueryRun::Finish(EventSource* events) {
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    // Engine::Finish supplies the synthetic end-of-document to live
-    // engines, is a stats-only no-op on failed (sticky) ones, and fills
-    // stats either way.
-    Status fst = engines_[i]->Finish(&results_[i].stats);
-    if (results_[i].status.ok() && !fst.ok()) results_[i].status = fst;
-    results_[i].stats.bytes_in = events->bytes_consumed();
-    results_[i].stats.bytes_in_at_first_output = first_output_bytes_[i];
-  }
-}
-
-Status MultiQueryRun::RunSource(ByteSource* source, const SaxOptions& sax) {
-  XQMFT_RETURN_NOT_OK(CheckPlans(&sax));
-  SaxParser parser(source, sax);
-  return Run(&parser);
 }
 
 }  // namespace xqmft

@@ -5,10 +5,12 @@
 // (union_projection.h, ProjectedSource), which skips subtrees no plan can
 // observe before they are tokenized into events.
 //
-// Symbol spaces: the shared source binds to the run's master table; each
-// engine keeps its own run-local table (its rule ids live there), bridged
-// by a lazily grown dense master-id -> engine-id remap, so the per-event
-// per-engine cost is an array index, not a hash lookup.
+// Symbol spaces: with two or more plans the shared source binds to the
+// run's master table; each engine keeps its own run-local table (its rule
+// ids live there), bridged by a lazily grown dense master-id -> engine-id
+// remap, so the per-event per-engine cost is an array index, not a hash
+// lookup. A one-plan run is the serial pull loop (PumpEngine): no master
+// table, no remap, no event copy.
 #ifndef XQMFT_MULTIQUERY_MULTI_RUN_H_
 #define XQMFT_MULTIQUERY_MULTI_RUN_H_
 
@@ -51,7 +53,14 @@ struct MultiPlanResult {
   std::uint64_t events_fed = 0;  ///< events this engine consumed
 };
 
-struct MultiQueryOptions {
+/// \brief The settable options of a run: of Run (core/pipeline.h), of
+/// each MultiQueryRun pass it drives, and of the sharded pretok methods.
+struct RunOptions {
+  /// Worker threads Run spreads its documents over (0 = one per hardware
+  /// thread; clamped to the document count). 1 runs the documents in order
+  /// on the calling thread. Output never depends on it. A MultiQueryRun is
+  /// one document on the calling thread and ignores it.
+  std::size_t threads = 0;
   /// Merge the per-plan projections and skip unmatchable subtrees at the
   /// source; off means every engine sees every event (the N-pass count).
   bool union_projection = true;
@@ -59,22 +68,28 @@ struct MultiQueryOptions {
   /// disconnect): injected into every engine's StreamOptions and also
   /// polled in the shared pump and after every skipped subtree, so
   /// projection-skipped stretches — where no engine sees events — cannot
-  /// outrun a deadline. A trip aborts
-  /// every unfinished plan with the token's status; plans that already
-  /// completed keep their results, mirroring source-error handling. Must
-  /// outlive the run; null means not cancellable.
+  /// outrun a deadline. A trip aborts every unfinished plan with the
+  /// token's status; plans that already completed keep their results,
+  /// mirroring source-error handling. Must outlive the run; null means not
+  /// cancellable.
   const CancelToken* cancel = nullptr;
   /// Per-plan cooperative cancellation, parallel to the plan vector (empty
-  /// or short = no token for the missing plans). Each token is installed as
-  /// its engine's StreamOptions cancel (unless the spec carries one
-  /// already), so a tripped member detaches through the per-plan
-  /// failure-isolation path — status recorded, siblings keep streaming —
-  /// which is how the serving scheduler drops one disconnected request out
-  /// of a shared coalesced run. Tokens must outlive the run.
+  /// or short = no token for the missing plans). Run and the StreamAll*
+  /// functions install each token as its plan's MultiPlanSpec cancel (a
+  /// MultiQueryRun reads only the specs), so a tripped member detaches
+  /// through the per-plan failure-isolation path — status recorded,
+  /// siblings keep streaming — which is how the serving scheduler drops one
+  /// disconnected request out of a shared coalesced run. Tokens must
+  /// outlive the run.
   std::vector<const CancelToken*> per_plan_cancel;
 };
 
+/// The name bench/xqbench spells RunOptions by.
+using MultiQueryOptions = RunOptions;
+
+/// Counters of the shared input; Run sums them over its documents.
 struct MultiQueryStats {
+  std::size_t documents = 0;  ///< shared passes run (1 per MultiQueryRun)
   /// Events of the shared input, the same count with projection on or off:
   /// those inside skipped subtrees are counted by the skipper, never built.
   std::uint64_t events_total = 0;
@@ -85,43 +100,36 @@ struct MultiQueryStats {
 };
 
 /// \brief Drives one shared event source through every plan's engine in a
-/// single pass. Use once: construct, Run (or RunSource), read results().
+/// single pass. Use once: construct, Run, read results().
 class MultiQueryRun {
  public:
   explicit MultiQueryRun(std::vector<MultiPlanSpec> plans,
-                         MultiQueryOptions options = {});
+                         RunOptions options = {});
   ~MultiQueryRun();
   MultiQueryRun(const MultiQueryRun&) = delete;
   MultiQueryRun& operator=(const MultiQueryRun&) = delete;
 
   /// Streams `events` to completion (or until every plan has finished or
   /// failed — like the serial pump, the run stops reading early when no
-  /// engine can produce further output). The source is bound to the run's
-  /// master symbol table. Returns setup and source-level errors; per-plan
-  /// engine failures land in results() only.
+  /// engine can produce further output). Returns setup and source-level
+  /// errors; per-plan engine failures land in results() only.
   Status Run(EventSource* events);
-
-  /// Convenience: parses `source` with `sax` (which must tokenize
-  /// identically to every plan's options.sax — checked).
-  Status RunSource(ByteSource* source, const SaxOptions& sax);
 
   const std::vector<MultiPlanResult>& results() const { return results_; }
   const MultiQueryStats& stats() const { return stats_; }
 
  private:
-  struct SymbolRemap {
-    std::vector<SymbolId> ids;  ///< master id -> engine id, grown lazily
-    SymbolId Map(SymbolTable* dst, const XmlEvent& event);
-  };
-
-  Status CheckPlans(const SaxOptions* source_sax) const;
-  void Finish(EventSource* events);
+  Status CheckPlans() const;
+  /// The pump of a run with several engines (or one whose member token is
+  /// not the run's): the source binds to the master table and each live
+  /// engine gets every event remapped into its own id space. Returns the
+  /// source's or the run-level token's failure; counts events pulled.
+  Status PumpShared(EventSource* events, std::uint64_t* forwarded);
 
   std::vector<MultiPlanSpec> plans_;
-  MultiQueryOptions options_;
+  RunOptions options_;
   SymbolTable master_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<SymbolRemap> remaps_;
   std::vector<MultiPlanResult> results_;
   std::vector<std::size_t> first_output_bytes_;
   MultiQueryStats stats_;

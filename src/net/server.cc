@@ -446,12 +446,14 @@ bool NetServer::Impl::ProcessLine(Conn* c, std::string line) {
   // A malformed deadline is rejected, not ignored: silently dropping a
   // bad "deadline_ms" ("100" as a string, 0, a negative) would run the
   // request with no budget at all — the opposite of what the client asked
-  // for.
+  // for. One above 2^53 cannot be cast to a count.
   const JsonValue* dl = json.Find("deadline_ms");
-  if (dl != nullptr && (!dl->is_number() || dl->number <= 0)) {
+  if (dl != nullptr && (!dl->is_number() || dl->number <= 0 ||
+                        dl->number > JsonValue::kMaxCount)) {
     counters.rejected_bad_request.fetch_add(1);
-    return reply(ErrorResponse(id, "deadline_ms must be a positive number",
-                               "bad_request"));
+    return reply(ErrorResponse(
+        id, "deadline_ms must be a positive number of at most 2^53",
+        "bad_request"));
   }
   const double deadline_ms = dl != nullptr ? dl->number : 0.0;
 

@@ -36,7 +36,9 @@ void EventBuffer::Replay(OutputSink* sink) const {
 }
 
 OrderedMerge::OrderedMerge(OutputSink* downstream, std::size_t shard_count)
-    : downstream_(downstream), slots_(shard_count) {}
+    : downstream_(downstream),
+      slots_(shard_count),
+      first_failed_(shard_count) {}
 
 void OrderedMerge::Commit(std::size_t index, EventBuffer buffer,
                           Status status) {
@@ -47,7 +49,7 @@ void OrderedMerge::Commit(std::size_t index, EventBuffer buffer,
   slot.committed = true;
   slot.buffer = std::move(buffer);
   slot.status = std::move(status);
-  if (!slot.status.ok()) error_ = true;
+  if (!slot.status.ok() && index < first_failed_) first_failed_ = index;
   // Flush the committed prefix. Stop permanently at the first failed slot:
   // downstream only ever sees the in-order output of an OK prefix.
   while (next_ < slots_.size() && slots_[next_].committed &&
@@ -58,26 +60,18 @@ void OrderedMerge::Commit(std::size_t index, EventBuffer buffer,
   }
 }
 
-bool OrderedMerge::saw_error() const {
+std::size_t OrderedMerge::first_failed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return error_;
+  return first_failed_;
 }
 
 Status OrderedMerge::Finish() {
   std::lock_guard<std::mutex> lock(mu_);
-  bool any_uncommitted = false;
-  Status first_error = Status::OK();
-  for (const Slot& slot : slots_) {
-    if (!slot.committed) {
-      any_uncommitted = true;
-      continue;
-    }
-    if (!slot.status.ok() && first_error.ok()) first_error = slot.status;
-  }
+  if (first_failed_ < slots_.size()) return slots_[first_failed_].status;
   // A hole with no error means a worker vanished without committing — an
   // executor invariant violation, not a data condition.
-  XQMFT_CHECK(!any_uncommitted || !first_error.ok());
-  return first_error;
+  for (const Slot& slot : slots_) XQMFT_CHECK(slot.committed);
+  return Status::OK();
 }
 
 }  // namespace xqmft

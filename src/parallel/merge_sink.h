@@ -41,7 +41,6 @@ class EventBuffer : public OutputSink {
   void Replay(OutputSink* sink) const;
 
   bool empty() const { return log_.empty(); }
-  std::size_t bytes() const { return log_.size(); }
   void clear() { log_.clear(); }
 
  private:
@@ -65,9 +64,10 @@ class OrderedMerge {
   /// Hands over shard `index`'s output and completion status. Thread-safe.
   void Commit(std::size_t index, EventBuffer buffer, Status status);
 
-  /// True once any committed shard failed (cancellation hint for workers;
-  /// the authoritative status is Finish()).
-  bool saw_error() const;
+  /// The lowest shard index committed with a failure so far (the shard
+  /// count while none has). The merge never flushes a shard above it, so a
+  /// worker may skip those (committing any error in their place).
+  std::size_t first_failed() const;
 
   /// Overall run status: OK iff every shard committed OK; otherwise the
   /// error of the lowest-index failed shard. Uncommitted slots are only
@@ -86,7 +86,7 @@ class OrderedMerge {
   OutputSink* downstream_;
   std::vector<Slot> slots_;
   std::size_t next_ = 0;   // first slot not yet flushed downstream
-  bool error_ = false;     // guarded by mu_; saw_error() takes the lock
+  std::size_t first_failed_;  // lowest failed slot; slots_.size() if none
 };
 
 }  // namespace xqmft

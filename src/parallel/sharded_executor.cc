@@ -8,9 +8,11 @@
 
 namespace xqmft {
 
-std::size_t ResolveThreads(const ParallelOptions& options,
-                           std::size_t item_count) {
-  std::size_t threads = options.threads;
+namespace {
+
+// Resolved worker count (>= 1): 0 means one per hardware thread, and the
+// count is clamped to the items.
+std::size_t ResolveThreads(std::size_t threads, std::size_t item_count) {
   if (threads == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
@@ -19,45 +21,44 @@ std::size_t ResolveThreads(const ParallelOptions& options,
   return threads == 0 ? 1 : threads;
 }
 
-Status ShardedExecutor::Run(std::size_t item_count, const ItemFn& item,
-                            OutputSink* downstream,
-                            const ParallelOptions& options) {
-  if (item_count == 0) return Status::OK();
-  std::size_t threads = ResolveThreads(options, item_count);
+}  // namespace
 
-  if (threads <= 1) {
-    // Serial fast path: no worker threads, items run in order on the
-    // calling thread. Output is still staged per item so the error
-    // contract matches the merged path exactly — a failing item's partial
-    // output never reaches the downstream sink at any thread count.
-    for (std::size_t i = 0; i < item_count; ++i) {
-      EventBuffer buffer;
-      XQMFT_RETURN_NOT_OK(item(i, &buffer));
-      buffer.Replay(downstream);
-    }
-    return Status::OK();
-  }
-
-  OrderedMerge merge(downstream, item_count);
+void ShardedExecutor::ForEach(std::size_t item_count, std::size_t threads,
+                              const std::function<bool(std::size_t)>& work) {
+  if (item_count == 0) return;
+  threads = ResolveThreads(threads, item_count);
   // The work queue: a shared atomic cursor. Workers steal the next
-  // unclaimed index as they finish, so slow shards never gate fast ones
+  // unclaimed index as they finish, so slow items never gate fast ones
   // (dynamic load balancing at item granularity).
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
   auto worker = [&]() {
-    while (!merge.saw_error()) {
+    while (!stop.load(std::memory_order_relaxed)) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= item_count) return;
-      EventBuffer buffer;
-      Status st = item(i, &buffer);
-      merge.Commit(i, std::move(buffer), std::move(st));
+      if (!work(i)) stop.store(true, std::memory_order_relaxed);
     }
   };
-
   std::vector<std::thread> pool;
   pool.reserve(threads - 1);
   for (std::size_t t = 0; t + 1 < threads; ++t) pool.emplace_back(worker);
   worker();  // the calling thread is worker N-1
   for (std::thread& t : pool) t.join();
+}
+
+Status ShardedExecutor::Run(std::size_t item_count, const ItemFn& item,
+                            OutputSink* downstream, std::size_t threads) {
+  // Output is staged per item at every thread count, so a failing item's
+  // partial output never reaches the downstream sink, and the first
+  // failure stops further items from starting.
+  OrderedMerge merge(downstream, item_count);
+  ForEach(item_count, threads, [&](std::size_t i) {
+    EventBuffer buffer;
+    Status st = item(i, &buffer);
+    const bool ok = st.ok();
+    merge.Commit(i, std::move(buffer), std::move(st));
+    return ok;
+  });
   return merge.Finish();
 }
 

@@ -24,27 +24,10 @@
 #include <cstddef>
 #include <functional>
 
-#include "util/cancel.h"
 #include "util/status.h"
 #include "xml/events.h"
 
 namespace xqmft {
-
-/// \brief Knobs of one parallel run.
-struct ParallelOptions {
-  /// Worker threads. 0 = one per hardware thread; clamped to the item
-  /// count. 1 runs items in order on the calling thread with no worker
-  /// threads or merge lock (the serial fast path — and the serial baseline
-  /// the differential suite compares against); output is still staged per
-  /// item, so error behavior is identical at every thread count.
-  std::size_t threads = 0;
-  /// Per-run cooperative cancellation, threaded by the streaming entry
-  /// points into every worker engine's StreamOptions (a CompiledPlan's
-  /// baked options cannot carry a token — it is per-request mutable state —
-  /// so this is how serving layers abort a fan-out mid-stream). The token
-  /// must outlive the run; null means not cancellable.
-  const CancelToken* cancel = nullptr;
-};
 
 /// \brief Runs indexed work items across worker threads with ordered merge.
 class ShardedExecutor {
@@ -55,15 +38,21 @@ class ShardedExecutor {
   /// across indices.
   using ItemFn = std::function<Status(std::size_t index, OutputSink* sink)>;
 
-  /// Executes items [0, item_count) and merges their output into
-  /// `downstream` in index order. Blocks until done.
+  /// Executes items [0, item_count) across `threads` workers (0 = one per
+  /// hardware thread; clamped to the item count) and merges their output
+  /// into `downstream` in index order. Blocks until done.
   static Status Run(std::size_t item_count, const ItemFn& item,
-                    OutputSink* downstream, const ParallelOptions& options);
-};
+                    OutputSink* downstream, std::size_t threads);
 
-/// Resolved worker count for `options` over `item_count` items (>= 1).
-std::size_t ResolveThreads(const ParallelOptions& options,
-                           std::size_t item_count);
+  /// The worker pool under Run, for callers that merge themselves (one
+  /// OrderedMerge per output stream): calls `work(i)` at most once for each
+  /// i in [0, item_count), claiming indices in increasing order across
+  /// `threads` workers. Once a call returns false no worker claims another
+  /// index. One worker runs the items in order on the calling thread and
+  /// starts no thread; with more, the calling thread is worker N-1.
+  static void ForEach(std::size_t item_count, std::size_t threads,
+                      const std::function<bool(std::size_t)>& work);
+};
 
 }  // namespace xqmft
 

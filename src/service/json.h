@@ -38,6 +38,10 @@ struct JsonValue {
 
   /// First field with this key, or null (objects only).
   const JsonValue* Find(std::string_view key) const;
+
+  /// 2^53, the largest count a number field may carry (exact in a double,
+  /// and in every integer type a count is cast to).
+  static constexpr double kMaxCount = 9007199254740992.0;
 };
 
 /// Parses exactly one JSON value spanning all of `text` (surrounding

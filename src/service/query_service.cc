@@ -28,16 +28,6 @@ StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input) {
   return out;
 }
 
-CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
-                         CancelToken* local) {
-  CancelToken* token = caller;
-  if (deadline_ms > 0) {
-    if (token == nullptr) token = local;
-    if (!token->has_deadline()) token->SetDeadlineAfterMs(deadline_ms);
-  }
-  return token;
-}
-
 QueryService::QueryService(QueryCacheOptions cache_options,
                            PipelineOptions base_options)
     : base_options_(base_options), cache_(cache_options) {}
@@ -49,41 +39,14 @@ Result<QueryCacheLookup> QueryService::LookupPlan(const std::string& query,
   return cache_.Lookup(query, options);
 }
 
-Status QueryService::Execute(const ServiceRequest& request, OutputSink* sink,
-                             ServiceRequestStats* stats) {
-  if (request.inputs.empty()) {
-    return Status::InvalidArgument("request has no inputs");
-  }
-  XQMFT_ASSIGN_OR_RETURN(QueryCacheLookup lookup,
-                         LookupPlan(request.query, request.no_opt));
-
-  ParallelOptions par;
-  par.threads = request.threads;
-  CancelToken local_token;
-  par.cancel = ArmDeadline(request.cancel, request.deadline_ms, &local_token);
-  std::vector<StreamStats> per_input;
-  auto t0 = std::chrono::steady_clock::now();
-  Status st = lookup.plan->StreamMany(request.inputs, sink, par, &per_input);
-  double stream_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-  if (stats != nullptr) {
-    stats->cache_hit = lookup.hit;
-    stats->compile_ms = lookup.compile_ms;
-    stats->stream_ms = stream_ms;
-    stats->total = AggregateStreamStats(per_input);
-    stats->per_input = std::move(per_input);
-  }
-  return st;
-}
-
 namespace {
 
-// Groups are keyed by the exact document list: same kinds, same values, same
-// order. Length-prefixing keeps "ab"+"c" distinct from "a"+"bc".
-std::string InputsKey(const std::vector<ParallelInput>& inputs) {
-  std::string key;
-  for (const ParallelInput& in : inputs) {
+// Groups are keyed by the exact document list (same kinds, same values,
+// same order) and the worker count they run under. Length-prefixing keeps
+// "ab"+"c" distinct from "a"+"bc".
+std::string GroupKey(const ServiceRequest& request) {
+  std::string key = std::to_string(request.threads) + ';';
+  for (const ParallelInput& in : request.inputs) {
     key.push_back(static_cast<char>(static_cast<int>(in.kind)) + '0');
     key += std::to_string(in.value.size());
     key.push_back(':');
@@ -92,11 +55,11 @@ std::string InputsKey(const std::vector<ParallelInput>& inputs) {
   return key;
 }
 
-// One shared streaming pass: requests over the same document list, one slot
-// per distinct plan. `requests_for_plan[s]` lists every batch index whose
-// output replays from slot s.
+// One Run: requests over the same document list, one slot per distinct
+// plan. `requests_for_plan[s]` lists every batch index whose output comes
+// from slot s.
 struct BatchGroup {
-  const std::vector<ParallelInput>* inputs = nullptr;
+  const ServiceRequest* first = nullptr;  ///< its inputs and threads
   std::vector<const CompiledPlan*> plans;
   std::vector<std::vector<std::size_t>> requests_for_plan;
 };
@@ -106,7 +69,7 @@ struct BatchGroup {
 Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
                                   const std::vector<OutputSink*>& sinks,
                                   ServiceBatchStats* stats,
-                                  const MultiQueryOptions& multi_options) {
+                                  const RunOptions& run_options) {
   if (requests.empty()) {
     return Status::InvalidArgument("batch has no requests");
   }
@@ -161,10 +124,10 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
   for (std::size_t i = 0; i < n; ++i) {
     if (plans[i] == nullptr) continue;
     auto [it, fresh] =
-        group_index.emplace(InputsKey(requests[i].inputs), groups.size());
+        group_index.emplace(GroupKey(requests[i]), groups.size());
     if (fresh) groups.emplace_back();
     BatchGroup& group = groups[it->second];
-    if (group.inputs == nullptr) group.inputs = &requests[i].inputs;
+    if (group.first == nullptr) group.first = &requests[i];
     std::size_t slot = group.plans.size();
     for (std::size_t s = 0; s < group.plans.size(); ++s) {
       if (group.plans[s] == plans[i].get()) { slot = s; break; }
@@ -185,12 +148,10 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
   double total_stream_ms = 0.0;
   for (BatchGroup& group : groups) {
     const std::size_t slots = group.plans.size();
+    // A slot serving one member streams straight into its sink; a deduped
+    // slot records once and replays to each member below.
     std::vector<EventBuffer> buffers(slots);
-    std::vector<Status> slot_status(slots, Status::OK());
-    std::vector<std::vector<StreamStats>> slot_inputs(slots);
-    std::vector<std::uint64_t> slot_events_fed(slots, 0);
-    std::uint64_t group_skipped = 0;
-
+    std::vector<OutputSink*> slot_sinks(slots);
     // A slot serving exactly one member (or members sharing one token)
     // streams under that member's cancel token, so a disconnect or deadline
     // detaches it mid-pass through the per-plan isolation path. A deduped
@@ -200,70 +161,45 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
     std::vector<const CancelToken*> slot_cancel(slots, nullptr);
     for (std::size_t s = 0; s < slots; ++s) {
       const std::vector<std::size_t>& members = group.requests_for_plan[s];
-      const CancelToken* shared =
-          members.empty() ? nullptr : requests[members.front()].cancel;
+      slot_sinks[s] = members.size() == 1 ? sinks[members.front()]
+                                          : &buffers[s];
+      const CancelToken* shared = requests[members.front()].cancel;
       for (std::size_t i : members) {
         if (requests[i].cancel != shared) { shared = nullptr; break; }
       }
       slot_cancel[s] = shared;
     }
-
-    auto t0 = std::chrono::steady_clock::now();
-    for (const ParallelInput& doc : *group.inputs) {
-      // A slot that failed on an earlier document is done: the serial
-      // equivalent (Execute aborting the whole request on first error)
-      // never reaches the later documents either.
-      std::vector<const CompiledPlan*> live_plans;
-      std::vector<OutputSink*> live_sinks;
-      std::vector<std::size_t> live_slots;
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (!slot_status[s].ok()) continue;
-        live_plans.push_back(group.plans[s]);
-        live_sinks.push_back(&buffers[s]);
-        live_slots.push_back(s);
-      }
-      if (live_plans.empty()) break;
-
-      MultiQueryOptions pass_options = multi_options;
-      pass_options.per_plan_cancel.reserve(live_slots.size());
-      for (std::size_t s : live_slots) {
-        pass_options.per_plan_cancel.push_back(slot_cancel[s]);
-      }
-
-      std::vector<MultiPlanResult> results;
-      MultiQueryStats run_stats;
-      Status st = StreamAllTransformInput(live_plans, doc, live_sinks,
-                                          pass_options, &results, &run_stats);
-      ++documents;
-      parsed_bytes += run_stats.bytes_in;
-      group_skipped += run_stats.events_skipped;
-      if (results.size() == live_slots.size()) {
-        for (std::size_t k = 0; k < live_slots.size(); ++k) {
-          std::size_t s = live_slots[k];
-          slot_inputs[s].push_back(results[k].stats);
-          slot_events_fed[s] += results[k].events_fed;
-          if (!results[k].status.ok()) slot_status[s] = results[k].status;
-        }
-      } else if (!st.ok()) {
-        // Setup-level rejection (e.g. mixed tokenization options within the
-        // group) never reached the engines; it fails every live slot.
-        for (std::size_t s : live_slots) slot_status[s] = st;
-      }
+    RunOptions options = run_options;
+    options.threads = group.first->threads;
+    if (options.cancel == nullptr && slots == 1) {
+      // One token for the whole run (a single request): the run's own,
+      // polled across projection-skipped stretches too.
+      options.cancel = slot_cancel.front();
+    } else {
+      options.per_plan_cancel = slot_cancel;
     }
+
+    std::vector<RunResult> results;
+    MultiQueryStats run_stats;
+    auto t0 = std::chrono::steady_clock::now();
+    Run(group.plans, group.first->inputs, slot_sinks, options, &results,
+        &run_stats);
     double group_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
     total_stream_ms += group_ms;
+    documents += run_stats.documents;
+    parsed_bytes += run_stats.bytes_in;
 
     for (std::size_t s = 0; s < slots; ++s) {
       for (std::size_t i : group.requests_for_plan[s]) {
-        per_request[i].status = slot_status[s];
+        per_request[i].status = results[s].status;
         per_request[i].stream_ms = group_ms;
-        per_request[i].per_input = slot_inputs[s];
-        per_request[i].total = AggregateStreamStats(slot_inputs[s]);
-        per_request[i].events_fed = slot_events_fed[s];
-        per_request[i].events_skipped = group_skipped;
-        if (!slot_status[s].ok()) continue;
+        per_request[i].per_input = results[s].per_input;
+        per_request[i].total = AggregateStreamStats(results[s].per_input);
+        per_request[i].events_fed = results[s].events_fed;
+        per_request[i].events_skipped = run_stats.events_skipped;
+        if (!results[s].status.ok()) continue;
         // A member whose own token tripped while a shared (deduped) slot
         // kept streaming for its siblings gets its token's status, not a
         // replay — nobody is waiting for those bytes.
@@ -274,7 +210,7 @@ Status QueryService::ExecuteBatch(const std::vector<ServiceRequest>& requests,
             continue;
           }
         }
-        buffers[s].Replay(sinks[i]);
+        if (slot_sinks[s] == &buffers[s]) buffers[s].Replay(sinks[i]);
       }
     }
   }

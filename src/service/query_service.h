@@ -1,13 +1,15 @@
 // Multi-query serving: (cached plan × input batch) execution.
 //
 // A QueryService owns the process-wide QueryCache and executes requests of
-// the shape "this query over these documents with this many workers".
-// Every request, one input or many, streams through
-// CompiledPlan::StreamMany (document-set sharding with ordered merge), so
-// responses are byte-identical to streaming the inputs serially whatever
-// the thread count. Compile cost is paid at most once per distinct query
-// and reported separately from stream cost in the per-request stats
-// (xqbench `serve` reads both from the response headers).
+// the shape "this query over these documents with this many workers". It
+// has one execution path, ExecuteBatch: a single request is a batch of
+// one. Requests over the same documents and worker count share one Run
+// (core/pipeline.h: one pass per document, documents spread over the
+// workers, ordered merge), so responses are byte-identical to streaming
+// the inputs serially whatever the thread count. Compile cost is paid at
+// most once per distinct query and reported separately from stream cost in
+// the per-request stats (xqbench `serve` reads both from the response
+// headers).
 #ifndef XQMFT_SERVICE_QUERY_SERVICE_H_
 #define XQMFT_SERVICE_QUERY_SERVICE_H_
 
@@ -32,14 +34,10 @@ struct ServiceRequest {
   std::size_t threads = 1;
   /// Skip the Section 4.1 optimizations (measurement requests).
   bool no_opt = false;
-  /// Wall-clock budget for the streaming pass, in milliseconds; 0 = none.
-  /// Execute arms it through ArmDeadline; ExecuteBatch expects its caller
-  /// to have armed it on `cancel`. A trip aborts the run with
-  /// kDeadlineExceeded at the next engine check.
-  std::uint64_t deadline_ms = 0;
   /// Cooperative cancellation for this request (client disconnect, server
-  /// shutdown). Must outlive the call; null = not cancellable (unless
-  /// deadline_ms arms a local token).
+  /// shutdown, a deadline armed on it): a trip aborts the run with the
+  /// token's status at the next engine check. Must outlive the call; null =
+  /// not cancellable.
   CancelToken* cancel = nullptr;
 };
 
@@ -47,10 +45,9 @@ struct ServiceRequest {
 struct ServiceRequestStats {
   bool cache_hit = false;
   double compile_ms = 0.0;  ///< 0 when the plan was cached
-  double stream_ms = 0.0;   ///< batch mode: the group's shared-pass wall time
+  double stream_ms = 0.0;   ///< the wall time of the request's group Run
   std::vector<StreamStats> per_input;
   StreamStats total;  ///< summed; peak_bytes is the max across inputs
-  // --- batch-mode (ExecuteBatch) fields; untouched by Execute ---
   /// Per-request outcome: batch execution isolates failures, so a bad query
   /// or a mid-stream engine error lands here instead of failing the batch.
   Status status = Status::OK();
@@ -82,13 +79,6 @@ struct ServiceBatchStats {
   std::vector<ServiceRequestStats> per_request;
 };
 
-/// The token a request runs under: `caller` when given, else `*local` when
-/// `deadline_ms` (0 = none) needs carrying, else null. The deadline is armed
-/// only if none is armed yet — a server arms from admission time, so queue
-/// wait counts against the budget.
-CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
-                         CancelToken* local);
-
 /// Sums per-input statistics into one record. Peak memory is the max
 /// engine-tracked peak across inputs (per-engine peaks need not coincide in
 /// time); output staged in the ordered merge is not tracked and comes on
@@ -96,43 +86,40 @@ CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
 StreamStats AggregateStreamStats(const std::vector<StreamStats>& per_input);
 
 /// \brief Executes requests against a shared compile-once cache.
-/// Thread-safe: concurrent Execute calls share plans through the cache and
-/// run independent engines.
+/// Thread-safe: concurrent ExecuteBatch calls share plans through the cache
+/// and run independent engines.
 class QueryService {
  public:
   explicit QueryService(QueryCacheOptions cache_options = {},
                         PipelineOptions base_options = {});
 
-  /// Streams the request's batch into `sink` (outputs concatenate in input
-  /// order). The plan comes from the cache — compiled now only if this is
-  /// the first sighting of the query.
-  Status Execute(const ServiceRequest& request, OutputSink* sink,
-                 ServiceRequestStats* stats = nullptr);
-
   /// Executes a batch of requests with shared work done once: requests over
-  /// an identical document list form a group, each group's distinct plans
-  /// (deduplicated through the cache, so two spellings of one query share an
-  /// engine) stream every document in a single pass under the union
-  /// projection automaton, and each request's sink receives a replay of its
-  /// plan's recorded output. Responses are byte-identical to issuing the
-  /// requests serially through Execute.
+  /// an identical document list and worker count form a group, and each
+  /// group's distinct plans (deduplicated through the cache, so two
+  /// spellings of one query share an engine) stream every document in one
+  /// Run — a single pass per document under the union projection
+  /// automaton, documents spread over the group's `threads`. A slot with
+  /// one request streams into its sink; a deduplicated slot replays its
+  /// recorded output to each member. Responses are byte-identical to
+  /// issuing each request alone.
   ///
-  /// `sinks` parallels `requests`. `request.threads` is ignored: the shared
-  /// pass is serial per document (combining multi-query execution with
-  /// document-set sharding is future work). `request.cancel` is honored per
-  /// member: a token that tripped before the pass excludes the member up
-  /// front (no compile, no slot); a single-member slot streams under its
-  /// member's token, so a mid-pass trip detaches just that plan; and a
-  /// member sharing a deduped slot with live siblings is denied its replay
-  /// once its own token trips. Per-request failures (compile
-  /// errors, engine errors) are isolated in `stats->per_request[i].status`;
-  /// the returned Status is non-OK for batch-level problems (empty batch,
-  /// size mismatch), when `stats` is null (first failing request, lowest
-  /// index), or when every request failed.
+  /// `sinks` parallels `requests`. `run_options` carries batch-wide options
+  /// (union projection, a run-level cancel token); its threads are replaced
+  /// by each group's. `request.cancel` is honored per member: a token that
+  /// tripped before the pass excludes the member up front (no compile, no
+  /// slot); a single-member slot streams under its member's token (the
+  /// run's own token when the group has that one slot), so a mid-pass trip
+  /// detaches just that plan; and a member sharing a deduped slot with live
+  /// siblings is denied its replay once its own token trips. Per-request
+  /// failures (compile errors, engine errors) are isolated in
+  /// `stats->per_request[i].status`; the returned Status is non-OK for
+  /// batch-level problems (empty batch, size mismatch), when `stats` is
+  /// null (first failing request, lowest index), or when every request
+  /// failed.
   Status ExecuteBatch(const std::vector<ServiceRequest>& requests,
                       const std::vector<OutputSink*>& sinks,
                       ServiceBatchStats* stats = nullptr,
-                      const MultiQueryOptions& multi_options = {});
+                      const RunOptions& run_options = {});
 
   /// The plan for `query` from the cache, compiled under the service's
   /// options; `no_opt` turns optimization off (it can only turn it off: a

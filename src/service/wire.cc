@@ -93,8 +93,8 @@ void AppendOverlongLineResponse(std::string* out, std::size_t limit) {
 std::string CoalesceKey(const JsonValue& json) {
   if (!json.is_object()) return std::string();
   // Forms with their own execution paths (cmd, batch), per-request source
-  // wrapping (fault), or request-level execution knobs the shared pass
-  // ignores (threads) stay on the single-request path.
+  // wrapping (fault), or a request-level worker count (threads) stay on the
+  // single-request path.
   if (json.Find("cmd") != nullptr || json.Find("queries") != nullptr ||
       json.Find("fault") != nullptr || json.Find("threads") != nullptr) {
     return std::string();
@@ -117,7 +117,8 @@ std::string CoalesceKey(const JsonValue& json) {
     return std::string();  // no documents: the single path owns the error
   }
   // JSON-serialized field lists: two requests with equal keys parse into
-  // identical ParallelInput lists, i.e. the same ExecuteBatch InputsKey.
+  // identical ParallelInput lists and the default worker count, i.e. the
+  // same ExecuteBatch group.
   std::string key = "i";
   if (inputs != nullptr) AppendJsonValue(&key, *inputs);
   key += "x";
@@ -134,8 +135,9 @@ StatusCode AppendError(std::string* out, const JsonValue* id,
   return st.code();
 }
 
-// Reads a non-negative integer field into *value; false (with an error
-// appended to *err) on a malformed one, true otherwise (absent = untouched).
+// Reads a non-negative integer field of at most JsonValue::kMaxCount into
+// *value; false (with an error appended to *err) on a malformed one, true
+// otherwise (absent = untouched).
 bool ParseCount(const JsonValue& json, std::string_view key,
                 std::uint64_t* value, std::string* err) {
   const JsonValue* v = json.Find(key);
@@ -143,6 +145,11 @@ bool ParseCount(const JsonValue& json, std::string_view key,
   if (!v->is_number() || v->number < 0 ||
       v->number != std::floor(v->number)) {
     *err = StrFormat("\"%.*s\" must be a non-negative integer",
+                     static_cast<int>(key.size()), key.data());
+    return false;
+  }
+  if (v->number > JsonValue::kMaxCount) {
+    *err = StrFormat("\"%.*s\" must be at most 2^53",
                      static_cast<int>(key.size()), key.data());
     return false;
   }
@@ -209,12 +216,28 @@ Status ParseInputs(const JsonValue& json, const RequestLimits& limits,
   return Status::OK();
 }
 
-// A single request plus its optional fault directive (which is wire-layer
-// state, not part of the service request).
+// A single request plus its wire-layer state: the optional fault directive
+// and the "deadline_ms" budget (0 = none), which ArmDeadline turns into the
+// request's cancel token.
 struct WireRequest {
   ServiceRequest req;
   FaultSpec fault;
+  std::uint64_t deadline_ms = 0;
 };
+
+// The token a request runs under: `caller` when given, else `*local` when
+// `deadline_ms` (0 = none) needs carrying, else null. The deadline is armed
+// only if none is armed yet — a server arms from admission time, so queue
+// wait counts against the budget.
+CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
+                         CancelToken* local) {
+  CancelToken* token = caller;
+  if (deadline_ms > 0) {
+    if (token == nullptr) token = local;
+    if (!token->has_deadline()) token->SetDeadlineAfterMs(deadline_ms);
+  }
+  return token;
+}
 
 // Builds the request from its parsed JSON; error strings are user-facing.
 Result<WireRequest> BuildRequest(const JsonValue& json,
@@ -228,18 +251,14 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
   }
   req.query = query->string;
   XQMFT_RETURN_NOT_OK(ParseInputs(json, options.limits, &req.inputs));
-  if (const JsonValue* threads = json.Find("threads")) {
-    if (!threads->is_number() || threads->number < 0 ||
-        threads->number != std::floor(threads->number)) {
-      return Status::InvalidArgument("\"threads\" must be a count >= 0");
-    }
-    req.threads = static_cast<std::size_t>(threads->number);
-  }
+  std::uint64_t threads = req.threads;
   std::string err;
-  if (!ParseBool(json, "no_opt", &req.no_opt, &err) ||
-      !ParseCount(json, "deadline_ms", &req.deadline_ms, &err)) {
+  if (!ParseCount(json, "threads", &threads, &err) ||
+      !ParseBool(json, "no_opt", &req.no_opt, &err) ||
+      !ParseCount(json, "deadline_ms", &out.deadline_ms, &err)) {
     return Status::InvalidArgument(err);
   }
+  req.threads = static_cast<std::size_t>(threads);
   if (const JsonValue* fault = json.Find("fault")) {
     if (!options.allow_fault_injection) {
       return Status::InvalidArgument(
@@ -269,12 +288,12 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
 
 // Streams a fault-injected request: the single input document is wrapped in
 // a FaultInjectingSource between the parser and the plan's projection, then
-// runs through the same compiled plan (from the service's cache) and the
-// same plan-level path a normal request uses. The fault source skips
-// subtrees by pulling them, so fault positions count every event.
+// runs through the same compiled plan (from the service's cache) a normal
+// request uses. The fault source skips subtrees by pulling them, so fault
+// positions count every event.
 Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
-                        const FaultSpec& fault, CancelToken* cancel,
-                        OutputSink* sink, ServiceRequestStats* stats) {
+                        const FaultSpec& fault, OutputSink* sink,
+                        ServiceRequestStats* stats) {
   if (req.inputs.size() != 1) {
     return Status::InvalidArgument(
         "fault injection supports exactly one input document");
@@ -290,15 +309,15 @@ Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
   stats->cache_hit = lookup.hit;
   stats->compile_ms = lookup.compile_ms;
 
-  const SaxOptions& sax = lookup.plan->options().stream.sax;
-  XQMFT_ASSIGN_OR_RETURN(OpenedInput opened, OpenParallelInput(in, sax));
-  SaxParser parser(opened.bytes.get(), sax);
-  FaultInjectingSource events(&parser, fault);
+  XQMFT_ASSIGN_OR_RETURN(
+      OpenedInput opened,
+      OpenParallelInput(in, lookup.plan->options().stream.sax));
+  FaultInjectingSource events(opened.events.get(), fault);
 
   StreamStats ss;
   auto t0 = std::chrono::steady_clock::now();
   Status st = lookup.plan->StreamEvents(&events, sink, &ss,
-                                        /*scratch=*/nullptr, cancel);
+                                        /*scratch=*/nullptr, req.cancel);
   stats->stream_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -317,12 +336,12 @@ struct BatchRun {
 
 BatchRun RunBatch(QueryService* service,
                   const std::vector<ServiceRequest>& requests,
-                  const MultiQueryOptions& multi) {
+                  const RunOptions& options) {
   BatchRun run;
   run.sinks.resize(requests.size());
   std::vector<OutputSink*> sink_ptrs;
   for (StringSink& sink : run.sinks) sink_ptrs.push_back(&sink);
-  run.status = service->ExecuteBatch(requests, sink_ptrs, &run.stats, multi);
+  run.status = service->ExecuteBatch(requests, sink_ptrs, &run.stats, options);
   run.rejected = run.stats.per_request.size() != requests.size();
   return run;
 }
@@ -426,20 +445,21 @@ StatusCode RequestHandler::HandleParsed(const JsonValue& json,
   Result<WireRequest> request = BuildRequest(json, options_);
   if (!request.ok()) return AppendError(out, id, request.status());
   WireRequest& wire = request.value();
-  wire.req.cancel = cancel;
-
-  StringSink sink;
-  ServiceRequestStats stats;
-  Status st;
+  CancelToken local;
+  wire.req.cancel = ArmDeadline(cancel, wire.deadline_ms, &local);
   if (wire.fault.kind != FaultSpec::Kind::kNone) {
-    CancelToken local;
-    st = ExecuteWithFault(service_, wire.req, wire.fault,
-                          ArmDeadline(cancel, wire.req.deadline_ms, &local),
-                          &sink, &stats);
-  } else {
-    st = service_->Execute(wire.req, &sink, &stats);
+    StringSink sink;
+    ServiceRequestStats stats;
+    Status st =
+        ExecuteWithFault(service_, wire.req, wire.fault, &sink, &stats);
+    return AppendRun(out, id, st, stats, sink.str(), RunShape{});
   }
-  return AppendRun(out, id, st, stats, sink.str(), RunShape{});
+  // A single request is a batch of one.
+  BatchRun run = RunBatch(service_, {std::move(wire.req)}, RunOptions{});
+  if (run.rejected) return AppendError(out, id, run.status);
+  const ServiceRequestStats& rs = run.stats.per_request.front();
+  return AppendRun(out, id, rs.status, rs, run.sinks.front().str(),
+                   RunShape{});
 }
 
 std::uint64_t RequestHandler::HandleCoalesced(std::vector<CoalescedJob>* group,
@@ -469,13 +489,13 @@ std::uint64_t RequestHandler::HandleCoalesced(std::vector<CoalescedJob>* group,
     }
     WireRequest& wire = request.value();
     wire.req.cancel =
-        ArmDeadline(job.cancel, wire.req.deadline_ms, &local_tokens[m]);
+        ArmDeadline(job.cancel, wire.deadline_ms, &local_tokens[m]);
     live.push_back(m);
     requests.push_back(std::move(wire.req));
   }
   if (live.empty()) return 0;
 
-  BatchRun run = RunBatch(service_, requests, MultiQueryOptions{});
+  BatchRun run = RunBatch(service_, requests, RunOptions{});
   if (run.rejected) {
     // Nothing ran; every member gets the error.
     for (std::size_t m : live) {
@@ -518,7 +538,7 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
     return reject(Status::InvalidArgument(
         "batch has no documents (give \"inputs\" paths or inline \"xml\")"));
   }
-  MultiQueryOptions multi;
+  RunOptions multi;
   std::uint64_t deadline_ms = 0;
   std::string err;
   if (!ParseBool(json, "union_projection", &multi.union_projection, &err) ||

@@ -8,11 +8,12 @@
 // QueryService, fault injection, and response framing. A transport only
 // moves bytes and decides admission.
 //
-// In wire.cc the single path (HandleParsed) runs QueryService::Execute or
-// a fault-injected stream; the "queries" batch (HandleBatch) and the
-// coalesced group (HandleCoalesced) share one ExecuteBatch call, RunBatch.
-// All three write their responses through AppendRun, whose RunShape names
-// the fields that set each shape apart.
+// In wire.cc every query runs through one ExecuteBatch call, RunBatch: the
+// single path (HandleParsed) as a batch of one, the "queries" batch
+// (HandleBatch), and the coalesced group (HandleCoalesced). Only a
+// fault-injected single request streams on its own. All of them write
+// their responses through AppendRun, whose RunShape names the fields that
+// set each shape apart.
 //
 // Responses are appended to a caller-owned string: a header line of JSON,
 // then (for successful query requests) exactly `bytes` bytes of output and

@@ -615,72 +615,62 @@ Status Engine::Finish(StreamStats* stats) { return impl_->Finish(stats); }
 bool Engine::done() const { return impl_->done(); }
 std::size_t Engine::output_events() const { return impl_->output_events(); }
 
-namespace {
-
-// The single-query pull pump: prime, pull events until the engine's output
-// is complete or the document ends, finish. Byte accounting (bytes_in,
-// bytes_in_at_first_output) lives here because only the driver sees the
-// byte source; pumps never consume input, so reading bytes_consumed() after
-// the Feed that triggered the first output matches the old in-loop capture.
-Status PumpEvents(Engine* engine, EventSource* events, StreamStats* stats) {
+Status PumpEngine(Engine* engine, EventSource* events,
+                  std::uint64_t* events_fed,
+                  std::size_t* bytes_at_first_output) {
   events->BindSymbols(engine->symbols());
-  std::size_t bytes_at_first_output = 0;
+  *events_fed = 0;
+  *bytes_at_first_output = 0;
   bool saw_output = false;
+  // Pumps never consume input, so reading bytes_consumed() after the Feed
+  // that triggered the first output attributes it to the right byte.
   auto note_output = [&]() {
     if (!saw_output && engine->output_events() > 0) {
       saw_output = true;
-      bytes_at_first_output = events->bytes_consumed();
+      *bytes_at_first_output = events->bytes_consumed();
     }
   };
-  auto fill_bytes = [&]() {
-    if (stats != nullptr) {
-      stats->bytes_in = events->bytes_consumed();
-      stats->bytes_in_at_first_output = bytes_at_first_output;
-    }
-  };
-  // An engine-side failure (rule miss, step budget, cancellation) is sticky:
-  // Finish is then a stats-only no-op returning the same status, so calling
-  // it here keeps `stats` populated for aborted runs — the cancelled-run
-  // contract serving layers rely on for accounting. Source-side failures
-  // (malformed XML) must NOT Finish: the engine is still healthy and Finish
-  // would synthesize an end-of-document, emitting output for a document
-  // that never ended.
-  auto abort_run = [&](Status st) {
-    engine->Finish(stats);
-    fill_bytes();
-    return st;
-  };
-  Status st = engine->Prime();
-  if (!st.ok()) return abort_run(std::move(st));
+  if (!engine->Prime().ok()) return Status::OK();
   note_output();
   XmlEvent event;
   while (!engine->done()) {
     XQMFT_RETURN_NOT_OK(events->Next(&event));
-    st = engine->Feed(event);
-    if (!st.ok()) return abort_run(std::move(st));
+    if (!engine->Feed(event).ok()) break;
     note_output();
     if (event.type == XmlEventType::kEndOfDocument) break;
+    ++*events_fed;
   }
-  st = engine->Finish(stats);
-  fill_bytes();
-  return st;
+  return Status::OK();
 }
-
-}  // namespace
 
 Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
                        StreamOptions options, StreamStats* stats,
                        StreamScratch* scratch) {
-  Engine engine(mft, sink, options, scratch);
   SaxParser parser(source, options.sax);
-  return PumpEvents(&engine, &parser, stats);
+  return StreamTransformEvents(mft, &parser, sink, options, stats, scratch);
 }
 
+// The single-query pull pump: PumpEngine, then Finish. Byte accounting
+// (bytes_in, bytes_in_at_first_output) lives here because only the driver
+// sees the byte source. A source-side failure (malformed XML) must NOT
+// Finish: the engine is still healthy and Finish would synthesize an
+// end-of-document, emitting output for a document that never ended. An
+// engine-side failure (rule miss, step budget, cancellation) is sticky, so
+// Finish returns it and keeps `stats` populated for aborted runs — the
+// cancelled-run contract serving layers rely on for accounting.
 Status StreamTransformEvents(const Mft& mft, EventSource* events,
                              OutputSink* sink, StreamOptions options,
                              StreamStats* stats, StreamScratch* scratch) {
   Engine engine(mft, sink, options, scratch);
-  return PumpEvents(&engine, events, stats);
+  std::uint64_t fed = 0;
+  std::size_t first_output = 0;
+  XQMFT_RETURN_NOT_OK(PumpEngine(&engine, events, &fed, &first_output));
+  Status st = engine.Finish(stats);
+  if (stats != nullptr) {
+    stats->bytes_in = events->bytes_consumed();
+    stats->bytes_in_at_first_output = first_output;
+  }
+  return st;
 }
 
 Status StreamTransformString(const Mft& mft, const std::string& xml,

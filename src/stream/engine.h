@@ -61,7 +61,7 @@ struct StreamOptions {
   /// Finish and the sink holds exactly the output committed before the trip
   /// (the cancelled-run contract; see Engine::Finish). Per-run state: must
   /// be null in options baked into a CompiledPlan — serving layers inject a
-  /// per-request token via ParallelOptions/MultiQueryOptions instead.
+  /// per-request token via RunOptions instead.
   const CancelToken* cancel = nullptr;
   /// Cancellation poll cadence in input events. Small enough that a
   /// deadline trips within tens of microseconds of stream time, large
@@ -157,9 +157,10 @@ class StreamScratch {
 /// engines of a multi-query run are unaffected. Finish fills `stats` with
 /// whatever was accumulated even when it returns an error.
 ///
-/// Drivers: StreamTransform / StreamTransformEvents below (the single-query
-/// pull pumps) and MultiQueryRun (multiquery/multi_run.h), which fans one
-/// event stream into many engines.
+/// Drivers: PumpEngine below (the one-engine pull loop under
+/// StreamTransform*, the CompiledPlan::Stream* methods and a one-plan run)
+/// and MultiQueryRun (multiquery/multi_run.h), which fans one event stream
+/// into many engines and is what Run (core/pipeline.h) drives per document.
 class Engine {
  public:
   /// `scratch`, when given, must have been built from this same `mft` (see
@@ -215,6 +216,18 @@ class Engine {
  private:
   std::unique_ptr<Impl> impl_;
 };
+
+/// The one-engine pull loop: binds `events` to the engine's symbol table,
+/// primes, and feeds events until the engine's output is complete, it
+/// fails, or the document ends. It does not Finish: an engine failure is
+/// sticky, so the caller's Finish returns it and fills stats. Returns the
+/// event source's failure (malformed input), which leaves the engine
+/// unfinished: its Finish would synthesize an end-of-document for a
+/// document that never ended. Counts the events fed (end-of-document
+/// excluded) and the source bytes consumed by the first output event.
+Status PumpEngine(Engine* engine, EventSource* events,
+                  std::uint64_t* events_fed,
+                  std::size_t* bytes_at_first_output);
 
 /// Streams `source` through `mft` into `sink`. The transducer must
 /// Validate() beforehand. `scratch`, when given, supplies the run's symbol

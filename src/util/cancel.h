@@ -47,11 +47,18 @@ class CancelToken {
 
   /// Arms the deadline `ms` milliseconds after `base` (defaulting to now) —
   /// serving layers pass the request's admission instant as `base` so queue
-  /// wait counts against the budget.
+  /// wait counts against the budget. A budget past the clock's range
+  /// saturates at its maximum (never trips) instead of wrapping into the
+  /// past.
   void SetDeadlineAfterMs(std::uint64_t ms,
                           std::chrono::steady_clock::time_point base =
                               std::chrono::steady_clock::now()) {
-    SetDeadline(base + std::chrono::milliseconds(ms));
+    using Clock = std::chrono::steady_clock;
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - base);
+    SetDeadline(ms >= static_cast<std::uint64_t>(headroom.count())
+                    ? Clock::time_point::max()
+                    : base + std::chrono::milliseconds(ms));
   }
 
   bool has_deadline() const {

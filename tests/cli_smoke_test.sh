@@ -146,10 +146,25 @@ case "$CASE" in
     expect_contains "$OUT" "<out><up>a</up><up>b</up></out>"
     ;;
   run_queries_threads)
-    # Multi-query execution is serial; --threads must be rejected loudly.
-    OUT=$("$XQMFT" run -q "$QUERY" --threads 2 "$XML" 2>&1)
-    test $? -eq 0 && fail "expected nonzero exit for -q with --threads"
-    expect_contains "$OUT" "cannot combine"
+    # Several queries over several documents spread over workers: the same
+    # bytes as the serial run, each query's documents in input order.
+    Q2='<out>{ for $x in $input/doc/item return <up>{$x/text()}</up> }</out>'
+    XML2="$TMPDIR_SMOKE/doc2.xml"
+    printf '<doc><item>c</item></doc>' > "$XML2"
+    SERIAL=$("$XQMFT" run -q "$QUERY" -q "$Q2" "$XML" "$XML2") \
+      || fail "exit $?"
+    expect_contains "$SERIAL" "${WANT}<out><hit>c</hit></out>"
+    expect_contains "$SERIAL" "<out><up>a</up><up>b</up></out><out><up>c</up></out>"
+    THREADED=$("$XQMFT" run -q "$QUERY" -q "$Q2" --threads 2 "$XML" "$XML2") \
+      || fail "exit $?"
+    test "$THREADED" = "$SERIAL" || fail "--threads output differs: $THREADED"
+    # Per-run state and single-document modes still do not combine.
+    for FLAG in "--schema $SCHEMA" "--dag" "--pretok-cache $TMPDIR_SMOKE/q.ptk"; do
+      # shellcheck disable=SC2086
+      OUT=$("$XQMFT" run -q "$QUERY" -q "$Q2" $FLAG "$XML" 2>&1)
+      test $? -eq 0 && fail "expected nonzero exit for -q with $FLAG"
+      expect_contains "$OUT" "cannot combine"
+    done
     ;;
   serve_batch)
     # The "queries" batch form: one shared parse, per-query framed responses

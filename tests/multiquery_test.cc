@@ -202,10 +202,9 @@ TEST(MultiQuery, Fig3DifferentialPretok) {
     std::vector<StringSink> sinks(n);
     std::vector<OutputSink*> sink_ptrs;
     for (auto& s : sinks) sink_ptrs.push_back(&s);
-    std::vector<MultiPlanResult> results;
-    Status st = StreamAllTransformInput(Raw(plans),
-                                        ParallelInput::PretokBytes(pretok),
-                                        sink_ptrs, {}, &results, nullptr);
+    std::vector<RunResult> results;
+    Status st = xqmft::Run(Raw(plans), {ParallelInput::PretokBytes(pretok)},
+                           sink_ptrs, {}, &results);
     ASSERT_TRUE(st.ok()) << st.ToString();
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
@@ -222,7 +221,7 @@ TEST(MultiQuery, DifferentialHoldsWithProjectionOff) {
   std::vector<OutputSink*> sink_ptrs;
   for (auto& s : sinks) sink_ptrs.push_back(&s);
   StringSource source(xml);
-  MultiQueryOptions options;
+  RunOptions options;
   options.union_projection = false;
   MultiQueryStats run_stats;
   ASSERT_TRUE(StreamAllTransform(Raw(plans), &source, sink_ptrs, options,
@@ -308,7 +307,7 @@ TEST(MultiQuery, SkippedEventsAreCountedNotBuilt) {
       std::vector<StringSink> sinks(plans.size());
       std::vector<OutputSink*> sink_ptrs;
       for (auto& s : sinks) sink_ptrs.push_back(&s);
-      MultiQueryOptions options;
+      RunOptions options;
       options.union_projection = project;
       MultiQueryStats* stats = project ? &on : &off;
       if (use_pretok) {

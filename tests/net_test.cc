@@ -1112,6 +1112,44 @@ TEST(NetServerTest, MalformedDeadlineIsRejectedAsBadRequest) {
   EXPECT_EQ(c.admitted, 1u);  // the rejects never reached the queue
 }
 
+TEST(NetServerTest, HugeCountsRunAndCountsAbove2To53AreRejected) {
+  ServerFixture fx{NetServerOptions{}};
+  TestClient client = fx.Connect();
+  ASSERT_TRUE(client.ok());
+  auto with = [](int id, const char* field, const char* value) {
+    return "{\"id\":" + std::to_string(id) + ",\"query\":\"" +
+           std::string(kQuery) + "\",\"xml\":[\"" + kSmallDoc + "\"],\"" +
+           field + "\":" + value + "}\n";
+  };
+  client.Send(with(1, "deadline_ms", "9e15"));   // saturates, never trips
+  client.Send(with(2, "threads", "9e15"));       // clamped to one input
+  client.Send(with(3, "deadline_ms", "1e300"));  // rejected at admission
+  client.Send(with(4, "threads", "1e300"));      // rejected by the wire layer
+  client.HalfClose();
+
+  TestClient::WireResponse r;
+  for (int id : {1, 2}) {
+    ASSERT_TRUE(client.ReadResponse(&r));
+    EXPECT_NE(r.header.find("\"id\":" + std::to_string(id) + ",\"ok\":true"),
+              std::string::npos)
+        << r.header;
+    EXPECT_EQ(r.payload, kSmallOut);
+  }
+  ASSERT_TRUE(client.ReadResponse(&r));
+  EXPECT_NE(r.header.find("\"id\":3,\"ok\":false"), std::string::npos);
+  EXPECT_NE(r.header.find("\"status\":\"bad_request\""), std::string::npos)
+      << r.header;
+  ASSERT_TRUE(client.ReadResponse(&r));
+  EXPECT_NE(r.header.find("\"id\":4,\"ok\":false"), std::string::npos);
+  EXPECT_NE(r.header.find("\"status\":\"invalid_argument\""),
+            std::string::npos)
+      << r.header;
+
+  NetServerCounters c = fx.server().counters();
+  EXPECT_EQ(c.rejected_bad_request, 1u);
+  EXPECT_EQ(c.admitted, 3u);
+}
+
 TEST(NetServerTest, OverloadHintScalesWithObservedServiceTime) {
   NetServerOptions options;
   options.workers = 1;

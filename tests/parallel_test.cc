@@ -15,11 +15,13 @@
 
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
+#include "data/generators.h"
 #include "event_trace_util.h"
 #include "parallel/merge_sink.h"
 #include "parallel/pretok_split.h"
 #include "parallel/sharded_executor.h"
 #include "stream/engine.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 #include "xml/events.h"
 #include "xml/forest.h"
@@ -126,7 +128,7 @@ TEST(OrderedMergeTest, ErrorGatesDownstreamAndBecomesRunStatus) {
   merge.Commit(0, std::move(b0), Status::OK());
   // The OK prefix before the failure flushes; nothing at or after it does.
   EXPECT_EQ(out.str(), "0");
-  EXPECT_TRUE(merge.saw_error());
+  EXPECT_EQ(merge.first_failed(), 1u);
   Status st = merge.Finish();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("shard 1 died"), std::string::npos);
@@ -147,8 +149,6 @@ TEST(ShardedExecutorTest, InjectedDelaysStillEmitInInputOrder) {
   }
   for (std::size_t threads : {2u, 4u, 8u}) {
     StringSink out;
-    ParallelOptions par;
-    par.threads = threads;
     Status st = ShardedExecutor::Run(
         kItems,
         [](std::size_t i, OutputSink* sink) {
@@ -159,7 +159,7 @@ TEST(ShardedExecutorTest, InjectedDelaysStillEmitInInputOrder) {
           sink->EndElement(name);
           return Status::OK();
         },
-        &out, par);
+        &out, threads);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(out.str(), expected) << "threads=" << threads;
   }
@@ -169,8 +169,6 @@ TEST(ShardedExecutorTest, MidShardErrorSurfacesWithoutDeadlock) {
   constexpr std::size_t kItems = 16;
   constexpr std::size_t kFailing = 7;
   StringSink out;
-  ParallelOptions par;
-  par.threads = 4;
   Status st = ShardedExecutor::Run(
       kItems,
       [](std::size_t i, OutputSink* sink) -> Status {
@@ -181,7 +179,7 @@ TEST(ShardedExecutorTest, MidShardErrorSurfacesWithoutDeadlock) {
         }
         return Status::OK();
       },
-      &out, par);
+      &out, /*threads=*/4);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("item 7"), std::string::npos);
   // Downstream holds an in-order prefix of the successful items before the
@@ -202,8 +200,6 @@ TEST(ShardedExecutorTest, FirstErrorInInputOrderWins) {
   // Two failing items: the run's status must be the lower-index one
   // whenever both committed (with cancellation the higher may be skipped,
   // but the reported error is never the higher while the lower committed).
-  ParallelOptions par;
-  par.threads = 2;
   StringSink out;
   Status st = ShardedExecutor::Run(
       4,
@@ -216,7 +212,7 @@ TEST(ShardedExecutorTest, FirstErrorInInputOrderWins) {
         if (i == 2) return Status::Internal("error in item 2");
         return Status::OK();
       },
-      &out, par);
+      &out, /*threads=*/2);
   ASSERT_FALSE(st.ok());
   // The run reports exactly one of the two item errors (the lowest-index
   // committed one; which items committed depends on cancellation timing).
@@ -229,8 +225,6 @@ TEST(ShardedExecutorTest, SerialPathStagesFailingItemOutput) {
   // threads = 1 takes the no-thread fast path, but the error contract must
   // not change: a failing item's partial output never reaches the sink.
   StringSink out;
-  ParallelOptions par;
-  par.threads = 1;
   Status st = ShardedExecutor::Run(
       3,
       [](std::size_t i, OutputSink* sink) -> Status {
@@ -238,7 +232,7 @@ TEST(ShardedExecutorTest, SerialPathStagesFailingItemOutput) {
         if (i == 1) return Status::Internal("item 1 failed mid-output");
         return Status::OK();
       },
-      &out, par);
+      &out, /*threads=*/1);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("item 1"), std::string::npos);
   EXPECT_EQ(out.str(), "i0;");  // item 1's partial "i1;" must not leak
@@ -276,20 +270,21 @@ TEST_P(ParallelCorpusEquivalence, DocumentSetMatchesSerialTextAndPretok) {
   }
 
   for (std::size_t threads : kShardCounts) {
-    ParallelOptions par;
+    RunOptions par;
     par.threads = threads;
     StringSink text_out;
-    Status st = cq->StreamMany(text_inputs, &text_out, par);
+    Status st = xqmft::Run({cq.get()}, text_inputs, {&text_out}, par);
     ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
     EXPECT_EQ(text_out.str(), serial.str())
         << bq.id << " text threads=" << threads;
 
     StringSink pretok_out;
-    std::vector<StreamStats> stats;
-    st = cq->StreamMany(pretok_inputs, &pretok_out, par, &stats);
+    std::vector<RunResult> results;
+    st = xqmft::Run({cq.get()}, pretok_inputs, {&pretok_out}, par, &results);
     ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
     EXPECT_EQ(pretok_out.str(), serial.str())
         << bq.id << " pretok threads=" << threads;
+    const std::vector<StreamStats>& stats = results.front().per_input;
     ASSERT_EQ(stats.size(), docs.size());
     for (const StreamStats& s : stats) EXPECT_GT(s.bytes_in, 0u);
   }
@@ -315,7 +310,7 @@ TEST_P(ParallelCorpusEquivalence, SingleRootedShardingMatchesSerial) {
   ASSERT_TRUE(cq->StreamEvents(&serial_src, &serial).ok()) << bq.id;
 
   for (std::size_t shards : kShardCounts) {
-    ParallelOptions par;
+    RunOptions par;
     par.threads = shards;
     StringSink out;
     Status st = cq->StreamShardedPretok(bytes, shards, &out, par);
@@ -350,7 +345,7 @@ TEST_P(ParallelCorpusEquivalence, MultiTreeShardingMatchesSerialShardRuns) {
     }
 
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ParallelOptions par;
+      RunOptions par;
       par.threads = threads;
       StringSink out;
       Status st = cq->StreamShardedPretok(bytes, shards, &out, par);
@@ -374,7 +369,7 @@ TEST(ParallelPipelineTest, DefaultShardCountIsMachineIndependent) {
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{3},
                               std::size_t{8}}) {
-    ParallelOptions par;
+    RunOptions par;
     par.threads = threads;
     StringSink out;
     ASSERT_TRUE(cq->StreamShardedPretok(bytes, /*shards=*/0, &out, par).ok());
@@ -530,7 +525,7 @@ TEST(PretokSplitTest, RejectsMalformedStreams) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamMany error handling end to end
+// Document-set error handling end to end
 // ---------------------------------------------------------------------------
 
 TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
@@ -539,10 +534,10 @@ TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
   inputs.push_back(ParallelInput::XmlText("<a>1</a>"));
   inputs.push_back(ParallelInput::XmlFile("/nonexistent/xqmft.xml"));
   inputs.push_back(ParallelInput::XmlText("<a>3</a>"));
-  ParallelOptions par;
+  RunOptions par;
   par.threads = 2;
   StringSink out;
-  Status st = cq->StreamMany(inputs, &out, par);
+  Status st = xqmft::Run({cq.get()}, inputs, {&out}, par);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("/nonexistent/xqmft.xml"), std::string::npos);
 }
@@ -554,11 +549,250 @@ TEST(StreamManyTest, MalformedDocumentAmongManySurfacesItsError) {
     inputs.push_back(ParallelInput::XmlText("<a>ok</a>"));
   }
   inputs.push_back(ParallelInput::XmlText("<a><unclosed></a>"));
-  ParallelOptions par;
+  RunOptions par;
   par.threads = 4;
   StringSink out;
-  Status st = cq->StreamMany(inputs, &out, par);
+  Status st = xqmft::Run({cq.get()}, inputs, {&out}, par);
   ASSERT_FALSE(st.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Run ≡ serial: K plans × M inputs × worker counts
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRunPlanIds[] = {"q01", "q13", "deepdup"};
+
+// One document of a Run test: its text, and the input that carries it.
+struct RunDoc {
+  std::string xml;
+  ParallelInput input;
+};
+
+// XMark documents of `bytes` each, cycling through the four input kinds
+// (text and pretok, file and in-memory) from `first_kind` on.
+std::vector<RunDoc> RunDocs(const std::vector<std::size_t>& bytes,
+                            int first_kind) {
+  std::vector<RunDoc> docs;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    Result<std::string> xml =
+        GenerateDatasetString(DatasetKind::kXmark, bytes[i], 11 + i);
+    EXPECT_TRUE(xml.ok()) << xml.status().ToString();
+    const std::string path = ::testing::TempDir() + "/xqmft_run_" +
+                             std::to_string(first_kind) + "_" +
+                             std::to_string(i);
+    RunDoc doc{xml.value(), {}};
+    switch ((first_kind + i) % 4) {
+      case 0:
+        std::ofstream(path + ".xml", std::ios::binary) << doc.xml;
+        doc.input = ParallelInput::XmlFile(path + ".xml");
+        break;
+      case 1:
+        doc.input = ParallelInput::PretokBytes(Tokenize(doc.xml));
+        break;
+      case 2:
+        doc.input = ParallelInput::XmlText(doc.xml);
+        break;
+      default:
+        EXPECT_TRUE(WritePretokFile(Tokenize(doc.xml), path + ".ptk").ok());
+        doc.input = ParallelInput::PretokFile(path + ".ptk");
+    }
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
+// The serial oracle: `docs` streamed one after another through `plan`, by
+// StreamString for text inputs and StreamEvents for pretok ones.
+std::string SerialRun(const CompiledPlan& plan,
+                      const std::vector<RunDoc>& docs) {
+  StringSink sink;
+  for (const RunDoc& doc : docs) {
+    Status st;
+    if (doc.input.kind == ParallelInput::Kind::kXmlFile ||
+        doc.input.kind == ParallelInput::Kind::kXmlText) {
+      st = plan.StreamString(doc.xml, &sink);
+    } else {
+      const std::string pretok = Tokenize(doc.xml);
+      PretokSource events(pretok);
+      st = plan.StreamEvents(&events, &sink);
+    }
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  return sink.str();
+}
+
+std::vector<ParallelInput> InputsOf(const std::vector<RunDoc>& docs) {
+  std::vector<ParallelInput> inputs;
+  for (const RunDoc& doc : docs) inputs.push_back(doc.input);
+  return inputs;
+}
+
+TEST(RunTest, EveryPlanMatchesItsSerialRunsAtAnyThreadCount) {
+  std::vector<std::shared_ptr<const CompiledPlan>> all;
+  for (const char* id : kRunPlanIds) {
+    all.push_back(CompiledPlan::Compile(QueryById(id).text).ValueOrDie());
+  }
+  for (std::size_t m : {std::size_t{1}, std::size_t{3}}) {
+    const std::vector<RunDoc> docs =
+        m == 1 ? RunDocs({3000}, 3) : RunDocs({2000, 6000, 4000}, 0);
+    for (std::size_t k = 1; k <= all.size(); ++k) {
+      std::vector<const CompiledPlan*> plans;
+      std::vector<std::string> want;
+      for (std::size_t p = 0; p < k; ++p) {
+        plans.push_back(all[p].get());
+        want.push_back(SerialRun(*all[p], docs));
+      }
+      for (std::size_t threads : {1u, 2u, 4u}) {
+        std::vector<StringSink> sinks(k);
+        std::vector<OutputSink*> sink_ptrs;
+        for (StringSink& sink : sinks) sink_ptrs.push_back(&sink);
+        RunOptions options;
+        options.threads = threads;
+        std::vector<RunResult> results;
+        MultiQueryStats stats;
+        Status st = xqmft::Run(plans, InputsOf(docs), sink_ptrs, options,
+                               &results, &stats);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        ASSERT_EQ(results.size(), k);
+        EXPECT_EQ(stats.documents, m);
+        for (std::size_t p = 0; p < k; ++p) {
+          EXPECT_TRUE(results[p].status.ok()) << results[p].status.ToString();
+          EXPECT_EQ(results[p].per_input.size(), m);
+          EXPECT_EQ(sinks[p].str(), want[p])
+              << "K=" << k << " M=" << m << " threads=" << threads
+              << " plan=" << kRunPlanIds[p];
+        }
+      }
+    }
+  }
+}
+
+TEST(RunTest, StepBudgetTripKeepsEarlierInputsAndSiblingsComplete) {
+  // Input 2 is far larger than the others. The budget covers the steps q01
+  // takes on inputs 0, 1 and 3 in the same run shape (its siblings' union
+  // projection decides which events its engine sees), so it trips on input
+  // 2 only.
+  const std::vector<RunDoc> docs = RunDocs({2000, 2500, 40000, 2000}, 1);
+  const std::vector<ParallelInput> inputs = InputsOf(docs);
+  auto q13 = CompiledPlan::Compile(QueryById("q13").text).ValueOrDie();
+  auto deepdup =
+      CompiledPlan::Compile(QueryById("deepdup").text).ValueOrDie();
+  auto budgeted = [&](bool siblings) {
+    auto free_plan =
+        CompiledPlan::Compile(QueryById("q01").text).ValueOrDie();
+    std::vector<const CompiledPlan*> plans = {free_plan.get()};
+    if (siblings) plans = {q13.get(), free_plan.get(), deepdup.get()};
+    std::vector<CountingSink> sinks(plans.size());
+    std::vector<OutputSink*> sink_ptrs;
+    for (CountingSink& sink : sinks) sink_ptrs.push_back(&sink);
+    std::vector<RunResult> results;
+    EXPECT_TRUE(xqmft::Run(plans, inputs, sink_ptrs, {}, &results).ok());
+    const std::vector<StreamStats>& steps = results[siblings].per_input;
+    PipelineOptions limited;
+    limited.stream.max_steps =
+        std::max({steps[0].rule_applications, steps[1].rule_applications,
+                  steps[3].rule_applications});
+    EXPECT_GT(steps[2].rule_applications, limited.stream.max_steps);
+    return CompiledPlan::Compile(QueryById("q01").text, limited)
+        .ValueOrDie();
+  };
+  auto plan = budgeted(/*siblings=*/true);
+  auto lone_plan = budgeted(/*siblings=*/false);
+  auto q01 = CompiledPlan::Compile(QueryById("q01").text).ValueOrDie();
+  const std::string want_prefix = SerialRun(*q01, {docs[0], docs[1]});
+
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    std::vector<StringSink> sinks(3);
+    RunOptions options;
+    options.threads = threads;
+    std::vector<RunResult> results;
+    Status st = xqmft::Run({q13.get(), plan.get(), deepdup.get()}, inputs,
+                           {&sinks[0], &sinks[1], &sinks[2]}, options,
+                           &results);
+    ASSERT_TRUE(st.ok()) << st.ToString();  // one plan failed, not all
+    EXPECT_EQ(results[1].status.code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads;
+    EXPECT_EQ(results[1].per_input.size(), 3u);
+    EXPECT_EQ(sinks[1].str(), want_prefix) << "threads=" << threads;
+    EXPECT_TRUE(results[0].status.ok());
+    EXPECT_TRUE(results[2].status.ok());
+    EXPECT_EQ(sinks[0].str(), SerialRun(*q13, docs));
+    EXPECT_EQ(sinks[2].str(), SerialRun(*deepdup, docs));
+
+    // Without per-plan results the failure is the run's status.
+    StringSink alone;
+    EXPECT_EQ(xqmft::Run({lone_plan.get()}, inputs, {&alone}, options).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(alone.str(), want_prefix);
+  }
+}
+
+// Cancels `token` at the first event it receives, forwarding to a
+// StringSink.
+class CancellingSink : public OutputSink {
+ public:
+  explicit CancellingSink(CancelToken* token) : token_(token) {}
+  void StartElement(std::string_view name) override {
+    token_->Cancel();
+    out_.StartElement(name);
+  }
+  void EndElement(std::string_view name) override { out_.EndElement(name); }
+  void Text(std::string_view content) override {
+    token_->Cancel();
+    out_.Text(content);
+  }
+  const std::string& str() const { return out_.str(); }
+
+ private:
+  CancelToken* token_;
+  StringSink out_;
+};
+
+TEST(RunTest, RunLevelCancelAbortsEveryUnfinishedPlan) {
+  const std::vector<RunDoc> docs = RunDocs({2000, 3000, 2500}, 2);
+  std::vector<std::shared_ptr<const CompiledPlan>> owned;
+  std::vector<const CompiledPlan*> plans;
+  for (const char* id : kRunPlanIds) {
+    owned.push_back(CompiledPlan::Compile(QueryById(id).text).ValueOrDie());
+    plans.push_back(owned.back().get());
+  }
+  // Tripped before the run: no plan streams anything.
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    CancelToken token;
+    token.Cancel();
+    RunOptions options;
+    options.threads = threads;
+    options.cancel = &token;
+    std::vector<StringSink> sinks(3);
+    std::vector<RunResult> results;
+    Status st = xqmft::Run(plans, InputsOf(docs),
+                           {&sinks[0], &sinks[1], &sinks[2]}, options,
+                           &results);
+    EXPECT_EQ(st.code(), StatusCode::kCancelled);
+    for (std::size_t p = 0; p < plans.size(); ++p) {
+      EXPECT_EQ(results[p].status.code(), StatusCode::kCancelled);
+      EXPECT_EQ(sinks[p].str(), "");
+    }
+  }
+  // Tripped once the first plan's first input reaches its sink: every plan
+  // keeps exactly its input-0 output and fails on input 1.
+  CancelToken token;
+  RunOptions options;
+  options.threads = 1;
+  options.cancel = &token;
+  CancellingSink first(&token);
+  StringSink second, third;
+  std::vector<RunResult> results;
+  Status st = xqmft::Run(plans, InputsOf(docs), {&first, &second, &third},
+                         options, &results);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
+  EXPECT_EQ(first.str(), SerialRun(*plans[0], {docs[0]}));
+  EXPECT_EQ(second.str(), SerialRun(*plans[1], {docs[0]}));
+  EXPECT_EQ(third.str(), SerialRun(*plans[2], {docs[0]}));
+  for (const RunResult& r : results) {
+    EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
+    EXPECT_EQ(r.per_input.size(), 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -604,14 +838,17 @@ TEST(ParallelInputTest, EveryKindMatchesStreamStringAndForeignPretokFails) {
   };
   for (const Case& c : cases) {
     StringSink many;
-    Status many_st = plan->StreamMany({c.input}, &many);
-    StringSink all;
-    Status all_st = StreamAllTransformInput({plan.get()}, c.input, {&all});
+    Status many_st = xqmft::Run({plan.get()}, {c.input}, {&many});
+    // Two plans take the shared pass's master-table path.
+    StringSink all, twin;
+    Status all_st =
+        xqmft::Run({plan.get(), plan.get()}, {c.input}, {&all, &twin});
     if (c.ok) {
       ASSERT_TRUE(many_st.ok()) << c.name << ": " << many_st.ToString();
       ASSERT_TRUE(all_st.ok()) << c.name << ": " << all_st.ToString();
       EXPECT_EQ(many.str(), want.str()) << c.name;
       EXPECT_EQ(all.str(), want.str()) << c.name;
+      EXPECT_EQ(twin.str(), want.str()) << c.name;
     } else {
       EXPECT_EQ(many_st.code(), StatusCode::kInvalidArgument)
           << c.name << ": " << many_st.ToString();

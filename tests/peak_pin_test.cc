@@ -5,7 +5,7 @@
 // within a factor of 1.1 in either direction. A drop fails too: a pin that
 // no longer matches the code cannot catch the next regression.
 //
-// The pretok replay and the document-set (StreamMany) series run the same
+// The pretok replay and the document-set (Run) series run the same
 // optimized plan over the same events, so their peaks must equal the
 // optimized pin exactly.
 #include <gtest/gtest.h>
@@ -119,7 +119,7 @@ TEST(PeakPinTest, PretokAndDocumentSetPeaksMatchTheOptimizedRun) {
   std::string pretok;
   ASSERT_TRUE(PretokenizeXml(&src, SaxOptions{}, &pretok).ok());
   std::vector<ParallelInput> docset(4, ParallelInput::XmlText(Document()));
-  ParallelOptions par;
+  RunOptions par;
   par.threads = 4;
   for (const Pin& pin : kPins) {
     auto plan = MustCompile(QueryById(pin.id).text, true);
@@ -132,9 +132,10 @@ TEST(PeakPinTest, PretokAndDocumentSetPeaksMatchTheOptimizedRun) {
     ASSERT_TRUE(plan->StreamEvents(&events, &sink, &stats).ok()) << pin.id;
     EXPECT_EQ(stats.peak_bytes, opt) << pin.id << " pretok";
 
-    std::vector<StreamStats> items;
-    ASSERT_TRUE(plan->StreamMany(docset, &sink, par, &items).ok()) << pin.id;
-    for (const StreamStats& item : items) {
+    std::vector<RunResult> results;
+    ASSERT_TRUE(xqmft::Run({plan.get()}, docset, {&sink}, par, &results).ok())
+        << pin.id;
+    for (const StreamStats& item : results.front().per_input) {
       EXPECT_EQ(item.peak_bytes, opt) << pin.id << " docset";
     }
   }

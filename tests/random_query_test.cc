@@ -298,13 +298,13 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       Status tst = PretokenizeXml(&doc_src, {}, &pretok);
       ASSERT_TRUE(tst.ok()) << tst.ToString();
       std::size_t shard_count = 1 + rng.Below(4);
-      ParallelOptions serial_par;
+      RunOptions serial_par;
       serial_par.threads = 1;
       StringSink sharded_serial;
       Status ss = plan.StreamShardedPretok(pretok, shard_count,
                                            &sharded_serial, serial_par);
       ASSERT_TRUE(ss.ok()) << text << "\n" << ss.ToString();
-      ParallelOptions par;
+      RunOptions par;
       par.threads = 2 + rng.Below(3);
       StringSink sharded_par;
       Status sp = plan.StreamShardedPretok(pretok, shard_count, &sharded_par,
@@ -328,10 +328,10 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
   // parallel workers must concatenate to the serial per-doc outputs, in
   // input order.
   {
-    ParallelOptions par;
+    RunOptions par;
     par.threads = 1 + rng.Below(4);
     StringSink many;
-    Status st = plan.StreamMany(doc_set, &many, par);
+    Status st = xqmft::Run({&plan}, doc_set, {&many}, par);
     ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
     ASSERT_EQ(many.str(), doc_set_serial)
         << "document-set parallel vs serial\nquery: " << text
@@ -348,7 +348,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     ASSERT_TRUE(cold.ok()) << text << "\n" << cold.status().ToString();
     EXPECT_FALSE(cold.value().hit);
     StringSink cold_sink;
-    Status cs = cold.value().plan->StreamMany(doc_set, &cold_sink);
+    Status cs = xqmft::Run({cold.value().plan.get()}, doc_set, {&cold_sink});
     ASSERT_TRUE(cs.ok()) << text << "\n" << cs.ToString();
     ASSERT_EQ(cold_sink.str(), doc_set_serial)
         << "cached plan (cold) vs direct\nquery: " << text;
@@ -359,7 +359,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     EXPECT_EQ(warm.value().plan.get(), cold.value().plan.get())
         << "warm lookup must share the cold lookup's plan";
     StringSink warm_sink;
-    Status ws = warm.value().plan->StreamMany(doc_set, &warm_sink);
+    Status ws = xqmft::Run({warm.value().plan.get()}, doc_set, {&warm_sink});
     ASSERT_TRUE(ws.ok()) << text << "\n" << ws.ToString();
     ASSERT_EQ(warm_sink.str(), doc_set_serial)
         << "cached plan (warm) vs direct\nquery: " << text;

@@ -16,6 +16,7 @@
 #include "service/json.h"
 #include "service/query_cache.h"
 #include "service/query_service.h"
+#include "service/wire.h"
 #include "xml/events.h"
 
 namespace xqmft {
@@ -38,6 +39,16 @@ std::string DirectOutput(const std::string& query, const std::string& xml,
   Status st = cq.value()->StreamString(xml, &sink);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return sink.str();
+}
+
+// One request as a batch of one: its status, and its stats in `stats`.
+Status ExecuteOne(QueryService* service, const ServiceRequest& request,
+                  OutputSink* sink, ServiceRequestStats* stats = nullptr) {
+  ServiceBatchStats batch;
+  Status st = service->ExecuteBatch({request}, {sink}, &batch);
+  if (batch.per_request.empty()) return st;
+  if (stats != nullptr) *stats = batch.per_request.front();
+  return batch.per_request.front().status;
 }
 
 std::string StreamPlan(const CompiledPlan& plan, const std::string& xml) {
@@ -378,7 +389,7 @@ TEST(QueryServiceTest, ExecutesAndReportsCompileOnceStats) {
 
   StringSink first;
   ServiceRequestStats stats;
-  ASSERT_TRUE(service.Execute(request, &first, &stats).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, &first, &stats).ok());
   EXPECT_EQ(first.str(), DirectOutput(QueryFor("a"), kDoc));
   EXPECT_FALSE(stats.cache_hit);
   EXPECT_GT(stats.compile_ms, 0.0);
@@ -388,7 +399,7 @@ TEST(QueryServiceTest, ExecutesAndReportsCompileOnceStats) {
   EXPECT_GT(stats.total.output_events, 0u);
 
   StringSink second;
-  ASSERT_TRUE(service.Execute(request, &second, &stats).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, &second, &stats).ok());
   EXPECT_EQ(second.str(), first.str());
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_EQ(stats.compile_ms, 0.0);
@@ -414,7 +425,7 @@ TEST(QueryServiceTest, BatchOutputMatchesSerialAtAnyThreadCount) {
     request.threads = threads;
     StringSink sink;
     ServiceRequestStats stats;
-    ASSERT_TRUE(service.Execute(request, &sink, &stats).ok());
+    ASSERT_TRUE(ExecuteOne(&service, request, &sink, &stats).ok());
     EXPECT_EQ(sink.str(), want) << "threads=" << threads;
     EXPECT_EQ(stats.per_input.size(), docs.size());
   }
@@ -424,7 +435,7 @@ TEST(QueryServiceTest, ExecuteBatchMatchesSerialAndParsesEachDocumentOnce) {
   QueryService service;
   // Four requests over one shared document: two distinct queries, one
   // duplicate (different whitespace, same normalized key), one more
-  // distinct. Serial ground truth comes from per-request Execute.
+  // distinct. Serial ground truth comes from each request alone.
   std::vector<ServiceRequest> requests(4);
   requests[0].query = QueryFor("a");
   requests[1].query = QueryFor("b");
@@ -438,7 +449,7 @@ TEST(QueryServiceTest, ExecuteBatchMatchesSerialAndParsesEachDocumentOnce) {
   for (const ServiceRequest& r : requests) {
     QueryService fresh;
     StringSink sink;
-    ASSERT_TRUE(fresh.Execute(r, &sink).ok());
+    ASSERT_TRUE(ExecuteOne(&fresh, r, &sink).ok());
     want.push_back(sink.str());
   }
 
@@ -527,15 +538,15 @@ TEST(QueryServiceTest, RejectsEmptyRequestsAndBadQueries) {
   ServiceRequest empty;
   empty.query = QueryFor("a");
   StringSink sink;
-  EXPECT_FALSE(service.Execute(empty, &sink).ok());
+  EXPECT_FALSE(ExecuteOne(&service, empty, &sink).ok());
 
   ServiceRequest bad;
   bad.query = "<out>";
   bad.inputs.push_back(ParallelInput::XmlText(kDoc));
-  EXPECT_FALSE(service.Execute(bad, &sink).ok());
+  EXPECT_FALSE(ExecuteOne(&service, bad, &sink).ok());
   // The failure is not cached; a correct retry compiles cleanly.
   bad.query = QueryFor("a");
-  EXPECT_TRUE(service.Execute(bad, &sink).ok());
+  EXPECT_TRUE(ExecuteOne(&service, bad, &sink).ok());
 }
 
 TEST(QueryServiceTest, NoOptRequestsUseASeparatePlan) {
@@ -545,10 +556,10 @@ TEST(QueryServiceTest, NoOptRequestsUseASeparatePlan) {
   request.inputs.push_back(ParallelInput::XmlText(kDoc));
 
   StringSink opt_sink;
-  ASSERT_TRUE(service.Execute(request, &opt_sink).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, &opt_sink).ok());
   request.no_opt = true;
   StringSink no_opt_sink;
-  ASSERT_TRUE(service.Execute(request, &no_opt_sink).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, &no_opt_sink).ok());
   // Same semantics, distinct cached plans.
   EXPECT_EQ(opt_sink.str(), no_opt_sink.str());
   EXPECT_EQ(service.cache()->stats().entries, 2u);
@@ -564,7 +575,7 @@ TEST(QueryServiceTest, BaseNoOptConfigurationIsNotOverridden) {
   request.query = QueryFor("a");
   request.inputs.push_back(ParallelInput::XmlText(kDoc));
   StringSink sink;
-  ASSERT_TRUE(service.Execute(request, &sink).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, &sink).ok());
   // An unoptimized plan keeps the translation's helper states; the
   // optimized plan of the same query is strictly smaller.
   auto unopt = service.cache()->Get(request.query, base);
@@ -574,6 +585,41 @@ TEST(QueryServiceTest, BaseNoOptConfigurationIsNotOverridden) {
   EXPECT_GT(unopt.value()->mft().Size(), opt.value()->mft().Size());
   // And the served plan really was the cached unoptimized one (hit).
   EXPECT_EQ(service.cache()->stats().compiles, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire counts
+// ---------------------------------------------------------------------------
+
+TEST(WireCountTest, HugeCountsRunAndCountsAbove2To53AreRejected) {
+  // A 40 KB inline document. A deadline of 9e15 ms overflows
+  // steady_clock's nanoseconds unless the deadline saturates; 1e300 fits no
+  // integer type a count is cast to.
+  const std::string doc =
+      "<doc><a>" + std::string(40000, 'x') + "</a><b>y</b></doc>";
+  const std::string want = DirectOutput(QueryFor("a"), doc);
+  QueryService service;
+  RequestHandler handler(&service, WireOptions{});
+  auto handle = [&](const char* field, const char* value) {
+    const std::string line = "{\"id\":1,\"query\":\"" + QueryFor("a") +
+                             "\",\"xml\":[\"" + doc + "\"],\"" + field +
+                             "\":" + value + "}";
+    std::string out;
+    handler.HandleLine(line, nullptr, &out);
+    return out;
+  };
+  for (const char* field : {"deadline_ms", "threads"}) {
+    const std::string ok = handle(field, "9e15");
+    EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << field;
+    EXPECT_NE(ok.find("\n" + want + "\n"), std::string::npos) << field;
+
+    const std::string huge = handle(field, "1e300");
+    EXPECT_NE(huge.find("\"ok\":false"), std::string::npos) << field;
+    EXPECT_NE(huge.find("must be at most 2^53"), std::string::npos) << huge;
+    EXPECT_NE(huge.find("\"status\":\"invalid_argument\""),
+              std::string::npos)
+        << huge;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -594,10 +640,10 @@ TEST(CompiledPlanTest, FromMftServesParallelRunsWithoutManualWarm) {
       ParallelInput::XmlText("<r><a>x</a></r>"),
       ParallelInput::XmlText("<r><b>y</b></r>"),
   };
-  ParallelOptions par;
+  RunOptions par;
   par.threads = 2;
   StringSink sink;
-  ASSERT_TRUE(plan.value()->StreamMany(inputs, &sink, par).ok());
+  ASSERT_TRUE(xqmft::Run({plan.value().get()}, inputs, {&sink}, par).ok());
   EXPECT_EQ(sink.str(), "<r><a>x</a></r><r><b>y</b></r>");
 }
 

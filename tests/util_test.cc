@@ -9,6 +9,7 @@
 
 #include "bench_common/env.h"
 #include "util/arena.h"
+#include "util/cancel.h"
 #include "util/intrusive_ptr.h"
 #include "util/memory_tracker.h"
 #include "util/rng.h"
@@ -168,6 +169,22 @@ TEST(MemoryTrackerTest, TracksPeak) {
   EXPECT_EQ(t.peak_bytes(), 150u);
   t.ResetPeak();
   EXPECT_EQ(t.peak_bytes(), 70u);
+}
+
+TEST(CancelTokenTest, DeadlinePastTheClockRangeSaturates) {
+  // 9e15 ms and more overflow steady_clock's nanoseconds; the deadline
+  // saturates at the clock's maximum instead of wrapping into the past.
+  for (std::uint64_t ms : {std::uint64_t{9'000'000'000'000'000},
+                           ~std::uint64_t{0}}) {
+    CancelToken token;
+    token.SetDeadlineAfterMs(ms);
+    EXPECT_TRUE(token.has_deadline());
+    EXPECT_TRUE(token.Check().ok()) << ms;
+    EXPECT_GT(token.RemainingMs(), std::uint64_t{1} << 40) << ms;
+  }
+  CancelToken soon;
+  soon.SetDeadlineAfterMs(0);
+  EXPECT_EQ(soon.Check().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(StringsTest, SplitKeepsEmptyFields) {

@@ -24,12 +24,13 @@
 // on stderr and runs the table engine).
 //
 // Multi-query runs: `run` with repeated --query/-q flags (or --query-file,
-// one query per line) streams EVERY query over one input document in a
+// one query per line) streams EVERY query over each input document in a
 // single pass — one tokenization, one engine per query, a union projection
 // automaton skipping subtrees no query can match. Outputs print in query
-// order. --no-union-projection disables the skip automaton (measurement).
-// Multi-query is serial: combining it with --threads is rejected (sharded
-// multi-query execution is future work), as are --schema and --dag.
+// order, each query's documents in input order; --threads spreads the
+// documents over workers as for one query. --no-union-projection disables
+// the skip automaton (measurement). --schema, --dag and --pretok-cache do
+// not combine with several queries.
 //
 // `serve` reads newline-delimited JSON requests from stdin and writes framed
 // responses with per-request statistics (see service/serve.h for the
@@ -94,7 +95,7 @@ int Usage() {
       stderr,
       "usage: xqmft <command> [flags] <args>\n"
       "  run <query> [input ...]      compile and stream (files or stdin)\n"
-      "  run -q <q1> -q <q2> [input]  all queries over one input, one pass\n"
+      "  run -q <q1> -q <q2> [input ...]  all queries, one pass per input\n"
       "  compile <query>              print the optimized transducer\n"
       "  translate <query>            print the unoptimized translation\n"
       "  mft <rules> [input ...]      run a hand-written MFT\n"
@@ -121,15 +122,21 @@ bool IsFile(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
 }
 
+// Everything left to read from `f`.
+std::string ReadAll(std::FILE* f) {
+  std::string out;
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  return out;
+}
+
 // Reads the argument as a file if one exists, else returns it verbatim.
 Result<std::string> FileOrInline(const std::string& arg) {
   if (!IsFile(arg)) return arg;
   std::FILE* f = std::fopen(arg.c_str(), "rb");
   if (f == nullptr) return Status::InvalidArgument("cannot open " + arg);
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  std::string out = ReadAll(f);
   std::fclose(f);
   return out;
 }
@@ -348,8 +355,24 @@ ParallelInput FileInput(const std::string& path) {
                             : ParallelInput::XmlFile(path);
 }
 
-int StreamWith(const CompiledPlan& plan,
+// The one driver of `run` and `mft`, for one query or several (-q). A single
+// query over stdin or one file without --threads streams directly, schema
+// validation and --pretok-cache included; a single pretok input under
+// --threads shards at top-level forest boundaries. Everything else — a
+// document set, or several queries — is one Run: each document one shared
+// pass over every query, documents spread over --threads workers, each
+// query's output in input order.
+int StreamWith(const std::vector<const CompiledPlan*>& plans,
                const std::vector<std::string>& inputs, const Flags& flags) {
+  const CompiledPlan& plan = *plans.front();
+  const bool multi_query =
+      !flags.queries.empty() || !flags.query_files.empty();
+  if (multi_query && (!flags.schema_path.empty() || flags.dag ||
+                      !flags.pretok_cache.empty())) {
+    return Fail(Status::InvalidArgument(
+        "--schema, --dag and --pretok-cache cannot combine with multi-query "
+        "--query"));
+  }
   // Serial runs may carry per-run state (the schema validator) on top of
   // the plan's baked-in stream options; parallel runs may not.
   StreamOptions options = plan.options().stream;
@@ -365,7 +388,8 @@ int StreamWith(const CompiledPlan& plan,
     options.validator = validator.get();
   }
 
-  const bool parallel = flags.threads_set || inputs.size() > 1;
+  const bool parallel =
+      flags.threads_set || inputs.size() > 1 || multi_query;
   if (parallel && options.validator != nullptr) {
     return Fail(Status::InvalidArgument(
         "schema validation is per-run stateful and not supported by "
@@ -373,61 +397,16 @@ int StreamWith(const CompiledPlan& plan,
   }
   const std::string input_arg = inputs.empty() ? "" : inputs[0];
 
-  // Parallel run state (document-set fan-out, or single-document sharding
-  // of a pretok cache at top-level forest boundaries).
-  std::vector<ParallelInput> par_inputs;
-  std::string sharded_pretok;  // single-document sharding when non-empty
-  ParallelOptions par;
-  std::vector<StreamStats> par_stats;
-
-  // Serial run state.
-  OpenedInput serial;
-
-  if (parallel) {
-    if (inputs.empty()) {
+  if (parallel && inputs.empty() && flags.threads_set) {
+    return Fail(Status::InvalidArgument(
+        "--threads requires named input files; stdin cannot be sharded"));
+  }
+  if (!flags.pretok_cache.empty()) {
+    if (inputs.size() > 1) {
       return Fail(Status::InvalidArgument(
-          "--threads requires named input files; stdin cannot be sharded"));
+          "--pretok-cache expects a single input; give each document its "
+          "own cache"));
     }
-    // Threads are an explicit opt-in: several inputs without --threads run
-    // serially, in order (only the staging/merge machinery is shared).
-    par.threads =
-        flags.threads_set ? static_cast<std::size_t>(flags.threads) : 1;
-    if (!flags.pretok_cache.empty()) {
-      if (inputs.size() > 1) {
-        return Fail(Status::InvalidArgument(
-            "--pretok-cache expects a single input; give each document its "
-            "own cache"));
-      }
-      // Same freshness rule as the serial path: with no comparable input
-      // (the XML deleted since the cache was built) an existing cache
-      // serves alone instead of failing on the missing file.
-      bool cache_fresh =
-          IsFile(input_arg)
-              ? PretokCacheValid(flags.pretok_cache, input_arg, options.sax)
-              : IsFile(flags.pretok_cache);
-      if (!cache_fresh) {
-        Status st =
-            PretokenizeXmlFile(input_arg, flags.pretok_cache, options.sax);
-        if (!st.ok()) return Fail(st);
-      }
-      sharded_pretok = flags.pretok_cache;
-    } else if (inputs.size() == 1 && IsPretokFile(inputs[0])) {
-      sharded_pretok = inputs[0];
-    } else {
-      for (const std::string& path : inputs) {
-        if (!IsFile(path)) {
-          return Fail(Status::InvalidArgument("cannot open " + path));
-        }
-        par_inputs.push_back(FileInput(path));
-      }
-      if (par_inputs.size() == 1) {
-        std::fprintf(stderr,
-                     "note: one text-XML input cannot be split; give a "
-                     "pretok cache (--pretok-cache) to shard a single "
-                     "document\n");
-      }
-    }
-  } else if (!flags.pretok_cache.empty()) {
     // Re-tokenize when the cache is missing or was not built from the
     // current bytes of an existing file input (the header records the
     // source's size + hash). With no comparable input (stdin, or the XML
@@ -455,42 +434,124 @@ int StreamWith(const CompiledPlan& plan,
                    "read\n",
                    flags.pretok_cache.c_str());
     }
-    Result<OpenedInput> in = OpenParallelInput(
-        ParallelInput::PretokFile(flags.pretok_cache), options.sax);
-    if (!in.ok()) return Fail(in.status());
-    serial = std::move(in).value();
-  } else if (input_arg.empty()) {
+  }
+
+  // Run state (a document set, or several queries), or single-document
+  // sharding of a pretok cache at top-level forest boundaries.
+  std::vector<ParallelInput> run_inputs;
+  std::string sharded_pretok;  // single-document sharding when non-empty
+  RunOptions run_options;
+  run_options.union_projection = !flags.no_union_projection;
+  // Threads are an explicit opt-in: several inputs without --threads run
+  // serially, in order (only the staging/merge machinery is shared).
+  run_options.threads =
+      flags.threads_set ? static_cast<std::size_t>(flags.threads) : 1;
+
+  // Serial run state.
+  OpenedInput serial;
+
+  if (parallel) {
+    if (!flags.pretok_cache.empty()) {
+      sharded_pretok = flags.pretok_cache;
+    } else if (!multi_query && inputs.size() == 1 &&
+               IsPretokFile(inputs[0])) {
+      sharded_pretok = inputs[0];
+    } else if (inputs.empty()) {
+      // Several queries over stdin: one in-memory document.
+      run_inputs.push_back(ParallelInput::XmlText(ReadAll(stdin)));
+    } else {
+      for (const std::string& path : inputs) {
+        if (!IsFile(path)) {
+          return Fail(Status::InvalidArgument("cannot open " + path));
+        }
+        run_inputs.push_back(FileInput(path));
+      }
+      if (run_inputs.size() == 1 && flags.threads_set) {
+        std::fprintf(stderr,
+                     "note: one text-XML input cannot be split; give a "
+                     "pretok cache (--pretok-cache) to shard a single "
+                     "document\n");
+      }
+    }
+  } else if (flags.pretok_cache.empty() && input_arg.empty()) {
     serial.bytes = std::make_unique<StdinSource>();
+    serial.events = std::make_unique<SaxParser>(serial.bytes.get(),
+                                                options.sax);
   } else {
-    Result<OpenedInput> in =
-        OpenParallelInput(FileInput(input_arg), options.sax);
+    Result<OpenedInput> in = OpenParallelInput(
+        flags.pretok_cache.empty()
+            ? FileInput(input_arg)
+            : ParallelInput::PretokFile(flags.pretok_cache),
+        options.sax);
     if (!in.ok()) return Fail(in.status());
     serial = std::move(in).value();
   }
 
+  if (multi_query) {
+    // Each query records into its own buffer; stdout gets the replays in
+    // query order once the run is done, so interleaved engine output never
+    // interleaves on the wire.
+    std::vector<EventBuffer> buffers(plans.size());
+    std::vector<OutputSink*> sinks;
+    for (EventBuffer& b : buffers) sinks.push_back(&b);
+    std::vector<RunResult> results;
+    MultiQueryStats run_stats;
+    Run(plans, run_inputs, sinks, run_options, &results, &run_stats);
+    FileSink out(stdout);
+    int failed = 0;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      if (results[i].status.ok()) {
+        buffers[i].Replay(&out);
+        out.Flush();
+        std::printf("\n");
+      } else {
+        ++failed;
+        std::fprintf(stderr, "error: query %zu: %s\n", i + 1,
+                     results[i].status.ToString().c_str());
+      }
+    }
+    if (flags.stats) {
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        const StreamStats s = AggregateStreamStats(results[i].per_input);
+        std::fprintf(stderr,
+                     "query %zu: events fed: %llu, output events: %zu, "
+                     "peak memory: %s\n",
+                     i + 1,
+                     static_cast<unsigned long long>(results[i].events_fed),
+                     s.output_events, HumanBytes(s.peak_bytes).c_str());
+      }
+      std::fprintf(stderr,
+                   "shared pass: bytes in: %llu, events: %llu, skipped by "
+                   "projection: %llu (projection %s)\n",
+                   static_cast<unsigned long long>(run_stats.bytes_in),
+                   static_cast<unsigned long long>(run_stats.events_total),
+                   static_cast<unsigned long long>(run_stats.events_skipped),
+                   run_stats.projection_enabled ? "on" : "off");
+    }
+    return failed == 0 ? 0 : 1;
+  }
+
   auto stream = [&](OutputSink* sink, StreamStats* stats) {
+    if (!sharded_pretok.empty()) {
+      std::vector<StreamStats> shard_stats;
+      Status st = plan.StreamShardedPretokFile(
+          sharded_pretok, /*shards=*/0, sink, run_options, &shard_stats);
+      *stats = AggregateStreamStats(shard_stats);
+      return st;
+    }
     if (parallel) {
-      Status st =
-          !sharded_pretok.empty()
-              ? plan.StreamShardedPretokFile(sharded_pretok, /*shards=*/0,
-                                             sink, par, &par_stats)
-              : plan.StreamMany(par_inputs, sink, par, &par_stats);
-      if (stats != nullptr) *stats = AggregateStreamStats(par_stats);
+      std::vector<RunResult> results;
+      Status st = Run(plans, run_inputs, {sink}, run_options, &results);
+      *stats = AggregateStreamStats(results.front().per_input);
       return st;
     }
     // A validator must see every event, so validated runs stream
     // unprojected through the free functions; the rest take the plan path,
     // which projects.
-    if (options.validator != nullptr) {
-      return serial.events != nullptr
-                 ? StreamTransformEvents(plan.mft(), serial.events.get(),
-                                         sink, options, stats)
-                 : StreamTransform(plan.mft(), serial.bytes.get(), sink,
-                                   options, stats);
-    }
-    return serial.events != nullptr
-               ? plan.StreamEvents(serial.events.get(), sink, stats)
-               : plan.Stream(serial.bytes.get(), sink, stats);
+    return options.validator != nullptr
+               ? StreamTransformEvents(plan.mft(), serial.events.get(), sink,
+                                       options, stats)
+               : plan.StreamEvents(serial.events.get(), sink, stats);
   };
 
   StreamStats stats;
@@ -551,35 +612,11 @@ int StreamWith(const CompiledPlan& plan,
   return 0;
 }
 
-// `run` with --query/-q flags: every query over one input, one pass.
-int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
-  if (flags.threads_set) {
-    return Fail(Status::InvalidArgument(
-        "--threads cannot combine with multi-query --query: the shared "
-        "single-pass execution is serial (sharding a multi-query run is "
-        "future work)"));
-  }
-  if (!flags.schema_path.empty()) {
-    return Fail(Status::InvalidArgument(
-        "--schema cannot combine with multi-query --query; validate the "
-        "input separately with `xqmft validate`"));
-  }
-  if (flags.dag) {
-    return Fail(Status::InvalidArgument(
-        "--dag cannot combine with multi-query --query"));
-  }
-  if (!flags.pretok_cache.empty()) {
-    return Fail(Status::InvalidArgument(
-        "--pretok-cache cannot combine with multi-query --query; build the "
-        "cache with a single-query run and pass the .ptk file as the "
-        "input"));
-  }
-  if (inputs.size() > 1) {
-    return Fail(Status::InvalidArgument(
-        "multi-query run streams one input document; got " +
-        std::to_string(inputs.size())));
-  }
-
+// The -q/--query and --query-file queries (one per line, blank lines
+// skipped), compiled in order into `plans`; nonzero is the exit code of a
+// failure already reported.
+int CompileQueries(const Flags& flags,
+                   std::vector<std::shared_ptr<const CompiledPlan>>* plans) {
   std::vector<std::string> texts;
   for (const std::string& q : flags.queries) {
     Result<std::string> text = FileOrInline(q);
@@ -592,12 +629,12 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
     }
     Result<std::string> body = FileOrInline(path);
     if (!body.ok()) return Fail(body.status());
-    // One query per line; blank lines separate and are skipped.
     std::string_view rest = body.value();
     while (!rest.empty()) {
       std::size_t nl = rest.find('\n');
       std::string_view line = rest.substr(0, nl);
-      rest = nl == std::string_view::npos ? std::string_view() : rest.substr(nl + 1);
+      rest = nl == std::string_view::npos ? std::string_view()
+                                          : rest.substr(nl + 1);
       if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
       texts.emplace_back(line);
     }
@@ -606,12 +643,9 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
     return Fail(Status::InvalidArgument(
         "no queries: every --query-file line was blank"));
   }
-
   PipelineOptions po;
   po.optimize = !flags.no_opt;
   po.stream.engine = flags.engine;
-  std::vector<std::shared_ptr<const CompiledPlan>> plans;
-  std::vector<const CompiledPlan*> raw;
   for (std::size_t i = 0; i < texts.size(); ++i) {
     Result<std::shared_ptr<const CompiledPlan>> plan =
         CompiledPlan::Compile(texts[i], po);
@@ -620,70 +654,9 @@ int RunMulti(const std::vector<std::string>& inputs, const Flags& flags) {
                    plan.status().ToString().c_str());
       return 1;
     }
-    plans.push_back(std::move(plan).value());
-    raw.push_back(plans.back().get());
+    plans->push_back(std::move(plan).value());
   }
-
-  ParallelInput input;
-  if (inputs.empty()) {
-    StdinSource stdin_source;
-    std::string xml;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = stdin_source.Read(buf, sizeof buf)) > 0) xml.append(buf, n);
-    input = ParallelInput::XmlText(std::move(xml));
-  } else if (!IsFile(inputs[0])) {
-    return Fail(Status::InvalidArgument("cannot open " + inputs[0]));
-  } else {
-    input = FileInput(inputs[0]);
-  }
-
-  // Each engine records into its own buffer; stdout gets the replays in
-  // query order once the pass is done, so interleaved engine output never
-  // interleaves on the wire.
-  std::vector<EventBuffer> buffers(raw.size());
-  std::vector<OutputSink*> sinks;
-  for (EventBuffer& b : buffers) sinks.push_back(&b);
-  MultiQueryOptions multi;
-  multi.union_projection = !flags.no_union_projection;
-  std::vector<MultiPlanResult> results;
-  MultiQueryStats run_stats;
-  Status st =
-      StreamAllTransformInput(raw, input, sinks, multi, &results, &run_stats);
-  if (results.size() != raw.size()) return Fail(st);
-
-  FileSink out(stdout);
-  int failed = 0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (results[i].status.ok()) {
-      buffers[i].Replay(&out);
-      out.Flush();
-      std::printf("\n");
-    } else {
-      ++failed;
-      std::fprintf(stderr, "error: query %zu: %s\n", i + 1,
-                   results[i].status.ToString().c_str());
-    }
-  }
-  if (flags.stats) {
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      const StreamStats& s = results[i].stats;
-      std::fprintf(stderr,
-                   "query %zu: events fed: %llu, output events: %zu, "
-                   "peak memory: %s\n",
-                   i + 1,
-                   static_cast<unsigned long long>(results[i].events_fed),
-                   s.output_events, HumanBytes(s.peak_bytes).c_str());
-    }
-    std::fprintf(stderr,
-                 "shared pass: bytes in: %llu, events: %llu, skipped by "
-                 "projection: %llu (projection %s)\n",
-                 static_cast<unsigned long long>(run_stats.bytes_in),
-                 static_cast<unsigned long long>(run_stats.events_total),
-                 static_cast<unsigned long long>(run_stats.events_skipped),
-                 run_stats.projection_enabled ? "on" : "off");
-  }
-  return failed == 0 ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
@@ -800,7 +773,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (cmd == "run" && multi_query) {
-    return RunMulti(args, flags);
+    std::vector<std::shared_ptr<const CompiledPlan>> plans;
+    if (int rc = CompileQueries(flags, &plans)) return rc;
+    std::vector<const CompiledPlan*> raw;
+    for (const auto& plan : plans) raw.push_back(plan.get());
+    return StreamWith(raw, args, flags);
   }
 
   if (cmd == "run" || cmd == "compile" || cmd == "translate") {
@@ -824,7 +801,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     NoteEngineFallback(flags, plan.value()->mft());
-    return StreamWith(*plan.value(),
+    return StreamWith({plan.value().get()},
                       std::vector<std::string>(args.begin() + 1, args.end()),
                       flags);
   }
@@ -843,7 +820,7 @@ int main(int argc, char** argv) {
         CompiledPlan::FromMft(std::move(mft).value(), po);
     if (!plan.ok()) return Fail(plan.status());
     NoteEngineFallback(flags, plan.value()->mft());
-    return StreamWith(*plan.value(),
+    return StreamWith({plan.value().get()},
                       std::vector<std::string>(args.begin() + 1, args.end()),
                       flags);
   }

@@ -261,11 +261,9 @@ Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
 
 namespace {
 
-// One spec per plan, each carrying its member cancel token (if any), so a
-// pass may run any subset of the plans.
+// One spec per plan, so a pass may run any subset of the plans.
 Status BuildMultiSpecs(const std::vector<const CompiledPlan*>& plans,
                        const std::vector<OutputSink*>& sinks,
-                       const RunOptions& options,
                        std::vector<MultiPlanSpec>* specs) {
   if (plans.empty()) {
     return Status::InvalidArgument("multi-query run needs at least one plan");
@@ -283,9 +281,6 @@ Status BuildMultiSpecs(const std::vector<const CompiledPlan*>& plans,
     spec.mft = &plans[i]->mft();
     spec.projection = &plans[i]->projection();
     spec.options = plans[i]->options().stream;
-    if (i < options.per_plan_cancel.size()) {
-      spec.options.cancel = options.per_plan_cancel[i];
-    }
     spec.sink = sinks[i];
     specs->push_back(spec);
   }
@@ -335,7 +330,7 @@ Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
                                 std::vector<MultiPlanResult>* results,
                                 MultiQueryStats* run_stats) {
   std::vector<MultiPlanSpec> specs;
-  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, options, &specs));
+  XQMFT_RETURN_NOT_OK(BuildMultiSpecs(plans, sinks, &specs));
   MultiQueryRun run(std::move(specs), options);
   Status st = run.Run(events);
   if (run_stats != nullptr) *run_stats = run.stats();
@@ -349,7 +344,7 @@ Status Run(const std::vector<const CompiledPlan*>& plans,
            const std::vector<OutputSink*>& sinks, const RunOptions& options,
            std::vector<RunResult>* results, MultiQueryStats* stats) {
   std::vector<MultiPlanSpec> specs;
-  Status setup = BuildMultiSpecs(plans, sinks, options, &specs);
+  Status setup = BuildMultiSpecs(plans, sinks, &specs);
   if (!setup.ok()) {
     if (results != nullptr) results->assign(plans.size(), {setup, {}, 0});
     return setup;

@@ -29,6 +29,7 @@ struct Token {
   Tok kind;
   std::string text;
   std::size_t line;
+  std::size_t offset;  // of the token's first byte
 };
 
 class Lexer {
@@ -38,13 +39,14 @@ class Lexer {
   Result<std::vector<Token>> Lex() {
     std::vector<Token> out;
     while (pos_ < s_.size()) {
+      const std::size_t start = pos_;
       char c = s_[pos_];
       if (c == '#') {
         while (pos_ < s_.size() && s_[pos_] != '\n') ++pos_;
         continue;
       }
       if (c == '\n') {
-        out.push_back({Tok::kNewline, "", line_});
+        out.push_back({Tok::kNewline, "", line_, start});
         ++line_;
         ++pos_;
         continue;
@@ -54,22 +56,22 @@ class Lexer {
         continue;
       }
       if (c == '(') {
-        out.push_back({Tok::kLParen, "(", line_});
+        out.push_back({Tok::kLParen, "(", line_, start});
         ++pos_;
         continue;
       }
       if (c == ')') {
-        out.push_back({Tok::kRParen, ")", line_});
+        out.push_back({Tok::kRParen, ")", line_, start});
         ++pos_;
         continue;
       }
       if (c == ',') {
-        out.push_back({Tok::kComma, ",", line_});
+        out.push_back({Tok::kComma, ",", line_, start});
         ++pos_;
         continue;
       }
       if (c == '-' && pos_ + 1 < s_.size() && s_[pos_ + 1] == '>') {
-        out.push_back({Tok::kArrow, "->", line_});
+        out.push_back({Tok::kArrow, "->", line_, start});
         pos_ += 2;
         continue;
       }
@@ -84,18 +86,18 @@ class Lexer {
           return Err("unterminated string literal");
         }
         ++pos_;
-        out.push_back({Tok::kString, std::move(str), line_});
+        out.push_back({Tok::kString, std::move(str), line_, start});
         continue;
       }
       if (c == '%') {
         if (s_.compare(pos_, 6, "%ttext") == 0) {
-          out.push_back({Tok::kPercentTText, "%ttext", line_});
+          out.push_back({Tok::kPercentTText, "%ttext", line_, start});
           pos_ += 6;
         } else if (s_.compare(pos_, 2, "%t") == 0) {
-          out.push_back({Tok::kPercentT, "%t", line_});
+          out.push_back({Tok::kPercentT, "%t", line_, start});
           pos_ += 2;
         } else {
-          out.push_back({Tok::kPercent, "%", line_});
+          out.push_back({Tok::kPercent, "%", line_, start});
           ++pos_;
         }
         continue;
@@ -112,12 +114,12 @@ class Lexer {
           }
           id += s_[pos_++];
         }
-        out.push_back({Tok::kIdent, std::move(id), line_});
+        out.push_back({Tok::kIdent, std::move(id), line_, start});
         continue;
       }
       return Err(StrFormat("unexpected character '%c'", c));
     }
-    out.push_back({Tok::kEnd, "", line_});
+    out.push_back({Tok::kEnd, "", line_, s_.size()});
     return out;
   }
 
@@ -323,8 +325,15 @@ class RuleParser {
       return false;
     };
     while (!stopped()) {
+      if (depth_ == kMaxParseNesting) {
+        return Err(StrFormat("%s (at offset %zu)",
+                             NestingLimitMessage().c_str(), Peek().offset));
+      }
       RhsNode node;
-      XQMFT_RETURN_NOT_OK(ParseItem(&node));
+      ++depth_;
+      Status st = ParseItem(&node);
+      --depth_;
+      XQMFT_RETURN_NOT_OK(st);
       if (node.kind == RhsKind::kLabel && !node.current_label &&
           node.symbol.kind == NodeKind::kElement && node.symbol.name.empty()) {
         continue;  // `eps`: contributes nothing
@@ -400,6 +409,7 @@ class RuleParser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // rule-body terms open
   bool saw_rule_ = false;
   std::unordered_map<std::string, StateId> state_ids_;
   std::vector<std::string> names_;

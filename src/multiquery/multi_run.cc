@@ -67,12 +67,7 @@ Status MultiQueryRun::Run(EventSource* events) {
   first_output_bytes_.assign(plans_.size(), 0);
   engines_.reserve(plans_.size());
   for (MultiPlanSpec& p : plans_) {
-    // Token priority per engine: the spec's own (member) token, then the
-    // run-level token. A member token tripping makes that engine's Feed
-    // fail, which the pump isolates like any per-plan failure.
-    if (options_.cancel != nullptr && p.options.cancel == nullptr) {
-      p.options.cancel = options_.cancel;
-    }
+    p.options.cancel = options_.cancel;
     engines_.push_back(std::make_unique<Engine>(*p.mft, p.sink, p.options));
   }
   std::vector<const QueryProjection*> projections;
@@ -89,9 +84,8 @@ Status MultiQueryRun::Run(EventSource* events) {
 
   std::uint64_t forwarded = 0;
   Status st;
-  if (plans_.size() == 1 && (options_.cancel == nullptr ||
-                             plans_[0].options.cancel == options_.cancel)) {
-    // One plan whose engine polls the run's token itself: the serial pull
+  if (plans_.size() == 1) {
+    // One plan, whose engine polls the run's token itself: the serial pull
     // loop, so a one-plan run costs what a single-query run does.
     st = PumpEngine(engines_[0].get(), events, &forwarded,
                     &first_output_bytes_[0]);

@@ -36,7 +36,8 @@ struct MultiPlanSpec {
   const QueryProjection* projection = nullptr;
   /// Per-plan step budget etc.; `validator` must be null (a validator reads
   /// the full stream, incompatible with source projection), and `sax` must
-  /// tokenize identically across all plans of a run.
+  /// tokenize identically across all plans of a run. `cancel` is replaced
+  /// by the run's token (RunOptions::cancel).
   StreamOptions options;
   OutputSink* sink = nullptr;
 };
@@ -73,15 +74,6 @@ struct RunOptions {
   /// mirroring source-error handling. Must outlive the run; null means not
   /// cancellable.
   const CancelToken* cancel = nullptr;
-  /// Per-plan cooperative cancellation, parallel to the plan vector (empty
-  /// or short = no token for the missing plans). Run and the StreamAll*
-  /// functions install each token as its plan's MultiPlanSpec cancel (a
-  /// MultiQueryRun reads only the specs), so a tripped member detaches
-  /// through the per-plan failure-isolation path — status recorded,
-  /// siblings keep streaming — which is how the serving scheduler drops one
-  /// disconnected request out of a shared coalesced run. Tokens must
-  /// outlive the run.
-  std::vector<const CancelToken*> per_plan_cancel;
 };
 
 /// The name bench/xqbench spells RunOptions by.
@@ -120,10 +112,10 @@ class MultiQueryRun {
 
  private:
   Status CheckPlans() const;
-  /// The pump of a run with several engines (or one whose member token is
-  /// not the run's): the source binds to the master table and each live
-  /// engine gets every event remapped into its own id space. Returns the
-  /// source's or the run-level token's failure; counts events pulled.
+  /// The pump of a run with several engines: the source binds to the
+  /// master table and each live engine gets every event remapped into its
+  /// own id space. Returns the source's or the run-level token's failure;
+  /// counts events pulled.
   Status PumpShared(EventSource* events, std::uint64_t* forwarded);
 
   std::vector<MultiPlanSpec> plans_;

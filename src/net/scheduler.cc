@@ -1,6 +1,5 @@
 #include "net/scheduler.h"
 
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -31,70 +30,23 @@ double RetryHint::ewma_ms() const {
   return has_sample_ ? ewma_ms_ : 0.0;
 }
 
-Scheduler::Scheduler(SchedulerOptions options) : options_(options) {}
-
 void Scheduler::Enqueue(std::shared_ptr<NetJob> job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(job));
     queued_.store(queue_.size(), std::memory_order_relaxed);
   }
-  // notify_all, not _one: a worker may be mid-gather (waiting for same-key
-  // stragglers) while another sits idle; both need to look.
-  cv_.notify_all();
+  cv_.notify_one();
 }
 
-void Scheduler::TakeMatches(const std::string& key,
-                            std::vector<std::shared_ptr<NetJob>>* group) {
-  for (auto it = queue_.begin();
-       it != queue_.end() && group->size() < options_.batch_max;) {
-    std::shared_ptr<NetJob>& job = *it;
-    // Same key, and the job can afford the window: a member whose remaining
-    // deadline budget is below the gather window must run alone (it is
-    // admitted here only because the leader's wait is already underway —
-    // joining would spend budget it does not have).
-    if (job->coalesce_key == key &&
-        job->token.RemainingMs() >= options_.batch_window_ms) {
-      group->push_back(std::move(job));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  queued_.store(queue_.size(), std::memory_order_relaxed);
-}
-
-bool Scheduler::DequeueGroup(std::vector<std::shared_ptr<NetJob>>* group) {
-  group->clear();
+std::shared_ptr<NetJob> Scheduler::Dequeue() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return stopped_ || !queue_.empty(); });
-  if (queue_.empty()) return false;  // stopped and drained
-
-  std::shared_ptr<NetJob> leader = std::move(queue_.front());
+  if (queue_.empty()) return nullptr;  // stopped and drained
+  std::shared_ptr<NetJob> job = std::move(queue_.front());
   queue_.pop_front();
   queued_.store(queue_.size(), std::memory_order_relaxed);
-
-  // Coalescing off, a non-coalescable request, or a leader that cannot
-  // afford the window: run it alone, exactly the pre-batching behavior.
-  const bool bypass = options_.batch_window_ms == 0 || options_.batch_max <= 1 ||
-                      leader->coalesce_key.empty() ||
-                      leader->token.RemainingMs() < options_.batch_window_ms;
-  group->push_back(std::move(leader));
-  if (bypass) return true;
-
-  const std::string& key = (*group)[0]->coalesce_key;
-  TakeMatches(key, group);
-  const auto window_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.batch_window_ms);
-  while (group->size() < options_.batch_max && !stopped_) {
-    if (cv_.wait_until(lock, window_deadline) == std::cv_status::timeout) {
-      TakeMatches(key, group);
-      break;
-    }
-    TakeMatches(key, group);
-  }
-  return true;
+  return job;
 }
 
 void Scheduler::Stop() {

@@ -1,24 +1,10 @@
-// Deadline-aware batching scheduler: the stage between admission and the
-// worker pool.
+// The job queue between admission and the worker pool, and the retry hint
+// the admission path sheds load with.
 //
-// PR 8's server handed workers one queued request at a time, so N
-// concurrent requests over the same document cost N tokenizations even
-// though the multi-query engine (multiquery/multi_run.h, PR 6) can serve
-// them in one pass. The Scheduler closes that gap at dequeue time: a
-// worker takes the oldest job and, when coalescing is enabled, gathers
-// queued jobs with the same coalesce key (same document list and
-// compatible plan-shaping options — service/wire.h CoalesceKey) into one
-// group, waiting up to `batch_window_ms` for stragglers and capping the
-// group at `batch_max`. The group runs as a single ExecuteBatch pass: one
-// tokenization per document, plans deduped through the query cache.
-//
-// Deadline awareness is the rule that keeps coalescing from trading a
-// tight request's latency for throughput: a job whose remaining deadline
-// budget is below the gather window bypasses coalescing entirely — it is
-// never a group leader (no window wait) and is never gathered into a
-// waiting group. With `batch_window_ms == 0` (the default) every dequeue
-// returns a single job and the scheduler behaves exactly like PR 8's
-// plain queue.
+// Scheduler is a FIFO: each worker dequeues one admitted request and runs
+// it alone. A request over several documents is still one Run (one pass per
+// document, spread over its threads), so the queue has no grouping of its
+// own to do.
 //
 // RetryHint is the admission path's load-shedding companion: an EWMA of
 // observed per-request service time turns the static retry_after_ms hint
@@ -27,7 +13,7 @@
 // larger hint, monotonically.
 //
 // Threading: Enqueue and queued() are called from the server's event-loop
-// thread; DequeueGroup from worker threads; Stop from shutdown.
+// thread; Dequeue from worker threads; Stop from shutdown.
 // RetryHint::Record comes from workers while HintMs is read on the event
 // loop. Everything is internally synchronized.
 #ifndef XQMFT_NET_SCHEDULER_H_
@@ -40,8 +26,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <vector>
 
 #include "service/json.h"
 #include "util/cancel.h"
@@ -55,17 +39,6 @@ struct NetJob {
   std::uint64_t seq = 0;
   JsonValue json;
   CancelToken token;
-  /// Coalescing group key (service/wire.h CoalesceKey), computed at
-  /// admission; empty = this job never joins a coalesced run.
-  std::string coalesce_key;
-};
-
-struct SchedulerOptions {
-  /// Largest coalesced group a worker may gather (including the leader).
-  std::size_t batch_max = 8;
-  /// How long a group leader waits for same-key stragglers before running;
-  /// 0 disables coalescing entirely (every dequeue returns one job).
-  std::uint64_t batch_window_ms = 0;
 };
 
 /// \brief Load-proportional retry_after_ms hints for overload rejections.
@@ -94,25 +67,19 @@ class RetryHint {
   bool has_sample_ = false;
 };
 
-/// \brief The bounded job queue with group-forming dequeue.
+/// \brief The FIFO job queue the workers drain.
 class Scheduler {
  public:
-  explicit Scheduler(SchedulerOptions options);
-
   /// Adds an admitted job (admission control — the queue-depth bound — is
   /// the caller's, via queued()).
   void Enqueue(std::shared_ptr<NetJob> job);
 
-  /// Blocks until work or shutdown. Returns false when stopped and
-  /// drained; otherwise fills `*group` with one job, or — when coalescing
-  /// applies — the leader plus every same-key job gathered within the
-  /// window, up to batch_max. Jobs with other keys are left queued for
-  /// other workers. Stop() cuts a gather short: the group runs with
-  /// whatever it holds so drain is not delayed by the window.
-  bool DequeueGroup(std::vector<std::shared_ptr<NetJob>>* group);
+  /// Blocks until work or shutdown; returns the oldest job, or null once
+  /// stopped and drained. Jobs queued before Stop() are still returned.
+  std::shared_ptr<NetJob> Dequeue();
 
-  /// Wakes every waiter; DequeueGroup keeps returning groups until the
-  /// queue is drained, then false.
+  /// Wakes every waiter; Dequeue keeps returning jobs until the queue is
+  /// drained, then null.
   void Stop();
 
   /// Jobs waiting (admitted, not yet taken by a worker) — the admission
@@ -122,12 +89,6 @@ class Scheduler {
   }
 
  private:
-  // Moves queued jobs matching `key` (and able to afford the window) into
-  // *group, up to batch_max. Caller holds mu_.
-  void TakeMatches(const std::string& key,
-                   std::vector<std::shared_ptr<NetJob>>* group);
-
-  const SchedulerOptions options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<NetJob>> queue_;

@@ -63,8 +63,6 @@ struct NetServer::Impl {
       : options(std::move(opts)),
         service(options.cache, options.pipeline),
         handler(&service, MakeWireOptions()),
-        scheduler(SchedulerOptions{options.batch_max,
-                                   options.batch_window_ms}),
         retry_hint(options.retry_after_ms) {}
 
   WireOptions MakeWireOptions() {
@@ -265,67 +263,28 @@ void NetServer::Impl::RequestShutdown() {
 // ---------------------------------------------------------------- workers
 
 void NetServer::Impl::WorkerMain() {
-  std::vector<std::shared_ptr<NetJob>> group;
-  for (;;) {
-    if (!scheduler.DequeueGroup(&group)) return;  // stopped and drained
-    std::vector<Completion> done(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      done[i].conn_id = group[i]->conn_id;
-      done[i].seq = group[i]->seq;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    bool ran = false;  // a query executed: its time feeds the retry hint
-    if (group.size() == 1) {
-      NetJob& job = *group[0];
-      // A token tripped while the job sat queued (deadline counted from
-      // admission, disconnect, forced shutdown) skips execution entirely —
-      // no compile, no streaming, just the error response.
-      Status pre = job.token.Check();
-      if (!pre.ok()) {
-        AppendErrorResponse(&done[0].response, job.json.Find("id"),
-                            pre.ToString(), pre.code());
-        done[0].code = pre.code();
-      } else {
-        done[0].code =
-            handler.HandleParsed(job.json, &job.token, &done[0].response);
-        ran = true;
-      }
+  while (std::shared_ptr<NetJob> job = scheduler.Dequeue()) {
+    Completion done;
+    done.conn_id = job->conn_id;
+    done.seq = job->seq;
+    // A token tripped while the job sat queued (deadline counted from
+    // admission, disconnect, forced shutdown) skips execution entirely —
+    // no compile, no streaming, just the error response.
+    Status pre = job->token.Check();
+    if (!pre.ok()) {
+      AppendErrorResponse(&done.response, job->json.Find("id"),
+                          pre.ToString(), pre.code());
+      done.code = pre.code();
     } else {
-      // A coalesced group: one shared multi-query pass over the common
-      // document list. Tripped or malformed members drop out with their
-      // own error responses inside HandleCoalesced.
-      std::vector<CoalescedJob> members(group.size());
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        members[i].json = &group[i]->json;
-        members[i].cancel = &group[i]->token;
-        members[i].out = &done[i].response;
-      }
-      std::size_t shared_members = 0;
-      const std::uint64_t saved =
-          handler.HandleCoalesced(&members, &shared_members);
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        done[i].code = members[i].code;
-      }
-      if (shared_members >= 2) {
-        counters.coalesced_runs.fetch_add(1);
-        counters.coalesced_requests.fetch_add(shared_members);
-        counters.parses_saved.fetch_add(saved);
-      }
-      ran = true;
-    }
-    if (ran) {
-      // The EWMA tracks per-request cost: a shared pass's wall time is
-      // split evenly over its members.
-      const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        retry_hint.Record(elapsed_ms / static_cast<double>(group.size()));
-      }
+      const auto t0 = std::chrono::steady_clock::now();
+      done.code = handler.HandleParsed(job->json, &job->token, &done.response);
+      retry_hint.Record(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
     }
     {
       std::lock_guard<std::mutex> lock(comp_mu);
-      for (Completion& d : done) completions.push_back(std::move(d));
+      completions.push_back(std::move(done));
     }
     char b = 'c';
     [[maybe_unused]] ssize_t n = ::write(wake_wr, &b, 1);
@@ -479,9 +438,6 @@ bool NetServer::Impl::ProcessLine(Conn* c, std::string line) {
   // in the queue is dead on arrival at the worker, by design.
   if (deadline_ms > 0) {
     job->token.SetDeadlineAfterMs(static_cast<std::uint64_t>(deadline_ms));
-  }
-  if (options.batch_window_ms > 0 && options.batch_max > 1) {
-    job->coalesce_key = CoalesceKey(job->json);
   }
   c->inflight[seq] = job;
   ++outstanding;

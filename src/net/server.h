@@ -22,13 +22,10 @@
 //                zero, negative) is rejected up front with
 //                {"status":"bad_request"} instead of silently running
 //                without a budget.
-//   batching     With batch_window_ms > 0, a worker dequeuing a request
-//                gathers queued requests over the same document list
-//                (net/scheduler.h) and runs them as one shared
-//                multi-query pass: one tokenization per document, plans
-//                deduplicated through the query cache, byte-identical
-//                responses. Requests whose remaining deadline budget is
-//                below the window bypass batching.
+//   one request  Each worker dequeues one request (net/scheduler.h) and
+//                runs it alone: a single query is a Run of one plan, a
+//                "queries" batch one shared pass per document. Requests
+//                are not merged across connections.
 //   deadlines    "deadline_ms" is armed at ADMISSION on the job's
 //                CancelToken, so time spent queued counts against the
 //                budget; engines abort mid-stream via cooperative checks.
@@ -94,13 +91,8 @@ struct NetServerOptions : ServeOptions {
   /// hint itself scales with queue depth × observed service time once any
   /// request has completed).
   std::uint64_t retry_after_ms = 50;
-  /// Most queued same-document requests a worker coalesces into one shared
-  /// multi-query pass (including the one it dequeued).
+  /// Ignored; kept for bench/xqbench, which still sets them.
   std::size_t batch_max = 8;
-  /// How long a worker waits for same-document stragglers before running a
-  /// coalesced pass. 0 (the default) disables coalescing: every request
-  /// runs alone, exactly the pre-batching behavior. Requests whose
-  /// remaining deadline budget is below the window are never coalesced.
   std::uint64_t batch_window_ms = 0;
   /// Graceful-shutdown drain budget; in-flight runs still going when it
   /// expires are cancelled.
@@ -117,8 +109,7 @@ struct NetServerOptions : ServeOptions {
 /// one list generates NetServerCounters, the server's atomic storage, its
 /// snapshot, and the server_stats JSON: a new counter is one line here plus
 /// its increment. Keep admitted ahead of the four outcomes (see below).
-/// parses_saved sums (members - 1) × documents over shared passes; the
-/// *_runs trio splits successful runs of every shape by execution core.
+/// ops_runs and table_runs split successful runs by execution core.
 #define XQMFT_NET_SERVER_COUNTERS(X)                                  \
   X(connections)            /* accepted */                            \
   X(admitted)               /* requests admitted to the queue */      \
@@ -133,9 +124,8 @@ struct NetServerOptions : ServeOptions {
   X(disconnects_inflight)   /* aborts with runs in flight */          \
   X(slow_client_closed)     /* write-buffer limit closes */           \
   X(inline_cmds)            /* cmd requests (no queue) */             \
-  X(coalesced_runs)         /* shared passes with >= 2 members */     \
-  X(coalesced_requests)     /* requests served by those passes */     \
-  X(parses_saved)           /* tokenizations avoided by coalescing */ \
+  X(coalesced_requests)     /* always 0; kept for bench/xqbench */    \
+  X(parses_saved)           /* always 0; kept for bench/xqbench */    \
   X(ops_runs)               /* fully lowered opcode runs */           \
   X(hybrid_runs)            /* always 0; kept for bench/xqbench */    \
   X(table_runs)             /* table-machine runs */

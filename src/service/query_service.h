@@ -1,15 +1,14 @@
-// Multi-query serving: (cached plan × input batch) execution.
+// Multi-query serving: (cached plan × document list) execution.
 //
 // A QueryService owns the process-wide QueryCache and executes requests of
-// the shape "this query over these documents with this many workers". It
-// has one execution path, ExecuteBatch: a single request is a batch of
-// one. Requests over the same documents and worker count share one Run
-// (core/pipeline.h: one pass per document, documents spread over the
-// workers, ordered merge), so responses are byte-identical to streaming
-// the inputs serially whatever the thread count. Compile cost is paid at
-// most once per distinct query and reported separately from stream cost in
-// the per-request stats (xqbench `serve` reads both from the response
-// headers).
+// the shape "these queries over these documents". It has one execution
+// path, ExecuteBatch: the requests' distinct plans stream the documents in
+// one Run (core/pipeline.h: one pass per document, documents spread over
+// the run's threads, ordered merge) under one RunOptions, so responses are
+// byte-identical to streaming the inputs serially whatever the thread
+// count. A single request is a batch of one. Compile cost is paid at most
+// once per distinct query and reported separately from stream cost in the
+// per-request stats (xqbench `serve` reads both from the response headers).
 #ifndef XQMFT_SERVICE_QUERY_SERVICE_H_
 #define XQMFT_SERVICE_QUERY_SERVICE_H_
 
@@ -20,44 +19,35 @@
 
 #include "core/pipeline.h"
 #include "service/query_cache.h"
-#include "util/cancel.h"
 #include "util/status.h"
 
 namespace xqmft {
 
-/// \brief One serving request: a query over a batch of documents.
+/// \brief One query of a batch; the documents and run options are the
+/// batch's.
 struct ServiceRequest {
   std::string query;
-  /// Documents to stream, in output order.
-  std::vector<ParallelInput> inputs;
-  /// Worker threads for the batch (0 = one per hardware thread; 1 = serial).
-  std::size_t threads = 1;
   /// Skip the Section 4.1 optimizations (measurement requests).
   bool no_opt = false;
-  /// Cooperative cancellation for this request (client disconnect, server
-  /// shutdown, a deadline armed on it): a trip aborts the run with the
-  /// token's status at the next engine check. Must outlive the call; null =
-  /// not cancellable.
-  CancelToken* cancel = nullptr;
 };
 
 /// \brief What one request cost, compile and stream separated.
 struct ServiceRequestStats {
   bool cache_hit = false;
   double compile_ms = 0.0;  ///< 0 when the plan was cached
-  double stream_ms = 0.0;   ///< the wall time of the request's group Run
+  double stream_ms = 0.0;   ///< the wall time of the batch's Run
   std::vector<StreamStats> per_input;
   StreamStats total;  ///< summed; peak_bytes is the max across inputs
   /// Per-request outcome: batch execution isolates failures, so a bad query
   /// or a mid-stream engine error lands here instead of failing the batch.
   Status status = Status::OK();
-  /// True when another request in the batch resolved to the same plan over
-  /// the same documents: this request's output is a replay of the sibling's
-  /// engine run, not a second streaming pass.
+  /// True when another request in the batch resolved to the same plan: this
+  /// request's output is a replay of the sibling's engine run, not a second
+  /// streaming pass.
   bool deduped = false;
   std::uint64_t events_fed = 0;  ///< events this request's engine consumed
-  /// Events the union projection dropped at the shared source for this
-  /// request's group (identical for every request in the group).
+  /// Events the union projection dropped at the shared source (identical
+  /// for every request in the batch).
   std::uint64_t events_skipped = 0;
 };
 
@@ -75,7 +65,7 @@ struct ServiceBatchStats {
   std::uint64_t parsed_bytes = 0;    ///< bytes tokenized, once per document
   std::size_t unique_plans = 0;      ///< distinct compiled plans streamed
   std::size_t deduped_requests = 0;  ///< requests replayed from a sibling
-  double stream_ms = 0.0;            ///< wall time summed over group passes
+  double stream_ms = 0.0;            ///< wall time of the batch's Run
   std::vector<ServiceRequestStats> per_request;
 };
 
@@ -93,33 +83,26 @@ class QueryService {
   explicit QueryService(QueryCacheOptions cache_options = {},
                         PipelineOptions base_options = {});
 
-  /// Executes a batch of requests with shared work done once: requests over
-  /// an identical document list and worker count form a group, and each
-  /// group's distinct plans (deduplicated through the cache, so two
-  /// spellings of one query share an engine) stream every document in one
-  /// Run — a single pass per document under the union projection
-  /// automaton, documents spread over the group's `threads`. A slot with
-  /// one request streams into its sink; a deduplicated slot replays its
-  /// recorded output to each member. Responses are byte-identical to
+  /// Executes a batch of requests over one document list with shared work
+  /// done once: the requests' distinct plans (deduplicated through the
+  /// cache, so two spellings of one query share an engine) stream every
+  /// document in one Run under `options` — a single pass per document under
+  /// the union projection automaton, documents spread over
+  /// `options.threads`, one cancel token for the whole batch. A plan with
+  /// one request streams into its sink; a deduplicated plan replays its
+  /// recorded output to each request. Responses are byte-identical to
   /// issuing each request alone.
   ///
-  /// `sinks` parallels `requests`. `run_options` carries batch-wide options
-  /// (union projection, a run-level cancel token); its threads are replaced
-  /// by each group's. `request.cancel` is honored per member: a token that
-  /// tripped before the pass excludes the member up front (no compile, no
-  /// slot); a single-member slot streams under its member's token (the
-  /// run's own token when the group has that one slot), so a mid-pass trip
-  /// detaches just that plan; and a member sharing a deduped slot with live
-  /// siblings is denied its replay once its own token trips. Per-request
-  /// failures (compile errors, engine errors) are isolated in
-  /// `stats->per_request[i].status`; the returned Status is non-OK for
-  /// batch-level problems (empty batch, size mismatch), when `stats` is
-  /// null (first failing request, lowest index), or when every request
-  /// failed.
-  Status ExecuteBatch(const std::vector<ServiceRequest>& requests,
+  /// `sinks` parallels `requests`. Per-request failures (compile errors,
+  /// engine errors) are isolated in `stats->per_request[i].status`; the
+  /// returned Status is non-OK for batch-level problems (no documents, no
+  /// requests, size mismatch), when `stats` is null (first failing request,
+  /// lowest index), or when every request failed.
+  Status ExecuteBatch(const std::vector<ParallelInput>& inputs,
+                      const std::vector<ServiceRequest>& requests,
                       const std::vector<OutputSink*>& sinks,
                       ServiceBatchStats* stats = nullptr,
-                      const RunOptions& run_options = {});
+                      const RunOptions& options = {});
 
   /// The plan for `query` from the cache, compiled under the service's
   /// options; `no_opt` turns optimization off (it can only turn it off: a

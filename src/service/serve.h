@@ -6,7 +6,7 @@
 //   {"query": "<out>{$input//a}</out>",   // required
 //    "inputs": ["doc.xml", "cache.ptk"],  // file paths (format sniffed)
 //    "xml": ["<doc><a/></doc>"],          // inline documents (after inputs)
-//    "threads": 2,                        // optional, default serial
+//    "threads": 2,                        // optional, default_threads
 //    "no_opt": false,                     // optional
 //    "deadline_ms": 250,                  // optional wall-clock budget
 //    "id": 7}                             // optional, echoed verbatim
@@ -16,7 +16,8 @@
 // Multi-query batch: a "queries" array replaces "query" — every listed
 // query streams over the shared document list in ONE pass per document
 // (one tokenization, duplicate queries deduplicated onto one engine, a
-// union projection automaton skipping subtrees no query can match):
+// union projection automaton skipping subtrees no query can match), the
+// documents spread over default_threads workers:
 //
 //   {"queries": [{"query": "...", "id": 1},
 //                {"query": "...", "id": 2, "no_opt": true}],
@@ -71,7 +72,8 @@ struct ServeOptions {
   /// Base compile options for every request (per-request no_opt overrides
   /// optimize).
   PipelineOptions pipeline;
-  /// Worker threads when a request does not say (0 = hardware, 1 = serial).
+  /// Worker threads of a single request that does not say and of every
+  /// "queries" batch (0 = hardware, 1 = serial).
   std::size_t default_threads = 1;
   /// Request line / inline document size caps (wire.h).
   RequestLimits limits;

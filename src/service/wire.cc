@@ -90,42 +90,6 @@ void AppendOverlongLineResponse(std::string* out, std::size_t limit) {
       StatusCode::kInvalidArgument);
 }
 
-std::string CoalesceKey(const JsonValue& json) {
-  if (!json.is_object()) return std::string();
-  // Forms with their own execution paths (cmd, batch), per-request source
-  // wrapping (fault), or a request-level worker count (threads) stay on the
-  // single-request path.
-  if (json.Find("cmd") != nullptr || json.Find("queries") != nullptr ||
-      json.Find("fault") != nullptr || json.Find("threads") != nullptr) {
-    return std::string();
-  }
-  const JsonValue* query = json.Find("query");
-  if (query == nullptr || !query->is_string()) return std::string();
-  const JsonValue* inputs = json.Find("inputs");
-  const JsonValue* xml = json.Find("xml");
-  auto strings_only = [](const JsonValue* v) {
-    if (v == nullptr) return true;
-    if (!v->is_array()) return false;
-    for (const JsonValue& item : v->items) {
-      if (!item.is_string()) return false;
-    }
-    return true;
-  };
-  if (!strings_only(inputs) || !strings_only(xml)) return std::string();
-  if ((inputs == nullptr || inputs->items.empty()) &&
-      (xml == nullptr || xml->items.empty())) {
-    return std::string();  // no documents: the single path owns the error
-  }
-  // JSON-serialized field lists: two requests with equal keys parse into
-  // identical ParallelInput lists and the default worker count, i.e. the
-  // same ExecuteBatch group.
-  std::string key = "i";
-  if (inputs != nullptr) AppendJsonValue(&key, *inputs);
-  key += "x";
-  if (xml != nullptr) AppendJsonValue(&key, *xml);
-  return key;
-}
-
 namespace {
 
 // Appends the error response for `st`; returns its code.
@@ -216,11 +180,13 @@ Status ParseInputs(const JsonValue& json, const RequestLimits& limits,
   return Status::OK();
 }
 
-// A single request plus its wire-layer state: the optional fault directive
-// and the "deadline_ms" budget (0 = none), which ArmDeadline turns into the
-// request's cancel token.
+// A single request: its query, its documents and worker count, the
+// optional fault directive, and the "deadline_ms" budget (0 = none), which
+// ArmDeadline turns into the request's cancel token.
 struct WireRequest {
   ServiceRequest req;
+  std::vector<ParallelInput> inputs;
+  std::size_t threads = 1;
   FaultSpec fault;
   std::uint64_t deadline_ms = 0;
 };
@@ -243,22 +209,20 @@ CancelToken* ArmDeadline(CancelToken* caller, std::uint64_t deadline_ms,
 Result<WireRequest> BuildRequest(const JsonValue& json,
                                  const WireOptions& options) {
   WireRequest out;
-  ServiceRequest& req = out.req;
-  req.threads = options.default_threads;
   const JsonValue* query = json.Find("query");
   if (query == nullptr || !query->is_string()) {
     return Status::InvalidArgument("request needs a string \"query\" field");
   }
-  req.query = query->string;
-  XQMFT_RETURN_NOT_OK(ParseInputs(json, options.limits, &req.inputs));
-  std::uint64_t threads = req.threads;
+  out.req.query = query->string;
+  XQMFT_RETURN_NOT_OK(ParseInputs(json, options.limits, &out.inputs));
+  std::uint64_t threads = options.default_threads;
   std::string err;
   if (!ParseCount(json, "threads", &threads, &err) ||
-      !ParseBool(json, "no_opt", &req.no_opt, &err) ||
+      !ParseBool(json, "no_opt", &out.req.no_opt, &err) ||
       !ParseCount(json, "deadline_ms", &out.deadline_ms, &err)) {
     return Status::InvalidArgument(err);
   }
-  req.threads = static_cast<std::size_t>(threads);
+  out.threads = static_cast<std::size_t>(threads);
   if (const JsonValue* fault = json.Find("fault")) {
     if (!options.allow_fault_injection) {
       return Status::InvalidArgument(
@@ -279,7 +243,7 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
       return Status::InvalidArgument(err);
     }
   }
-  if (req.inputs.empty()) {
+  if (out.inputs.empty()) {
     return Status::InvalidArgument(
         "request has no documents (give \"inputs\" paths or inline \"xml\")");
   }
@@ -291,33 +255,34 @@ Result<WireRequest> BuildRequest(const JsonValue& json,
 // runs through the same compiled plan (from the service's cache) a normal
 // request uses. The fault source skips subtrees by pulling them, so fault
 // positions count every event.
-Status ExecuteWithFault(QueryService* service, const ServiceRequest& req,
-                        const FaultSpec& fault, OutputSink* sink,
+Status ExecuteWithFault(QueryService* service, const WireRequest& wire,
+                        const CancelToken* cancel, OutputSink* sink,
                         ServiceRequestStats* stats) {
-  if (req.inputs.size() != 1) {
+  if (wire.inputs.size() != 1) {
     return Status::InvalidArgument(
         "fault injection supports exactly one input document");
   }
-  const ParallelInput& in = req.inputs[0];
+  const ParallelInput& in = wire.inputs[0];
   if (in.kind != ParallelInput::Kind::kXmlText &&
       in.kind != ParallelInput::Kind::kXmlFile) {
     return Status::InvalidArgument(
         "fault injection supports text XML inputs only");
   }
-  XQMFT_ASSIGN_OR_RETURN(QueryCacheLookup lookup,
-                         service->LookupPlan(req.query, req.no_opt));
+  XQMFT_ASSIGN_OR_RETURN(
+      QueryCacheLookup lookup,
+      service->LookupPlan(wire.req.query, wire.req.no_opt));
   stats->cache_hit = lookup.hit;
   stats->compile_ms = lookup.compile_ms;
 
   XQMFT_ASSIGN_OR_RETURN(
       OpenedInput opened,
       OpenParallelInput(in, lookup.plan->options().stream.sax));
-  FaultInjectingSource events(opened.events.get(), fault);
+  FaultInjectingSource events(opened.events.get(), wire.fault);
 
   StreamStats ss;
   auto t0 = std::chrono::steady_clock::now();
   Status st = lookup.plan->StreamEvents(&events, sink, &ss,
-                                        /*scratch=*/nullptr, req.cancel);
+                                        /*scratch=*/nullptr, cancel);
   stats->stream_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -335,32 +300,26 @@ struct BatchRun {
 };
 
 BatchRun RunBatch(QueryService* service,
+                  const std::vector<ParallelInput>& inputs,
                   const std::vector<ServiceRequest>& requests,
                   const RunOptions& options) {
   BatchRun run;
   run.sinks.resize(requests.size());
   std::vector<OutputSink*> sink_ptrs;
   for (StringSink& sink : run.sinks) sink_ptrs.push_back(&sink);
-  run.status = service->ExecuteBatch(requests, sink_ptrs, &run.stats, options);
+  run.status = service->ExecuteBatch(inputs, requests, sink_ptrs, &run.stats,
+                                     options);
   run.rejected = run.stats.per_request.size() != requests.size();
   return run;
 }
 
 }  // namespace
 
-struct RequestHandler::RunShape {
-  /// A "queries" batch member: deduped/events_fed/events_skipped in place
-  /// of bytes_in, and no cache_* totals.
-  bool batch_member = false;
-  /// Members of the coalesced pass ("coalesced":N); 0 = not coalesced.
-  std::size_t coalesced = 0;
-};
-
 StatusCode RequestHandler::AppendRun(std::string* out, const JsonValue* id,
                                      const Status& st,
                                      const ServiceRequestStats& stats,
                                      const std::string& output,
-                                     const RunShape& shape) {
+                                     bool batch_member) {
   if (!st.ok()) return AppendError(out, id, st);
   if (options_.run_observer) options_.run_observer(stats.total);
   ResponseWriter w(id);
@@ -369,7 +328,7 @@ StatusCode RequestHandler::AppendRun(std::string* out, const JsonValue* id,
   w.Field("cache", stats.cache_hit ? "hit" : "miss");
   w.Number("compile_ms", stats.compile_ms);
   w.Number("stream_ms", stats.stream_ms);
-  if (shape.batch_member) {
+  if (batch_member) {
     w.Raw("deduped", stats.deduped ? "true" : "false");
     w.Number("events_fed", stats.events_fed);
     w.Number("events_skipped", stats.events_skipped);
@@ -381,8 +340,7 @@ StatusCode RequestHandler::AppendRun(std::string* out, const JsonValue* id,
   w.Field("engine", stats.total.used_ops_engine ? "ops" : "table");
   // How much of the plan ran on the opcode engine; "no" for a table run.
   w.Field("lowered", stats.total.used_ops_engine ? "full" : "no");
-  if (shape.coalesced != 0) w.Number("coalesced", shape.coalesced);
-  if (!shape.batch_member) {
+  if (!batch_member) {
     QueryCacheStats cache = service_->cache()->stats();
     w.Number("cache_hits", cache.hits);
     w.Number("cache_misses", cache.misses);
@@ -446,80 +404,23 @@ StatusCode RequestHandler::HandleParsed(const JsonValue& json,
   if (!request.ok()) return AppendError(out, id, request.status());
   WireRequest& wire = request.value();
   CancelToken local;
-  wire.req.cancel = ArmDeadline(cancel, wire.deadline_ms, &local);
+  RunOptions run_options;
+  run_options.threads = wire.threads;
+  run_options.cancel = ArmDeadline(cancel, wire.deadline_ms, &local);
   if (wire.fault.kind != FaultSpec::Kind::kNone) {
     StringSink sink;
     ServiceRequestStats stats;
     Status st =
-        ExecuteWithFault(service_, wire.req, wire.fault, &sink, &stats);
-    return AppendRun(out, id, st, stats, sink.str(), RunShape{});
+        ExecuteWithFault(service_, wire, run_options.cancel, &sink, &stats);
+    return AppendRun(out, id, st, stats, sink.str(), /*batch_member=*/false);
   }
   // A single request is a batch of one.
-  BatchRun run = RunBatch(service_, {std::move(wire.req)}, RunOptions{});
+  BatchRun run =
+      RunBatch(service_, wire.inputs, {std::move(wire.req)}, run_options);
   if (run.rejected) return AppendError(out, id, run.status);
   const ServiceRequestStats& rs = run.stats.per_request.front();
   return AppendRun(out, id, rs.status, rs, run.sinks.front().str(),
-                   RunShape{});
-}
-
-std::uint64_t RequestHandler::HandleCoalesced(std::vector<CoalescedJob>* group,
-                                              std::size_t* shared_members) {
-  if (shared_members != nullptr) *shared_members = 0;
-  std::vector<std::size_t> live;       // group indices that reach the pass
-  std::vector<const JsonValue*> ids(group->size(), nullptr);
-  std::vector<ServiceRequest> requests;
-  // Tokens for members a transport gave none, should a deadline need one.
-  std::vector<CancelToken> local_tokens(group->size());
-  for (std::size_t m = 0; m < group->size(); ++m) {
-    CoalescedJob& job = (*group)[m];
-    ids[m] = job.json->Find("id");
-    // Expired or disconnected members are excluded before the shared run
-    // starts — same contract as the worker's pre-execution check.
-    if (job.cancel != nullptr) {
-      Status pre = job.cancel->Check();
-      if (!pre.ok()) {
-        job.code = AppendError(job.out, ids[m], pre);
-        continue;
-      }
-    }
-    Result<WireRequest> request = BuildRequest(*job.json, options_);
-    if (!request.ok()) {
-      job.code = AppendError(job.out, ids[m], request.status());
-      continue;
-    }
-    WireRequest& wire = request.value();
-    wire.req.cancel =
-        ArmDeadline(job.cancel, wire.deadline_ms, &local_tokens[m]);
-    live.push_back(m);
-    requests.push_back(std::move(wire.req));
-  }
-  if (live.empty()) return 0;
-
-  BatchRun run = RunBatch(service_, requests, RunOptions{});
-  if (run.rejected) {
-    // Nothing ran; every member gets the error.
-    for (std::size_t m : live) {
-      (*group)[m].code = AppendError((*group)[m].out, ids[m], run.status);
-    }
-    return 0;
-  }
-
-  // The single-request response shape plus "coalesced": clients written
-  // against the single path keep parsing, and can see the sharing.
-  const RunShape shape{false, live.size()};
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    CoalescedJob& job = (*group)[live[k]];
-    const ServiceRequestStats& rs = run.stats.per_request[k];
-    job.code = AppendRun(job.out, ids[live[k]], rs.status, rs,
-                         run.sinks[k].str(), shape);
-  }
-
-  if (live.size() < 2) return 0;
-  if (shared_members != nullptr) *shared_members = live.size();
-  // Each document was tokenized once for the whole group instead of once
-  // per member.
-  return static_cast<std::uint64_t>(run.stats.documents) *
-         static_cast<std::uint64_t>(live.size() - 1);
+                   /*batch_member=*/false);
 }
 
 StatusCode RequestHandler::HandleBatch(const JsonValue& json,
@@ -539,6 +440,7 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
         "batch has no documents (give \"inputs\" paths or inline \"xml\")"));
   }
   RunOptions multi;
+  multi.threads = options_.default_threads;
   std::uint64_t deadline_ms = 0;
   std::string err;
   if (!ParseBool(json, "union_projection", &multi.union_projection, &err) ||
@@ -560,7 +462,6 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
     }
     ServiceRequest req;
     req.query = query->string;
-    req.inputs = inputs;
     if (!ParseBool(item, "no_opt", &req.no_opt, &err)) {
       return reject(Status::InvalidArgument(err));
     }
@@ -568,12 +469,12 @@ StatusCode RequestHandler::HandleBatch(const JsonValue& json,
     requests.push_back(std::move(req));
   }
 
-  BatchRun run = RunBatch(service_, requests, multi);
+  BatchRun run = RunBatch(service_, inputs, requests, multi);
   if (run.rejected) return reject(run.status);  // nothing ran
-  const RunShape shape{true, 0};
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ServiceRequestStats& rs = run.stats.per_request[i];
-    AppendRun(out, ids[i], rs.status, rs, run.sinks[i].str(), shape);
+    AppendRun(out, ids[i], rs.status, rs, run.sinks[i].str(),
+              /*batch_member=*/true);
   }
 
   const ServiceBatchStats& stats = run.stats;

@@ -8,12 +8,11 @@
 // QueryService, fault injection, and response framing. A transport only
 // moves bytes and decides admission.
 //
-// In wire.cc every query runs through one ExecuteBatch call, RunBatch: the
-// single path (HandleParsed) as a batch of one, the "queries" batch
-// (HandleBatch), and the coalesced group (HandleCoalesced). Only a
-// fault-injected single request streams on its own. All of them write
-// their responses through AppendRun, whose RunShape names the fields that
-// set each shape apart.
+// In wire.cc every query runs through one ExecuteBatch call, RunBatch: a
+// single request (HandleParsed) as a batch of one, and a "queries" batch
+// (HandleBatch) as one document list, one worker count and one cancel token
+// shared by its members. Only a fault-injected single request streams on
+// its own. All of them write their responses through AppendRun.
 //
 // Responses are appended to a caller-owned string: a header line of JSON,
 // then (for successful query requests) exactly `bytes` bytes of output and
@@ -56,7 +55,8 @@ struct RequestLimits {
 /// \brief Configuration of a RequestHandler.
 struct WireOptions {
   RequestLimits limits;
-  /// Worker threads when a request does not say (0 = hardware, 1 = serial).
+  /// Worker threads of a single request that does not say and of every
+  /// "queries" batch (0 = hardware, 1 = serial).
   std::size_t default_threads = 1;
   /// Accept the per-request "fault" field (service/fault.h). Off by
   /// default: fault injection is a test/stress harness, not a production
@@ -69,8 +69,8 @@ struct WireOptions {
   std::function<bool(const std::string& cmd, const JsonValue* id,
                      std::string* out)>
       cmd_hook;
-  /// Called once per successfully executed run (single, batch member, or
-  /// coalesced member) with the run's aggregated stream stats. Transports
+  /// Called once per successfully executed run (a single request or a
+  /// batch member) with the run's aggregated stream stats. Transports
   /// use it to count which execution core served (the net server's
   /// ops/table run counters). May be called from worker threads;
   /// the callback must be thread-safe.
@@ -149,24 +149,6 @@ void AppendErrorResponse(std::string* out, const JsonValue* id,
 /// Appends the rejection of a request line longer than `limit` bytes.
 void AppendOverlongLineResponse(std::string* out, std::size_t limit);
 
-/// The scheduler's coalescing key for one parsed request: requests with
-/// equal non-empty keys name the same document list (the raw "inputs" and
-/// "xml" fields, which parse deterministically into the same ParallelInput
-/// list ExecuteBatch groups by) and compatible plan-shaping options, so
-/// they may legally share one ExecuteBatch pass. Returns "" for requests
-/// that must never be coalesced: cmd and batch forms, fault injection,
-/// explicit "threads", and shapes the single-request path should reject
-/// with its exact error message.
-std::string CoalesceKey(const JsonValue& json);
-
-/// One member of a coalesced run (see RequestHandler::HandleCoalesced).
-struct CoalescedJob {
-  const JsonValue* json = nullptr;  ///< parsed request (single-query form)
-  CancelToken* cancel = nullptr;    ///< member token, armed at admission
-  std::string* out = nullptr;       ///< receives the member's framed response
-  StatusCode code = StatusCode::kOk;  ///< outcome, for transport counters
-};
-
 /// \brief Executes request lines against a QueryService.
 ///
 /// Stateless between calls apart from the service's cache; thread-safe as
@@ -196,32 +178,16 @@ class RequestHandler {
   StatusCode HandleParsed(const JsonValue& json, CancelToken* cancel,
                           std::string* out);
 
-  /// Executes a group of requests sharing one CoalesceKey as a single
-  /// ExecuteBatch pass: one tokenization per document, plans deduped
-  /// through the cache, each member's output replayed into its own framed
-  /// response (the single-request response shape plus a "coalesced":N
-  /// field, N = members that actually shared the pass). Members whose
-  /// token tripped before the pass, or whose request fails to build, drop
-  /// out with their individual error responses; a member tripping
-  /// mid-stream detaches without disturbing the rest. Per-member outcomes
-  /// land in group[i].code.
-  ///
-  /// `*shared_members` (optional) receives N; the return value is the
-  /// number of document parses the group saved over independent execution
-  /// ((N - 1) × documents streamed), both 0 when fewer than two members
-  /// reached the shared pass.
-  std::uint64_t HandleCoalesced(std::vector<CoalescedJob>* group,
-                                std::size_t* shared_members = nullptr);
-
  private:
-  struct RunShape;  // wire.cc
   StatusCode HandleBatch(const JsonValue& json, const JsonValue* id,
                          CancelToken* cancel, std::string* out);
   /// Appends one run's response: the error when `st` failed, else the
-  /// success header in `shape` followed by `output`. Returns the outcome.
+  /// success header followed by `output`. A "queries" batch member
+  /// (`batch_member`) reports deduped/events_fed/events_skipped in place of
+  /// bytes_in and no cache_* totals. Returns the outcome.
   StatusCode AppendRun(std::string* out, const JsonValue* id,
                        const Status& st, const ServiceRequestStats& stats,
-                       const std::string& output, const RunShape& shape);
+                       const std::string& output, bool batch_member);
 
   QueryService* service_;
   WireOptions options_;

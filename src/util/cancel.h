@@ -67,9 +67,7 @@ class CancelToken {
 
   /// Milliseconds of deadline budget left: the distance to the armed
   /// deadline (0 once it passed, and 0 after Cancel() — a cancelled request
-  /// has no budget), or kNoDeadline when no deadline is armed. Schedulers
-  /// use this to decide whether a request can afford to wait (the
-  /// batching gather window's bypass rule).
+  /// has no budget), or kNoDeadline when no deadline is armed.
   static constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
   std::uint64_t RemainingMs() const {
     if (cancelled_.load(std::memory_order_relaxed)) return 0;

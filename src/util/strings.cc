@@ -65,6 +65,10 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string NestingLimitMessage() {
+  return StrFormat("nesting exceeds the limit of %zu levels", kMaxParseNesting);
+}
+
 std::string HumanBytes(std::size_t bytes) {
   const char* units[] = {"B", "KB", "MB", "GB"};
   double v = static_cast<double>(bytes);

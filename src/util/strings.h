@@ -32,6 +32,17 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Human-readable byte count ("12.0 MB").
 std::string HumanBytes(std::size_t bytes);
 
+/// Deepest nesting the query and MFT parsers accept: element constructors,
+/// clauses, parentheses, path steps and predicates in a query (translation
+/// nests each step inside the one before it); terms in a rule body.
+/// Parsing and every stage after it recurse over that nesting, so a deeper
+/// input is rejected up front rather than allowed to exhaust the stack of
+/// the thread compiling it.
+inline constexpr std::size_t kMaxParseNesting = 256;
+
+/// The error message for input nested deeper than kMaxParseNesting.
+std::string NestingLimitMessage();
+
 }  // namespace xqmft
 
 #endif  // XQMFT_UTIL_STRINGS_H_

@@ -113,9 +113,11 @@ Result<Path> ParsePath(const std::string& text);
 
 /// Parses the step suffix of a path (everything after the variable) starting
 /// at `*pos` in `text`; used by the XQuery parser. Stops at the first
-/// character that cannot continue a path.
+/// character that cannot continue a path. `depth` is the nesting already
+/// open around the path; each step and each predicate opens one more level,
+/// and nesting past kMaxParseNesting (util/strings.h) is an error.
 Status ParsePathSteps(const std::string& text, std::size_t* pos,
-                      RelPath* steps);
+                      RelPath* steps, std::size_t depth);
 
 }  // namespace xqmft
 

@@ -22,8 +22,8 @@ bool IsNameChar(char c) {
 
 class StepParser {
  public:
-  StepParser(const std::string& text, std::size_t pos)
-      : s_(text), pos_(pos) {}
+  StepParser(const std::string& text, std::size_t pos, std::size_t depth)
+      : s_(text), pos_(pos), depth_(depth) {}
 
   std::size_t pos() const { return pos_; }
 
@@ -35,14 +35,19 @@ class StepParser {
   // Parses {pathstep}* — zero or more steps. Steps may be preceded by
   // whitespace (Figure 3's queries wrap long paths across lines); the
   // whitespace is consumed only if a step actually follows.
+  // Each step opens a nesting level that lasts to the end of the path.
   Status ParseSteps(RelPath* out) {
+    const std::size_t outer = depth_;
     while (true) {
       std::size_t save = pos_;
       SkipWs();
       if (pos_ >= s_.size() || s_[pos_] != '/') {
         pos_ = save;
+        depth_ = outer;
         return Status::OK();
       }
+      if (depth_ == kMaxParseNesting) return Err(NestingLimitMessage());
+      ++depth_;
       PathStep step;
       XQMFT_RETURN_NOT_OK(ParseStep(&step));
       out->push_back(std::move(step));
@@ -84,8 +89,12 @@ class StepParser {
         pos_ = save;
         return Status::OK();
       }
+      if (depth_ == kMaxParseNesting) return Err(NestingLimitMessage());
       Predicate pred;
-      XQMFT_RETURN_NOT_OK(ParsePredicate(&pred));
+      ++depth_;
+      Status st = ParsePredicate(&pred);
+      --depth_;
+      XQMFT_RETURN_NOT_OK(st);
       out->predicates.push_back(std::move(pred));
     }
   }
@@ -201,6 +210,7 @@ class StepParser {
 
   const std::string& s_;
   std::size_t pos_;
+  std::size_t depth_;  // nesting levels open, predicates included
 };
 
 std::string NodeTestToString(const NodeTest& t) {
@@ -247,8 +257,8 @@ std::string PathToString(const Path& path) {
 }
 
 Status ParsePathSteps(const std::string& text, std::size_t* pos,
-                      RelPath* steps) {
-  StepParser p(text, *pos);
+                      RelPath* steps, std::size_t depth) {
+  StepParser p(text, *pos, depth);
   XQMFT_RETURN_NOT_OK(p.ParseSteps(steps));
   *pos = p.pos();
   return Status::OK();
@@ -271,7 +281,7 @@ Result<Path> ParsePath(const std::string& text) {
     return Status::InvalidArgument(
         "XPath must start with $var or '/': " + text);
   }
-  XQMFT_RETURN_NOT_OK(ParsePathSteps(text, &pos, &out.steps));
+  XQMFT_RETURN_NOT_OK(ParsePathSteps(text, &pos, &out.steps, /*depth=*/0));
   if (pos != text.size()) {
     return Status::InvalidArgument(
         StrFormat("XPath: trailing characters at offset %zu in '%s'", pos,

@@ -62,11 +62,16 @@ class Parser {
     return Status::OK();
   }
 
-  // query ::= element | clause
+  // query ::= element | clause. Every nested expression is parsed through
+  // here, so this is where nesting is counted and capped.
   Status ParseQueryExpr(std::unique_ptr<QueryExpr>* out) {
     SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '<') return ParseElement(out);
-    return ParseClause(out);
+    if (depth_ == kMaxParseNesting) return Err(NestingLimitMessage());
+    ++depth_;
+    Status st = pos_ < s_.size() && s_[pos_] == '<' ? ParseElement(out)
+                                                    : ParseClause(out);
+    --depth_;
+    return st;
   }
 
   Status ParseElement(std::unique_ptr<QueryExpr>* out) {
@@ -101,7 +106,7 @@ class Parser {
           break;
         }
         std::unique_ptr<QueryExpr> child;
-        XQMFT_RETURN_NOT_OK(ParseElement(&child));
+        XQMFT_RETURN_NOT_OK(ParseQueryExpr(&child));
         e->children.push_back(std::move(child));
         continue;
       }
@@ -236,11 +241,12 @@ class Parser {
     } else {
       return Err("expected a path starting with $var or '/'");
     }
-    return ParsePathSteps(s_, &pos_, &out->steps);
+    return ParsePathSteps(s_, &pos_, &out->steps, depth_);
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // nesting levels open
 };
 
 std::size_t PredicatesSize(const std::vector<Predicate>& preds);

@@ -290,6 +290,10 @@ q2(eps, y1) -> y1'
     expect_contains "$OUT" "no documents"
     expect_contains "$OUT" '"id":6,"ok":true'
     expect_contains "$OUT" "$WANT"
+    # An unknown flag (the removed --batch-window-ms) is rejected.
+    ERR=$("$XQMFT" serve --batch-window-ms 2 < /dev/null 2>&1) \
+      && fail "serve accepted --batch-window-ms"
+    expect_contains "$ERR" "got '--batch-window-ms'"
     ;;
   serve_cache)
     # Cache statistics are observable in-band: per-response cumulative
@@ -355,6 +359,54 @@ q2(eps, y1) -> y1'
           | "$XQMFT" serve --enable-fault-injection) || fail "exit $?"
     expect_contains "$OUT" '"id":2,"ok":false'
     expect_contains "$OUT" '"status":"deadline_exceeded"'
+    ;;
+  serve_deep_query)
+    # Query nesting is capped at 256 levels (kMaxParseNesting in
+    # src/util/strings.h); each element constructor, clause and path step is
+    # one, so k constructors around {$input/doc/item} nest k + 3 deep. One
+    # level over the cap is rejected with invalid_argument, a query at the
+    # cap compiles and streams, and the session keeps serving: over stdin,
+    # and over the socket server, whose worker threads run the query.
+    deep_request() {  # $1 = id, $2 = element constructors
+      printf '{"id":%s,"query":"' "$1"
+      i=0; while [ "$i" -lt "$2" ]; do printf '<a>'; i=$((i+1)); done
+      printf '{$input/doc/item}'
+      i=0; while [ "$i" -lt "$2" ]; do printf '</a>'; i=$((i+1)); done
+      printf '","inputs":["%s"]}\n' "$XML"
+    }
+    REQS="$TMPDIR_SMOKE/deep.ndjson"
+    { deep_request 1 254; deep_request 2 253
+      printf '%s\n' "{\"id\":3,\"query\":\"<out>{ for \$x in \$input/doc/item return <hit>{\$x/text()}</hit> }</out>\",\"inputs\":[\"$XML\"]}"
+    } > "$REQS"
+    check_deep() {
+      expect_contains "$1" '"id":1,"ok":false'
+      expect_contains "$1" 'nesting exceeds the limit of 256 levels'
+      expect_contains "$1" '"status":"invalid_argument"'
+      expect_contains "$1" '"id":2,"ok":true'
+      expect_contains "$1" '<a><item>a</item><item>b</item></a>'
+      expect_contains "$1" '"id":3,"ok":true'
+      expect_contains "$1" "$WANT"
+    }
+    OUT=$("$XQMFT" serve < "$REQS") || fail "exit $?"
+    check_deep "$OUT"
+    SRVOUT="$TMPDIR_SMOKE/server.out"
+    "$XQMFT" serve --port 0 --workers 2 > "$SRVOUT" 2>/dev/null &
+    SRV=$!
+    PORT=
+    i=0
+    while [ $i -lt 100 ]; do
+      PORT=$(sed -n 's/^listening port=//p' "$SRVOUT")
+      [ -n "$PORT" ] && break
+      i=$((i+1)); sleep 0.1
+    done
+    [ -n "$PORT" ] || { kill "$SRV" 2>/dev/null; fail "no listening port"; }
+    OUT=$("$XQMFT" client --port "$PORT" < "$REQS") \
+      || { kill "$SRV" 2>/dev/null; fail "client exit $?"; }
+    kill -TERM "$SRV"
+    wait "$SRV"
+    RC=$?
+    check_deep "$OUT"
+    [ "$RC" -eq 0 ] || fail "server exit $RC after SIGTERM"
     ;;
   serve_net)
     # The socket front end: serve --port 0 prints the bound ephemeral port,

@@ -8,6 +8,7 @@
 #include "mft/interp.h"
 #include "mft/mft.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "xml/forest.h"
 #include "xml/sax_parser.h"
 
@@ -185,6 +186,31 @@ TEST(MftParserTest, RejectsOutOfOrderParams) {
 
 TEST(MftParserTest, RejectsMissingDefault) {
   EXPECT_FALSE(ParseMft("q(a(x1)x2) -> eps\nq(eps) -> eps\n").ok());
+}
+
+TEST(MftParserTest, RuleBodyNestingIsCappedAtTheLimit) {
+  // A rule body whose deepest term is `depth` terms down.
+  auto rules = [](std::size_t depth) {
+    std::string body;
+    for (std::size_t i = 1; i < depth; ++i) body += "a(";
+    body += "b";
+    for (std::size_t i = 1; i < depth; ++i) body += ")";
+    return "q(%t(x1)x2) -> " + body + " q(x2)\nq(eps) -> eps\n";
+  };
+  EXPECT_TRUE(ParseMft(rules(kMaxParseNesting)).ok());
+  auto over = ParseMft(rules(kMaxParseNesting + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  // The error names the limit and the offset of the first term past it.
+  const std::size_t offset =
+      std::string("q(%t(x1)x2) -> ").size() + 2 * kMaxParseNesting;
+  EXPECT_NE(over.status().message().find(
+                "nesting exceeds the limit of " +
+                std::to_string(kMaxParseNesting) + " levels (at offset " +
+                std::to_string(offset) + ")"),
+            std::string::npos)
+      << over.status().ToString();
+  EXPECT_FALSE(ParseMft(rules(100000)).ok());
 }
 
 TEST(MftParserTest, RejectsBadPattern) {

@@ -37,6 +37,7 @@
 #include "service/wire.h"
 #include "stream/engine.h"
 #include "util/cancel.h"
+#include "util/strings.h"
 #include "xml/events.h"
 #include "xml/sax_parser.h"
 
@@ -377,6 +378,43 @@ TEST(WireTest, BatchDeadlineCoversEveryEntry) {
   EXPECT_NE(out.find("\"id\":1,\"ok\":false"), std::string::npos);
   EXPECT_NE(out.find("\"id\":2,\"ok\":false"), std::string::npos);
   EXPECT_NE(out.find("deadline_exceeded"), std::string::npos);
+}
+
+TEST(WireTest, BatchRunsAtTheDefaultThreadCount) {
+  // A "queries" batch over several documents runs under the handler's
+  // default worker count, and its responses do not depend on it.
+  std::string line = "{\"queries\":[{\"query\":\"<a>{$input//a}</a>\","
+                     "\"id\":1},{\"query\":\"<b>{$input//b}</b>\",\"id\":2}],"
+                     "\"xml\":[";
+  for (int d = 0; d < 4; ++d) {
+    if (d != 0) line += ",";
+    line += "\"<doc><a>" + std::to_string(d) + "</a><b>x</b></doc>\"";
+  }
+  line += "]}";
+  std::string want;
+  for (std::size_t threads : {1u, 3u}) {
+    QueryService service;
+    WireOptions options;
+    options.default_threads = threads;
+    RequestHandler handler(&service, options);
+    StatusCode code;
+    std::string out = HandleOne(&handler, line, &code);
+    ASSERT_EQ(code, StatusCode::kOk) << out;
+    // Payloads only: the headers carry timings.
+    std::string payloads;
+    for (std::size_t pos = 0; (pos = out.find("\n<", pos)) !=
+                              std::string::npos;) {
+      const std::size_t end = out.find('\n', pos + 1);
+      payloads += out.substr(pos + 1, end - pos);
+      pos = end;
+    }
+    EXPECT_NE(payloads.find("<a><a>0</a></a><a><a>1</a></a><a><a>2</a></a>"
+                            "<a><a>3</a></a>"),
+              std::string::npos)
+        << out;
+    if (threads == 1) want = payloads;
+    EXPECT_EQ(payloads, want) << "threads " << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,70 +1052,29 @@ TEST(RetryHintTest, FloorBeforeSamplesThenScalesMonotonically) {
   }
 }
 
-std::shared_ptr<NetJob> MakeJob(std::uint64_t seq, std::string key) {
+std::shared_ptr<NetJob> MakeJob(std::uint64_t seq) {
   auto job = std::make_shared<NetJob>();
   job->seq = seq;
-  job->coalesce_key = std::move(key);
   return job;
 }
 
-TEST(SchedulerTest, WindowZeroDequeuesOneJobAtATime) {
-  Scheduler scheduler(SchedulerOptions{8, 0});
-  scheduler.Enqueue(MakeJob(1, "k"));
-  scheduler.Enqueue(MakeJob(2, "k"));
+TEST(SchedulerTest, DequeuesInFifoOrderAndDrainsAfterStop) {
+  Scheduler scheduler;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) scheduler.Enqueue(MakeJob(seq));
+  EXPECT_EQ(scheduler.queued(), 3u);
+  std::shared_ptr<NetJob> job = scheduler.Dequeue();
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job->seq, 1u);
   EXPECT_EQ(scheduler.queued(), 2u);
-  std::vector<std::shared_ptr<NetJob>> group;
-  ASSERT_TRUE(scheduler.DequeueGroup(&group));
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0]->seq, 1u);
-  ASSERT_TRUE(scheduler.DequeueGroup(&group));
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0]->seq, 2u);
+  // Jobs queued before Stop() are still handed out, in order; then null.
+  scheduler.Stop();
+  for (std::uint64_t seq = 2; seq <= 3; ++seq) {
+    job = scheduler.Dequeue();
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->seq, seq);
+  }
   EXPECT_EQ(scheduler.queued(), 0u);
-  scheduler.Stop();
-  EXPECT_FALSE(scheduler.DequeueGroup(&group));
-}
-
-TEST(SchedulerTest, GathersSameKeyUpToBatchMaxAndLeavesOtherKeys) {
-  // batch_max 2 keeps every dequeue deterministic: each leader finds its
-  // partner already queued and returns without waiting out the window.
-  Scheduler scheduler(SchedulerOptions{2, 5000});
-  scheduler.Enqueue(MakeJob(1, "k"));
-  scheduler.Enqueue(MakeJob(2, "other"));
-  scheduler.Enqueue(MakeJob(3, "k"));
-  scheduler.Enqueue(MakeJob(4, "other"));
-  std::vector<std::shared_ptr<NetJob>> group;
-  ASSERT_TRUE(scheduler.DequeueGroup(&group));
-  ASSERT_EQ(group.size(), 2u);  // 1 gathered 3 across the queued stranger
-  EXPECT_EQ(group[0]->seq, 1u);
-  EXPECT_EQ(group[1]->seq, 3u);
-  ASSERT_TRUE(scheduler.DequeueGroup(&group));
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(group[0]->seq, 2u);
-  EXPECT_EQ(group[1]->seq, 4u);
-  scheduler.Stop();
-}
-
-TEST(SchedulerTest, TightDeadlineNeitherJoinsNorWaits) {
-  Scheduler scheduler(SchedulerOptions{2, 1000});
-  auto tight = MakeJob(2, "k");
-  tight->token.SetDeadlineAfterMs(5);  // budget below the window
-  scheduler.Enqueue(MakeJob(1, "k"));
-  scheduler.Enqueue(std::move(tight));
-  scheduler.Enqueue(MakeJob(3, "k"));
-  std::vector<std::shared_ptr<NetJob>> group;
-  // Leader 1 skips the tight job and completes its pair with 3.
-  ASSERT_TRUE(scheduler.DequeueGroup(&group));
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(group[0]->seq, 1u);
-  EXPECT_EQ(group[1]->seq, 3u);
-  // The tight job leads next and bypasses: one job, no window wait.
-  Clock::time_point start = Clock::now();
-  ASSERT_TRUE(scheduler.DequeueGroup(&group));
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0]->seq, 2u);
-  EXPECT_LT(ElapsedMs(start), 900.0);
-  scheduler.Stop();
+  EXPECT_EQ(scheduler.Dequeue(), nullptr);
 }
 
 TEST(NetServerTest, MalformedDeadlineIsRejectedAsBadRequest) {
@@ -1193,17 +1190,16 @@ TEST(NetServerTest, OverloadHintScalesWithObservedServiceTime) {
   EXPECT_GE(HeaderCount(r.header, "retry_after_ms"), 160u) << r.header;
 }
 
-TEST(NetServerTest, CoalescedRunSavesParsesWithExactCounts) {
+TEST(NetServerTest, QueuedSameDocumentRequestsEachRunAlone) {
+  // The batching options xqbench sets are ignored: two requests over one
+  // document, queued together behind a stalled head, run one at a time.
   NetServerOptions options;
   options.workers = 1;
-  options.batch_max = 4;
-  options.batch_window_ms = 3000;
+  options.batch_window_ms = 2;
+  options.batch_max = 8;
   options.allow_fault_injection = true;
   ServerFixture fx(std::move(options));
 
-  // A stalled head request holds the single worker while the four
-  // same-document requests queue behind it; the freed worker then gathers
-  // all four into one shared pass (batch_max reached: no window wait).
   TestClient head = fx.Connect();
   ASSERT_TRUE(head.ok());
   head.Send(StallRequest(1, 200));
@@ -1211,181 +1207,90 @@ TEST(NetServerTest, CoalescedRunSavesParsesWithExactCounts) {
 
   TestClient client = fx.Connect();
   ASSERT_TRUE(client.ok());
-  for (int id = 2; id <= 5; ++id) client.Send(SimpleRequest(id));
-  client.HalfClose();
-
-  TestClient::WireResponse r;
-  for (int id = 2; id <= 5; ++id) {
-    ASSERT_TRUE(client.ReadResponse(&r));
-    EXPECT_NE(r.header.find("\"id\":" + std::to_string(id) + ",\"ok\":true"),
-              std::string::npos);
-    EXPECT_EQ(HeaderCount(r.header, "coalesced"), 4u) << r.header;
-    EXPECT_EQ(r.payload, kSmallOut);  // identical to an independent run
-  }
-  ASSERT_TRUE(WaitFor([&] {
-    return fx.server().counters().completed_ok == 5;
-  }));
-  NetServerCounters c = fx.server().counters();
-  EXPECT_EQ(c.coalesced_runs, 1u);
-  EXPECT_EQ(c.coalesced_requests, 4u);
-  // One document, four members: three tokenizations avoided.
-  EXPECT_EQ(c.parses_saved, 3u);
-}
-
-TEST(NetServerTest, TightDeadlineBypassesCoalescing) {
-  NetServerOptions options;
-  options.workers = 1;
-  options.batch_max = 2;
-  options.batch_window_ms = 3000;
-  options.allow_fault_injection = true;
-  ServerFixture fx(std::move(options));
-
-  TestClient head = fx.Connect();
-  ASSERT_TRUE(head.ok());
-  head.Send(StallRequest(1, 300));
-  ASSERT_TRUE(WaitFor([&] { return fx.server().counters().admitted == 1; }));
-
-  // The tight request's whole budget (2500ms) is below the gather window,
-  // so it can never afford to wait: it runs alone the moment the worker
-  // frees, and still meets its deadline. The two unbounded requests behind
-  // it coalesce.
-  TestClient client = fx.Connect();
-  ASSERT_TRUE(client.ok());
-  client.Send("{\"id\":2,\"query\":\"" + std::string(kQuery) +
-              "\",\"xml\":[\"" + kSmallDoc + "\"],\"deadline_ms\":2500}\n");
+  client.Send(SimpleRequest(2));
   client.Send(SimpleRequest(3));
-  client.Send(SimpleRequest(4));
+  ASSERT_TRUE(WaitFor([&] { return fx.server().counters().admitted == 3; }));
   client.HalfClose();
 
   TestClient::WireResponse r;
-  ASSERT_TRUE(client.ReadResponse(&r));
-  EXPECT_NE(r.header.find("\"id\":2,\"ok\":true"), std::string::npos)
-      << r.header;
-  EXPECT_EQ(r.header.find("\"coalesced\":"), std::string::npos) << r.header;
-  for (int id : {3, 4}) {
+  for (int id : {2, 3}) {
     ASSERT_TRUE(client.ReadResponse(&r));
     EXPECT_NE(r.header.find("\"id\":" + std::to_string(id) + ",\"ok\":true"),
-              std::string::npos);
-    EXPECT_EQ(HeaderCount(r.header, "coalesced"), 2u) << r.header;
+              std::string::npos)
+        << r.header;
+    EXPECT_EQ(r.header.find("\"coalesced\""), std::string::npos) << r.header;
     EXPECT_EQ(r.payload, kSmallOut);
   }
+  ASSERT_TRUE(WaitFor([&] {
+    return fx.server().counters().completed_ok == 3;
+  }));
   NetServerCounters c = fx.server().counters();
-  EXPECT_EQ(c.coalesced_runs, 1u);
-  EXPECT_EQ(c.coalesced_requests, 2u);
-  EXPECT_EQ(c.parses_saved, 1u);
+  EXPECT_EQ(c.coalesced_requests, 0u);
+  EXPECT_EQ(c.parses_saved, 0u);
 }
 
-TEST(NetServerTest, CoalescedOutputsMatchIndependentRuns) {
-  // The differential property over the wire: whatever the group size, a
-  // coalesced run's responses are byte-identical to streaming each query
-  // independently (Figure 3 corpus over one XMark document).
-  auto doc = GenerateDatasetString(DatasetKind::kXmark, 20000, 7);
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const auto& corpus = Figure3Queries();
+// One query per recursive shape, each nested exactly `levels` deep as the
+// parsers count it (every expression, path step and predicate is a level):
+// element constructors, sequences, predicates, path steps, for clauses.
+std::vector<std::string> NestedQueries(std::size_t levels) {
+  auto repeat = [](const std::string& s, std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const std::size_t k = levels - 2;  // around a one-step path, two levels
+  std::string fors, var = "input";
+  for (std::size_t i = 0; i < k; ++i) {
+    fors += "for $v" + std::to_string(i) + " in $" + var + "/x return ";
+    var = "v" + std::to_string(i);
+  }
+  return {repeat("<a>", k) + "{$input/x}" + repeat("</a>", k),
+          repeat("(", k) + "$input/x" + repeat(",$input/x)", k),
+          "$input/x" + repeat("[./x", k / 2) + (k % 2 != 0 ? "/x" : "") +
+              repeat("]", k / 2),
+          "$input" + repeat("/x", levels - 1), fors + "$" + var + "/x"};
+}
 
-  for (std::size_t k : {2u, 4u, 8u}) {
-    SCOPED_TRACE("group size " + std::to_string(k));
-    std::vector<std::string> texts, expected;
-    for (std::size_t i = 0; i < k; ++i) {
-      texts.push_back(corpus[i % corpus.size()].text);
-      auto plan = CompiledPlan::Compile(texts.back());
-      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      StringSink sink;
-      ASSERT_TRUE(plan.value()->StreamString(doc.value(), &sink).ok());
-      expected.push_back(sink.str());
-    }
-
-    NetServerOptions options;
-    options.workers = 1;
-    options.batch_max = k;  // the gather completes without a window wait
-    options.batch_window_ms = 3000;
-    ServerFixture fx(std::move(options));
-    TestClient client = fx.Connect();
-    ASSERT_TRUE(client.ok());
-    for (std::size_t i = 0; i < k; ++i) {
-      std::string line = "{\"id\":" + std::to_string(i) + ",\"query\":";
-      AppendJsonString(&line, texts[i]);
-      line += ",\"xml\":[";
-      AppendJsonString(&line, doc.value());
-      line += "]}\n";
+TEST(NetServerTest, DeepQueriesAtTheCapRunAndOverItAreRejected) {
+  // At kMaxParseNesting every shape compiles and streams in a worker
+  // thread; one level over, it is rejected before any recursion past the
+  // cap, and the connection keeps serving.
+  ServerFixture fx{NetServerOptions{}};
+  TestClient client = fx.Connect();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> at_cap = NestedQueries(kMaxParseNesting);
+  const std::vector<std::string> over = NestedQueries(kMaxParseNesting + 1);
+  int id = 0;
+  for (const std::vector<std::string>* queries : {&at_cap, &over}) {
+    for (const std::string& query : *queries) {
+      std::string line = "{\"id\":" + std::to_string(++id) + ",\"query\":";
+      AppendJsonString(&line, query);
+      line += ",\"xml\":[\"<x><x><x>1</x></x></x>\"]}\n";
       client.Send(line);
     }
-    client.HalfClose();
+  }
+  client.Send(SimpleRequest(++id));
+  client.HalfClose();
 
-    for (std::size_t i = 0; i < k; ++i) {
-      TestClient::WireResponse r;
-      ASSERT_TRUE(client.ReadResponse(&r));
-      EXPECT_NE(r.header.find("\"id\":" + std::to_string(i) + ",\"ok\":true"),
+  TestClient::WireResponse r;
+  for (int i = 1; i <= id; ++i) {
+    ASSERT_TRUE(client.ReadResponse(&r)) << "response " << i;
+    const std::string head = "\"id\":" + std::to_string(i) + ",";
+    if (i <= static_cast<int>(at_cap.size()) || i == id) {
+      EXPECT_NE(r.header.find(head + "\"ok\":true"), std::string::npos)
+          << r.header;
+    } else {
+      EXPECT_NE(r.header.find(head + "\"ok\":false"), std::string::npos)
+          << r.header;
+      EXPECT_NE(r.header.find("nesting exceeds the limit of " +
+                              std::to_string(kMaxParseNesting) + " levels"),
                 std::string::npos)
           << r.header;
-      EXPECT_EQ(HeaderCount(r.header, "coalesced"), k) << r.header;
-      EXPECT_EQ(r.payload, expected[i]) << "query " << i;
+      EXPECT_NE(r.header.find("\"status\":\"invalid_argument\""),
+                std::string::npos);
     }
-    NetServerCounters c = fx.server().counters();
-    EXPECT_EQ(c.coalesced_runs, 1u);
-    EXPECT_EQ(c.coalesced_requests, k);
-    EXPECT_EQ(c.parses_saved, k - 1);  // one document, k members
   }
-}
-
-TEST(NetServerTest, CoalescedMemberDisconnectLeavesSurvivorsIntact) {
-  NetServerOptions options;
-  options.workers = 1;
-  options.batch_max = 2;
-  options.batch_window_ms = 3000;
-  options.allow_fault_injection = true;
-  ServerFixture fx(std::move(options));
-
-  TestClient head = fx.Connect();
-  ASSERT_TRUE(head.ok());
-  head.Send(StallRequest(1, 200));
-  ASSERT_TRUE(WaitFor([&] { return fx.server().counters().admitted == 1; }));
-
-  // Two distinct queries over the same document coalesce into one run with
-  // two engine slots, each under its own member's token. Aborting B's
-  // connection — before the pass or mid-stream, whichever the race gives —
-  // must not perturb A's output by a single byte.
-  const int kHits = 20000;
-  TestClient a = fx.Connect(), b = fx.Connect();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const std::string doc = BigDoc(kHits);
-  a.Send("{\"id\":2,\"query\":\"" + std::string(kQuery) + "\",\"xml\":[\"" +
-         doc + "\"]}\n");
-  b.Send("{\"id\":3,\"query\":\"<none>{$input//zzz}</none>\",\"xml\":[\"" +
-         doc + "\"]}\n");
-  ASSERT_TRUE(WaitFor([&] { return fx.server().counters().admitted == 3; }));
-  // Let the head stall finish so the coalesced pass is starting (or has
-  // started), then reset B.
-  ASSERT_TRUE(WaitFor([&] {
-    return fx.server().counters().completed_ok >= 1;
-  }));
-  b.AbortClose();
-
-  a.HalfClose();
-  TestClient::WireResponse r;
-  ASSERT_TRUE(a.ReadResponse(&r));
-  EXPECT_NE(r.header.find("\"id\":2,\"ok\":true"), std::string::npos)
-      << r.header;
-  std::string expected = "<out>";
-  for (int i = 0; i < kHits; ++i) expected += "<a>payload-payload</a>";
-  expected += "</out>";
-  EXPECT_EQ(r.payload, expected);
-
-  // Every admitted request resolves to a counted outcome, and the server
-  // keeps serving.
-  ASSERT_TRUE(WaitFor([&] {
-    NetServerCounters c = fx.server().counters();
-    return c.completed_ok + c.failed + c.cancelled_runs +
-               c.deadline_exceeded_runs ==
-           c.admitted;
-  }));
-  TestClient fresh = fx.Connect();
-  ASSERT_TRUE(fresh.ok());
-  fresh.Send(SimpleRequest(9));
-  fresh.HalfClose();
-  ASSERT_TRUE(fresh.ReadResponse(&r));
-  EXPECT_NE(r.header.find("\"id\":9,\"ok\":true"), std::string::npos);
+  EXPECT_EQ(r.payload, kSmallOut);
 }
 
 TEST(NetServerTest, CounterSnapshotsKeepTheAdmissionInvariant) {
@@ -1510,28 +1415,6 @@ TEST(WireShapeTest, EveryResponseShapeKeepsItsKeysAndOrder) {
                     "\"engine\":\"ops\",\"lowered\":\"full\",\"cache_hits\":N,"
                     "\"cache_misses\":N,\"cache_entries\":N}"});
 
-  // Two-member coalesced pass: the single shape plus "coalesced".
-  Result<JsonValue> a = ParseJson("{\"id\":2," + query + docs);
-  Result<JsonValue> b =
-      ParseJson("{\"id\":3,\"query\":\"<b>{$input//b}</b>\"" + docs);
-  ASSERT_TRUE(a.ok() && b.ok());
-  CancelToken tokens[2];
-  std::string outs[2];
-  std::vector<CoalescedJob> group{{&a.value(), &tokens[0], &outs[0]},
-                                  {&b.value(), &tokens[1], &outs[1]}};
-  handler.HandleCoalesced(&group);
-  for (std::size_t m = 0; m < 2; ++m) {
-    EXPECT_EQ(group[m].code, StatusCode::kOk);
-    EXPECT_EQ(MaskedHeaders(outs[m]),
-              Headers{"{\"id\":N,\"ok\":true,\"bytes\":N,\"cache\":\"" +
-                      std::string(m == 0 ? "hit" : "miss") +
-                      "\",\"compile_ms\":N,\"stream_ms\":N,\"bytes_in\":N,"
-                      "\"output_events\":N,\"peak_mem_bytes\":N,"
-                      "\"engine\":\"ops\",\"lowered\":\"full\","
-                      "\"coalesced\":N,\"cache_hits\":N,\"cache_misses\":N,"
-                      "\"cache_entries\":N}"});
-  }
-
   // "queries" batch: a line per member (the second deduped onto the
   // first), then the summary line.
   const std::string member =
@@ -1577,8 +1460,8 @@ TEST(WireShapeTest, EveryResponseShapeKeepsItsKeysAndOrder) {
             "\"rejected_overload\":N,\"rejected_shutdown\":N,"
             "\"rejected_line_length\":N,\"rejected_bad_request\":N,"
             "\"disconnects_inflight\":N,\"slow_client_closed\":N,"
-            "\"inline_cmds\":N,\"coalesced_runs\":N,"
-            "\"coalesced_requests\":N,\"parses_saved\":N,\"ops_runs\":N,"
+            "\"inline_cmds\":N,\"coalesced_requests\":N,"
+            "\"parses_saved\":N,\"ops_runs\":N,"
             "\"hybrid_runs\":N,\"table_runs\":N,\"queued\":N}}");
 }
 

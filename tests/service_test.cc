@@ -41,11 +41,17 @@ std::string DirectOutput(const std::string& query, const std::string& xml,
   return sink.str();
 }
 
-// One request as a batch of one: its status, and its stats in `stats`.
+// One request as a batch of one over `inputs`: its status, and its stats in
+// `stats`.
 Status ExecuteOne(QueryService* service, const ServiceRequest& request,
-                  OutputSink* sink, ServiceRequestStats* stats = nullptr) {
+                  const std::vector<ParallelInput>& inputs, OutputSink* sink,
+                  ServiceRequestStats* stats = nullptr,
+                  std::size_t threads = 1) {
   ServiceBatchStats batch;
-  Status st = service->ExecuteBatch({request}, {sink}, &batch);
+  RunOptions options;
+  options.threads = threads;
+  Status st =
+      service->ExecuteBatch(inputs, {request}, {sink}, &batch, options);
   if (batch.per_request.empty()) return st;
   if (stats != nullptr) *stats = batch.per_request.front();
   return batch.per_request.front().status;
@@ -385,11 +391,11 @@ TEST(QueryServiceTest, ExecutesAndReportsCompileOnceStats) {
   QueryService service;
   ServiceRequest request;
   request.query = QueryFor("a");
-  request.inputs.push_back(ParallelInput::XmlText(kDoc));
+  const std::vector<ParallelInput> inputs{ParallelInput::XmlText(kDoc)};
 
   StringSink first;
   ServiceRequestStats stats;
-  ASSERT_TRUE(ExecuteOne(&service, request, &first, &stats).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, inputs, &first, &stats).ok());
   EXPECT_EQ(first.str(), DirectOutput(QueryFor("a"), kDoc));
   EXPECT_FALSE(stats.cache_hit);
   EXPECT_GT(stats.compile_ms, 0.0);
@@ -399,7 +405,7 @@ TEST(QueryServiceTest, ExecutesAndReportsCompileOnceStats) {
   EXPECT_GT(stats.total.output_events, 0u);
 
   StringSink second;
-  ASSERT_TRUE(ExecuteOne(&service, request, &second, &stats).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, inputs, &second, &stats).ok());
   EXPECT_EQ(second.str(), first.str());
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_EQ(stats.compile_ms, 0.0);
@@ -419,13 +425,14 @@ TEST(QueryServiceTest, BatchOutputMatchesSerialAtAnyThreadCount) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     ServiceRequest request;
     request.query = QueryFor("a");
+    std::vector<ParallelInput> inputs;
     for (const std::string& doc : docs) {
-      request.inputs.push_back(ParallelInput::XmlText(doc));
+      inputs.push_back(ParallelInput::XmlText(doc));
     }
-    request.threads = threads;
     StringSink sink;
     ServiceRequestStats stats;
-    ASSERT_TRUE(ExecuteOne(&service, request, &sink, &stats).ok());
+    ASSERT_TRUE(
+        ExecuteOne(&service, request, inputs, &sink, &stats, threads).ok());
     EXPECT_EQ(sink.str(), want) << "threads=" << threads;
     EXPECT_EQ(stats.per_input.size(), docs.size());
   }
@@ -441,15 +448,13 @@ TEST(QueryServiceTest, ExecuteBatchMatchesSerialAndParsesEachDocumentOnce) {
   requests[1].query = QueryFor("b");
   requests[2].query = "  " + QueryFor("a") + "  ";  // dedups onto [0]'s plan
   requests[3].query = QueryFor("c");
-  for (ServiceRequest& r : requests) {
-    r.inputs.push_back(ParallelInput::XmlText(kDoc));
-  }
+  const std::vector<ParallelInput> inputs{ParallelInput::XmlText(kDoc)};
 
   std::vector<std::string> want;
   for (const ServiceRequest& r : requests) {
     QueryService fresh;
     StringSink sink;
-    ASSERT_TRUE(ExecuteOne(&fresh, r, &sink).ok());
+    ASSERT_TRUE(ExecuteOne(&fresh, r, inputs, &sink).ok());
     want.push_back(sink.str());
   }
 
@@ -457,7 +462,7 @@ TEST(QueryServiceTest, ExecuteBatchMatchesSerialAndParsesEachDocumentOnce) {
   std::vector<OutputSink*> sink_ptrs;
   for (StringSink& s : sinks) sink_ptrs.push_back(&s);
   ServiceBatchStats stats;
-  ASSERT_TRUE(service.ExecuteBatch(requests, sink_ptrs, &stats).ok());
+  ASSERT_TRUE(service.ExecuteBatch(inputs, requests, sink_ptrs, &stats).ok());
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_TRUE(stats.per_request[i].status.ok());
@@ -474,48 +479,19 @@ TEST(QueryServiceTest, ExecuteBatchMatchesSerialAndParsesEachDocumentOnce) {
   EXPECT_FALSE(stats.per_request[0].deduped);
 }
 
-TEST(QueryServiceTest, ExecuteBatchGroupsByDocumentList) {
-  QueryService service;
-  const std::string doc2 = "<doc><a>9</a></doc>";
-  std::vector<ServiceRequest> requests(3);
-  requests[0].query = QueryFor("a");
-  requests[0].inputs.push_back(ParallelInput::XmlText(kDoc));
-  requests[1].query = QueryFor("a");
-  requests[1].inputs.push_back(ParallelInput::XmlText(doc2));
-  requests[2].query = QueryFor("b");
-  requests[2].inputs.push_back(ParallelInput::XmlText(kDoc));
-
-  std::vector<StringSink> sinks(3);
-  std::vector<OutputSink*> sink_ptrs{&sinks[0], &sinks[1], &sinks[2]};
-  ServiceBatchStats stats;
-  ASSERT_TRUE(service.ExecuteBatch(requests, sink_ptrs, &stats).ok());
-  EXPECT_EQ(sinks[0].str(), DirectOutput(QueryFor("a"), kDoc));
-  EXPECT_EQ(sinks[1].str(), DirectOutput(QueryFor("a"), doc2));
-  EXPECT_EQ(sinks[2].str(), DirectOutput(QueryFor("b"), kDoc));
-  // Two document lists => two groups, each parsed once: requests 0 and 2
-  // share one pass, request 1 gets its own.
-  EXPECT_EQ(stats.documents, 2u);
-  EXPECT_EQ(stats.parsed_bytes, std::string(kDoc).size() + doc2.size());
-  // One plan (QueryFor("a")) streams in both groups but counts once.
-  EXPECT_EQ(stats.unique_plans, 2u);
-  EXPECT_EQ(stats.deduped_requests, 0u);
-}
-
 TEST(QueryServiceTest, ExecuteBatchIsolatesFailures) {
   QueryService service;
   std::vector<ServiceRequest> requests(3);
   requests[0].query = QueryFor("a");
   requests[1].query = "<<< not a query";
   requests[2].query = QueryFor("b");
-  for (ServiceRequest& r : requests) {
-    r.inputs.push_back(ParallelInput::XmlText(kDoc));
-  }
+  const std::vector<ParallelInput> inputs{ParallelInput::XmlText(kDoc)};
   std::vector<StringSink> sinks(3);
   std::vector<OutputSink*> sink_ptrs{&sinks[0], &sinks[1], &sinks[2]};
   ServiceBatchStats stats;
   // One bad query does not fail the batch when the caller can see
   // per-request statuses.
-  ASSERT_TRUE(service.ExecuteBatch(requests, sink_ptrs, &stats).ok());
+  ASSERT_TRUE(service.ExecuteBatch(inputs, requests, sink_ptrs, &stats).ok());
   EXPECT_TRUE(stats.per_request[0].status.ok());
   EXPECT_FALSE(stats.per_request[1].status.ok());
   EXPECT_TRUE(stats.per_request[2].status.ok());
@@ -526,40 +502,40 @@ TEST(QueryServiceTest, ExecuteBatchIsolatesFailures) {
   // Without a stats out-param the first failure surfaces as the return.
   std::vector<StringSink> sinks2(3);
   std::vector<OutputSink*> sink_ptrs2{&sinks2[0], &sinks2[1], &sinks2[2]};
-  EXPECT_FALSE(service.ExecuteBatch(requests, sink_ptrs2).ok());
+  EXPECT_FALSE(service.ExecuteBatch(inputs, requests, sink_ptrs2).ok());
 
   // Batch-level misuse is always an error.
-  EXPECT_FALSE(service.ExecuteBatch({}, {}).ok());
-  EXPECT_FALSE(service.ExecuteBatch(requests, {&sinks[0]}).ok());
+  EXPECT_FALSE(service.ExecuteBatch(inputs, {}, {}).ok());
+  EXPECT_FALSE(service.ExecuteBatch(inputs, requests, {&sinks[0]}).ok());
 }
 
 TEST(QueryServiceTest, RejectsEmptyRequestsAndBadQueries) {
   QueryService service;
-  ServiceRequest empty;
-  empty.query = QueryFor("a");
+  ServiceRequest request;
+  request.query = QueryFor("a");
   StringSink sink;
-  EXPECT_FALSE(ExecuteOne(&service, empty, &sink).ok());
+  EXPECT_FALSE(ExecuteOne(&service, request, {}, &sink).ok());  // no documents
 
+  const std::vector<ParallelInput> inputs{ParallelInput::XmlText(kDoc)};
   ServiceRequest bad;
   bad.query = "<out>";
-  bad.inputs.push_back(ParallelInput::XmlText(kDoc));
-  EXPECT_FALSE(ExecuteOne(&service, bad, &sink).ok());
+  EXPECT_FALSE(ExecuteOne(&service, bad, inputs, &sink).ok());
   // The failure is not cached; a correct retry compiles cleanly.
   bad.query = QueryFor("a");
-  EXPECT_TRUE(ExecuteOne(&service, bad, &sink).ok());
+  EXPECT_TRUE(ExecuteOne(&service, bad, inputs, &sink).ok());
 }
 
 TEST(QueryServiceTest, NoOptRequestsUseASeparatePlan) {
   QueryService service;
   ServiceRequest request;
   request.query = QueryFor("a");
-  request.inputs.push_back(ParallelInput::XmlText(kDoc));
+  const std::vector<ParallelInput> inputs{ParallelInput::XmlText(kDoc)};
 
   StringSink opt_sink;
-  ASSERT_TRUE(ExecuteOne(&service, request, &opt_sink).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, inputs, &opt_sink).ok());
   request.no_opt = true;
   StringSink no_opt_sink;
-  ASSERT_TRUE(ExecuteOne(&service, request, &no_opt_sink).ok());
+  ASSERT_TRUE(ExecuteOne(&service, request, inputs, &no_opt_sink).ok());
   // Same semantics, distinct cached plans.
   EXPECT_EQ(opt_sink.str(), no_opt_sink.str());
   EXPECT_EQ(service.cache()->stats().entries, 2u);
@@ -573,9 +549,10 @@ TEST(QueryServiceTest, BaseNoOptConfigurationIsNotOverridden) {
   QueryService service({}, base);
   ServiceRequest request;
   request.query = QueryFor("a");
-  request.inputs.push_back(ParallelInput::XmlText(kDoc));
   StringSink sink;
-  ASSERT_TRUE(ExecuteOne(&service, request, &sink).ok());
+  ASSERT_TRUE(
+      ExecuteOne(&service, request, {ParallelInput::XmlText(kDoc)}, &sink)
+          .ok());
   // An unoptimized plan keeps the translation's helper states; the
   // optimized plan of the same query is strictly smaller.
   auto unopt = service.cache()->Get(request.query, base);

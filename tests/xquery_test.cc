@@ -7,6 +7,7 @@
 #include <string>
 
 #include "bench_common/queries.h"
+#include "util/strings.h"
 #include "xml/forest.h"
 #include "xml/sax_parser.h"
 #include "xquery/ast.h"
@@ -92,6 +93,35 @@ TEST(XQueryParserTest, ParseErrors) {
   EXPECT_FALSE(ParseQuery("let $v = $input return $v").ok()); // not :=
   EXPECT_FALSE(ParseQuery("($input)").ok());                  // 1-sequence
   EXPECT_FALSE(ParseQuery("<a>{$input}</a> junk").ok());      // trailing
+}
+
+std::string Repeat(const std::string& s, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(XQueryParserTest, NestingIsCappedAtTheLimit) {
+  // Each element constructor, clause, path step and predicate is one level:
+  // `{$input/x}` is two, so k constructors around it nest k + 2 deep.
+  const std::size_t k = kMaxParseNesting - 2;
+  EXPECT_TRUE(ParseQuery(Repeat("<a>", k) + "{$input/x}" + Repeat("</a>", k))
+                  .ok());
+  auto over = ParseQuery(Repeat("<a>", k + 1) + "{$input/x}" +
+                         Repeat("</a>", k + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  // The error names the limit and where the input crossed it.
+  EXPECT_NE(over.status().message().find(
+                "offset " + std::to_string(3 * (k + 1) + 7) +
+                ": nesting exceeds the limit of " +
+                std::to_string(kMaxParseNesting) + " levels"),
+            std::string::npos)
+      << over.status().ToString();
+  // Far past the cap is the same error, not a stack overflow.
+  EXPECT_FALSE(ParseQuery(Repeat("(", 100000) + "$input").ok());
+  EXPECT_FALSE(ParseQuery("$input" + Repeat("/a", 100000)).ok());
+  EXPECT_FALSE(ParseQuery("$input/a" + Repeat("[./a", 100000)).ok());
 }
 
 TEST(XQueryValidateTest, PathMustUseNearestForVariable) {

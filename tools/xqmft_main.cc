@@ -111,9 +111,7 @@ int Usage() {
       "       --cache-capacity <N> --cache-bytes <N> --max-line-bytes <N> "
       "--max-xml-bytes <N>  (serve)\n"
       "       --workers <N> --queue-limit <N> --drain-ms <N> "
-      "--retry-after-ms <N> --enable-fault-injection  (serve --port)\n"
-      "       --batch-window-ms <N> --batch-max <N>  "
-      "(serve --port: coalesce same-document requests; 0 = off)\n");
+      "--retry-after-ms <N> --enable-fault-injection  (serve --port)\n");
   return 2;
 }
 
@@ -174,8 +172,6 @@ struct Flags {
   long max_xml_bytes = -1;    ///< serve: inline xml cap (-1 = default)
   long drain_ms = -1;         ///< serve: shutdown drain budget
   long retry_after_ms = -1;   ///< serve: overload rejection hint floor
-  long batch_window_ms = -1;  ///< serve: coalescing gather window (0 = off)
-  long batch_max = -1;        ///< serve: max requests per coalesced run
   bool enable_fault_injection = false;  ///< serve: accept "fault" requests
 };
 
@@ -234,8 +230,6 @@ int ServeNet(const Flags& flags, NetServerOptions options) {
   SetIfGiven(flags.queue_limit, &options.queue_limit);
   SetIfGiven(flags.drain_ms, &options.drain_ms);
   SetIfGiven(flags.retry_after_ms, &options.retry_after_ms);
-  SetIfGiven(flags.batch_window_ms, &options.batch_window_ms);
-  SetIfGiven(flags.batch_max, &options.batch_max);
 
   NetServer server(std::move(options));
   Status st = server.Start();
@@ -750,15 +744,6 @@ int main(int argc, char** argv) {
                           &flags.retry_after_ms)) {
         return 2;
       }
-    } else if (a == "--batch-window-ms" && i + 1 < argc) {
-      if (!ParseCountFlag(argv[++i], "--batch-window-ms", 0,
-                          &flags.batch_window_ms)) {
-        return 2;
-      }
-    } else if (a == "--batch-max" && i + 1 < argc) {
-      if (!ParseCountFlag(argv[++i], "--batch-max", 1, &flags.batch_max)) {
-        return 2;
-      }
     } else if (a == "--enable-fault-injection") {
       flags.enable_fault_injection = true;
     } else {
@@ -849,7 +834,8 @@ int main(int argc, char** argv) {
 
   if (cmd == "serve") {
     if (!args.empty()) {
-      std::fprintf(stderr, "error: serve takes flags only\n");
+      std::fprintf(stderr, "error: serve takes flags only, got '%s'\n",
+                   args[0].c_str());
       return 2;
     }
     if (flags.port_set || !flags.unix_path.empty()) {

@@ -7,7 +7,6 @@
 #include "lower/lower.h"
 #include "mft/dispatch.h"
 #include "mft/interp.h"
-#include "multiquery/union_projection.h"
 #include "parallel/merge_sink.h"
 #include "parallel/pretok_split.h"
 #include "translate/translate.h"
@@ -107,64 +106,35 @@ std::size_t CompiledPlan::ApproxBytes() const {
   return bytes;
 }
 
-namespace {
-
-// The one plan-level run every CompiledPlan::Stream* method ends in: the
-// plan's source projection wraps `events` unless it is whole_document.
-// Plan options never carry a validator (FinishPlan rejects one), so a run
-// here never needs every event; validated runs use the free functions.
-Status RunPlan(const CompiledPlan& plan, EventSource* events,
-               OutputSink* sink, const StreamOptions& options,
-               StreamStats* stats, StreamScratch* scratch = nullptr) {
-  if (plan.projection().whole_document) {
-    if (stats != nullptr) {
-      stats->subtrees_skipped = 0;
-      stats->bytes_skipped = 0;
-    }
-    return StreamTransformEvents(plan.mft(), events, sink, options, stats,
-                                 scratch);
-  }
-  ProjectedSource projected(events, {&plan.projection()}, options.cancel);
-  Status st = StreamTransformEvents(plan.mft(), &projected, sink, options,
-                                    stats, scratch);
-  if (stats != nullptr) {
-    stats->subtrees_skipped = projected.subtrees_skipped();
-    stats->bytes_skipped = projected.bytes_skipped();
-  }
-  return st;
-}
-
-}  // namespace
-
-Status CompiledPlan::Stream(ByteSource* source, OutputSink* sink,
-                            StreamStats* stats, StreamScratch* scratch) const {
-  SaxParser parser(source, options_.stream.sax);
-  return RunPlan(*this, &parser, sink, options_.stream, stats, scratch);
-}
-
 Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
-                                StreamStats* stats,
-                                StreamScratch* scratch) const {
+                                StreamStats* stats) const {
   // mmap when available: the parser scans the mapping in place and file
   // input pays no stdio copy.
   XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
                          MmapSource::Open(path));
-  return Stream(src.get(), sink, stats, scratch);
-}
-
-Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
-                                  StreamStats* stats, StreamScratch* scratch,
-                                  const CancelToken* cancel) const {
-  StreamOptions stream = options_.stream;
-  stream.cancel = cancel;
-  return RunPlan(*this, events, sink, stream, stats, scratch);
+  SaxParser parser(src.get(), options_.stream.sax);
+  return StreamEvents(&parser, sink, stats);
 }
 
 Status CompiledPlan::StreamString(const std::string& xml, OutputSink* sink,
-                                  StreamStats* stats,
-                                  StreamScratch* scratch) const {
+                                  StreamStats* stats) const {
   StringSource src(xml);
-  return Stream(&src, sink, stats, scratch);
+  SaxParser parser(&src, options_.stream.sax);
+  return StreamEvents(&parser, sink, stats);
+}
+
+Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
+                                  StreamStats* stats,
+                                  const CancelToken* cancel) const {
+  // The one-plan pass of Run and StreamAllTransform*: MultiQueryRun's
+  // serial PumpEngine loop behind the plan's source projection.
+  RunOptions options;
+  options.cancel = cancel;
+  std::vector<MultiPlanResult> results;
+  Status st =
+      StreamAllTransformEvents({this}, events, {sink}, options, &results);
+  if (stats != nullptr && !results.empty()) *stats = results.front().stats;
+  return st;
 }
 
 Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
@@ -208,10 +178,6 @@ Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
                                          const RunOptions& options,
                                          std::vector<StreamStats>* stats)
     const {
-  // The request's cancel token (never baked — FinishPlan rejects it) rides
-  // in per run and reaches every worker engine of the fan-out.
-  StreamOptions stream = options_.stream;
-  if (options.cancel != nullptr) stream.cancel = options.cancel;
   if (shards == 0) {
     // Default: split at every top-level forest boundary (the splitter
     // clamps to the tree count). Deliberately NOT the worker count — on a
@@ -225,15 +191,18 @@ Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
   }
   XQMFT_ASSIGN_OR_RETURN(PretokShardPlan shard_plan,
                          PlanPretokShards(pretok, shards));
-  XQMFT_RETURN_NOT_OK(
-      CheckPretokOptions(shard_plan.declared, stream.sax, "(sharded)"));
+  XQMFT_RETURN_NOT_OK(CheckPretokOptions(shard_plan.declared,
+                                         options_.stream.sax, "(sharded)"));
   if (stats != nullptr) {
     stats->assign(shard_plan.shards.size(), StreamStats{});
   }
+  // The request's cancel token (never baked — FinishPlan rejects it) rides
+  // in per run and reaches every shard's pass.
   auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
     PretokShardSource src(&shard_plan, i);
-    return RunPlan(*this, &src, item_sink, stream,
-                   stats != nullptr ? &(*stats)[i] : nullptr);
+    return StreamEvents(&src, item_sink,
+                        stats != nullptr ? &(*stats)[i] : nullptr,
+                        options.cancel);
   };
   return ShardedExecutor::Run(shard_plan.shards.size(), item, sink,
                               options.threads);

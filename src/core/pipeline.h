@@ -10,17 +10,20 @@
 // rule dispatch and base SymbolTable compiled at build time. It is
 // immutable and shareable — the single-query handle of the CLI, the
 // examples and the benches, and what a query cache hands out. The mutable
-// remainder of a run (run-local symbol table, slab arenas) is a
-// StreamScratch (stream/engine.h) the caller may pass to keep warm across
-// documents.
+// remainder of a run (tracker, run-local symbol table, slab arenas) belongs
+// to each engine and lives exactly as long as its run.
 //
 // Entry points: Run (every plan over every document of a set, one shared
-// pass per document, documents spread over worker threads), the six
-// CompiledPlan::Stream* methods (one document, or one sharded pretok
+// pass per document, documents spread over worker threads), the five
+// CompiledPlan stream methods (StreamFile, StreamString and StreamEvents
+// for one document; StreamShardedPretok(File) for one sharded pretok
 // stream), and the two StreamAll* functions that feed one source to many
-// plans in a single pass. All of them stream through the plans' source
-// projection, so subtrees no plan reads are skipped in the tokenizer; the
-// free StreamTransform* functions (stream/engine.h) stream unprojected.
+// plans in a single pass. All of them run one plan-level pass, MultiQueryRun
+// (multiquery/multi_run.h), whose one-plan branch is the serial PumpEngine
+// loop: a plan's output and stats are the same through every entry point.
+// The pass streams through the plans' source projection, so subtrees no
+// plan reads are skipped in the tokenizer; the free StreamTransform*
+// functions (stream/engine.h) stream unprojected and take a validator.
 //
 // Typical use:
 //
@@ -161,33 +164,32 @@ class CompiledPlan {
   /// reports; an estimate, not an allocator measurement.
   std::size_t ApproxBytes() const;
 
-  /// Streams a document through the transducer. Thread-safe: concurrent
-  /// calls on one plan each build their own run state. A serving loop
-  /// passes a `StreamScratch(plan->mft())` per worker instead, so the
-  /// symbol-table copy and arena blocks are paid once, not per document.
-  Status Stream(ByteSource* source, OutputSink* sink,
-                StreamStats* stats = nullptr,
-                StreamScratch* scratch = nullptr) const;
+  /// Streams one document through the plan: a one-plan MultiQueryRun pass,
+  /// the same one Run and StreamAllTransform* make for a single plan, so
+  /// output bytes and StreamStats agree across all of them. Thread-safe:
+  /// each call builds its own engine and run state. The returned Status is
+  /// the source's error (unreadable or malformed input, which leaves the
+  /// engine unfinished and sets only the byte counters of `stats`) or the
+  /// plan's (rule miss, step budget, cancellation, with `stats` filled as
+  /// far as the run got).
   Status StreamFile(const std::string& path, OutputSink* sink,
-                    StreamStats* stats = nullptr,
-                    StreamScratch* scratch = nullptr) const;
+                    StreamStats* stats = nullptr) const;
   Status StreamString(const std::string& xml, OutputSink* sink,
-                      StreamStats* stats = nullptr,
-                      StreamScratch* scratch = nullptr) const;
-  /// Streams an event stream (e.g. a pretok cache, or a decorated
-  /// parser). `cancel`, when given, is the run's cooperative cancellation
-  /// token (per request, so never baked into the plan).
+                      StreamStats* stats = nullptr) const;
+  /// StreamFile and StreamString open their source and call this. `events`
+  /// is any event stream (a parser, a pretok cache, a decorated source).
+  /// `cancel`, when given, is the run's cooperative cancellation token (per
+  /// request, so never baked into the plan).
   Status StreamEvents(EventSource* events, OutputSink* sink,
                       StreamStats* stats = nullptr,
-                      StreamScratch* scratch = nullptr,
                       const CancelToken* cancel = nullptr) const;
 
   /// Single-document sharding: splits one pretok event stream at top-level
   /// forest boundaries into at most `shards` byte ranges (0 = one shard
   /// per top-level tree, so the decomposition — and therefore the output on
   /// a multi-tree forest — depends only on the input, never on the machine)
-  /// and evaluates each range as its own document, merging outputs in input
-  /// order. For a single-rooted document the split yields
+  /// and evaluates each range as its own document (a StreamEvents pass),
+  /// merging outputs in input order. For a single-rooted document the split yields
   /// one shard and the output is byte-identical to StreamEvents over the
   /// whole stream; for a multi-tree forest each shard's trees evaluate as an
   /// independent forest (see parallel/pretok_split.h for the contract).

@@ -1,9 +1,13 @@
-// Single-pass multi-query execution: one shared event stream fanned into N
-// push-mode engines (stream/engine.h). The input is tokenized exactly once
-// — the inversion of parallel/'s one-query/many-shards split — and the
-// shared source streams through the projection decorator
-// (union_projection.h, ProjectedSource), which skips subtrees no plan can
-// observe before they are tokenized into events.
+// The one plan-level pass: one event stream fanned into N push-mode
+// engines (stream/engine.h). Every plan-level entry point of
+// core/pipeline.h runs it: Run once per document, StreamAllTransform*
+// once, and the CompiledPlan::Stream* methods as a one-plan pass (each
+// pretok shard too), so a plan's output and StreamStats do not depend on
+// the entry point. The input is tokenized exactly once — the inversion of
+// parallel/'s one-query/many-shards split — and the shared source streams
+// through the projection decorator (union_projection.h, ProjectedSource),
+// which skips subtrees no plan can observe before they are tokenized into
+// events.
 //
 // Symbol spaces: with two or more plans the shared source binds to the
 // run's master table; each engine keeps its own run-local table (its rule
@@ -58,7 +62,8 @@ struct MultiPlanResult {
 /// each MultiQueryRun pass it drives, and of the sharded pretok methods.
 struct RunOptions {
   /// Worker threads Run spreads its documents over (0 = one per hardware
-  /// thread; clamped to the document count). 1 runs the documents in order
+  /// thread; clamped to the document count and to the larger of the
+  /// hardware thread count and 64). 1 runs the documents in order
   /// on the calling thread. Output never depends on it. A MultiQueryRun is
   /// one document on the calling thread and ignores it.
   std::size_t threads = 0;

@@ -1,5 +1,6 @@
 #include "parallel/sharded_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -10,14 +11,25 @@ namespace xqmft {
 
 namespace {
 
-// Resolved worker count (>= 1): 0 means one per hardware thread, and the
-// count is clamped to the items.
+// Worker counts above the hardware's are allowed up to this many, so a
+// small host can still overlap blocking items; beyond it a pool only adds
+// threads. A constant, not a knob: output never depends on the count.
+constexpr std::size_t kMinWorkerCap = 64;
+
+// Resolved worker count (>= 1): 0 means one per hardware thread, and every
+// count is clamped to the items and to max(hardware threads, 64), so no
+// request can start more threads than that, whatever it asks for. The
+// hardware count costs a few microseconds to read, so a count within the
+// constant cap does not ask for it.
 std::size_t ResolveThreads(std::size_t threads, std::size_t item_count) {
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
+  if (threads == 0 || threads > kMinWorkerCap) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    const std::size_t hw_threads = hw == 0 ? 1 : hw;
+    threads = threads == 0
+                  ? hw_threads
+                  : std::min(threads, std::max(hw_threads, kMinWorkerCap));
   }
-  if (threads > item_count) threads = item_count;
+  threads = std::min(threads, item_count);
   return threads == 0 ? 1 : threads;
 }
 

@@ -39,7 +39,8 @@ class ShardedExecutor {
   using ItemFn = std::function<Status(std::size_t index, OutputSink* sink)>;
 
   /// Executes items [0, item_count) across `threads` workers (0 = one per
-  /// hardware thread; clamped to the item count) and merges their output
+  /// hardware thread; clamped to the item count and to the larger of the
+  /// hardware thread count and 64) and merges their output
   /// into `downstream` in index order. Blocks until done.
   static Status Run(std::size_t item_count, const ItemFn& item,
                     OutputSink* downstream, std::size_t threads);

@@ -73,7 +73,10 @@ struct ServeOptions {
   /// optimize).
   PipelineOptions pipeline;
   /// Worker threads of a single request that does not say and of every
-  /// "queries" batch (0 = hardware, 1 = serial).
+  /// "queries" batch (0 = hardware, 1 = serial). Every thread count, a
+  /// request's own included, is capped at the larger of the hardware
+  /// thread count and 64 (ShardedExecutor), so a request asking for more
+  /// runs on that many workers with the same output.
   std::size_t default_threads = 1;
   /// Request line / inline document size caps (wire.h).
   RequestLimits limits;

@@ -281,8 +281,7 @@ Status ExecuteWithFault(QueryService* service, const WireRequest& wire,
 
   StreamStats ss;
   auto t0 = std::chrono::steady_clock::now();
-  Status st = lookup.plan->StreamEvents(&events, sink, &ss,
-                                        /*scratch=*/nullptr, cancel);
+  Status st = lookup.plan->StreamEvents(&events, sink, &ss, cancel);
   stats->stream_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();

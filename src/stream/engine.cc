@@ -14,8 +14,8 @@
 
 namespace xqmft {
 
-// TU-local, but in a named namespace (not anonymous) so StreamScratch::Impl
-// — an external-linkage class — can hold the Expr arena without tripping
+// TU-local, but in a named namespace (not anonymous) so Engine::Impl — an
+// external-linkage class — can hold the table machine without tripping
 // -Wsubobject-linkage.
 namespace engine_detail {
 
@@ -117,46 +117,28 @@ class Expr : public RefCounted {
   std::vector<IntrusivePtr<Expr>> args_;
 };
 
-}  // namespace engine_detail
-
-// The mutable per-run state a serving loop keeps alive between documents:
-// byte accounting, both slab arenas, and the run-local symbol table with its
-// snapshot boundary (the base table's size at seeding time). Defined here so
-// the Expr slab can live outside any single engine run.
-struct StreamScratch::Impl {
-  explicit Impl(const Mft& mft)
-      : symbols(mft.symbols()), base_symbols(symbols.size()) {}
-  MemoryTracker tracker;
-  engine_detail::ExprArena expr_arena{&tracker};
-  CellArena cell_arena{&tracker};
-  SymbolTable symbols;       // run table; grows with input names per run
-  std::size_t base_symbols;  // snapshot boundary: the plan's base alphabet
-};
-
-StreamScratch::StreamScratch(const Mft& mft)
-    : impl_(std::make_unique<Impl>(mft)) {}
-StreamScratch::~StreamScratch() = default;
-
-namespace engine_detail {
-
 // The table-machine engine core (the lazy thunk interpreter). The former
 // pull loop is split at its input boundary: Pump() emits everything
 // determined and *returns* when it needs input (instead of calling
 // events->Next), Feed() supplies one event and re-pumps, Finish() closes
 // the input and verifies completion. The pump order — reduce, emit, block,
 // fill cell, resume — is exactly the old loop's, so output bytes, step
-// counts and error positions are unchanged. The run context (arenas,
-// tracker, run table) is owned by the Engine facade below, which picks
-// between this machine and the lowered ops engine.
+// counts and error positions are unchanged. The machine owns its cell and
+// expr slab arenas; the tracker and the run table belong to the Engine
+// facade below, which picks between this machine and the lowered ops
+// engine.
 struct TableMachine {
   TableMachine(const Mft& mft, OutputSink* sink, const StreamOptions& options,
-               StreamScratch::Impl* ctx)
+               SymbolTable* symbols, MemoryTracker* tracker)
       : mft_(mft),
         dispatch_(&mft.dispatch()),
-        ctx_(ctx),
+        symbols_(symbols),
+        tracker_(tracker),
+        expr_arena_(tracker),
+        cell_arena_(tracker),
         sink_(sink),
         options_(options),
-        builder_(&ctx_->cell_arena, &ctx_->symbols) {
+        builder_(&cell_arena_, symbols) {
     // Transducers that provably never read text content skip the
     // event-to-cell text copy altogether.
     builder_.set_capture_text(dispatch_->captures_text());
@@ -224,8 +206,8 @@ struct TableMachine {
       }
     }
     if (stats != nullptr) {
-      stats->peak_bytes = ctx_->tracker.peak_bytes();
-      stats->final_bytes = ctx_->tracker.current_bytes();
+      stats->peak_bytes = tracker_->peak_bytes();
+      stats->final_bytes = tracker_->current_bytes();
       stats->rule_applications = steps_;
       stats->cells_created = builder_.cells_created();
       stats->exprs_created = exprs_created_;
@@ -260,7 +242,7 @@ struct TableMachine {
       top.expr = e;
       if (e->kind == ExprKind::kNil) {
         if (top.close_symbol != kInvalidSymbol) {
-          sink_->EndElement(ctx_->symbols.name(top.close_symbol));
+          sink_->EndElement(symbols_->name(top.close_symbol));
           ++output_events_;
         }
         stack_.pop_back();
@@ -271,12 +253,12 @@ struct TableMachine {
         // Static text (a rule literal) resolves through the table; dynamic
         // text (%t over an input text node) is owned by the Expr.
         sink_->Text(e->symbol != kInvalidSymbol
-                        ? ctx_->symbols.name(e->symbol)
+                        ? symbols_->name(e->symbol)
                         : e->text());
         ++output_events_;
         top.expr = e->next;
       } else {
-        sink_->StartElement(ctx_->symbols.name(e->symbol));
+        sink_->StartElement(symbols_->name(e->symbol));
         ++output_events_;
         Frame child_frame;
         child_frame.expr = e->child;
@@ -290,8 +272,7 @@ struct TableMachine {
 
   IntrusivePtr<Expr> NewExpr() {
     ++exprs_created_;
-    return IntrusivePtr<Expr>(
-        ctx_->expr_arena.slab.New(&ctx_->expr_arena));
+    return IntrusivePtr<Expr>(expr_arena_.slab.New(&expr_arena_));
   }
 
   static IntrusivePtr<Expr> Deref(IntrusivePtr<Expr> e) {
@@ -502,14 +483,13 @@ struct TableMachine {
 
   const Mft& mft_;
   const RuleDispatch* dispatch_;
-  // The run context (tracker, arenas, run-local symbol table — the table is
-  // deliberately outside the tracked metric: it is bounded by the number of
-  // *distinct* names, alphabet-sized like the transducer, while the tracker
-  // measures what Figure 4 measures, retention proportional to the streamed
-  // input). Owned by the Engine facade, which guarantees it outlives the
-  // machine and that all cells/exprs are recycled before the slabs free
-  // their blocks (the facade destroys the machine before the context).
-  StreamScratch::Impl* ctx_;
+  SymbolTable* symbols_;    // the facade's run table
+  MemoryTracker* tracker_;  // the facade's tracker; outlives the machine
+  // The arenas precede every member holding a cell or an expr: members
+  // destruct in reverse order, so all cells and exprs are recycled before
+  // the slabs free their blocks.
+  ExprArena expr_arena_;
+  CellArena cell_arena_;
   OutputSink* sink_;
   StreamOptions options_;
   CellBuilder builder_;
@@ -528,44 +508,29 @@ struct TableMachine {
 
 }  // namespace engine_detail
 
-// The engine facade: owns the run context and selects the execution core.
-// The lowered ops engine runs whenever the plan is lowerable and the caller
-// did not pin the table machine; unlowerable plans always take the table
-// machine (kOps included — the fallback is silent here, and the CLI reports
-// it). Both cores sit behind the same Prime/Feed/Finish contract, so every
-// driver — single-query pumps, multi-query fan-out, sharding, the service
-// loop — inherits the selection untouched.
+// The engine facade: owns the run's tracker and run-local symbol table, and
+// selects the execution core. The lowered ops engine runs whenever the plan
+// is lowerable and the caller did not pin the table machine; unlowerable
+// plans always take the table machine (kOps included — the fallback is
+// silent here, and the CLI reports it). Both cores sit behind the same
+// Prime/Feed/Finish contract, so every driver — single-query pumps,
+// multi-query fan-out, sharding, the service loop — inherits the selection
+// untouched.
 struct Engine::Impl {
-  Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options,
-       StreamScratch::Impl* scratch)
-      : owned_(scratch == nullptr ? std::make_unique<StreamScratch::Impl>(mft)
-                                  : nullptr),
-        ctx_(Prepare(scratch != nullptr ? scratch : owned_.get(),
-                     /*reused=*/scratch != nullptr)) {
+  Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options)
+      : symbols(mft.symbols()) {
     const lower::LoweredPlan* lowered = nullptr;
     if (options.engine != EngineChoice::kTable) {
       lowered = lower::GetLoweredPlan(mft);
     }
     if (lowered != nullptr) {
       ops_ = std::make_unique<lower::OpsEngine>(
-          *lowered, sink, &ctx_->symbols, &ctx_->tracker, options.max_steps,
+          *lowered, sink, &symbols, &tracker, options.max_steps,
           options.validator, options.cancel, options.cancel_check_events);
     } else {
-      table_ = std::make_unique<engine_detail::TableMachine>(mft, sink,
-                                                             options, ctx_);
+      table_ = std::make_unique<engine_detail::TableMachine>(
+          mft, sink, options, &symbols, &tracker);
     }
-  }
-
-  // Re-entry of a serving loop: snapshot the run table back to the plan's
-  // base alphabet (input names interned by earlier documents are forgotten,
-  // keeping the table alphabet-sized instead of growing with the union of
-  // all inputs ever served) and restart peak accounting for this run.
-  static StreamScratch::Impl* Prepare(StreamScratch::Impl* ctx, bool reused) {
-    if (reused) {
-      ctx->symbols.TruncateToSnapshot(ctx->base_symbols);
-      ctx->tracker.ResetPeak();
-    }
-    return ctx;
   }
 
   bool done() const { return ops_ != nullptr ? ops_->done() : table_->done(); }
@@ -583,8 +548,8 @@ struct Engine::Impl {
     if (ops_ == nullptr) return table_->Finish(stats);
     Status s = ops_->Finish();
     if (stats != nullptr) {
-      stats->peak_bytes = ctx_->tracker.peak_bytes();
-      stats->final_bytes = ctx_->tracker.current_bytes();
+      stats->peak_bytes = tracker.peak_bytes();
+      stats->final_bytes = tracker.current_bytes();
       stats->rule_applications = ops_->steps();
       stats->cells_arena = ops_->consumers_spawned();
       stats->used_ops_engine = true;
@@ -593,22 +558,23 @@ struct Engine::Impl {
     return s;
   }
 
-  // owned_ precedes the machines: members destruct in reverse order, and
-  // the table machine's cells/exprs must be recycled before their slabs
-  // free their blocks.
-  std::unique_ptr<StreamScratch::Impl> owned_;
-  StreamScratch::Impl* ctx_;
+  // The tracker and the run table precede the cores, which charge and
+  // intern into them until they destruct. The run table, copied from the
+  // transducer's base table, is deliberately outside the tracked metric:
+  // it is bounded by the number of *distinct* names, alphabet-sized like
+  // the transducer, while the tracker measures what Figure 4 measures,
+  // retention proportional to the streamed input.
+  MemoryTracker tracker;
+  SymbolTable symbols;
   std::unique_ptr<engine_detail::TableMachine> table_;
   std::unique_ptr<lower::OpsEngine> ops_;
 };
 
-Engine::Engine(const Mft& mft, OutputSink* sink, StreamOptions options,
-               StreamScratch* scratch)
-    : impl_(std::make_unique<Impl>(
-          mft, sink, options, scratch != nullptr ? scratch->impl() : nullptr)) {}
+Engine::Engine(const Mft& mft, OutputSink* sink, StreamOptions options)
+    : impl_(std::make_unique<Impl>(mft, sink, options)) {}
 Engine::~Engine() = default;
 
-SymbolTable* Engine::symbols() { return &impl_->ctx_->symbols; }
+SymbolTable* Engine::symbols() { return &impl_->symbols; }
 Status Engine::Prime() { return impl_->Prime(); }
 Status Engine::Feed(const XmlEvent& event) { return impl_->Feed(event); }
 Status Engine::Finish(StreamStats* stats) { return impl_->Finish(stats); }
@@ -644,10 +610,9 @@ Status PumpEngine(Engine* engine, EventSource* events,
 }
 
 Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
-                       StreamOptions options, StreamStats* stats,
-                       StreamScratch* scratch) {
+                       StreamOptions options, StreamStats* stats) {
   SaxParser parser(source, options.sax);
-  return StreamTransformEvents(mft, &parser, sink, options, stats, scratch);
+  return StreamTransformEvents(mft, &parser, sink, options, stats);
 }
 
 // The single-query pull pump: PumpEngine, then Finish. Byte accounting
@@ -660,8 +625,8 @@ Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
 // cancelled-run contract serving layers rely on for accounting.
 Status StreamTransformEvents(const Mft& mft, EventSource* events,
                              OutputSink* sink, StreamOptions options,
-                             StreamStats* stats, StreamScratch* scratch) {
-  Engine engine(mft, sink, options, scratch);
+                             StreamStats* stats) {
+  Engine engine(mft, sink, options);
   std::uint64_t fed = 0;
   std::size_t first_output = 0;
   XQMFT_RETURN_NOT_OK(PumpEngine(&engine, events, &fed, &first_output));

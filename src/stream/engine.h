@@ -99,37 +99,6 @@ struct StreamStats {
   std::size_t bytes_in_at_first_output = 0;
 };
 
-/// \brief Reusable mutable run state for streaming one transducer through
-/// many documents: the run-local SymbolTable (seeded once from the
-/// transducer's immutable base table, snapshot back between documents) and
-/// the cell/expr slab arenas, whose free lists and blocks persist across
-/// runs — the second document of a serving loop allocates no blocks and
-/// copies no table.
-///
-/// A scratch is bound to one transducer and single-threaded: at most one
-/// streaming run may use it at a time, and every run through it must pass
-/// the same Mft it was built from. Without a scratch the streaming entry
-/// points build this state per run (copying the base table and growing
-/// fresh slabs), which is correct but pays the per-run setup a serving loop
-/// exists to amortize. At plan level, pass one to the CompiledPlan::Stream*
-/// methods (core/pipeline.h), built from the plan's mft().
-class StreamScratch {
- public:
-  /// Seeds the run table from `mft`'s base table. The dispatch must already
-  /// be compiled (structural for CompiledPlan-built transducers; bare-Mft
-  /// callers get it compiled here as a side effect of symbols()).
-  explicit StreamScratch(const Mft& mft);
-  ~StreamScratch();
-  StreamScratch(const StreamScratch&) = delete;
-  StreamScratch& operator=(const StreamScratch&) = delete;
-
-  struct Impl;  // private to engine.cc
-  Impl* impl() const { return impl_.get(); }
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
-
 /// \brief Push-mode streaming engine core: a passive consumer of XML events.
 ///
 /// The engine does not own an input loop. A driver constructs it over a
@@ -157,16 +126,19 @@ class StreamScratch {
 /// engines of a multi-query run are unaffected. Finish fills `stats` with
 /// whatever was accumulated even when it returns an error.
 ///
-/// Drivers: PumpEngine below (the one-engine pull loop under
-/// StreamTransform*, the CompiledPlan::Stream* methods and a one-plan run)
-/// and MultiQueryRun (multiquery/multi_run.h), which fans one event stream
-/// into many engines and is what Run (core/pipeline.h) drives per document.
+/// Each engine owns its run state: the memory tracker, a run-local copy of
+/// the transducer's symbol table, and (table machine only) the cell and
+/// expr slab arenas, all built at construction and freed with the engine.
+///
+/// Drivers: PumpEngine below (the one-engine pull loop) and MultiQueryRun
+/// (multiquery/multi_run.h), the one plan-level pass. MultiQueryRun runs a
+/// one-plan pass as PumpEngine and fans one event stream into many engines
+/// otherwise; every CompiledPlan::Stream* method, StreamAllTransform* and
+/// Run (core/pipeline.h) stream through it. The free StreamTransform*
+/// functions below are the unprojected pump over one engine.
 class Engine {
  public:
-  /// `scratch`, when given, must have been built from this same `mft` (see
-  /// StreamScratch); null means the engine owns its run state.
-  Engine(const Mft& mft, OutputSink* sink, StreamOptions options = {},
-         StreamScratch* scratch = nullptr);
+  Engine(const Mft& mft, OutputSink* sink, StreamOptions options = {});
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -230,22 +202,23 @@ Status PumpEngine(Engine* engine, EventSource* events,
                   std::size_t* bytes_at_first_output);
 
 /// Streams `source` through `mft` into `sink`. The transducer must
-/// Validate() beforehand. `scratch`, when given, supplies the run's symbol
-/// table and arenas (see StreamScratch); it must have been built from this
-/// same `mft`. A thin pull pump over the push-mode Engine.
+/// Validate() beforehand. A thin pull pump over the push-mode Engine.
 Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
                        StreamOptions options = {},
-                       StreamStats* stats = nullptr,
-                       StreamScratch* scratch = nullptr);
+                       StreamStats* stats = nullptr);
 
 /// Streams an already-tokenized event stream (e.g. a PretokSource) through
-/// `mft`. The engine binds the source to its run-local symbol table before
-/// pulling, so event ids and rule ids share one id space; options.sax is
-/// ignored (tokenization happened when the events were produced).
+/// `mft`: PumpEngine, then Finish. The engine binds the source to its
+/// run-local symbol table before pulling, so event ids and rule ids share
+/// one id space; options.sax is ignored (tokenization happened when the
+/// events were produced). The transducer-level path: it streams
+/// unprojected, so it is the one that takes a schema validator
+/// (options.validator sees every event); plan-level runs go through
+/// MultiQueryRun instead. A malformed input returns the source's error
+/// without finishing the engine, and `stats` is then left unset.
 Status StreamTransformEvents(const Mft& mft, EventSource* events,
                              OutputSink* sink, StreamOptions options = {},
-                             StreamStats* stats = nullptr,
-                             StreamScratch* scratch = nullptr);
+                             StreamStats* stats = nullptr);
 
 /// Convenience wrapper over an in-memory document.
 Status StreamTransformString(const Mft& mft, const std::string& xml,

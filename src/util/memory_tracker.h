@@ -27,7 +27,6 @@ class MemoryTracker {
   std::size_t current_bytes() const { return current_; }
   std::size_t peak_bytes() const { return peak_; }
 
-  void ResetPeak() { peak_ = current_; }
   void Reset() { current_ = 0; peak_ = 0; }
 
  private:

@@ -130,7 +130,8 @@ std::uint64_t ExpectProjectionInvisible(const CompiledPlan& plan,
       auto on_src = source();
       StringSink on;
       StreamStats stats;
-      Status on_st = plan.Stream(on_src.get(), &on, &stats);
+      SaxParser on_parser(on_src.get(), plan.options().stream.sax);
+      Status on_st = plan.StreamEvents(&on_parser, &on, &stats);
       auto off_src = source();
       StringSink off;
       Status off_st = StreamTransform(plan.mft(), off_src.get(), &off,
@@ -253,7 +254,7 @@ TEST(ProjectionTest, CancelTripsAtTheFirstSkip) {
     SaxParser parser(&src);
     StringSink sink;
     CancelAtFirstSkip spy(&parser, &sink, &token);
-    Status st = plan->StreamEvents(&spy, &sink, nullptr, nullptr, &token);
+    Status st = plan->StreamEvents(&spy, &sink, nullptr, &token);
     EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
     EXPECT_EQ(spy.skips(), 1);
     EXPECT_EQ(sink.str().size(), spy.bytes_at_first_skip()) << sink.str();

@@ -471,18 +471,17 @@ TEST(RopeRegisters, GrowthAcrossArenaChunks) {
   EXPECT_GT(stats.peak_bytes, 64u * 1024u);
 }
 
-TEST(RopeRegisters, ScratchReuseBetweenDocuments) {
+TEST(RopeRegisters, SeveralDocumentsMatchTableAtSmallChunks) {
   Mft m = MustParseMft(kRopeCollectMft);
   ASSERT_TRUE(m.Validate().ok());
   m.dispatch();
   ASSERT_NE(lower::GetLoweredPlan(m), nullptr);
-  // The arena mark/reset discipline: a second document through the same
-  // scratch must not see rope chunks (or prealloc blocks) left over from
-  // the first.
+  // Documents of different shapes, one after another on one transducer,
+  // at refill chunk sizes that split every token: each run's rope chunks
+  // and prealloc blocks are its own.
   const std::string docs[] = {"<a><b>one</b>x<b>two</b></a>",
                               "<a>just text</a>",
                               "<a><b/><c><b/></c><b/></a>"};
-  StreamScratch scratch(m);
   for (const std::string& xml : docs) {
     StreamOptions table_opts;
     table_opts.engine = EngineChoice::kTable;
@@ -494,8 +493,7 @@ TEST(RopeRegisters, ScratchReuseBetweenDocuments) {
       StreamStats stats;
       StreamOptions ops_opts;
       ops_opts.engine = EngineChoice::kOps;
-      Status st =
-          StreamTransform(m, &source, &got, ops_opts, &stats, &scratch);
+      Status st = StreamTransform(m, &source, &got, ops_opts, &stats);
       ASSERT_TRUE(st.ok()) << xml << ": " << st.ToString();
       EXPECT_TRUE(stats.used_ops_engine);
       EXPECT_EQ(got.str(), want.str()) << xml << " chunk=" << chunk;

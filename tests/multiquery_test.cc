@@ -457,6 +457,158 @@ TEST(MultiQuery, MixedTokenizationRejected) {
 // ---------------------------------------------------------------------------
 // Projection derivation
 
+// ---------------------------------------------------------------------------
+// The one-plan pass: every plan-level entry point runs the same
+// MultiQueryRun pass, so a plan's output bytes and StreamStats do not depend
+// on the entry point. Byte counters count the source's own bytes (XML text
+// or pretok records), so text runs agree with text runs and pretok runs
+// with pretok runs; the event-side counters agree across both.
+// ---------------------------------------------------------------------------
+
+struct PassOutcome {
+  std::string entry;
+  Status status;
+  std::string out;
+  StreamStats stats;
+};
+
+void ExpectSamePass(const PassOutcome& want, const PassOutcome& got,
+                    bool same_source, const std::string& what) {
+  const std::string where = what + ": " + want.entry + " vs " + got.entry;
+  EXPECT_EQ(want.status.ToString(), got.status.ToString()) << where;
+  EXPECT_EQ(want.out, got.out) << where;
+  const StreamStats& a = want.stats;
+  const StreamStats& b = got.stats;
+  if (same_source) {
+    EXPECT_EQ(a.bytes_in, b.bytes_in) << where;
+    EXPECT_EQ(a.bytes_in_at_first_output, b.bytes_in_at_first_output)
+        << where;
+    EXPECT_EQ(a.bytes_skipped, b.bytes_skipped) << where;
+  }
+  EXPECT_EQ(a.subtrees_skipped, b.subtrees_skipped) << where;
+  EXPECT_EQ(a.output_events, b.output_events) << where;
+  EXPECT_EQ(a.rule_applications, b.rule_applications) << where;
+  EXPECT_EQ(a.peak_bytes, b.peak_bytes) << where;
+  EXPECT_EQ(a.used_ops_engine, b.used_ops_engine) << where;
+}
+
+PassOutcome ViaStreamString(const CompiledPlan& plan, const std::string& xml) {
+  PassOutcome o{"StreamString", {}, {}, {}};
+  StringSink sink;
+  o.status = plan.StreamString(xml, &sink, &o.stats);
+  o.out = sink.str();
+  return o;
+}
+
+PassOutcome ViaStreamEvents(const CompiledPlan& plan,
+                            const std::string& pretok) {
+  PassOutcome o{"StreamEvents(pretok)", {}, {}, {}};
+  PretokSource src(pretok);
+  StringSink sink;
+  o.status = plan.StreamEvents(&src, &sink, &o.stats);
+  o.out = sink.str();
+  return o;
+}
+
+PassOutcome ViaRun(const CompiledPlan& plan, ParallelInput input) {
+  PassOutcome o{input.kind == ParallelInput::Kind::kXmlText
+                    ? "Run(text)"
+                    : "Run(pretok)",
+                {}, {}, {}};
+  RunOptions serial;
+  serial.threads = 1;
+  StringSink sink;
+  std::vector<RunResult> results;
+  Status st = xqmft::Run({&plan}, {std::move(input)}, {&sink}, serial,
+                         &results);
+  EXPECT_EQ(results.size(), 1u);
+  o.status = results.empty() ? st : results[0].status;
+  if (!results.empty() && !results[0].per_input.empty()) {
+    o.stats = results[0].per_input[0];
+  }
+  o.out = sink.str();
+  return o;
+}
+
+PassOutcome ViaStreamAll(const CompiledPlan& plan, const std::string& xml) {
+  PassOutcome o{"StreamAllTransform", {}, {}, {}};
+  StringSource src(xml);
+  StringSink sink;
+  std::vector<MultiPlanResult> results;
+  Status st = StreamAllTransform({&plan}, &src, {&sink}, {}, &results);
+  EXPECT_EQ(results.size(), 1u);
+  o.status = results.empty() ? st : results[0].status;
+  if (!results.empty()) o.stats = results[0].stats;
+  o.out = sink.str();
+  return o;
+}
+
+void ExpectOnePlanPass(const CompiledPlan& plan, const std::string& xml,
+                       const std::string& pretok, const std::string& what) {
+  const PassOutcome text = ViaStreamString(plan, xml);
+  ASSERT_TRUE(text.status.ok()) << what << ": " << text.status.ToString();
+  EXPECT_GT(text.stats.rule_applications, 0u) << what;
+  ExpectSamePass(text, ViaRun(plan, ParallelInput::XmlText(xml)), true, what);
+  ExpectSamePass(text, ViaStreamAll(plan, xml), true, what);
+  const PassOutcome replay = ViaStreamEvents(plan, pretok);
+  ExpectSamePass(text, replay, false, what);
+  ExpectSamePass(replay, ViaRun(plan, ParallelInput::PretokBytes(pretok)),
+                 true, what);
+}
+
+TEST(OnePlanPass, EveryEntryPointGivesTheSameOutputAndStats) {
+  const std::string xml = XmarkDoc(24 * 1024, 3);
+  StringSource src(xml);
+  std::string pretok;
+  ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+  bool saw_whole_document = false;
+  bool saw_projected = false;
+  for (const BenchQuery& q : Figure3Queries()) {
+    for (EngineChoice engine : {EngineChoice::kOps, EngineChoice::kTable}) {
+      PipelineOptions options;
+      options.stream.engine = engine;
+      auto plan = CompiledPlan::Compile(q.text, options);
+      ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status().ToString();
+      const bool whole = plan.value()->projection().whole_document;
+      saw_whole_document = saw_whole_document || whole;
+      saw_projected = saw_projected || !whole;
+      ExpectOnePlanPass(
+          *plan.value(), xml, pretok,
+          std::string(q.id) +
+              (engine == EngineChoice::kOps ? " ops" : " table"));
+    }
+  }
+  // q04 (following-sibling) is the corpus's whole_document plan.
+  EXPECT_TRUE(saw_whole_document);
+  EXPECT_TRUE(saw_projected);
+
+  // A hand-written transducer: no query, so no projection.
+  auto mft = ParseMft("q(%t(x1)x2) -> %t(q(x1)) q(x2)\nq(eps) -> eps\n");
+  ASSERT_TRUE(mft.ok()) << mft.status().ToString();
+  auto copy = CompiledPlan::FromMft(std::move(mft).value());
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  EXPECT_TRUE(copy.value()->projection().whole_document);
+  ExpectOnePlanPass(*copy.value(), xml, pretok, "FromMft copy");
+}
+
+TEST(OnePlanPass, MalformedDocumentFailsAlikeAndKeepsTheSameBytes) {
+  // Cut the document mid-way: every query has streamed some output when
+  // the parser reports the truncation, and both entry points stop at the
+  // same byte with the same error.
+  const std::string full = XmarkDoc(24 * 1024, 3);
+  const std::string xml = full.substr(0, full.size() * 2 / 3);
+  for (const BenchQuery& q : Figure3Queries()) {
+    auto plan = CompiledPlan::Compile(q.text);
+    ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status().ToString();
+    const PassOutcome one = ViaStreamString(*plan.value(), xml);
+    const PassOutcome all = ViaStreamAll(*plan.value(), xml);
+    EXPECT_FALSE(one.status.ok()) << q.id;
+    EXPECT_FALSE(one.out.empty()) << q.id;
+    EXPECT_EQ(one.status.ToString(), all.status.ToString()) << q.id;
+    EXPECT_EQ(one.out, all.out) << q.id;
+  }
+}
+
 TEST(Projection, DerivesKeepNodeAndKeepSubtreePaths) {
   auto plan = CompiledPlan::Compile(
       "<out>{ for $p in $input/site/people/person return "

@@ -6,8 +6,11 @@
 // (out-of-order completion, mid-shard errors).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -244,6 +247,26 @@ TEST(ShardedExecutorTest, ZeroItemsIsANoOp) {
       0, [](std::size_t, OutputSink*) { return Status::OK(); }, &out, {});
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(out.str(), "");
+}
+
+TEST(ShardedExecutorTest, WorkerCountIsCapped) {
+  // A request may ask for any thread count; the pool never grows past
+  // max(hardware threads, 64). Each item sleeps so that an uncapped pool
+  // would run the items on (nearly) as many distinct threads as it has.
+  constexpr std::size_t kItems = 200;
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  ShardedExecutor::ForEach(kItems, kItems, [&](std::size_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return true;
+  });
+  const std::size_t hw = std::thread::hardware_concurrency();
+  EXPECT_LE(ids.size(), std::max<std::size_t>(64, hw));
+  EXPECT_GT(ids.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +551,7 @@ TEST(PretokSplitTest, RejectsMalformedStreams) {
 // Document-set error handling end to end
 // ---------------------------------------------------------------------------
 
-TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
+TEST(RunTest, MissingInputSurfacesAsRunError) {
   auto cq = CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie();
   std::vector<ParallelInput> inputs;
   inputs.push_back(ParallelInput::XmlText("<a>1</a>"));
@@ -542,7 +565,7 @@ TEST(StreamManyTest, MissingInputSurfacesAsRunError) {
   EXPECT_NE(st.message().find("/nonexistent/xqmft.xml"), std::string::npos);
 }
 
-TEST(StreamManyTest, MalformedDocumentAmongManySurfacesItsError) {
+TEST(RunTest, MalformedDocumentAmongManySurfacesItsError) {
   auto cq = CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie();
   std::vector<ParallelInput> inputs;
   for (int i = 0; i < 6; ++i) {

@@ -2,8 +2,8 @@
 // (normalized keys, LRU + byte-budget eviction, singleflight under
 // concurrency — the suite runs under the tsan preset), the QueryService
 // request path over the parallel streaming machinery, the CompiledPlan
-// artifact (immutability by construction, StreamScratch reuse across
-// documents), and the JSON codec behind the serve frontend.
+// artifact (immutability by construction, per-run memory accounting), and
+// the JSON codec behind the serve frontend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -631,30 +631,7 @@ TEST(CompiledPlanTest, RejectsPerRunValidatorState) {
   EXPECT_FALSE(CompiledPlan::Compile(QueryFor("a"), options).ok());
 }
 
-TEST(PlanScratchTest, ReusedScratchMatchesFreshRunsAcrossDocuments) {
-  auto plan = CompiledPlan::Compile(QueryFor("a"));
-  ASSERT_TRUE(plan.ok());
-  StreamScratch scratch(plan.value()->mft());
-  // Documents with disjoint input alphabets: the run-local table snapshots
-  // back to the plan's base between documents, so names interned by one
-  // document must not leak into (or corrupt) the next run's emission.
-  std::vector<std::string> docs = {
-      "<doc><a>first</a><ignore1>z</ignore1></doc>",
-      "<doc><other2>q</other2><a>second</a></doc>",
-      "<doc/>",
-      "<doc><a>first</a><ignore1>z</ignore1></doc>",  // revisit doc 0
-  };
-  for (const std::string& doc : docs) {
-    StringSink reused;
-    StreamStats stats;
-    ASSERT_TRUE(
-        plan.value()->StreamString(doc, &reused, &stats, &scratch).ok());
-    EXPECT_EQ(reused.str(), DirectOutput(QueryFor("a"), doc)) << doc;
-    EXPECT_GT(stats.rule_applications, 0u);
-  }
-}
-
-TEST(PlanScratchTest, PeakMemoryIsPerRunNotCumulative) {
+TEST(CompiledPlanTest, PeakMemoryIsPerRunNotCumulative) {
   // Pin the table machine: the ops engine streams this query at a flat,
   // document-independent peak, which would make the two peaks equal and
   // prove nothing about per-run accounting.
@@ -662,22 +639,24 @@ TEST(PlanScratchTest, PeakMemoryIsPerRunNotCumulative) {
   options.stream.engine = EngineChoice::kTable;
   auto plan = CompiledPlan::Compile("<out>{ $input//a }</out>", options);
   ASSERT_TRUE(plan.ok());
-  StreamScratch scratch(plan.value()->mft());
+  const std::string tiny = "<doc><a>x</a></doc>";
+  StreamStats fresh_stats;
+  StringSink s0;
+  ASSERT_TRUE(plan.value()->StreamString(tiny, &s0, &fresh_stats).ok());
   // A big document, then a tiny one: the tiny run's peak must reflect the
-  // tiny run, not the big run's high-water mark.
+  // tiny run alone, not the big run's high-water mark.
   std::string big = "<doc>";
   for (int i = 0; i < 500; ++i) big += "<a>payload-payload</a>";
   big += "</doc>";
   StreamStats big_stats;
   StringSink s1;
-  ASSERT_TRUE(plan.value()->StreamString(big, &s1, &big_stats, &scratch).ok());
+  ASSERT_TRUE(plan.value()->StreamString(big, &s1, &big_stats).ok());
   StreamStats tiny_stats;
   StringSink s2;
-  ASSERT_TRUE(plan.value()
-                  ->StreamString("<doc><a>x</a></doc>", &s2, &tiny_stats,
-                                 &scratch)
-                  .ok());
+  ASSERT_TRUE(plan.value()->StreamString(tiny, &s2, &tiny_stats).ok());
   EXPECT_LT(tiny_stats.peak_bytes, big_stats.peak_bytes);
+  EXPECT_EQ(tiny_stats.peak_bytes, fresh_stats.peak_bytes);
+  EXPECT_EQ(s2.str(), s0.str());
 }
 
 // ---------------------------------------------------------------------------

@@ -74,57 +74,6 @@ TEST(SymbolTableTest, CopyKeepsIdsAndGrowsIndependently) {
   EXPECT_EQ(copy.name(b), "b");
 }
 
-TEST(SymbolTableTest, TruncateToSnapshotForgetsLaterSymbols) {
-  SymbolTable base;
-  SymbolId a = base.Intern(NodeKind::kElement, "a");
-  SymbolId txt = base.Intern(NodeKind::kText, "x");
-  SymbolTable run = base;  // the per-run copy a serving loop keeps
-  std::size_t boundary = run.size();
-
-  // A "document" interns input names past the boundary.
-  SymbolId doc1 = run.Intern(NodeKind::kElement, "doc1");
-  run.Intern(NodeKind::kElement, "doc1extra");
-  EXPECT_EQ(run.size(), boundary + 2);
-
-  run.TruncateToSnapshot(boundary);
-  // Base symbols keep their ids and stay findable; later ones are gone.
-  EXPECT_EQ(run.size(), boundary);
-  EXPECT_EQ(run.Find(NodeKind::kElement, "a"), a);
-  EXPECT_EQ(run.Find(NodeKind::kText, "x"), txt);
-  EXPECT_EQ(run.Find(NodeKind::kElement, "doc1"), kInvalidSymbol);
-  EXPECT_EQ(run.Find(NodeKind::kElement, "doc1extra"), kInvalidSymbol);
-
-  // The next "document" reuses the freed dense range.
-  EXPECT_EQ(run.Intern(NodeKind::kElement, "doc2"), doc1);
-  EXPECT_EQ(run.size(), boundary + 1);
-
-  // Truncating to the current size (the no-new-names fast path) is a no-op.
-  run.TruncateToSnapshot(run.size());
-  EXPECT_EQ(run.Find(NodeKind::kElement, "doc2"), doc1);
-}
-
-TEST(SymbolTableTest, TruncateToSnapshotSurvivesBucketGrowth) {
-  SymbolTable t;
-  SymbolId keep = t.Intern(NodeKind::kElement, "keep");
-  std::size_t boundary = t.size();
-  // Force several bucket rehashes past the boundary, then snapshot back.
-  for (int i = 0; i < 500; ++i) {
-    t.Intern(NodeKind::kElement, "tmp" + std::to_string(i));
-  }
-  t.TruncateToSnapshot(boundary);
-  EXPECT_EQ(t.size(), boundary);
-  EXPECT_EQ(t.Find(NodeKind::kElement, "keep"), keep);
-  EXPECT_EQ(t.Find(NodeKind::kElement, "tmp0"), kInvalidSymbol);
-  EXPECT_EQ(t.Find(NodeKind::kElement, "tmp499"), kInvalidSymbol);
-  // The table still interns correctly afterwards (probe index consistent).
-  for (int i = 0; i < 500; ++i) {
-    t.Intern(NodeKind::kElement, "fresh" + std::to_string(i));
-  }
-  for (SymbolId id = 0; id < t.size(); ++id) {
-    EXPECT_EQ(t.Find(t.kind(id), t.name(id)), id);
-  }
-}
-
 TEST(SymbolTableTest, ParserThreadsIdsThroughEvents) {
   SymbolTable t;
   StringSource src("<a><b/>hi</a><a/>");

@@ -167,8 +167,6 @@ TEST(MemoryTrackerTest, TracksPeak) {
   EXPECT_EQ(t.peak_bytes(), 150u);
   t.Charge(40);
   EXPECT_EQ(t.peak_bytes(), 150u);
-  t.ResetPeak();
-  EXPECT_EQ(t.peak_bytes(), 70u);
 }
 
 TEST(CancelTokenTest, DeadlinePastTheClockRangeSaturates) {

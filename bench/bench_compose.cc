@@ -13,7 +13,7 @@
 #include "compose/compose.h"
 #include "compose/convert.h"
 #include "compose/mtt.h"
-#include "stream/engine.h"
+#include "core/pipeline.h"
 #include "util/strings.h"
 #include "xml/events.h"
 
@@ -118,10 +118,10 @@ void BenchStreamComposed(benchmark::State& state) {
     }
     composed = std::move(c).value();
   }
-  Mft mft = MttEvalToMft(composed);
-  Status valid = mft.Validate();
-  if (!valid.ok()) {
-    state.SkipWithError(valid.ToString().c_str());
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::FromMft(MttEvalToMft(composed));
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
   int depth = static_cast<int>(state.range(0));
@@ -131,7 +131,7 @@ void BenchStreamComposed(benchmark::State& state) {
   StreamStats stats;
   for (auto _ : state) {
     CountingSink sink;
-    Status st = StreamTransformString(mft, xml, &sink, {}, &stats);
+    Status st = plan.value()->StreamString(xml, &sink, &stats);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

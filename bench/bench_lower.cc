@@ -36,7 +36,6 @@
 #include "xml/char_class.h"
 #include "xml/events.h"
 #include "xml/pretok.h"
-#include "xml/sax_parser.h"
 
 namespace xqmft {
 namespace {
@@ -70,14 +69,22 @@ struct LowerConfig {
 };
 
 void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
-  Result<std::shared_ptr<const CompiledPlan>> plan =
+  Result<std::shared_ptr<const CompiledPlan>> compiled =
       CompiledPlan::Compile(cfg.query->text);
+  if (!compiled.ok()) {
+    state.SkipWithError(compiled.status().ToString().c_str());
+    return;
+  }
+  // The compiled transducer as a FromMft plan: whole_document, so every
+  // run streams unprojected and the engine cores see the same events.
+  PipelineOptions options = compiled.value()->options();
+  options.stream.engine = cfg.engine;
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompiledPlan::FromMft(compiled.value()->mft(), options);
   if (!plan.ok()) {
     state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
-  StreamOptions options = plan.value()->options().stream;
-  options.engine = cfg.engine;
 
   const bool simd_was = SimdScanEnabled();
   SetSimdScanEnabled(cfg.simd);
@@ -93,18 +100,9 @@ void BenchLower(benchmark::State& state, const LowerConfig& cfg) {
         SetSimdScanEnabled(simd_was);
         return;
       }
-      st = StreamTransformEvents(plan.value()->mft(), events.value().get(),
-                                 &sink, options, &stats);
+      st = plan.value()->StreamEvents(events.value().get(), &sink, &stats);
     } else {
-      Result<std::unique_ptr<ByteSource>> source =
-          MmapSource::Open(cfg.path);
-      if (!source.ok()) {
-        state.SkipWithError(source.status().ToString().c_str());
-        SetSimdScanEnabled(simd_was);
-        return;
-      }
-      st = StreamTransform(plan.value()->mft(), source.value().get(), &sink,
-                           options, &stats);
+      st = plan.value()->StreamFile(cfg.path, &sink, &stats);
     }
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());

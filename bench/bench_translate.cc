@@ -1,14 +1,20 @@
 // Theorem 1: the translation from MinXQuery to MFTs runs in time O(|P|).
 //
 // This bench builds families of programs of growing size — deeply nested
-// for-loops, wide element constructors, and long paths — and measures
-// translation time and the size ratio |M_P| / |P|, which stays bounded for
-// a linear-time construction.
+// for-loops, wide element constructors, long paths, and one step with many
+// sibling predicates — and measures translation time and the size ratio
+// |M_P| / |P|, which stays bounded for a linear-time construction.
+//
+// The wide-predicate family is also timed through the whole compile
+// (parse, translate, optimize, lower: CompiledPlan::Compile), whose cost
+// grows faster than its rule count on it: its rows are where a
+// superlinear stage shows.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 
+#include "core/pipeline.h"
 #include "mft/mft.h"
 #include "translate/translate.h"
 #include "util/strings.h"
@@ -48,6 +54,15 @@ std::string LongPathQuery(int steps) {
   return q;
 }
 
+// Wide predicate: <out>{$input/x[./x][./x]...[./x]}</out>, n predicates on
+// one step.
+std::string WidePredicateQuery(int predicates) {
+  std::string q = "<out>{$input/x";
+  for (int i = 0; i < predicates; ++i) q += "[./x]";
+  q += "}</out>";
+  return q;
+}
+
 void PrintRatioTable() {
   std::printf("\nTheorem 1: |M_P| / |P| stays bounded (linear translation)\n");
   std::printf("%-12s %8s %8s %8s %8s\n", "family", "n", "|P|", "|M_P|",
@@ -60,6 +75,7 @@ void PrintRatioTable() {
       {"nested-for", NestedForQuery, {2, 4, 8, 16}},
       {"wide", WideQuery, {8, 16, 32, 64}},
       {"long-path", LongPathQuery, {4, 8, 16, 32}},
+      {"wide-pred", WidePredicateQuery, {125, 250, 500, 1000}},
   };
   for (const Family& fam : families) {
     for (int n : fam.ns) {
@@ -98,6 +114,23 @@ void BenchTranslate(benchmark::State& state, std::string (*gen)(int)) {
   state.counters["mft_size"] = static_cast<double>(msize);
 }
 
+// The whole compile of one query text: parse, translate, optimize, and the
+// execution lowering.
+void BenchCompile(benchmark::State& state, std::string (*gen)(int)) {
+  const std::string text = gen(static_cast<int>(state.range(0)));
+  std::size_t rules = 0;
+  for (auto _ : state) {
+    auto plan = CompiledPlan::Compile(text);
+    if (!plan.ok()) {
+      state.SkipWithError(plan.status().ToString().c_str());
+      return;
+    }
+    rules = plan.value()->mft().NumRules();
+    benchmark::DoNotOptimize(rules);
+  }
+  state.counters["rules"] = static_cast<double>(rules);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,6 +156,18 @@ int main(int argc, char** argv) {
         [](benchmark::State& st) { BenchTranslate(st, LongPathQuery); })
         ->Arg(n)
         ->Unit(benchmark::kMicrosecond);
+  }
+  for (int n : {125, 250, 500, 1000}) {
+    benchmark::RegisterBenchmark(
+        "translate/wide_predicate",
+        [](benchmark::State& st) { BenchTranslate(st, WidePredicateQuery); })
+        ->Arg(n)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark(
+        "compile/wide_predicate",
+        [](benchmark::State& st) { BenchCompile(st, WidePredicateQuery); })
+        ->Arg(n)
+        ->Unit(benchmark::kMillisecond);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -14,7 +14,6 @@
 #include "util/strings.h"
 #include "xml/events.h"
 #include "xml/sax_parser.h"
-#include "stream/engine.h"
 
 using namespace xqmft;
 
@@ -58,10 +57,16 @@ int main() {
   if (!cq2->StreamString(intermediate.str(), &two_pass).ok()) return 1;
 
   // One-pass composed transducer.
+  Result<std::shared_ptr<const CompiledPlan>> one_plan =
+      CompiledPlan::FromMft(std::move(composed).value());
+  if (!one_plan.ok()) {
+    std::fprintf(stderr, "composed MFT rejected: %s\n",
+                 one_plan.status().ToString().c_str());
+    return 1;
+  }
   StringSink one_pass;
   StreamStats stats;
-  Status st = StreamTransformString(composed.value(), doc, &one_pass, {},
-                                    &stats);
+  Status st = one_plan.value()->StreamString(doc, &one_pass, &stats);
   if (!st.ok()) {
     std::fprintf(stderr, "stream failed: %s\n", st.ToString().c_str());
     return 1;

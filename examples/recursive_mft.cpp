@@ -11,8 +11,8 @@
 //      paragraph content, and numbers nesting by wrapping in <level>.
 #include <cstdio>
 
+#include "core/pipeline.h"
 #include "mft/mft.h"
-#include "stream/engine.h"
 #include "util/strings.h"
 #include "xml/events.h"
 
@@ -57,10 +57,16 @@ int main() {
                    mft.status().ToString().c_str());
       return 1;
     }
+    Result<std::shared_ptr<const CompiledPlan>> plan =
+        CompiledPlan::FromMft(mft.value());
+    if (!plan.ok()) {
+      std::fprintf(stderr, "%s: %s\n", demo.name,
+                   plan.status().ToString().c_str());
+      return 1;
+    }
     StringSink sink;
     StreamStats stats;
-    Status st = StreamTransformString(mft.value(), demo.input, &sink, {},
-                                      &stats);
+    Status st = plan.value()->StreamString(demo.input, &sink, &stats);
     if (!st.ok()) {
       std::fprintf(stderr, "%s: %s\n", demo.name, st.ToString().c_str());
       return 1;

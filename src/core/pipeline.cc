@@ -6,7 +6,6 @@
 
 #include "lower/lower.h"
 #include "mft/dispatch.h"
-#include "mft/interp.h"
 #include "parallel/merge_sink.h"
 #include "parallel/pretok_split.h"
 #include "translate/translate.h"
@@ -30,23 +29,10 @@ Status CheckPretokOptions(SaxOptions declared, SaxOptions expected,
   return Status::OK();
 }
 
-// Shared tail of both builders: reject per-run state in the immutable
-// artifact and force every lazily-compiled piece of the Mft (dispatch
-// tables, RHS symbol ids, the base symbol table) before the plan escapes —
-// from here on the plan is read-only by construction.
-Status FinishPlan(const Mft& mft, const PipelineOptions& options) {
-  if (options.stream.validator != nullptr) {
-    return Status::InvalidArgument(
-        "a schema validator is per-run mutable state and cannot be baked "
-        "into an immutable CompiledPlan; stream with per-run options via "
-        "StreamTransform instead");
-  }
-  if (options.stream.cancel != nullptr) {
-    return Status::InvalidArgument(
-        "a cancel token is per-request state and cannot be baked into an "
-        "immutable CompiledPlan; pass it per run via RunOptions or per-run "
-        "StreamOptions instead");
-  }
+// Shared tail of Compile and FromMft: force every lazily-compiled piece of
+// the Mft (dispatch tables, RHS symbol ids, the base symbol table) before
+// the plan escapes — from here on the plan is read-only by construction.
+Status FinishPlan(const Mft& mft) {
   XQMFT_RETURN_NOT_OK(mft.Validate());
   mft.dispatch();  // compile-once: warm before the plan is shareable
   // Warm the execution lowering too (or cache the not-lowerable verdict):
@@ -74,7 +60,7 @@ Result<std::shared_ptr<const CompiledPlan>> CompiledPlan::Compile(
     plan->report_.after = plan->report_.before;
   }
   plan->projection_ = DeriveProjection(plan->query_.get());
-  XQMFT_RETURN_NOT_OK(FinishPlan(plan->mft_, options));
+  XQMFT_RETURN_NOT_OK(FinishPlan(plan->mft_));
   return std::shared_ptr<const CompiledPlan>(std::move(plan));
 }
 
@@ -84,7 +70,7 @@ Result<std::shared_ptr<const CompiledPlan>> CompiledPlan::FromMft(
   plan->options_ = options;
   plan->mft_ = std::move(mft);
   plan->projection_ = DeriveProjection(nullptr);
-  XQMFT_RETURN_NOT_OK(FinishPlan(plan->mft_, options));
+  XQMFT_RETURN_NOT_OK(FinishPlan(plan->mft_));
   return std::shared_ptr<const CompiledPlan>(std::move(plan));
 }
 
@@ -127,7 +113,7 @@ Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
                                   StreamStats* stats,
                                   const CancelToken* cancel) const {
   // The one-plan pass of Run and StreamAllTransform*: MultiQueryRun's
-  // serial PumpEngine loop behind the plan's source projection.
+  // serial pull loop behind the plan's source projection.
   RunOptions options;
   options.cancel = cancel;
   std::vector<MultiPlanResult> results;
@@ -196,8 +182,8 @@ Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
   if (stats != nullptr) {
     stats->assign(shard_plan.shards.size(), StreamStats{});
   }
-  // The request's cancel token (never baked — FinishPlan rejects it) rides
-  // in per run and reaches every shard's pass.
+  // The request's cancel token rides in per run and reaches every shard's
+  // pass.
   auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
     PretokShardSource src(&shard_plan, i);
     return StreamEvents(&src, item_sink,
@@ -400,10 +386,6 @@ Status Run(const std::vector<const CompiledPlan*>& plans,
   Status st = FoldPlanFailures(per_plan, results != nullptr);
   if (results != nullptr) *results = std::move(per_plan);
   return st;
-}
-
-Result<Forest> CompiledPlan::Evaluate(const Forest& input) const {
-  return RunMft(mft_, input);
 }
 
 }  // namespace xqmft

@@ -19,11 +19,15 @@
 // for one document; StreamShardedPretok(File) for one sharded pretok
 // stream), and the two StreamAll* functions that feed one source to many
 // plans in a single pass. All of them run one plan-level pass, MultiQueryRun
-// (multiquery/multi_run.h), whose one-plan branch is the serial PumpEngine
-// loop: a plan's output and stats are the same through every entry point.
-// The pass streams through the plans' source projection, so subtrees no
-// plan reads are skipped in the tokenizer; the free StreamTransform*
-// functions (stream/engine.h) stream unprojected and take a validator.
+// (multiquery/multi_run.h), whose one-plan branch is the serial pull loop:
+// a plan's output and stats are the same through every entry point. The
+// pass streams through the plans' source projection, so subtrees no plan
+// reads are skipped in the tokenizer. A plan carries no per-run state:
+// cancellation rides in per run (RunOptions::cancel, StreamEvents'
+// `cancel`), and schema validation is a decorator on the event source
+// (ValidatingSource, schema/schema.h) handed to StreamEvents. A FromMft
+// plan is whole_document, so it streams unprojected: the "projection off"
+// reference of the differential tests.
 //
 // Typical use:
 //
@@ -44,7 +48,6 @@
 #include "parallel/sharded_executor.h"
 #include "stream/engine.h"
 #include "util/status.h"
-#include "xml/forest.h"
 #include "xquery/ast.h"
 
 namespace xqmft {
@@ -55,10 +58,8 @@ struct PipelineOptions {
   /// curves); disable only for measurement.
   bool optimize = true;
   OptimizeOptions optimizer;
-  /// Streaming defaults baked into the plan. stream.validator must be null:
-  /// a schema validator is per-run stateful and would be mutable state
-  /// reachable from every concurrent run of a shared plan — validated runs
-  /// go through the free StreamTransform with per-run options instead.
+  /// Streaming defaults baked into the plan (step budget, tokenization,
+  /// engine core). Per-run state is not among them: see StreamEvents.
   StreamOptions stream;
 };
 
@@ -113,8 +114,8 @@ Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
 ///
 /// Immutability is structural, not conventional: every accessor is const,
 /// the lazily-cached pieces of the Mft (dispatch tables, interned rule ids)
-/// are forced before the constructor returns, and a plan with a schema
-/// validator (per-run mutable state) is rejected at build time. A
+/// are forced before the constructor returns, and the baked options hold
+/// no per-run state (no validator, no cancel token). A
 /// `shared_ptr<const CompiledPlan>` can therefore be handed to any number
 /// of concurrent runs, worker threads, or cache entries without
 /// synchronization: the dispatch is warm before any fan-out by
@@ -177,9 +178,10 @@ class CompiledPlan {
   Status StreamString(const std::string& xml, OutputSink* sink,
                       StreamStats* stats = nullptr) const;
   /// StreamFile and StreamString open their source and call this. `events`
-  /// is any event stream (a parser, a pretok cache, a decorated source).
-  /// `cancel`, when given, is the run's cooperative cancellation token (per
-  /// request, so never baked into the plan).
+  /// is any event stream: a parser, a pretok cache, or a decorated source
+  /// (a ValidatingSource for a schema-validated run, whose violation then
+  /// is the source's error). `cancel`, when given, is the run's cooperative
+  /// cancellation token (per request, so never baked into the plan).
   Status StreamEvents(EventSource* events, OutputSink* sink,
                       StreamStats* stats = nullptr,
                       const CancelToken* cancel = nullptr) const;
@@ -205,10 +207,6 @@ class CompiledPlan {
                                  const RunOptions& options = {},
                                  std::vector<StreamStats>* stats
                                  = nullptr) const;
-
-  /// Non-streaming reference evaluation (whole document in memory); used
-  /// for differential testing and debugging.
-  Result<Forest> Evaluate(const Forest& input) const;
 
  private:
   CompiledPlan() = default;
@@ -242,7 +240,7 @@ Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
 
 /// StreamAllTransform over an already-tokenized event stream (e.g. a pretok
 /// cache); the caller is responsible for tokenization compatibility, as
-/// with StreamTransformEvents.
+/// with StreamEvents.
 Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
                                 EventSource* events,
                                 const std::vector<OutputSink*>& sinks,

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "schema/schema.h"
-
 namespace xqmft {
 namespace lower {
 
@@ -43,15 +41,13 @@ void* OpsEngine::BumpArena::Alloc(std::size_t n) {
 
 OpsEngine::OpsEngine(const LoweredPlan& plan, OutputSink* sink,
                      SymbolTable* symbols, MemoryTracker* tracker,
-                     std::uint64_t max_steps, SchemaValidator* validator,
-                     const CancelToken* cancel,
+                     std::uint64_t max_steps, const CancelToken* cancel,
                      std::uint32_t cancel_check_events)
     : plan_(&plan),
       sink_(sink),
       symbols_(symbols),
       tracker_(tracker),
       max_steps_(max_steps),
-      validator_(validator),
       cancel_(cancel),
       cancel_check_events_(cancel_check_events),
       arena_(tracker),
@@ -769,9 +765,6 @@ Status OpsEngine::Feed(const XmlEvent& event) {
       ++events_since_cancel_check_ >= cancel_check_events_) {
     events_since_cancel_check_ = 0;
     XQMFT_RETURN_NOT_OK(Sticky(cancel_->Check()));
-  }
-  if (validator_ != nullptr) {
-    XQMFT_RETURN_NOT_OK(Sticky(validator_->Feed(event)));
   }
   switch (event.type) {
     case XmlEventType::kStartElement:

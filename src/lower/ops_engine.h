@@ -72,8 +72,6 @@
 
 namespace xqmft {
 
-class SchemaValidator;
-
 namespace lower {
 
 class OpsEngine {
@@ -88,7 +86,7 @@ class OpsEngine {
   /// cancelled run left buffered (stream/engine.h's cancelled-run contract).
   OpsEngine(const LoweredPlan& plan, OutputSink* sink, SymbolTable* symbols,
             MemoryTracker* tracker, std::uint64_t max_steps,
-            SchemaValidator* validator, const CancelToken* cancel = nullptr,
+            const CancelToken* cancel = nullptr,
             std::uint32_t cancel_check_events = 128);
   ~OpsEngine();
   OpsEngine(const OpsEngine&) = delete;
@@ -339,7 +337,6 @@ class OpsEngine {
   SymbolTable* symbols_;
   MemoryTracker* tracker_;
   const std::uint64_t max_steps_;
-  SchemaValidator* validator_;
   const CancelToken* cancel_;
   const std::uint32_t cancel_check_events_;
   std::uint32_t events_since_cancel_check_ = 0;

@@ -30,6 +30,41 @@ struct SymbolRemap {
   }
 };
 
+// The one-engine pull loop of a one-plan pass: binds `events` to the
+// engine's symbol table, primes, and feeds events until the engine's output
+// is complete, it fails, or the document ends. It does not Finish: an
+// engine failure is sticky, so the caller's Finish returns it and fills
+// stats. Returns the event source's failure (malformed input, a schema
+// violation), which leaves the engine unfinished: its Finish would
+// synthesize an end-of-document for a document that never ended. Counts
+// the events fed (end-of-document excluded) and the source bytes consumed
+// by the first output event.
+Status PumpEngine(Engine* engine, EventSource* events,
+                  std::uint64_t* events_fed,
+                  std::size_t* bytes_at_first_output) {
+  events->BindSymbols(engine->symbols());
+  bool saw_output = false;
+  // Pumps never consume input, so reading bytes_consumed() after the Feed
+  // that triggered the first output attributes it to the right byte.
+  auto note_output = [&]() {
+    if (!saw_output && engine->output_events() > 0) {
+      saw_output = true;
+      *bytes_at_first_output = events->bytes_consumed();
+    }
+  };
+  if (!engine->Prime().ok()) return Status::OK();
+  note_output();
+  XmlEvent event;
+  while (!engine->done()) {
+    XQMFT_RETURN_NOT_OK(events->Next(&event));
+    if (!engine->Feed(event).ok()) break;
+    note_output();
+    if (event.type == XmlEventType::kEndOfDocument) break;
+    ++*events_fed;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status MultiQueryRun::CheckPlans() const {
@@ -40,12 +75,6 @@ Status MultiQueryRun::CheckPlans() const {
     if (p.mft == nullptr || p.sink == nullptr) {
       return Status::InvalidArgument(
           "multi-query plan needs a transducer and a sink");
-    }
-    if (p.options.validator != nullptr) {
-      return Status::InvalidArgument(
-          "multi-query streaming does not support schema validators: a "
-          "validator must see the full stream, which source projection "
-          "drops events from");
     }
     if (!SameTokenization(plans_.front().options.sax, p.options.sax)) {
       return Status::InvalidArgument(
@@ -66,9 +95,9 @@ Status MultiQueryRun::Run(EventSource* events) {
   results_.resize(plans_.size());
   first_output_bytes_.assign(plans_.size(), 0);
   engines_.reserve(plans_.size());
-  for (MultiPlanSpec& p : plans_) {
-    p.options.cancel = options_.cancel;
-    engines_.push_back(std::make_unique<Engine>(*p.mft, p.sink, p.options));
+  for (const MultiPlanSpec& p : plans_) {
+    engines_.push_back(
+        std::make_unique<Engine>(*p.mft, p.sink, p.options, options_.cancel));
   }
   std::vector<const QueryProjection*> projections;
   projections.reserve(plans_.size());
@@ -86,7 +115,7 @@ Status MultiQueryRun::Run(EventSource* events) {
   Status st;
   if (plans_.size() == 1) {
     // One plan, whose engine polls the run's token itself: the serial pull
-    // loop, so a one-plan run costs what a single-query run does.
+    // loop, with no master table, remap or event copy.
     st = PumpEngine(engines_[0].get(), events, &forwarded,
                     &first_output_bytes_[0]);
     results_[0].events_fed = forwarded;

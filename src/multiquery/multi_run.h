@@ -13,8 +13,13 @@
 // run's master table; each engine keeps its own run-local table (its rule
 // ids live there), bridged by a lazily grown dense master-id -> engine-id
 // remap, so the per-event per-engine cost is an array index, not a hash
-// lookup. A one-plan run is the serial pull loop (PumpEngine): no master
-// table, no remap, no event copy.
+// lookup. A one-plan run is the serial pull loop over its one engine: no
+// master table, no remap, no event copy.
+//
+// Decorators compose on the source, not on the plans: a caller that wants
+// more than projection — schema validation (ValidatingSource,
+// schema/schema.h), fault injection — wraps the EventSource it passes to
+// Run, and the projection decorator wraps that in turn.
 #ifndef XQMFT_MULTIQUERY_MULTI_RUN_H_
 #define XQMFT_MULTIQUERY_MULTI_RUN_H_
 
@@ -38,10 +43,8 @@ struct MultiPlanSpec {
   /// treated as whole_document and disables the union automaton for the
   /// whole run. Must outlive the run.
   const QueryProjection* projection = nullptr;
-  /// Per-plan step budget etc.; `validator` must be null (a validator reads
-  /// the full stream, incompatible with source projection), and `sax` must
-  /// tokenize identically across all plans of a run. `cancel` is replaced
-  /// by the run's token (RunOptions::cancel).
+  /// Per-plan step budget etc.; `sax` must tokenize identically across all
+  /// plans of a run. The run's cancel token is RunOptions::cancel.
   StreamOptions options;
   OutputSink* sink = nullptr;
 };
@@ -71,7 +74,7 @@ struct RunOptions {
   /// source; off means every engine sees every event (the N-pass count).
   bool union_projection = true;
   /// Run-level cooperative cancellation (batch deadline, client
-  /// disconnect): injected into every engine's StreamOptions and also
+  /// disconnect): passed to every engine (Engine's `cancel`) and also
   /// polled in the shared pump and after every skipped subtree, so
   /// projection-skipped stretches — where no engine sees events — cannot
   /// outrun a deadline. A trip aborts every unfinished plan with the

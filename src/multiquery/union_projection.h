@@ -16,11 +16,12 @@
 // step matches text nodes (or inside a kept subtree).
 //
 // What is never skipped: anything of a run holding a whole_document plan
-// (no decorator is built), and anything of a schema-validated run, which
-// must see every event (a plan cannot carry a validator; validated runs use
-// the free functions). The free StreamTransform* functions never project;
-// they are the "projection off" reference the differential tests compare
-// plan runs against.
+// (no decorator is built) — a FromMft plan is one, and over a compiled
+// plan's transducer it is the "projection off" reference the differential
+// tests compare plan runs against. A schema-validated run still projects:
+// its ValidatingSource (schema/schema.h) sits below this decorator and
+// keeps the pull-and-drop SkipSubtree, so the validator reads every event
+// that the engines never see.
 #ifndef XQMFT_MULTIQUERY_UNION_PROJECTION_H_
 #define XQMFT_MULTIQUERY_UNION_PROJECTION_H_
 

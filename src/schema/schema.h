@@ -17,7 +17,9 @@
 // postfix, parentheses, `text` matches a text node, `any` matches any child.
 // Content models compile to DFAs (Thompson construction + subset); the
 // validator runs one DFA frame per open element, so validation is a
-// constant-work-per-event pass that composes with the streaming engine.
+// constant-work-per-event pass. It composes with the streaming engine as
+// one more event processor on the stream: ValidatingSource decorates the
+// event source every run pulls from, so no engine core knows about it.
 #ifndef XQMFT_SCHEMA_SCHEMA_H_
 #define XQMFT_SCHEMA_SCHEMA_H_
 
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "util/status.h"
+#include "xml/event_source.h"
 #include "xml/events.h"
 #include "xml/forest.h"
 
@@ -68,6 +71,37 @@ class SchemaValidator {
   struct State;
   std::shared_ptr<const Schema> schema_;
   std::unique_ptr<State> state_;
+};
+
+/// \brief EventSource decorator that feeds every event it returns to a
+/// SchemaValidator. A violation is the source's error, returned in place of
+/// the offending event: a run over it fails as on malformed input, and the
+/// sink holds the output of the events before.
+///
+/// It deliberately keeps the base SkipSubtree, which pulls through Next:
+/// a subtree the source projection skips is tokenized and validated event
+/// by event, just not fed to any engine. A validated run therefore still
+/// projects (the engines skip), while validation reads every event.
+class ValidatingSource : public EventSource {
+ public:
+  /// `inner` and `validator` must outlive the source.
+  ValidatingSource(EventSource* inner, SchemaValidator* validator)
+      : inner_(inner), validator_(validator) {}
+
+  Status Next(XmlEvent* event) override {
+    XQMFT_RETURN_NOT_OK(inner_->Next(event));
+    return validator_->Feed(*event);
+  }
+  std::size_t bytes_consumed() const override {
+    return inner_->bytes_consumed();
+  }
+  void BindSymbols(SymbolTable* symbols) override {
+    inner_->BindSymbols(symbols);
+  }
+
+ private:
+  EventSource* inner_;
+  SchemaValidator* validator_;
 };
 
 /// Validates a whole in-memory forest (testing convenience).

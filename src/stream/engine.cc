@@ -6,7 +6,6 @@
 #include "lower/lower.h"
 #include "lower/ops_engine.h"
 #include "mft/dispatch.h"
-#include "schema/schema.h"
 #include "stream/cells.h"
 #include "util/intrusive_ptr.h"
 #include "util/ref_string.h"
@@ -129,7 +128,8 @@ class Expr : public RefCounted {
 // engine.
 struct TableMachine {
   TableMachine(const Mft& mft, OutputSink* sink, const StreamOptions& options,
-               SymbolTable* symbols, MemoryTracker* tracker)
+               const CancelToken* cancel, SymbolTable* symbols,
+               MemoryTracker* tracker)
       : mft_(mft),
         dispatch_(&mft.dispatch()),
         symbols_(symbols),
@@ -138,6 +138,7 @@ struct TableMachine {
         cell_arena_(tracker),
         sink_(sink),
         options_(options),
+        cancel_(cancel),
         builder_(&cell_arena_, symbols) {
     // Transducers that provably never read text content skip the
     // event-to-cell text copy altogether.
@@ -178,13 +179,10 @@ struct TableMachine {
     // Cooperative cancellation, checked before the event does any work so a
     // trip never commits partial output for this event (the cancelled-run
     // contract: the sink ends at the previous event's boundary).
-    if (options_.cancel != nullptr &&
+    if (cancel_ != nullptr &&
         ++events_since_cancel_check_ >= options_.cancel_check_events) {
       events_since_cancel_check_ = 0;
-      XQMFT_RETURN_NOT_OK(Sticky(options_.cancel->Check()));
-    }
-    if (options_.validator != nullptr) {
-      XQMFT_RETURN_NOT_OK(Sticky(options_.validator->Feed(event)));
+      XQMFT_RETURN_NOT_OK(Sticky(cancel_->Check()));
     }
     XQMFT_RETURN_NOT_OK(Sticky(builder_.Feed(event)));
     return Sticky(Pump());
@@ -362,8 +360,8 @@ struct TableMachine {
           // reduction (a no-opt plan pumps its whole buffered output at the
           // end-of-document), so deadlines are also polled on the rule
           // application path, amortized to one clock read per ~1k steps.
-          if (options_.cancel != nullptr && (steps_ & 1023u) == 0) {
-            XQMFT_RETURN_NOT_OK(options_.cancel->Check());
+          if (cancel_ != nullptr && (steps_ & 1023u) == 0) {
+            XQMFT_RETURN_NOT_OK(cancel_->Check());
           }
           ++steps_;
           // Dense dispatch: rule selection is an array index on the interned
@@ -492,6 +490,7 @@ struct TableMachine {
   CellArena cell_arena_;
   OutputSink* sink_;
   StreamOptions options_;
+  const CancelToken* cancel_;  // the run's token; null = not cancellable
   CellBuilder builder_;
   IntrusivePtr<Expr> nil_;
   std::vector<Frame> stack_;
@@ -517,7 +516,8 @@ struct TableMachine {
 // multi-query fan-out, sharding, the service loop — inherits the selection
 // untouched.
 struct Engine::Impl {
-  Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options)
+  Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options,
+       const CancelToken* cancel)
       : symbols(mft.symbols()) {
     const lower::LoweredPlan* lowered = nullptr;
     if (options.engine != EngineChoice::kTable) {
@@ -525,11 +525,11 @@ struct Engine::Impl {
     }
     if (lowered != nullptr) {
       ops_ = std::make_unique<lower::OpsEngine>(
-          *lowered, sink, &symbols, &tracker, options.max_steps,
-          options.validator, options.cancel, options.cancel_check_events);
+          *lowered, sink, &symbols, &tracker, options.max_steps, cancel,
+          options.cancel_check_events);
     } else {
       table_ = std::make_unique<engine_detail::TableMachine>(
-          mft, sink, options, &symbols, &tracker);
+          mft, sink, options, cancel, &symbols, &tracker);
     }
   }
 
@@ -570,8 +570,9 @@ struct Engine::Impl {
   std::unique_ptr<lower::OpsEngine> ops_;
 };
 
-Engine::Engine(const Mft& mft, OutputSink* sink, StreamOptions options)
-    : impl_(std::make_unique<Impl>(mft, sink, options)) {}
+Engine::Engine(const Mft& mft, OutputSink* sink, StreamOptions options,
+               const CancelToken* cancel)
+    : impl_(std::make_unique<Impl>(mft, sink, options, cancel)) {}
 Engine::~Engine() = default;
 
 SymbolTable* Engine::symbols() { return &impl_->symbols; }
@@ -580,69 +581,5 @@ Status Engine::Feed(const XmlEvent& event) { return impl_->Feed(event); }
 Status Engine::Finish(StreamStats* stats) { return impl_->Finish(stats); }
 bool Engine::done() const { return impl_->done(); }
 std::size_t Engine::output_events() const { return impl_->output_events(); }
-
-Status PumpEngine(Engine* engine, EventSource* events,
-                  std::uint64_t* events_fed,
-                  std::size_t* bytes_at_first_output) {
-  events->BindSymbols(engine->symbols());
-  *events_fed = 0;
-  *bytes_at_first_output = 0;
-  bool saw_output = false;
-  // Pumps never consume input, so reading bytes_consumed() after the Feed
-  // that triggered the first output attributes it to the right byte.
-  auto note_output = [&]() {
-    if (!saw_output && engine->output_events() > 0) {
-      saw_output = true;
-      *bytes_at_first_output = events->bytes_consumed();
-    }
-  };
-  if (!engine->Prime().ok()) return Status::OK();
-  note_output();
-  XmlEvent event;
-  while (!engine->done()) {
-    XQMFT_RETURN_NOT_OK(events->Next(&event));
-    if (!engine->Feed(event).ok()) break;
-    note_output();
-    if (event.type == XmlEventType::kEndOfDocument) break;
-    ++*events_fed;
-  }
-  return Status::OK();
-}
-
-Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
-                       StreamOptions options, StreamStats* stats) {
-  SaxParser parser(source, options.sax);
-  return StreamTransformEvents(mft, &parser, sink, options, stats);
-}
-
-// The single-query pull pump: PumpEngine, then Finish. Byte accounting
-// (bytes_in, bytes_in_at_first_output) lives here because only the driver
-// sees the byte source. A source-side failure (malformed XML) must NOT
-// Finish: the engine is still healthy and Finish would synthesize an
-// end-of-document, emitting output for a document that never ended. An
-// engine-side failure (rule miss, step budget, cancellation) is sticky, so
-// Finish returns it and keeps `stats` populated for aborted runs — the
-// cancelled-run contract serving layers rely on for accounting.
-Status StreamTransformEvents(const Mft& mft, EventSource* events,
-                             OutputSink* sink, StreamOptions options,
-                             StreamStats* stats) {
-  Engine engine(mft, sink, options);
-  std::uint64_t fed = 0;
-  std::size_t first_output = 0;
-  XQMFT_RETURN_NOT_OK(PumpEngine(&engine, events, &fed, &first_output));
-  Status st = engine.Finish(stats);
-  if (stats != nullptr) {
-    stats->bytes_in = events->bytes_consumed();
-    stats->bytes_in_at_first_output = first_output;
-  }
-  return st;
-}
-
-Status StreamTransformString(const Mft& mft, const std::string& xml,
-                             OutputSink* sink, StreamOptions options,
-                             StreamStats* stats) {
-  StringSource source(xml);
-  return StreamTransform(mft, &source, sink, options, stats);
-}
 
 }  // namespace xqmft

@@ -25,13 +25,10 @@
 #include "util/cancel.h"
 #include "util/memory_tracker.h"
 #include "util/status.h"
-#include "xml/event_source.h"
 #include "xml/events.h"
 #include "xml/sax_parser.h"
 
 namespace xqmft {
-
-class SchemaValidator;
 
 /// Which execution core runs the transducer. kOps (the default) runs the
 /// lowered opcode engine whenever the plan is lowerable (see lower/lower.h)
@@ -46,26 +43,12 @@ struct StreamOptions {
   /// against non-terminating stay loops in hand-written transducers).
   std::uint64_t max_steps = UINT64_MAX;
   SaxOptions sax;
-  /// Optional one-pass schema validation during the transformation (the
-  /// Section 1 "validate the input during transformation" feature): every
-  /// input event is fed to the validator; a violation aborts the run.
-  SchemaValidator* validator = nullptr;
   /// Execution core selection (see EngineChoice).
   EngineChoice engine = EngineChoice::kOps;
-  /// Optional cooperative cancellation (explicit cancel or deadline): both
-  /// engine cores poll the token every `cancel_check_events` input events
-  /// (and the table machine additionally every ~1k reduction steps, so a
-  /// buffered no-opt pump cannot overshoot a deadline by the whole output).
-  /// A tripped check becomes the run's sticky error — kCancelled or
-  /// kDeadlineExceeded — at an event boundary: stats stay populated through
-  /// Finish and the sink holds exactly the output committed before the trip
-  /// (the cancelled-run contract; see Engine::Finish). Per-run state: must
-  /// be null in options baked into a CompiledPlan — serving layers inject a
-  /// per-request token via RunOptions instead.
-  const CancelToken* cancel = nullptr;
-  /// Cancellation poll cadence in input events. Small enough that a
-  /// deadline trips within tens of microseconds of stream time, large
-  /// enough that the steady-state Feed pays one counter increment.
+  /// Cancellation poll cadence in input events (see Engine's `cancel`).
+  /// Small enough that a deadline trips within tens of microseconds of
+  /// stream time, large enough that the steady-state Feed pays one counter
+  /// increment.
   std::uint32_t cancel_check_events = 128;
 };
 
@@ -89,8 +72,9 @@ struct StreamStats {
   std::size_t bytes_in = 0;        ///< input bytes consumed
   /// Source projection (CompiledPlan runs only, see
   /// multiquery/union_projection.h): subtrees skipped at the source, and
-  /// the input bytes stepped over inside them without building events.
-  /// Both 0 when the run streamed unprojected.
+  /// the input bytes consumed inside them — stepped over without building
+  /// events, unless the source pulls them through (a ValidatingSource
+  /// does). Both 0 when the run streamed unprojected.
   std::uint64_t subtrees_skipped = 0;
   std::size_t bytes_skipped = 0;
   std::size_t output_events = 0;   ///< sink events emitted
@@ -121,24 +105,33 @@ struct StreamStats {
 /// derived from the byte source (`bytes_in`, `bytes_in_at_first_output`)
 /// are the driver's to set — the engine only sees events.
 ///
-/// Errors are sticky: after a failed Feed (rule miss, step budget, schema
-/// violation) every later Feed/Finish returns the same status, and sibling
-/// engines of a multi-query run are unaffected. Finish fills `stats` with
-/// whatever was accumulated even when it returns an error.
+/// Errors are sticky: after a failed Feed (rule miss, step budget,
+/// cancellation) every later Feed/Finish returns the same status, and
+/// sibling engines of a multi-query run are unaffected. Finish fills
+/// `stats` with whatever was accumulated even when it returns an error.
 ///
 /// Each engine owns its run state: the memory tracker, a run-local copy of
 /// the transducer's symbol table, and (table machine only) the cell and
 /// expr slab arenas, all built at construction and freed with the engine.
 ///
-/// Drivers: PumpEngine below (the one-engine pull loop) and MultiQueryRun
-/// (multiquery/multi_run.h), the one plan-level pass. MultiQueryRun runs a
-/// one-plan pass as PumpEngine and fans one event stream into many engines
-/// otherwise; every CompiledPlan::Stream* method, StreamAllTransform* and
-/// Run (core/pipeline.h) stream through it. The free StreamTransform*
-/// functions below are the unprojected pump over one engine.
+/// Every run feeds its engines through MultiQueryRun
+/// (multiquery/multi_run.h), the plan-level pass behind every
+/// CompiledPlan::Stream* method, StreamAllTransform* and Run
+/// (core/pipeline.h): a one-plan pass is the serial pull loop over one
+/// engine, and several plans fan one event stream into many engines. Schema validation is not an engine concern:
+/// it is an event-source decorator (ValidatingSource, schema/schema.h).
 class Engine {
  public:
-  Engine(const Mft& mft, OutputSink* sink, StreamOptions options = {});
+  /// `cancel` (may be null) is the run's cooperative cancellation token
+  /// (explicit cancel or deadline), per run and never part of a plan's
+  /// baked options: both cores poll it every `cancel_check_events` input
+  /// events (and the table machine additionally every ~1k reduction steps,
+  /// so a buffered no-opt pump cannot overshoot a deadline by the whole
+  /// output). A tripped check becomes the run's sticky error — kCancelled
+  /// or kDeadlineExceeded — at an event boundary (see Finish). Must outlive
+  /// the engine.
+  Engine(const Mft& mft, OutputSink* sink, StreamOptions options = {},
+         const CancelToken* cancel = nullptr);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -188,42 +181,6 @@ class Engine {
  private:
   std::unique_ptr<Impl> impl_;
 };
-
-/// The one-engine pull loop: binds `events` to the engine's symbol table,
-/// primes, and feeds events until the engine's output is complete, it
-/// fails, or the document ends. It does not Finish: an engine failure is
-/// sticky, so the caller's Finish returns it and fills stats. Returns the
-/// event source's failure (malformed input), which leaves the engine
-/// unfinished: its Finish would synthesize an end-of-document for a
-/// document that never ended. Counts the events fed (end-of-document
-/// excluded) and the source bytes consumed by the first output event.
-Status PumpEngine(Engine* engine, EventSource* events,
-                  std::uint64_t* events_fed,
-                  std::size_t* bytes_at_first_output);
-
-/// Streams `source` through `mft` into `sink`. The transducer must
-/// Validate() beforehand. A thin pull pump over the push-mode Engine.
-Status StreamTransform(const Mft& mft, ByteSource* source, OutputSink* sink,
-                       StreamOptions options = {},
-                       StreamStats* stats = nullptr);
-
-/// Streams an already-tokenized event stream (e.g. a PretokSource) through
-/// `mft`: PumpEngine, then Finish. The engine binds the source to its
-/// run-local symbol table before pulling, so event ids and rule ids share
-/// one id space; options.sax is ignored (tokenization happened when the
-/// events were produced). The transducer-level path: it streams
-/// unprojected, so it is the one that takes a schema validator
-/// (options.validator sees every event); plan-level runs go through
-/// MultiQueryRun instead. A malformed input returns the source's error
-/// without finishing the engine, and `stats` is then left unset.
-Status StreamTransformEvents(const Mft& mft, EventSource* events,
-                             OutputSink* sink, StreamOptions options = {},
-                             StreamStats* stats = nullptr);
-
-/// Convenience wrapper over an in-memory document.
-Status StreamTransformString(const Mft& mft, const std::string& xml,
-                             OutputSink* sink, StreamOptions options = {},
-                             StreamStats* stats = nullptr);
 
 }  // namespace xqmft
 

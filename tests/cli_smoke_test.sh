@@ -39,8 +39,8 @@ case "$CASE" in
     OUT=$("$XQMFT" run "$QUERY" "$XML") || fail "exit $?"
     expect_contains "$OUT" "$WANT"
     # Source projection: a subtree no path reads is skipped in the
-    # tokenizer and --stats says so; a copy of every element and a
-    # validated run stream unprojected, and --stats says why.
+    # tokenizer and --stats says so; a copy of every element streams
+    # unprojected, and --stats says why.
     PXML="$TMPDIR_SMOKE/proj.xml"
     printf '<doc><skip><x>1</x></skip><item>a</item></doc>' > "$PXML"
     STATS=$("$XQMFT" run --stats "$QUERY" "$PXML" 2>&1) || fail "exit $?"
@@ -52,7 +52,24 @@ case "$CASE" in
     expect_contains "$STATS" "projection: off (copies every element"
     STATS=$("$XQMFT" run --stats --schema "$SCHEMA" "$QUERY" "$XML" 2>&1) \
       || fail "exit $?"
-    expect_contains "$STATS" "projection: off (schema validation"
+    expect_contains "$STATS" "projection: on (subtrees skipped: 0, bytes \
+skipped: 0), schema validation reads every event"
+    # A validated run still projects: the engines skip <note>, while the
+    # validator reads it, so a violation inside it fails the run.
+    NSCHEMA="$TMPDIR_SMOKE/note.sch"
+    printf 'doc -> (item|note)*\nnote -> text\n' > "$NSCHEMA"
+    NXML="$TMPDIR_SMOKE/note.xml"
+    printf '<doc><item>a</item><note>ok</note><item>b</item></doc>' > "$NXML"
+    STATS=$("$XQMFT" run --stats --schema "$NSCHEMA" "$QUERY" "$NXML" 2>&1) \
+      || fail "exit $?"
+    expect_contains "$STATS" "$WANT"
+    expect_contains "$STATS" "projection: on (subtrees skipped: 1, bytes \
+skipped: 9), schema validation reads every event"
+    printf '<doc><item>a</item><note><bad/></note><item>b</item></doc>' \
+      > "$NXML"
+    OUT=$("$XQMFT" run --schema "$NSCHEMA" "$QUERY" "$NXML" 2>&1)
+    test $? -eq 1 || fail "expected exit 1 for a violation in a skipped subtree"
+    expect_contains "$OUT" "schema violation"
     ;;
   run_stdin)
     OUT=$("$XQMFT" run "$QUERY" < "$XML") || fail "exit $?"

@@ -9,6 +9,7 @@
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "event_trace_util.h"
+#include "mft/interp.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 #include "xml/char_class.h"
@@ -28,7 +29,7 @@ TEST(PipelineTest, CompileStreamsAndEvaluatesConsistently) {
   ASSERT_TRUE(cq->StreamString(xml, &sink).ok());
 
   Forest doc = std::move(ParseXmlForest(xml).ValueOrDie());
-  Forest expected = std::move(cq->Evaluate(doc)).ValueOrDie();
+  Forest expected = std::move(RunMft(cq->mft(), doc)).ValueOrDie();
   StringSink expected_sink;
   EmitForest(expected, &expected_sink);
   EXPECT_EQ(sink.str(), expected_sink.str());
@@ -107,16 +108,19 @@ TEST(PipelineTest, PredicateQueriesKeepParameters) {
   EXPECT_FALSE(cq->mft().IsForestTransducer());
 }
 
-// ---- Source projection: plan runs (projected) vs free StreamTransform. ----
+// ---- Source projection: plan runs, projected vs unprojected. ----
 
 // Streams `xml` through `plan` projected (the plan path) and unprojected
-// (the free StreamTransform over the plan's transducer), over a mapped
-// source and chunked sources of 1-7 bytes per Read, with SIMD scanning on
-// and off; output and Status must be identical. Returns the subtrees the
-// mapped projected run skipped.
+// (a FromMft plan over the plan's transducer, which is whole_document),
+// over a mapped source and chunked sources of 1-7 bytes per Read, with SIMD
+// scanning on and off; output and Status must be identical. Returns the
+// subtrees the mapped projected run skipped.
 std::uint64_t ExpectProjectionInvisible(const CompiledPlan& plan,
                                         std::string_view xml,
                                         const std::string& what) {
+  auto off_plan = CompiledPlan::FromMft(plan.mft(), plan.options());
+  EXPECT_TRUE(off_plan.ok()) << what << ": " << off_plan.status().ToString();
+  if (!off_plan.ok()) return 0;
   const bool was_enabled = SimdScanEnabled();
   ExactBuffer buf(xml);
   std::uint64_t skipped = 0;
@@ -134,8 +138,8 @@ std::uint64_t ExpectProjectionInvisible(const CompiledPlan& plan,
       Status on_st = plan.StreamEvents(&on_parser, &on, &stats);
       auto off_src = source();
       StringSink off;
-      Status off_st = StreamTransform(plan.mft(), off_src.get(), &off,
-                                      plan.options().stream);
+      SaxParser off_parser(off_src.get(), plan.options().stream.sax);
+      Status off_st = off_plan.value()->StreamEvents(&off_parser, &off);
       EXPECT_EQ(on_st.ToString(), off_st.ToString())
           << what << " chunk=" << chunk << " simd=" << simd;
       EXPECT_EQ(on.str(), off.str())

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "mft/mft.h"
+#include "plan_util.h"
 #include "stream/dag_sink.h"
 #include "stream/engine.h"
 #include "xml/forest.h"
@@ -67,7 +68,7 @@ TEST(DagSinkTest, ExponentialOutputCompressesToLinearDag) {
   for (int i = 0; i < n; ++i) xml += "<a/>";
 
   DagSink sink;
-  Status st = StreamTransformString(dbl, xml, &sink);
+  Status st = StreamMftString(dbl, xml, &sink);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(sink.total_nodes(), 1u << n);  // 262144 unfolded leaves
   EXPECT_EQ(sink.unique_nodes(), 1u);      // all identical
@@ -80,7 +81,7 @@ TEST(DagSinkTest, MixedContentRoundTripsThroughExpand) {
                                 "qcopy(eps) -> eps\n")
                            .ValueOrDie());
   const char* xml = "<r><a>1</a><a>1</a><b>2</b></r>";
-  ASSERT_TRUE(StreamTransformString(copy, xml, &sink).ok());
+  ASSERT_TRUE(StreamMftString(copy, xml, &sink).ok());
   ASSERT_EQ(sink.roots().size(), 1u);
   EXPECT_EQ(sink.Expand(sink.roots()[0]),
             "<r><a>1</a><a>1</a><b>2</b></r>");

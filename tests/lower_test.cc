@@ -14,6 +14,7 @@
 #include "data/generators.h"
 #include "event_trace_util.h"
 #include "lower/lower.h"
+#include "plan_util.h"
 #include "util/cancel.h"
 #include "mft/mft.h"
 #include "schema/schema.h"
@@ -52,12 +53,12 @@ StreamStats DiffOpsVsTable(const Mft& m, const std::string& xml) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  EXPECT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
+  EXPECT_TRUE(StreamMftString(m, xml, &want, table_opts).ok());
   StreamOptions ops_opts;
   ops_opts.engine = EngineChoice::kOps;
   StringSink got;
   StreamStats stats;
-  Status st = StreamTransformString(m, xml, &got, ops_opts, &stats);
+  Status st = StreamMftString(m, xml, &got, ops_opts, &stats);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(stats.used_ops_engine);
   EXPECT_EQ(got.str(), want.str());
@@ -188,8 +189,7 @@ TEST(LoweredDifferential, Fig3CorpusChunkedRefill) {
     StreamOptions table_opts;
     table_opts.engine = EngineChoice::kTable;
     StringSink want;
-    ASSERT_TRUE(
-        StreamTransformString(plan->mft(), xml, &want, table_opts).ok())
+    ASSERT_TRUE(StreamMftString(plan->mft(), xml, &want, table_opts).ok())
         << q.id;
 
     // Chunked refill: the lowered engine must be insensitive to how the
@@ -199,9 +199,10 @@ TEST(LoweredDifferential, Fig3CorpusChunkedRefill) {
       StreamOptions ops_opts;
       ops_opts.engine = EngineChoice::kOps;
       ChunkedSource source(xml, chunk);
+      SaxParser parser(&source);
       StringSink got;
       StreamStats stats;
-      Status st = StreamTransform(plan->mft(), &source, &got, ops_opts,
+      Status st = StreamMftEvents(plan->mft(), &parser, &got, ops_opts,
                                   &stats);
       ASSERT_TRUE(st.ok()) << q.id << " chunk=" << chunk << ": "
                            << st.ToString();
@@ -228,13 +229,12 @@ TEST(LoweredDifferential, MultiTreeForestInput) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  ASSERT_TRUE(StreamTransformString(plan->mft(), xml, &want, table_opts).ok());
+  ASSERT_TRUE(StreamMftString(plan->mft(), xml, &want, table_opts).ok());
   StreamOptions ops_opts;
   ops_opts.engine = EngineChoice::kOps;
   StringSink got;
   StreamStats stats;
-  ASSERT_TRUE(
-      StreamTransformString(plan->mft(), xml, &got, ops_opts, &stats).ok());
+  ASSERT_TRUE(StreamMftString(plan->mft(), xml, &got, ops_opts, &stats).ok());
   EXPECT_TRUE(stats.used_ops_engine);
   EXPECT_EQ(got.str(), want.str());
 }
@@ -258,13 +258,13 @@ TEST(OpsEngine, ForcedOpsOnUnlowerablePlanFallsBack) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  ASSERT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
+  ASSERT_TRUE(StreamMftString(m, xml, &want, table_opts).ok());
 
   StreamOptions ops_opts;
   ops_opts.engine = EngineChoice::kOps;
   StringSink got;
   StreamStats stats;
-  ASSERT_TRUE(StreamTransformString(m, xml, &got, ops_opts, &stats).ok());
+  ASSERT_TRUE(StreamMftString(m, xml, &got, ops_opts, &stats).ok());
   EXPECT_FALSE(stats.used_ops_engine);
   EXPECT_EQ(stats.cells_arena, 0u);
   EXPECT_GT(stats.cells_created, 0u);
@@ -283,36 +283,41 @@ TEST(OpsEngine, StepBudgetTrips) {
   // Stats are only populated by a successful Finish, so the status is the
   // whole observable here.
   StringSink sink;
-  Status st = StreamTransformString(plan->mft(), xml, &sink, options);
+  Status st = StreamMftString(plan->mft(), xml, &sink, options);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
 
 TEST(OpsEngine, ValidatorRunsUnderOpsEngine) {
+  // Validation is a decorator on the event source, so it composes with the
+  // ops core like any other source.
   auto plan = MustCompile("<out>{$input//b}</out>");
   ASSERT_NE(lower::GetLoweredPlan(plan->mft()), nullptr);
   auto schema = Schema::Parse("a -> b*\nb -> \n");
   ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  StreamOptions ops_opts;
+  ops_opts.engine = EngineChoice::kOps;
 
-  StreamOptions ok_opts;
-  ok_opts.engine = EngineChoice::kOps;
+  StringSource ok_src("<a><b/><b/></a>");
+  SaxParser ok_parser(&ok_src);
   SchemaValidator ok_validator(schema.value());
-  ok_opts.validator = &ok_validator;
+  ValidatingSource ok_events(&ok_parser, &ok_validator);
   StringSink ok_sink;
   StreamStats ok_stats;
-  Status ok_st = StreamTransformString(plan->mft(), "<a><b/><b/></a>",
-                                       &ok_sink, ok_opts, &ok_stats);
+  Status ok_st = StreamMftEvents(plan->mft(), &ok_events, &ok_sink, ops_opts,
+                                 &ok_stats);
   EXPECT_TRUE(ok_st.ok()) << ok_st.ToString();
   EXPECT_TRUE(ok_stats.used_ops_engine);
+  EXPECT_TRUE(ok_validator.complete());
   EXPECT_EQ(ok_sink.str(), "<out><b></b><b></b></out>");
 
-  StreamOptions bad_opts;
-  bad_opts.engine = EngineChoice::kOps;
+  StringSource bad_src("<a><c/></a>");
+  SaxParser bad_parser(&bad_src);
   SchemaValidator bad_validator(schema.value());
-  bad_opts.validator = &bad_validator;
+  ValidatingSource bad_events(&bad_parser, &bad_validator);
   StringSink bad_sink;
-  Status bad_st = StreamTransformString(plan->mft(), "<a><c/></a>",
-                                        &bad_sink, bad_opts);
+  Status bad_st =
+      StreamMftEvents(plan->mft(), &bad_events, &bad_sink, ops_opts);
   EXPECT_FALSE(bad_st.ok());
 }
 
@@ -404,11 +409,23 @@ TEST(Lowerability, MutatorsDropTheLoweringCache) {
     if (m.state_name(q) == "qb") qb = q;
   }
   ASSERT_GE(qb, 0);
+  // An engine over `m` itself reads m's cached lowering; a plan would copy
+  // the transducer, and copies start with no cache.
   StreamOptions ops;
   ops.engine = EngineChoice::kOps;
+  auto stream_x = [&](StringSink* sink, StreamStats* stats) {
+    Engine engine(m, sink, ops);
+    XmlEvent ev;
+    ev.type = XmlEventType::kStartElement;
+    ev.name = "x";
+    ASSERT_TRUE(engine.Feed(ev).ok());
+    ev.type = XmlEventType::kEndElement;
+    ASSERT_TRUE(engine.Feed(ev).ok());
+    ASSERT_TRUE(engine.Finish(stats).ok());
+  };
   StringSink before;
   StreamStats sb;
-  ASSERT_TRUE(StreamTransformString(m, "<x/>", &before, ops, &sb).ok());
+  stream_x(&before, &sb);
   EXPECT_TRUE(sb.used_ops_engine);
   EXPECT_EQ(before.str(), "<a></a>");
 
@@ -416,7 +433,7 @@ TEST(Lowerability, MutatorsDropTheLoweringCache) {
   EXPECT_EQ(m.lowering_cache(), nullptr);
   StringSink after;
   StreamStats sa;
-  ASSERT_TRUE(StreamTransformString(m, "<x/>", &after, ops, &sa).ok());
+  stream_x(&after, &sa);
   EXPECT_TRUE(sa.used_ops_engine);
   EXPECT_EQ(after.str(), "<b></b>");
 }
@@ -482,18 +499,21 @@ TEST(RopeRegisters, SeveralDocumentsMatchTableAtSmallChunks) {
   const std::string docs[] = {"<a><b>one</b>x<b>two</b></a>",
                               "<a>just text</a>",
                               "<a><b/><c><b/></c><b/></a>"};
+  PipelineOptions table_opts;
+  table_opts.stream.engine = EngineChoice::kTable;
+  auto table_plan = CompiledPlan::FromMft(m, table_opts).ValueOrDie();
+  PipelineOptions ops_opts;
+  ops_opts.stream.engine = EngineChoice::kOps;
+  auto ops_plan = CompiledPlan::FromMft(m, ops_opts).ValueOrDie();
   for (const std::string& xml : docs) {
-    StreamOptions table_opts;
-    table_opts.engine = EngineChoice::kTable;
     StringSink want;
-    ASSERT_TRUE(StreamTransformString(m, xml, &want, table_opts).ok());
+    ASSERT_TRUE(table_plan->StreamString(xml, &want).ok());
     for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
       ChunkedSource source(xml, chunk);
+      SaxParser parser(&source);
       StringSink got;
       StreamStats stats;
-      StreamOptions ops_opts;
-      ops_opts.engine = EngineChoice::kOps;
-      Status st = StreamTransform(m, &source, &got, ops_opts, &stats);
+      Status st = ops_plan->StreamEvents(&parser, &got, &stats);
       ASSERT_TRUE(st.ok()) << xml << ": " << st.ToString();
       EXPECT_TRUE(stats.used_ops_engine);
       EXPECT_EQ(got.str(), want.str()) << xml << " chunk=" << chunk;
@@ -511,7 +531,7 @@ TEST(RopeRegisters, StepBudgetTripsMidAppend) {
   for (int i = 0; i < 64; ++i) xml += "<b/>";
   xml += "</a>";
   StringSink sink;
-  Status st = StreamTransformString(m, xml, &sink, options);
+  Status st = StreamMftString(m, xml, &sink, options);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
@@ -532,16 +552,17 @@ TEST(LoweredDifferential, Section21TableOnlyChunkedRefill) {
   StreamOptions table_opts;
   table_opts.engine = EngineChoice::kTable;
   StringSink want;
-  ASSERT_TRUE(StreamTransformString(plan->mft(), xml, &want, table_opts).ok());
+  ASSERT_TRUE(StreamMftString(plan->mft(), xml, &want, table_opts).ok());
   for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                             std::size_t{64}, std::size_t{4096}}) {
     ChunkedSource source(xml, chunk);
+    SaxParser parser(&source);
     StringSink got;
     StreamStats stats;
     StreamOptions ops_opts;
     ops_opts.engine = EngineChoice::kOps;
     Status st =
-        StreamTransform(plan->mft(), &source, &got, ops_opts, &stats);
+        StreamMftEvents(plan->mft(), &parser, &got, ops_opts, &stats);
     ASSERT_TRUE(st.ok()) << "chunk=" << chunk << ": " << st.ToString();
     EXPECT_EQ(got.str(), want.str()) << "chunk=" << chunk;
     EXPECT_FALSE(stats.used_ops_engine);
@@ -560,14 +581,16 @@ StreamStats DiffCores(const Mft& m, const std::string& xml,
   StreamOptions table_opts = base;
   table_opts.engine = EngineChoice::kTable;
   ChunkedSource table_src(xml, chunk);
+  SaxParser table_parser(&table_src, table_opts.sax);
   StringSink want;
-  Status ts = StreamTransform(m, &table_src, &want, table_opts);
+  Status ts = StreamMftEvents(m, &table_parser, &want, table_opts);
   StreamOptions ops_opts = base;
   ops_opts.engine = EngineChoice::kOps;
   ChunkedSource ops_src(xml, chunk);
+  SaxParser ops_parser(&ops_src, ops_opts.sax);
   StringSink got;
   StreamStats stats;
-  Status os = StreamTransform(m, &ops_src, &got, ops_opts, &stats);
+  Status os = StreamMftEvents(m, &ops_parser, &got, ops_opts, &stats);
   EXPECT_EQ(os.code(), ts.code()) << os.ToString() << " vs " << ts.ToString();
   EXPECT_EQ(got.str(), want.str()) << xml;
   return stats;
@@ -687,7 +710,7 @@ TEST(ChoiceFrames, StepBudgetTripsInsideChoice) {
     StreamOptions o = budget;
     o.engine = engine;
     StringSink sink;
-    Status st = StreamTransformString(plan->mft(), xml, &sink, o);
+    Status st = StreamMftString(plan->mft(), xml, &sink, o);
     EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
   }
 }
@@ -702,10 +725,9 @@ void CheckCancelAt(const Mft& m, const std::vector<TracedEvent>& events,
   CancelToken token;
   StreamOptions o;
   o.engine = EngineChoice::kOps;
-  o.cancel = &token;
   o.cancel_check_events = 1;
   StringSink sink;
-  Engine engine(m, &sink, o);
+  Engine engine(m, &sink, o, &token);
   ASSERT_TRUE(engine.Prime().ok());
   for (std::size_t i = 0; i < events.size(); ++i) {
     XmlEvent ev;
@@ -738,7 +760,7 @@ void CheckCancelEverywhere(const Mft& m, const std::string& xml,
   StreamOptions o;
   o.engine = EngineChoice::kTable;
   StringSink full;
-  ASSERT_TRUE(StreamTransformString(m, xml, &full, o).ok());
+  ASSERT_TRUE(StreamMftString(m, xml, &full, o).ok());
   StringSource src(xml);
   Result<std::vector<TracedEvent>> trace = Trace(&src);
   ASSERT_TRUE(trace.ok());

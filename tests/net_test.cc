@@ -31,6 +31,7 @@
 #include "data/generators.h"
 #include "net/scheduler.h"
 #include "net/server.h"
+#include "plan_util.h"
 #include "service/fault.h"
 #include "service/json.h"
 #include "service/serve.h"
@@ -104,11 +105,10 @@ void CheckCancelledRunContract(EngineChoice choice, bool expect_ops) {
   StreamOptions options;
   options.engine = choice;
   CancelToken token;
-  options.cancel = &token;
   options.cancel_check_events = 1;  // trip at the very next event
 
   StringSink sink;
-  Engine engine(plan.value()->mft(), &sink, options);
+  Engine engine(plan.value()->mft(), &sink, options, &token);
   const std::string doc = BigDoc(500);
   StringSource source(doc);
   SaxParser parser(&source, {});
@@ -160,12 +160,11 @@ TEST(EngineCancelContractTest, ExpiredDeadlineTripsAsDeadlineExceeded) {
     options.engine = choice;
     CancelToken token;
     token.SetDeadlineAfterMs(0);  // already expired: first check trips
-    options.cancel = &token;
     options.cancel_check_events = 1;
     StringSink sink;
     StreamStats stats;
-    Status st = StreamTransformString(plan.value()->mft(), BigDoc(300),
-                                      &sink, options, &stats);
+    Status st = StreamMftString(plan.value()->mft(), BigDoc(300), &sink,
+                                options, &stats, &token);
     EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
     // The run aborted well before consuming the input.
     EXPECT_LT(stats.bytes_in, BigDoc(300).size());
@@ -180,17 +179,15 @@ TEST(DeadlineTest, TripsMidDocumentWithinTolerance) {
   const std::string doc = BigDoc(200000);  // ~3.6 MB
 
   StringSink full;
-  ASSERT_TRUE(
-      StreamTransformString(plan.value()->mft(), doc, &full).ok());
+  ASSERT_TRUE(StreamMftString(plan.value()->mft(), doc, &full).ok());
 
   constexpr std::uint64_t kDeadlineMs = 10;
-  StreamOptions options;
   CancelToken token;
   token.SetDeadlineAfterMs(kDeadlineMs);
-  options.cancel = &token;
   StringSink sink;
   Clock::time_point start = Clock::now();
-  Status st = StreamTransformString(plan.value()->mft(), doc, &sink, options);
+  Status st =
+      StreamMftString(plan.value()->mft(), doc, &sink, {}, nullptr, &token);
   double elapsed = ElapsedMs(start);
 
   if (st.ok()) {

@@ -18,6 +18,7 @@
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "event_trace_util.h"
+#include "mft/interp.h"
 #include "stream/engine.h"
 #include "util/rng.h"
 #include "xml/events.h"
@@ -346,13 +347,16 @@ TEST(PretokSkipTest, SkipMatchesReplayOnCorruptStreams) {
 
 TEST(PretokSkipTest, ProjectedRunMatchesFullReplay) {
   // A plan run over pretok input skips records (CompiledPlan::StreamEvents
-  // projects); the free StreamTransformEvents replays every event. Output
-  // and Status must be identical, also on truncated and corrupt streams.
+  // projects); a FromMft plan over the same transducer is whole_document
+  // and replays every event. Output and Status must be identical, also on
+  // truncated and corrupt streams.
   const std::string bytes = Tokenize(
       GenerateDatasetString(DatasetKind::kXmark, 1500, 3).ValueOrDie());
   for (const char* id : {"q01", "q02", "q13", "q16", "q17"}) {
     auto plan = CompiledPlan::Compile(QueryById(id).text).ValueOrDie();
     ASSERT_FALSE(plan->projection().whole_document) << id;
+    auto full_plan =
+        CompiledPlan::FromMft(plan->mft(), plan->options()).ValueOrDie();
     auto run_both = [&](std::string_view stream, const std::string& what) {
       ExactBuffer buf(stream);
       PretokSource projected_src(buf.view());
@@ -362,8 +366,7 @@ TEST(PretokSkipTest, ProjectedRunMatchesFullReplay) {
           plan->StreamEvents(&projected_src, &projected_out, &stats);
       PretokSource full_src(buf.view());
       StringSink full_out;
-      Status full = StreamTransformEvents(plan->mft(), &full_src, &full_out,
-                                          plan->options().stream);
+      Status full = full_plan->StreamEvents(&full_src, &full_out);
       EXPECT_EQ(projected.ToString(), full.ToString()) << id << " " << what;
       EXPECT_EQ(projected_out.str(), full_out.str()) << id << " " << what;
       return stats.subtrees_skipped;
@@ -426,7 +429,7 @@ TEST_P(PretokEquivalence, PretokMatchesTextStreaming) {
 
   // Both agree with the non-streaming reference evaluation.
   StringSink expected;
-  Forest ref = std::move(cq->Evaluate(doc).ValueOrDie());
+  Forest ref = std::move(RunMft(cq->mft(), doc).ValueOrDie());
   EmitForest(ref, &expected);
   EXPECT_EQ(text_out.str(), expected.str()) << bq.id << " (reference)";
 }

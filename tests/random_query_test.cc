@@ -34,6 +34,7 @@
 #include "core/pipeline.h"
 #include "gcx/gcx_engine.h"
 #include "lower/lower.h"
+#include "plan_util.h"
 #include "service/query_cache.h"
 #include "mft/interp.h"
 #include "mft/optimize.h"
@@ -273,7 +274,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
 
     // 4. Optimized MFT, streamed.
     StringSink stream_sink;
-    Status st = StreamTransformString(opt, xml, &stream_sink);
+    Status st = StreamMftString(opt, xml, &stream_sink);
     ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
     ASSERT_EQ(stream_sink.str(), want.str())
         << "streaming vs reference\nquery: " << text << "\ndoc: " << xml;
@@ -421,8 +422,8 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       table_opts.engine = EngineChoice::kTable;
       StringSink table_sink;
       StreamStats table_stats;
-      Status ts = StreamTransformString(opt, doc.value, &table_sink,
-                                        table_opts, &table_stats);
+      Status ts = StreamMftString(opt, doc.value, &table_sink, table_opts,
+                                  &table_stats);
       ASSERT_TRUE(ts.ok()) << text << "\n" << ts.ToString();
       ASSERT_FALSE(table_stats.used_ops_engine) << text;
 
@@ -430,8 +431,8 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
       ops_opts.engine = EngineChoice::kOps;
       StringSink ops_sink;
       StreamStats ops_stats;
-      Status os = StreamTransformString(opt, doc.value, &ops_sink, ops_opts,
-                                        &ops_stats);
+      Status os = StreamMftString(opt, doc.value, &ops_sink, ops_opts,
+                                  &ops_stats);
       ASSERT_TRUE(os.ok()) << text << "\n" << os.ToString();
       ASSERT_EQ(ops_stats.used_ops_engine, lowers) << text;
       if (lowers) {
@@ -483,7 +484,7 @@ TEST_P(RandomPredicateProperty, TableOpsAndReferenceAgree) {
       o.engine = engine;
       StringSink got;
       StreamStats stats;
-      Status st = StreamTransformString(opt, xml, &got, o, &stats);
+      Status st = StreamMftString(opt, xml, &got, o, &stats);
       ASSERT_TRUE(st.ok()) << text << "\n" << st.ToString();
       ASSERT_EQ(got.str(), want.str())
           << (engine == EngineChoice::kOps ? "ops" : "table")

@@ -1,12 +1,13 @@
 // Tests for streaming schema validation (the Section 1 "validate the input
 // during transformation" feature): the hedge-grammar parser, content-model
 // regexes, the event-driven validator, and the one-pass integration with
-// the streaming engine.
+// the streaming engine through ValidatingSource.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
+#include "core/pipeline.h"
 #include "mft/mft.h"
 #include "schema/schema.h"
 #include "stream/engine.h"
@@ -119,30 +120,75 @@ TEST(SchemaValidateTest, ValidatorReportsCompletion) {
   EXPECT_TRUE(v.complete());
 }
 
+// Streams `xml` through `plan` behind a ValidatingSource for `schema`.
+Status StreamValidated(const CompiledPlan& plan,
+                       std::shared_ptr<const Schema> schema,
+                       const std::string& xml, OutputSink* sink,
+                       StreamStats* stats = nullptr) {
+  SchemaValidator validator(std::move(schema));
+  StringSource source(xml);
+  SaxParser parser(&source, plan.options().stream.sax);
+  ValidatingSource events(&parser, &validator);
+  return plan.StreamEvents(&events, sink, stats);
+}
+
 // One pass: transformation and validation share the same event stream.
 TEST(SchemaStreamTest, ValidationDuringTransformation) {
   Mft copy = std::move(ParseMft("qcopy(%t(x1)x2) -> %t(qcopy(x1)) qcopy(x2)\n"
                                 "qcopy(eps) -> eps\n")
                            .ValueOrDie());
+  auto plan = CompiledPlan::FromMft(std::move(copy)).ValueOrDie();
   auto schema = MustParseSchema("r -> a* b");
 
   {
-    SchemaValidator v(schema);
-    StreamOptions opts;
-    opts.validator = &v;
     StringSink sink;
-    Status st = StreamTransformString(copy, "<r><a/><a/><b/></r>", &sink, opts);
+    Status st = StreamValidated(*plan, schema, "<r><a/><a/><b/></r>", &sink);
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(sink.str(), "<r><a></a><a></a><b></b></r>");
   }
   {
-    SchemaValidator v(schema);
-    StreamOptions opts;
-    opts.validator = &v;
     StringSink sink;
-    Status st = StreamTransformString(copy, "<r><b/><a/></r>", &sink, opts);
+    Status st = StreamValidated(*plan, schema, "<r><b/><a/></r>", &sink);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Validation composes with source projection on both engine cores: the
+// projection keeps the <note> subtree from the engine, yet the validator
+// still reads it (ValidatingSource keeps the pull-and-drop SkipSubtree, so
+// a skip never bypasses it). A byte-skipping override would miss <bad/>.
+TEST(SchemaStreamTest, SubtreesSkippedByProjectionAreStillValidated) {
+  auto schema = MustParseSchema("doc -> (item|note)*\nnote -> text");
+  const std::string query =
+      "<out>{ for $x in $input/doc/item return <hit>{$x/text()}</hit> }"
+      "</out>";
+  for (EngineChoice engine : {EngineChoice::kTable, EngineChoice::kOps}) {
+    PipelineOptions options;
+    options.stream.engine = engine;
+    auto plan = CompiledPlan::Compile(query, options).ValueOrDie();
+    ASSERT_FALSE(plan->projection().whole_document);
+
+    StringSink bad_sink;
+    Status bad = StreamValidated(
+        *plan, schema,
+        "<doc><item>a</item><note><bad/></note><item>b</item></doc>",
+        &bad_sink);
+    EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bad.message(),
+              "schema violation: <bad> not allowed here inside <note>");
+    EXPECT_EQ(bad_sink.str(), "<out><hit>a</hit>");
+
+    StringSink ok_sink;
+    StreamStats stats;
+    Status ok = StreamValidated(
+        *plan, schema,
+        "<doc><item>a</item><note>ok</note><item>b</item></doc>", &ok_sink,
+        &stats);
+    EXPECT_TRUE(ok.ok()) << ok.ToString();
+    EXPECT_EQ(ok_sink.str(), "<out><hit>a</hit><hit>b</hit></out>");
+    EXPECT_EQ(stats.subtrees_skipped, 1u);
+    EXPECT_EQ(stats.used_ops_engine, engine == EngineChoice::kOps);
   }
 }
 

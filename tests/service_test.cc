@@ -624,13 +624,6 @@ TEST(CompiledPlanTest, FromMftServesParallelRunsWithoutManualWarm) {
   EXPECT_EQ(sink.str(), "<r><a>x</a></r><r><b>y</b></r>");
 }
 
-TEST(CompiledPlanTest, RejectsPerRunValidatorState) {
-  PipelineOptions options;
-  SchemaValidator* bogus = reinterpret_cast<SchemaValidator*>(0x1);
-  options.stream.validator = bogus;
-  EXPECT_FALSE(CompiledPlan::Compile(QueryFor("a"), options).ok());
-}
-
 TEST(CompiledPlanTest, PeakMemoryIsPerRunNotCumulative) {
   // Pin the table machine: the ops engine streams this query at a flat,
   // document-independent peak, which would make the two peaks equal and

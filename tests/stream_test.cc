@@ -11,6 +11,7 @@
 #include "mft/interp.h"
 #include "mft/mft.h"
 #include "mft/optimize.h"
+#include "plan_util.h"
 #include "stream/cells.h"
 #include "stream/engine.h"
 #include "translate/translate.h"
@@ -31,9 +32,9 @@ Mft MustParseMft(const std::string& text) {
 std::string StreamToMarkup(const Mft& mft, const std::string& xml,
                            StreamStats* stats = nullptr) {
   StringSink sink;
-  Status st = StreamTransformString(mft, xml, &sink, {}, stats);
+  Status st = StreamMftString(mft, xml, &sink, {}, stats);
   if (!st.ok()) {
-    ADD_FAILURE() << "StreamTransform: " << st.ToString();
+    ADD_FAILURE() << "StreamMftString: " << st.ToString();
     return "";
   }
   return sink.str();
@@ -188,7 +189,7 @@ TEST(StreamEngineTest, StepBudgetCatchesDivergence) {
   StreamOptions opts;
   opts.max_steps = 10'000;
   StringSink sink;
-  Status st = StreamTransformString(m, "<a/>", &sink, opts);
+  Status st = StreamMftString(m, "<a/>", &sink, opts);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
@@ -197,7 +198,7 @@ TEST(StreamEngineTest, MalformedInputSurfacesParserError) {
   Mft m = MustParseMft(
       "qcopy(%t(x1)x2) -> %t(qcopy(x1)) qcopy(x2)\nqcopy(eps) -> eps\n");
   StringSink sink;
-  Status st = StreamTransformString(m, "<a><b></a>", &sink);
+  Status st = StreamMftString(m, "<a><b></a>", &sink);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
@@ -292,9 +293,9 @@ TEST(StreamMemoryTest, OptimizedSelectionRunsInBoundedMemory) {
   StreamStats small_stats, large_stats;
   StringSink s1, s2;
   ASSERT_TRUE(
-      StreamTransformString(opt, PersonDoc(50), &s1, {}, &small_stats).ok());
+      StreamMftString(opt, PersonDoc(50), &s1, {}, &small_stats).ok());
   ASSERT_TRUE(
-      StreamTransformString(opt, PersonDoc(1600), &s2, {}, &large_stats).ok());
+      StreamMftString(opt, PersonDoc(1600), &s2, {}, &large_stats).ok());
   // 32x more input; peak memory must stay flat (well under 3x).
   EXPECT_LT(large_stats.peak_bytes, small_stats.peak_bytes * 3)
       << "small=" << small_stats.peak_bytes
@@ -310,9 +311,9 @@ TEST(StreamMemoryTest, UnoptimizedTransducerBuffersTheInput) {
   StreamStats small_stats, large_stats;
   StringSink s1, s2;
   ASSERT_TRUE(
-      StreamTransformString(raw, PersonDoc(50), &s1, {}, &small_stats).ok());
+      StreamMftString(raw, PersonDoc(50), &s1, {}, &small_stats).ok());
   ASSERT_TRUE(
-      StreamTransformString(raw, PersonDoc(1600), &s2, {}, &large_stats).ok());
+      StreamMftString(raw, PersonDoc(1600), &s2, {}, &large_stats).ok());
   // 32x more input; the unoptimized engine must show clear growth.
   EXPECT_GT(large_stats.peak_bytes, small_stats.peak_bytes * 8)
       << "small=" << small_stats.peak_bytes
@@ -330,9 +331,9 @@ TEST(StreamMemoryTest, DoubleQueryMustBufferByDesign) {
   StreamStats small_stats, large_stats;
   StringSink s1, s2;
   ASSERT_TRUE(
-      StreamTransformString(opt, PersonDoc(50), &s1, {}, &small_stats).ok());
+      StreamMftString(opt, PersonDoc(50), &s1, {}, &small_stats).ok());
   ASSERT_TRUE(
-      StreamTransformString(opt, PersonDoc(800), &s2, {}, &large_stats).ok());
+      StreamMftString(opt, PersonDoc(800), &s2, {}, &large_stats).ok());
   EXPECT_GT(large_stats.peak_bytes, small_stats.peak_bytes * 4);
 }
 
@@ -344,7 +345,7 @@ TEST(StreamMemoryTest, IncrementalEmissionStartsEarly) {
   std::string xml = PersonDoc(2000);
   StreamStats stats;
   StringSink sink;
-  ASSERT_TRUE(StreamTransformString(opt, xml, &sink, {}, &stats).ok());
+  ASSERT_TRUE(StreamMftString(opt, xml, &sink, {}, &stats).ok());
   EXPECT_GT(sink.str().size(), 0u);
   EXPECT_LT(stats.bytes_in_at_first_output, xml.size() / 10)
       << "first output after " << stats.bytes_in_at_first_output << " of "
@@ -366,7 +367,7 @@ TEST(StreamMemoryTest, VeryDeepDocumentsStreamInLinearTime) {
   for (int i = 0; i < depth; ++i) xml += "</a>";
   StringSink sink;
   StreamStats stats;
-  Status st = StreamTransformString(opt, xml, &sink, {}, &stats);
+  Status st = StreamMftString(opt, xml, &sink, {}, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(sink.str(), "<out>x</out>");
   // Linear work: a small constant number of rule applications per level.
@@ -381,7 +382,7 @@ TEST(StreamMemoryTest, StatsArePopulated) {
   // the refcounted cell/expr counters stay at zero.
   StreamStats stats;
   StringSink sink;
-  ASSERT_TRUE(StreamTransformString(m, "<a><b/>t</a>", &sink, {}, &stats).ok());
+  ASSERT_TRUE(StreamMftString(m, "<a><b/>t</a>", &sink, {}, &stats).ok());
   EXPECT_TRUE(stats.used_ops_engine);
   EXPECT_GT(stats.cells_arena, 0u);
   EXPECT_EQ(stats.cells_created, 0u);
@@ -397,8 +398,7 @@ TEST(StreamMemoryTest, StatsArePopulated) {
   table.engine = EngineChoice::kTable;
   StreamStats tstats;
   StringSink tsink;
-  ASSERT_TRUE(
-      StreamTransformString(m, "<a><b/>t</a>", &tsink, table, &tstats).ok());
+  ASSERT_TRUE(StreamMftString(m, "<a><b/>t</a>", &tsink, table, &tstats).ok());
   EXPECT_FALSE(tstats.used_ops_engine);
   EXPECT_EQ(tstats.cells_arena, 0u);
   EXPECT_GT(tstats.cells_created, 0u);

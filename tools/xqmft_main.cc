@@ -367,24 +367,21 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
         "--schema, --dag and --pretok-cache cannot combine with multi-query "
         "--query"));
   }
-  // Serial runs may carry per-run state (the schema validator) on top of
-  // the plan's baked-in stream options; parallel runs may not.
-  StreamOptions options = plan.options().stream;
-  std::shared_ptr<const Schema> schema;
+  // --schema validates on the source (ValidatingSource): per-run state,
+  // so serial runs only.
+  const SaxOptions& sax = plan.options().stream.sax;
   std::unique_ptr<SchemaValidator> validator;
   if (!flags.schema_path.empty()) {
     Result<std::string> text = FileOrInline(flags.schema_path);
     if (!text.ok()) return Fail(text.status());
-    Result<std::shared_ptr<const Schema>> s = Schema::Parse(text.value());
-    if (!s.ok()) return Fail(s.status());
-    schema = s.value();
-    validator = std::make_unique<SchemaValidator>(schema);
-    options.validator = validator.get();
+    Result<std::shared_ptr<const Schema>> schema = Schema::Parse(text.value());
+    if (!schema.ok()) return Fail(schema.status());
+    validator = std::make_unique<SchemaValidator>(schema.value());
   }
 
   const bool parallel =
       flags.threads_set || inputs.size() > 1 || multi_query;
-  if (parallel && options.validator != nullptr) {
+  if (parallel && validator != nullptr) {
     return Fail(Status::InvalidArgument(
         "schema validation is per-run stateful and not supported by "
         "parallel runs; validate inputs individually"));
@@ -409,17 +406,17 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
     bool comparable = !input_arg.empty() && IsFile(input_arg);
     bool cache_fresh =
         comparable
-            ? PretokCacheValid(flags.pretok_cache, input_arg, options.sax)
+            ? PretokCacheValid(flags.pretok_cache, input_arg, sax)
             : IsFile(flags.pretok_cache);
     if (!cache_fresh) {
       Status st;
       if (input_arg.empty()) {
         StdinSource stdin_source;
         std::string bytes;
-        st = PretokenizeXml(&stdin_source, options.sax, &bytes);
+        st = PretokenizeXml(&stdin_source, sax, &bytes);
         if (st.ok()) st = WritePretokFile(bytes, flags.pretok_cache);
       } else {
-        st = PretokenizeXmlFile(input_arg, flags.pretok_cache, options.sax);
+        st = PretokenizeXmlFile(input_arg, flags.pretok_cache, sax);
       }
       if (!st.ok()) return Fail(st);
     } else if (input_arg.empty()) {
@@ -469,14 +466,13 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
     }
   } else if (flags.pretok_cache.empty() && input_arg.empty()) {
     serial.bytes = std::make_unique<StdinSource>();
-    serial.events = std::make_unique<SaxParser>(serial.bytes.get(),
-                                                options.sax);
+    serial.events = std::make_unique<SaxParser>(serial.bytes.get(), sax);
   } else {
     Result<OpenedInput> in = OpenParallelInput(
         flags.pretok_cache.empty()
             ? FileInput(input_arg)
             : ParallelInput::PretokFile(flags.pretok_cache),
-        options.sax);
+        sax);
     if (!in.ok()) return Fail(in.status());
     serial = std::move(in).value();
   }
@@ -539,13 +535,13 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
       *stats = AggregateStreamStats(results.front().per_input);
       return st;
     }
-    // A validator must see every event, so validated runs stream
-    // unprojected through the free functions; the rest take the plan path,
-    // which projects.
-    return options.validator != nullptr
-               ? StreamTransformEvents(plan.mft(), serial.events.get(), sink,
-                                       options, stats)
-               : plan.StreamEvents(serial.events.get(), sink, stats);
+    if (validator == nullptr) {
+      return plan.StreamEvents(serial.events.get(), sink, stats);
+    }
+    // The validator sees every event, those of projection-skipped subtrees
+    // included; a violation fails the run as malformed input would.
+    ValidatingSource validating(serial.events.get(), validator.get());
+    return plan.StreamEvents(&validating, sink, stats);
   };
 
   StreamStats stats;
@@ -588,19 +584,19 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
                  stats.used_ops_engine ? "ops" : "table",
                  lowered ? "yes" : "no", why.c_str());
     // The projection verdict: whether the run skipped subtrees at the
-    // source, and if not, why.
-    if (options.validator != nullptr) {
-      std::fprintf(stderr, "projection: off (schema validation reads every "
-                           "event)\n");
-    } else if (plan.projection().whole_document) {
-      std::fprintf(stderr, "projection: off (%s)\n",
-                   plan.projection().why.c_str());
+    // source, and if not, why. Under --schema the skipped subtrees reach
+    // the validator, though no engine.
+    const char* validation =
+        validator != nullptr ? ", schema validation reads every event" : "";
+    if (plan.projection().whole_document) {
+      std::fprintf(stderr, "projection: off (%s)%s\n",
+                   plan.projection().why.c_str(), validation);
     } else {
       std::fprintf(stderr,
                    "projection: on (subtrees skipped: %llu, bytes skipped: "
-                   "%zu)\n",
+                   "%zu)%s\n",
                    static_cast<unsigned long long>(stats.subtrees_skipped),
-                   stats.bytes_skipped);
+                   stats.bytes_skipped, validation);
     }
   }
   return 0;
@@ -820,13 +816,12 @@ int main(int argc, char** argv) {
     Result<std::unique_ptr<ByteSource>> src = MmapSource::Open(args[1]);
     if (!src.ok()) return Fail(src.status());
     SaxParser parser(src.value().get());
-    SchemaValidator v(schema.value());
+    SchemaValidator validator(schema.value());
+    ValidatingSource validating(&parser, &validator);
     XmlEvent ev;
     do {
-      Status st = parser.Next(&ev);
+      Status st = validating.Next(&ev);
       if (!st.ok()) return Fail(st);
-      Status vs = v.Feed(ev);
-      if (!vs.ok()) return Fail(vs);
     } while (ev.type != XmlEventType::kEndOfDocument);
     std::printf("valid\n");
     return 0;

@@ -1,24 +1,21 @@
-// Scaling curves for the parallel sharding layer (src/parallel/).
+// Scaling curves for document-set parallelism (Run over src/parallel/'s
+// worker pool).
 //
-// Three series, each swept over a thread count list so the scaling curve is
+// Two series, each swept over a thread count list so the scaling curve is
 // one filter away:
 //
 //   docset/<q>/xmark_<M>MBx<K>/threads:<N>
-//       document-set sharding: K copies of one XMark file streamed as a
-//       work queue across N workers, text-XML input (parse + transform per
-//       item). threads:1 is the serial baseline of the speedup column.
+//       K copies of one XMark file streamed as a work queue across N
+//       workers, text-XML input (parse + transform per item). threads:1 is
+//       the serial baseline of the speedup column.
 //   docset_pretok/<q>/xmark_<M>MBx<K>/threads:<N>
 //       the same document set served from pretok event caches: the
-//       parse-free serving shape, where sharding shows its best scaling
+//       parse-free serving shape, where the pool shows its best scaling
 //       (tokenization is not re-paid per item).
-//   sharded/<q>/forest_<K>x<M>MB/threads:<N>
-//       single-document sharding: one pretok cache holding a K-tree forest
-//       is split at top-level forest boundaries into K byte ranges, each
-//       evaluated by its own engine.
 //
 // Environment knobs:
 //   XQMFT_BENCH_PAR_SIZE_MB       per-document XMark size (default 1)
-//   XQMFT_BENCH_PAR_ITEMS         documents / forest trees (default 8)
+//   XQMFT_BENCH_PAR_ITEMS         documents per set (default 8)
 //   XQMFT_BENCH_PAR_QUERY        query id (default q01)
 //   XQMFT_BENCH_PAR_THREADS_LIST comma list of thread counts ("1,2,4,8")
 //
@@ -40,7 +37,6 @@
 #include "util/strings.h"
 #include "xml/events.h"
 #include "xml/pretok.h"
-#include "xml/sax_parser.h"
 
 namespace xqmft {
 namespace {
@@ -63,35 +59,6 @@ Result<std::string> EnsurePretok(const std::string& xml_path) {
   std::string ptk = xml_path + ".ptk";
   if (PretokCacheValid(ptk, xml_path)) return ptk;
   XQMFT_RETURN_NOT_OK(PretokenizeXmlFile(xml_path, ptk));
-  return ptk;
-}
-
-// A K-tree forest cache: the dataset's event stream repeated K times under
-// one header, eod only at the very end — the shape the top-level splitter
-// fans out. Written with no source identity (it is derived, not a
-// tokenization of one file), so cache freshness falls back to the
-// strictly-newer mtime rule.
-Result<std::string> EnsureForestPretok(const std::string& xml_path,
-                                       std::size_t copies) {
-  std::string ptk = xml_path + StrFormat(".forest%zu.ptk", copies);
-  if (PretokCacheValid(ptk, xml_path)) return ptk;
-  std::string bytes;
-  PretokWriter writer(&bytes);
-  XmlEvent ev;
-  for (std::size_t c = 0; c < copies; ++c) {
-    XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
-                           MmapSource::Open(xml_path));
-    SaxParser parser(src.get());
-    while (true) {
-      XQMFT_RETURN_NOT_OK(parser.Next(&ev));
-      if (ev.type == XmlEventType::kEndOfDocument) break;
-      XQMFT_RETURN_NOT_OK(writer.Feed(ev));
-    }
-  }
-  ev = XmlEvent{};
-  ev.type = XmlEventType::kEndOfDocument;
-  XQMFT_RETURN_NOT_OK(writer.Feed(ev));
-  XQMFT_RETURN_NOT_OK(WritePretokFile(bytes, ptk));
   return ptk;
 }
 
@@ -153,35 +120,6 @@ void BenchDocset(benchmark::State& state, const ParConfig& cfg, bool pretok) {
   ReportRun(state, stats, cfg.threads, bytes);
 }
 
-void BenchSharded(benchmark::State& state, const ParConfig& cfg) {
-  Result<std::shared_ptr<const CompiledPlan>> plan =
-      CompiledPlan::Compile(cfg.query->text);
-  if (!plan.ok()) {
-    state.SkipWithError(plan.status().ToString().c_str());
-    return;
-  }
-  Result<std::string> forest = EnsureForestPretok(cfg.xml_path, cfg.items);
-  if (!forest.ok()) {
-    state.SkipWithError(forest.status().ToString().c_str());
-    return;
-  }
-  RunOptions par;
-  par.threads = cfg.threads;
-  std::vector<StreamStats> stats;
-  for (auto _ : state) {
-    CountingSink sink;
-    Status st = plan.value()->StreamShardedPretokFile(
-        forest.value(), /*shards=*/cfg.items, &sink, par, &stats);
-    if (!st.ok()) {
-      state.SkipWithError(st.ToString().c_str());
-      return;
-    }
-  }
-  std::size_t bytes = 0;
-  for (const StreamStats& s : stats) bytes += s.bytes_in;
-  ReportRun(state, stats, cfg.threads, bytes);
-}
-
 void RegisterAll() {
   std::size_t size_bytes = EnvMb("XQMFT_BENCH_PAR_SIZE_MB", 1);
   std::size_t items = EnvCount("XQMFT_BENCH_PAR_ITEMS", 8);
@@ -209,13 +147,6 @@ void RegisterAll() {
                   items, threads)
             .c_str(),
         [cfg](benchmark::State& st) { BenchDocset(st, cfg, true); })
-        ->Unit(benchmark::kMillisecond)
-        ->UseRealTime();
-    benchmark::RegisterBenchmark(
-        StrFormat("sharded/%s/forest_%zux%zuMB/threads:%zu", bq.id, items,
-                  mb, threads)
-            .c_str(),
-        [cfg](benchmark::State& st) { BenchSharded(st, cfg); })
         ->Unit(benchmark::kMillisecond)
         ->UseRealTime();
   }

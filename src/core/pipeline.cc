@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 #include "lower/lower.h"
 #include "mft/dispatch.h"
 #include "parallel/merge_sink.h"
-#include "parallel/pretok_split.h"
+#include "parallel/sharded_executor.h"
 #include "translate/translate.h"
 #include "xml/pretok.h"
 #include "xml/sax_parser.h"
@@ -157,61 +156,6 @@ Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
     }
   }
   return Status::Internal("unknown ParallelInput kind");
-}
-
-Status CompiledPlan::StreamShardedPretok(std::string_view pretok,
-                                         std::size_t shards, OutputSink* sink,
-                                         const RunOptions& options,
-                                         std::vector<StreamStats>* stats)
-    const {
-  if (shards == 0) {
-    // Default: split at every top-level forest boundary (the splitter
-    // clamps to the tree count). Deliberately NOT the worker count — on a
-    // multi-tree forest the shard decomposition shapes the output (each
-    // shard evaluates as its own document), so deriving it from
-    // hardware_concurrency would make identical commands produce different
-    // output on different machines. Finest-grain splitting is
-    // input-deterministic and gives the scheduler the most parallelism;
-    // threads only affect timing, never bytes.
-    shards = std::numeric_limits<std::size_t>::max();
-  }
-  XQMFT_ASSIGN_OR_RETURN(PretokShardPlan shard_plan,
-                         PlanPretokShards(pretok, shards));
-  XQMFT_RETURN_NOT_OK(CheckPretokOptions(shard_plan.declared,
-                                         options_.stream.sax, "(sharded)"));
-  if (stats != nullptr) {
-    stats->assign(shard_plan.shards.size(), StreamStats{});
-  }
-  // The request's cancel token rides in per run and reaches every shard's
-  // pass.
-  auto item = [&](std::size_t i, OutputSink* item_sink) -> Status {
-    PretokShardSource src(&shard_plan, i);
-    return StreamEvents(&src, item_sink,
-                        stats != nullptr ? &(*stats)[i] : nullptr,
-                        options.cancel);
-  };
-  return ShardedExecutor::Run(shard_plan.shards.size(), item, sink,
-                              options.threads);
-}
-
-Status CompiledPlan::StreamShardedPretokFile(const std::string& path,
-                                             std::size_t shards,
-                                             OutputSink* sink,
-                                             const RunOptions& options,
-                                             std::vector<StreamStats>* stats)
-    const {
-  XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> backing,
-                         MmapSource::Open(path));
-  std::string_view contents;
-  std::string owned;
-  if (!backing->Contents(&contents)) {
-    // No stable mapping (exotic platform): read the file whole.
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = backing->Read(buf, sizeof buf)) > 0) owned.append(buf, n);
-    contents = owned;
-  }
-  return StreamShardedPretok(contents, shards, sink, options, stats);
 }
 
 namespace {

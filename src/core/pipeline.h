@@ -14,13 +14,14 @@
 // to each engine and lives exactly as long as its run.
 //
 // Entry points: Run (every plan over every document of a set, one shared
-// pass per document, documents spread over worker threads), the five
-// CompiledPlan stream methods (StreamFile, StreamString and StreamEvents
-// for one document; StreamShardedPretok(File) for one sharded pretok
-// stream), and the two StreamAll* functions that feed one source to many
-// plans in a single pass. All of them run one plan-level pass, MultiQueryRun
-// (multiquery/multi_run.h), whose one-plan branch is the serial pull loop:
-// a plan's output and stats are the same through every entry point. The
+// pass per document, documents spread over worker threads), the three
+// CompiledPlan stream methods (StreamFile, StreamString and StreamEvents,
+// one document each), and the two StreamAll* functions that feed one
+// source to many plans in a single pass. A document is one forest and one
+// pass: the only parallelism is across the documents of a Run. All of
+// them run one plan-level pass, MultiQueryRun (multiquery/multi_run.h),
+// whose one-plan branch is the serial pull loop: a plan's output and
+// stats are the same through every entry point. The
 // pass streams through the plans' source projection, so subtrees no plan
 // reads are skipped in the tokenizer. A plan carries no per-run state:
 // cancellation rides in per run (RunOptions::cancel, StreamEvents'
@@ -45,7 +46,6 @@
 #include "mft/mft.h"
 #include "mft/optimize.h"
 #include "multiquery/multi_run.h"
-#include "parallel/sharded_executor.h"
 #include "stream/engine.h"
 #include "util/status.h"
 #include "xquery/ast.h"
@@ -65,7 +65,7 @@ struct PipelineOptions {
 
 /// \brief One document of a Run.
 ///
-/// The in-memory kinds let tests and embedders shard without touching the
+/// The in-memory kinds let tests and embedders run without touching the
 /// filesystem; `value` is a path for the file kinds and the raw bytes
 /// otherwise.
 struct ParallelInput {
@@ -185,28 +185,6 @@ class CompiledPlan {
   Status StreamEvents(EventSource* events, OutputSink* sink,
                       StreamStats* stats = nullptr,
                       const CancelToken* cancel = nullptr) const;
-
-  /// Single-document sharding: splits one pretok event stream at top-level
-  /// forest boundaries into at most `shards` byte ranges (0 = one shard
-  /// per top-level tree, so the decomposition — and therefore the output on
-  /// a multi-tree forest — depends only on the input, never on the machine)
-  /// and evaluates each range as its own document (a StreamEvents pass),
-  /// merging outputs in input order. For a single-rooted document the split yields
-  /// one shard and the output is byte-identical to StreamEvents over the
-  /// whole stream; for a multi-tree forest each shard's trees evaluate as an
-  /// independent forest (see parallel/pretok_split.h for the contract).
-  /// `pretok` must outlive the call and match this plan's SAX options.
-  /// `options.threads` and `options.cancel` apply; the rest is for Run.
-  Status StreamShardedPretok(std::string_view pretok, std::size_t shards,
-                             OutputSink* sink, const RunOptions& options = {},
-                             std::vector<StreamStats>* stats = nullptr) const;
-
-  /// StreamShardedPretok over a pretok cache file (memory-mapped).
-  Status StreamShardedPretokFile(const std::string& path, std::size_t shards,
-                                 OutputSink* sink,
-                                 const RunOptions& options = {},
-                                 std::vector<StreamStats>* stats
-                                 = nullptr) const;
 
  private:
   CompiledPlan() = default;

@@ -1,10 +1,9 @@
 // The one plan-level pass: one event stream fanned into N push-mode
 // engines (stream/engine.h). Every plan-level entry point of
 // core/pipeline.h runs it: Run once per document, StreamAllTransform*
-// once, and the CompiledPlan::Stream* methods as a one-plan pass (each
-// pretok shard too), so a plan's output and StreamStats do not depend on
-// the entry point. The input is tokenized exactly once — the inversion of
-// parallel/'s one-query/many-shards split — and the shared source streams
+// once, and the CompiledPlan::Stream* methods as a one-plan pass, so a
+// plan's output and StreamStats do not depend on the entry point. The
+// input is tokenized exactly once, and the shared source streams
 // through the projection decorator (union_projection.h, ProjectedSource),
 // which skips subtrees no plan can observe before they are tokenized into
 // events.
@@ -61,8 +60,8 @@ struct MultiPlanResult {
   std::uint64_t events_fed = 0;  ///< events this engine consumed
 };
 
-/// \brief The settable options of a run: of Run (core/pipeline.h), of
-/// each MultiQueryRun pass it drives, and of the sharded pretok methods.
+/// \brief The settable options of a run: of Run (core/pipeline.h) and of
+/// each MultiQueryRun pass it drives.
 struct RunOptions {
   /// Worker threads Run spreads its documents over (0 = one per hardware
   /// thread; clamped to the document count and to the larger of the

@@ -154,6 +154,7 @@ struct NetServer::Impl {
   void CountOutcome(StatusCode code);
   void BeginDrain();
   bool DrainComplete() const;
+  bool ReadDelivered();
   void StopWorkers();
 };
 
@@ -598,6 +599,27 @@ bool NetServer::Impl::DrainComplete() const {
   return true;
 }
 
+// Reads what every open connection has already delivered, so a request
+// line sent before the drain ends gets its shutting_down answer instead of
+// the reset a close with unread input sends. True when any connection had
+// something to read (the drain then continues until that is answered).
+bool NetServer::Impl::ReadDelivered() {
+  std::vector<pollfd> pfds;
+  for (auto& [fd, c] : conns) {
+    if (!c->read_closed) pfds.push_back({fd, POLLIN, 0});
+  }
+  if (pfds.empty() ||
+      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 0) <= 0) {
+    return false;
+  }
+  for (const pollfd& p : pfds) {
+    if (p.revents == 0) continue;
+    auto it = conns.find(p.fd);
+    if (it != conns.end()) OnReadable(it->second.get());
+  }
+  return true;
+}
+
 Status NetServer::Impl::Run() {
   if (!started) return Status::InvalidArgument("call Start() before Run()");
   std::vector<pollfd> pfds;
@@ -607,7 +629,7 @@ Status NetServer::Impl::Run() {
       BeginDrain();
     }
     if (draining) {
-      if (DrainComplete()) break;
+      if (DrainComplete() && !ReadDelivered()) break;
       if (std::chrono::steady_clock::now() >= drain_deadline) {
         // Drain budget spent: cancel whatever is still running and leave.
         // The workers observe the cancelled tokens at their next check and

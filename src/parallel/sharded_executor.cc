@@ -5,8 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/merge_sink.h"
-
 namespace xqmft {
 
 namespace {
@@ -56,22 +54,6 @@ void ShardedExecutor::ForEach(std::size_t item_count, std::size_t threads,
   for (std::size_t t = 0; t + 1 < threads; ++t) pool.emplace_back(worker);
   worker();  // the calling thread is worker N-1
   for (std::thread& t : pool) t.join();
-}
-
-Status ShardedExecutor::Run(std::size_t item_count, const ItemFn& item,
-                            OutputSink* downstream, std::size_t threads) {
-  // Output is staged per item at every thread count, so a failing item's
-  // partial output never reaches the downstream sink, and the first
-  // failure stops further items from starting.
-  OrderedMerge merge(downstream, item_count);
-  ForEach(item_count, threads, [&](std::size_t i) {
-    EventBuffer buffer;
-    Status st = item(i, &buffer);
-    const bool ok = st.ok();
-    merge.Commit(i, std::move(buffer), std::move(st));
-    return ok;
-  });
-  return merge.Finish();
 }
 
 }  // namespace xqmft

@@ -512,9 +512,9 @@ struct TableMachine {
 // is lowerable and the caller did not pin the table machine; unlowerable
 // plans always take the table machine (kOps included — the fallback is
 // silent here, and the CLI reports it). Both cores sit behind the same
-// Prime/Feed/Finish contract, so every driver — single-query pumps,
-// multi-query fan-out, sharding, the service loop — inherits the selection
-// untouched.
+// Prime/Feed/Finish contract, so every driver — the one-plan pass,
+// multi-query fan-out, document-set Run, the service loop — inherits the
+// selection untouched.
 struct Engine::Impl {
   Impl(const Mft& mft, OutputSink* sink, const StreamOptions& options,
        const CancelToken* cancel)

@@ -23,15 +23,22 @@ std::uint64_t Fnv1a64(std::string_view bytes,
   return h;
 }
 
-constexpr unsigned char kOpEod = static_cast<unsigned char>(PretokOp::kEod);
-constexpr unsigned char kOpDefine =
-    static_cast<unsigned char>(PretokOp::kDefine);
-constexpr unsigned char kOpStart = static_cast<unsigned char>(PretokOp::kStart);
-constexpr unsigned char kOpEnd = static_cast<unsigned char>(PretokOp::kEnd);
-constexpr unsigned char kOpText = static_cast<unsigned char>(PretokOp::kText);
+// Record opcodes (the format table in pretok.h).
+constexpr unsigned char kOpEod = 0x00;
+constexpr unsigned char kOpDefine = 0x01;
+constexpr unsigned char kOpStart = 0x02;
+constexpr unsigned char kOpEnd = 0x03;
+constexpr unsigned char kOpText = 0x04;
 
-}  // namespace
+struct PretokHeader {
+  SaxOptions sax;                 // tokenization options (header flags)
+  std::uint64_t source_size = 0;  // declared source identity (0/0 = none)
+  std::uint64_t source_hash = 0;
+  std::size_t records_begin = 0;  // offset of the first record
+};
 
+// Parses the fixed header at the front of `data`; InvalidArgument on a bad
+// magic or truncation.
 Result<PretokHeader> ParsePretokHeader(std::string_view data) {
   if (data.size() < kMagicLen + 1 ||
       std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
@@ -50,6 +57,8 @@ Result<PretokHeader> ParsePretokHeader(std::string_view data) {
   header.records_begin = pos;
   return header;
 }
+
+}  // namespace
 
 // --- Writer ------------------------------------------------------------------
 
@@ -104,22 +113,9 @@ Status PretokWriter::Feed(const XmlEvent& event) {
 // --- Reader ------------------------------------------------------------------
 
 PretokSource::PretokSource(std::string_view data)
-    : data_(data), end_(data.size()), symbols_(&owned_symbols_) {
+    : data_(data), symbols_(&owned_symbols_) {
   ParseHeader();
 }
-
-PretokSource::PretokSource(std::string_view data, std::size_t begin,
-                           std::size_t end,
-                           const std::vector<std::string_view>* predefined,
-                           std::size_t predefined_count)
-    : data_(data),
-      pos_(begin),
-      end_(end),
-      range_begin_(begin),
-      predefined_(predefined),
-      predefined_count_(predefined_count),
-      bounded_(true),
-      symbols_(&owned_symbols_) {}
 
 void PretokSource::ParseHeader() {
   Result<PretokHeader> header = ParsePretokHeader(data_);
@@ -152,7 +148,6 @@ Result<std::unique_ptr<PretokSource>> PretokSource::OpenFile(
   src->owned_ = std::move(owned);
   src->data_ = src->owned_;
   src->pos_ = 0;
-  src->end_ = src->data_.size();
   src->header_status_ = Status::OK();
   src->ParseHeader();  // re-parse: construction saw an empty view
   return src;
@@ -164,12 +159,7 @@ Status PretokSource::Fail(const std::string& msg) const {
 }
 
 bool PretokSource::GetVarint(std::uint64_t* v) {
-  // Clamp to end_, not data_.size(): a bounded range whose cut lands
-  // mid-record (a caller bug the planner never produces) must fail loudly
-  // here rather than read the next range's bytes as this record's payload —
-  // and with pos_ never passing end_, the `end_ - pos_ < len` payload
-  // checks cannot underflow.
-  return ReadVarint(data_.substr(0, end_), &pos_, v);
+  return ReadVarint(data_, &pos_, v);
 }
 
 Status PretokSource::Next(XmlEvent* event) {
@@ -180,32 +170,15 @@ Status PretokSource::Next(XmlEvent* event) {
     *event = XmlEvent{};
     return Status::OK();
   }
-  if (!seeded_ && predefined_ != nullptr) {
-    // Bounded range: intern the prefix dictionary into the bound table so
-    // in-range ids resolve exactly as they would have mid-stream.
-    seeded_ = true;
-    remap_.reserve(predefined_count_);
-    for (std::size_t i = 0; i < predefined_count_; ++i) {
-      remap_.push_back(symbols_->Intern(NodeKind::kElement, (*predefined_)[i]));
-    }
-  }
   event->attrs = nullptr;
   event->attr_count = 0;
   while (true) {
-    if (pos_ >= end_) {
-      if (!bounded_) return Fail("truncated stream (missing eod)");
-      // Range exhausted: this bounded stream's forest is complete (ranges
-      // only end at depth 0, so an imbalance here is a caller bug).
-      if (!open_.empty()) return Fail("bounded range ended inside an element");
-      done_ = true;
-      *event = XmlEvent{};
-      return Status::OK();
-    }
+    if (pos_ >= data_.size()) return Fail("truncated stream (missing eod)");
     unsigned char op = static_cast<unsigned char>(data_[pos_++]);
     switch (op) {
       case kOpDefine: {
         std::uint64_t len;
-        if (!GetVarint(&len) || end_ - pos_ < len) {
+        if (!GetVarint(&len) || data_.size() - pos_ < len) {
           return Fail("truncated symbol definition");
         }
         std::string_view name = data_.substr(pos_, len);
@@ -237,7 +210,7 @@ Status PretokSource::Next(XmlEvent* event) {
       }
       case kOpText: {
         std::uint64_t len;
-        if (!GetVarint(&len) || end_ - pos_ < len) {
+        if (!GetVarint(&len) || data_.size() - pos_ < len) {
           return Fail("truncated text record");
         }
         event->type = XmlEventType::kText;
@@ -248,11 +221,6 @@ Status PretokSource::Next(XmlEvent* event) {
         return Status::OK();
       }
       case kOpEod: {
-        if (bounded_) {
-          // A bounded range ends before the file's eod record by
-          // construction; hitting one means the range is wrong.
-          return Fail("unexpected eod record inside a bounded range");
-        }
         if (!open_.empty()) return Fail("eod with unclosed elements");
         done_ = true;
         event->type = XmlEventType::kEndOfDocument;
@@ -273,15 +241,12 @@ Status PretokSource::SkipSubtree(std::uint64_t* events) {
   // errors match Next()'s message and byte offset.
   std::size_t depth = 1;
   while (true) {
-    if (pos_ >= end_) {
-      return Fail(bounded_ ? "bounded range ended inside an element"
-                           : "truncated stream (missing eod)");
-    }
+    if (pos_ >= data_.size()) return Fail("truncated stream (missing eod)");
     unsigned char op = static_cast<unsigned char>(data_[pos_++]);
     switch (op) {
       case kOpDefine: {
         std::uint64_t len;
-        if (!GetVarint(&len) || end_ - pos_ < len) {
+        if (!GetVarint(&len) || data_.size() - pos_ < len) {
           return Fail("truncated symbol definition");
         }
         // Later records may use the id: the id space stays in step.
@@ -302,15 +267,14 @@ Status PretokSource::SkipSubtree(std::uint64_t* events) {
         break;
       case kOpText: {
         std::uint64_t len;
-        if (!GetVarint(&len) || end_ - pos_ < len) {
+        if (!GetVarint(&len) || data_.size() - pos_ < len) {
           return Fail("truncated text record");
         }
         pos_ += len;
         break;
       }
       case kOpEod:
-        return Fail(bounded_ ? "unexpected eod record inside a bounded range"
-                             : "eod with unclosed elements");
+        return Fail("eod with unclosed elements");
       default:
         return Fail(StrFormat("unknown opcode 0x%02x", op));
     }

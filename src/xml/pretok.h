@@ -47,28 +47,6 @@
 
 namespace xqmft {
 
-/// Record opcodes of the pretok format (shared with the shard splitter in
-/// parallel/pretok_split.h, which walks records without decoding events).
-enum class PretokOp : unsigned char {
-  kEod = 0x00,
-  kDefine = 0x01,
-  kStart = 0x02,
-  kEnd = 0x03,
-  kText = 0x04,
-};
-
-/// \brief Decoded pretok header.
-struct PretokHeader {
-  SaxOptions sax;                 ///< tokenization options (header flags)
-  std::uint64_t source_size = 0;  ///< declared source identity (0/0 = none)
-  std::uint64_t source_hash = 0;
-  std::size_t records_begin = 0;  ///< offset of the first record
-};
-
-/// Parses the fixed header at the front of `data` (magic, flags, source
-/// identity); InvalidArgument on a bad magic or truncation.
-Result<PretokHeader> ParsePretokHeader(std::string_view data);
-
 /// \brief Serializes an event stream into the pretok byte format.
 ///
 /// Only the start/end/text record kinds exist: attribute *spans* (the
@@ -106,20 +84,6 @@ class PretokSource : public EventSource {
   /// eagerly; a bad magic surfaces as the first Next() error.
   explicit PretokSource(std::string_view data);
 
-  /// Bounded form: replays the records in [begin, end) of `data` as a
-  /// self-contained stream — kEndOfDocument is synthesized at the range end
-  /// (an eod record *inside* the range is an error), and the first
-  /// `predefined_count` names of `*predefined` seed the id space before any
-  /// in-range define record, in order. This is how the top-level forest
-  /// splitter (parallel/pretok_split.h) hands an engine one shard of a
-  /// larger stream: define records are written at first use, so a range
-  /// starting mid-file needs the prefix dictionary. `data` and
-  /// `*predefined` must outlive the source; no header is expected inside
-  /// the range.
-  PretokSource(std::string_view data, std::size_t begin, std::size_t end,
-               const std::vector<std::string_view>* predefined,
-               std::size_t predefined_count);
-
   /// Opens a pretok file, memory-mapping it when the platform allows.
   static Result<std::unique_ptr<PretokSource>> OpenFile(
       const std::string& path);
@@ -127,12 +91,11 @@ class PretokSource : public EventSource {
   Status Next(XmlEvent* event) override;
   /// Walks the subtree's records without building events: define records
   /// still intern, start ids are still checked against the dictionary, text
-  /// payloads are stepped over by length, and every truncation or range
-  /// error is the one Next() would report.
+  /// payloads are stepped over by length, and every truncation error is
+  /// the one Next() would report.
   Status SkipSubtree(std::uint64_t* events) override;
-  /// Bytes consumed: of the whole stream (header included), or of the
-  /// record range for a bounded source.
-  std::size_t bytes_consumed() const override { return pos_ - range_begin_; }
+  /// Bytes consumed of the whole stream, header included.
+  std::size_t bytes_consumed() const override { return pos_; }
   void BindSymbols(SymbolTable* symbols) override { symbols_ = symbols; }
 
   /// The SAX options the stream was tokenized under (header flags).
@@ -156,14 +119,6 @@ class PretokSource : public EventSource {
   std::string owned_;                    // fallback: whole file in memory
   std::string_view data_;
   std::size_t pos_ = 0;
-  std::size_t end_ = 0;          // one past the last record byte
-  std::size_t range_begin_ = 0;  // bounded: start of the record range
-  // Bounded-range state: names seeding the id space (null for a whole
-  // stream), interned into the bound table at the first Next().
-  const std::vector<std::string_view>* predefined_ = nullptr;
-  std::size_t predefined_count_ = 0;
-  bool seeded_ = false;
-  bool bounded_ = false;
   SymbolTable owned_symbols_;
   SymbolTable* symbols_;
   std::vector<SymbolId> remap_;  // file id -> consumer SymbolId

@@ -120,28 +120,36 @@ skipped: 9), schema validation reads every event"
     expect_contains "$OUT" "stdin cannot be sharded"
     ;;
   run_threads_pretok)
-    # One pretok input with --threads: single-document sharding at
-    # top-level forest boundaries (single-rooted => one shard, output
-    # identical to serial).
-    CACHE="$TMPDIR_SMOKE/doc.ptk"
-    OUT=$("$XQMFT" run --threads 2 --pretok-cache "$CACHE" "$QUERY" "$XML") \
-      || fail "exit $?"
-    expect_contains "$OUT" "$WANT"
-    test -s "$CACHE" || fail "pretok cache was not written"
-    # The cache also serves as a positional input — sniffed by magic on the
-    # parallel AND serial paths (adding/dropping --threads never changes
-    # how an input is read).
-    OUT=$("$XQMFT" run --threads 2 "$QUERY" "$CACHE") || fail "exit $?"
-    expect_contains "$OUT" "$WANT"
-    OUT=$("$XQMFT" run "$QUERY" "$CACHE") || fail "exit $?"
-    expect_contains "$OUT" "$WANT"
-    # Serve-cache-alone parity with the serial path: the XML gone, the
-    # cache still serves under --threads.
-    rm -f "$XML"
-    OUT=$("$XQMFT" run --threads 2 --pretok-cache "$CACHE" "$QUERY" "$XML" \
+    # A pretok input is one document like a text one: --threads spreads
+    # inputs over workers and never splits one. On a two-tree forest the
+    # output is the same bytes with and without --threads, through
+    # --pretok-cache and as a direct .ptk argument, as for the text input.
+    F2="$TMPDIR_SMOKE/f2.xml"
+    printf '%s' '<a><x/></a><b><x/></b>' > "$F2"
+    Q='<out>{$input/*/x}</out>'
+    F2_WANT='<out><x></x><x></x></out>'
+    CACHE="$TMPDIR_SMOKE/f2.ptk"
+    # run_f2 <flags> <input>: the run must print exactly F2_WANT.
+    run_f2() {
+      OUT=$("$XQMFT" run $1 "$Q" "$2" 2>/dev/null) \
+        || fail "exit $? for run $1 $2"
+      test "$OUT" = "$F2_WANT" || fail "run $1 $2 printed: $OUT"
+    }
+    for THREADS in "" "--threads 2"; do
+      run_f2 "$THREADS --pretok-cache $CACHE" "$F2"
+      test -s "$CACHE" || fail "pretok cache was not written"
+      run_f2 "$THREADS" "$CACHE"
+      run_f2 "$THREADS" "$F2"
+    done
+    # One input under --threads says that it runs on one worker.
+    ERR=$("$XQMFT" run --threads 2 "$Q" "$CACHE" 2>&1 >/dev/null)
+    expect_contains "$ERR" "one input runs on one worker"
+    # Serve-cache-alone: the XML gone, the cache still serves under
+    # --threads.
+    rm -f "$F2"
+    OUT=$("$XQMFT" run --threads 2 --pretok-cache "$CACHE" "$Q" "$F2" \
           2>/dev/null) || fail "exit $?"
-    expect_contains "$OUT" "$WANT"
-    printf '%s' "$DOC" > "$XML"
+    test "$OUT" = "$F2_WANT" || fail "cache alone printed: $OUT"
     ;;
   run_queries)
     # Multi-query run: every -q query streams over ONE input in a single
@@ -177,7 +185,6 @@ skipped: 9), schema validation reads every event"
     test "$THREADED" = "$SERIAL" || fail "--threads output differs: $THREADED"
     # Per-run state and single-document modes still do not combine.
     for FLAG in "--schema $SCHEMA" "--dag" "--pretok-cache $TMPDIR_SMOKE/q.ptk"; do
-      # shellcheck disable=SC2086
       OUT=$("$XQMFT" run -q "$QUERY" -q "$Q2" $FLAG "$XML" 2>&1)
       test $? -eq 0 && fail "expected nonzero exit for -q with $FLAG"
       expect_contains "$OUT" "cannot combine"

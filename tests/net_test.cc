@@ -856,16 +856,22 @@ TEST(NetServerTest, DisconnectCancelsQueuedAndInflightRuns) {
   EXPECT_NE(r.header.find("\"id\":1,\"ok\":true"), std::string::npos);
 }
 
-TEST(NetServerTest, GracefulDrainDeliversInflightBeforeReturning) {
+// Request 1 stalls, the server starts draining, and request 2 arrives on
+// the same connection: request 1's response is delivered, request 2 gets
+// shutting_down, and Run returns.
+void ExpectGracefulDrain(std::size_t max_inflight_per_conn) {
   NetServerOptions options;
   options.workers = 1;
   options.allow_fault_injection = true;
   options.drain_ms = 10000;
+  options.max_inflight_per_conn = max_inflight_per_conn;
   ServerFixture fx(std::move(options));
 
   TestClient client = fx.Connect();
   ASSERT_TRUE(client.ok());
-  client.Send(StallRequest(1, 300));
+  // The stall is far longer than the waits below take, so the drain is
+  // still waiting on request 1 when request 2 arrives.
+  client.Send(StallRequest(1, 1000));
   ASSERT_TRUE(WaitFor([&] { return fx.server().counters().admitted == 1; }));
 
   fx.server().RequestShutdown();
@@ -875,6 +881,8 @@ TEST(NetServerTest, GracefulDrainDeliversInflightBeforeReturning) {
       [&] { return !TestClient::ConnectTcp(fx.server().port()).ok(); }));
   // New work on the still-open connection is rejected while draining.
   client.Send(SimpleRequest(2));
+  ASSERT_TRUE(WaitFor(
+      [&] { return fx.server().counters().rejected_shutdown == 1; }));
 
   TestClient::WireResponse r1, r2;
   ASSERT_TRUE(client.ReadResponse(&r1));
@@ -895,6 +903,17 @@ TEST(NetServerTest, GracefulDrainDeliversInflightBeforeReturning) {
   EXPECT_EQ(c.rejected_shutdown, 1u);
   // Drained listeners are gone: a fresh connection is refused.
   EXPECT_FALSE(TestClient::ConnectTcp(fx.server().port()).ok());
+}
+
+TEST(NetServerTest, GracefulDrainDeliversInflightBeforeReturning) {
+  ExpectGracefulDrain(NetServerOptions().max_inflight_per_conn);
+}
+
+TEST(NetServerTest, GracefulDrainAnswersLinesLeftUnread) {
+  // Backpressure stops the server reading the connection while request 1
+  // runs, so request 2 is still unread in the socket when the drain has
+  // nothing else left; it is read and answered, not reset by the close.
+  ExpectGracefulDrain(/*max_inflight_per_conn=*/1);
 }
 
 TEST(NetServerTest, DrainDeadlineCancelsStragglers) {

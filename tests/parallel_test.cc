@@ -1,27 +1,24 @@
-// Tests for the parallel sharding layer: the serial-equivalence
-// differential suite (parallel output byte-identical to the serial
-// engine's, across the Figure 3 corpus, shard counts {1,2,3,4,8}, and both
-// text and pretok input), the top-level forest splitter (a cut at *every*
-// boundary reassembles the original event trace), and ordered-merge stress
-// (out-of-order completion, mid-shard errors).
+// Tests for document-set parallelism: the serial-equivalence differential
+// suite (Run's output byte-identical to the serial engine's, across the
+// Figure 3 corpus, thread counts {1,2,3,4,8}, and both text and pretok
+// input), and stress of the worker pool paired with the ordered merge, the
+// way Run pairs them (out-of-order completion, mid-item errors).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "bench_common/queries.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
-#include "event_trace_util.h"
 #include "parallel/merge_sink.h"
-#include "parallel/pretok_split.h"
 #include "parallel/sharded_executor.h"
 #include "stream/engine.h"
 #include "util/cancel.h"
@@ -34,7 +31,7 @@
 namespace xqmft {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 3, 4, 8};
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4, 8};
 
 std::string Tokenize(const std::string& xml, SaxOptions sax = {}) {
   StringSource src(xml);
@@ -59,8 +56,7 @@ Forest RandomForest(Rng* rng, int depth) {
   return f;
 }
 
-// A small document set: single-rooted documents of varying shape, the unit
-// of document-set sharding.
+// A small document set: single-rooted documents of varying shape.
 std::vector<std::string> CorpusDocSet(int seed) {
   std::vector<std::string> docs;
   Rng rng(static_cast<std::uint64_t>(seed) * 90017 + 3);
@@ -138,8 +134,27 @@ TEST(OrderedMergeTest, ErrorGatesDownstreamAndBecomesRunStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedExecutor stress: out-of-order completion, errors, cancellation
+// ShardedExecutor stress: ForEach + OrderedMerge, out-of-order completion,
+// errors, cancellation
 // ---------------------------------------------------------------------------
+
+using MergeItem = std::function<Status(std::size_t index, OutputSink* sink)>;
+
+// Run's pairing of the pool and the merge, for one output stream: each item
+// stages its output in an EventBuffer and commits it with its status; the
+// first failure stops further items from starting.
+Status MergeItems(std::size_t item_count, const MergeItem& item,
+                  OutputSink* downstream, std::size_t threads) {
+  OrderedMerge merge(downstream, item_count);
+  ShardedExecutor::ForEach(item_count, threads, [&](std::size_t i) {
+    EventBuffer buffer;
+    Status st = item(i, &buffer);
+    const bool ok = st.ok();
+    merge.Commit(i, std::move(buffer), std::move(st));
+    return ok;
+  });
+  return merge.Finish();
+}
 
 TEST(ShardedExecutorTest, InjectedDelaysStillEmitInInputOrder) {
   // Workers finishing out of order (later items sleep less) must not change
@@ -152,7 +167,7 @@ TEST(ShardedExecutorTest, InjectedDelaysStillEmitInInputOrder) {
   }
   for (std::size_t threads : {2u, 4u, 8u}) {
     StringSink out;
-    Status st = ShardedExecutor::Run(
+    Status st = MergeItems(
         kItems,
         [](std::size_t i, OutputSink* sink) {
           std::this_thread::sleep_for(
@@ -172,7 +187,7 @@ TEST(ShardedExecutorTest, MidShardErrorSurfacesWithoutDeadlock) {
   constexpr std::size_t kItems = 16;
   constexpr std::size_t kFailing = 7;
   StringSink out;
-  Status st = ShardedExecutor::Run(
+  Status st = MergeItems(
       kItems,
       [](std::size_t i, OutputSink* sink) -> Status {
         std::this_thread::sleep_for(std::chrono::milliseconds(i % 3));
@@ -185,26 +200,20 @@ TEST(ShardedExecutorTest, MidShardErrorSurfacesWithoutDeadlock) {
       &out, /*threads=*/4);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("item 7"), std::string::npos);
-  // Downstream holds an in-order prefix of the successful items before the
-  // failure: "i0;i1;...i{j-1};" for some j <= kFailing.
+  // Downstream holds the in-order output of every item before the failure:
+  // the merge flushes slots 0..6 once they commit, and stops at slot 7.
   std::string prefix;
-  bool matched = false;
-  for (std::size_t j = 0; j <= kFailing; ++j) {
-    if (out.str() == prefix) {
-      matched = true;
-      break;
-    }
+  for (std::size_t j = 0; j < kFailing; ++j) {
     prefix += "i" + std::to_string(j) + ";";
   }
-  EXPECT_TRUE(matched) << "unexpected downstream output: " << out.str();
+  EXPECT_EQ(out.str(), prefix);
 }
 
 TEST(ShardedExecutorTest, FirstErrorInInputOrderWins) {
-  // Two failing items: the run's status must be the lower-index one
-  // whenever both committed (with cancellation the higher may be skipped,
-  // but the reported error is never the higher while the lower committed).
+  // Two failing items: the run's status is the lower-index one, even when
+  // the higher fails first.
   StringSink out;
-  Status st = ShardedExecutor::Run(
+  Status st = MergeItems(
       4,
       [](std::size_t i, OutputSink*) -> Status {
         if (i == 1) {
@@ -217,18 +226,17 @@ TEST(ShardedExecutorTest, FirstErrorInInputOrderWins) {
       },
       &out, /*threads=*/2);
   ASSERT_FALSE(st.ok());
-  // The run reports exactly one of the two item errors (the lowest-index
-  // committed one; which items committed depends on cancellation timing).
-  bool is1 = st.message().find("error in item 1") != std::string::npos;
-  bool is2 = st.message().find("error in item 2") != std::string::npos;
-  EXPECT_TRUE(is1 != is2) << st.ToString();
+  // Item 1 is always claimed (indices are claimed in increasing order and
+  // item 0 succeeds), so its error is the run's whatever item 2 did.
+  EXPECT_NE(st.message().find("error in item 1"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(ShardedExecutorTest, SerialPathStagesFailingItemOutput) {
-  // threads = 1 takes the no-thread fast path, but the error contract must
+  // threads = 1 runs on the calling thread, but the error contract must
   // not change: a failing item's partial output never reaches the sink.
   StringSink out;
-  Status st = ShardedExecutor::Run(
+  Status st = MergeItems(
       3,
       [](std::size_t i, OutputSink* sink) -> Status {
         sink->Text("i" + std::to_string(i) + ";");
@@ -243,9 +251,16 @@ TEST(ShardedExecutorTest, SerialPathStagesFailingItemOutput) {
 
 TEST(ShardedExecutorTest, ZeroItemsIsANoOp) {
   StringSink out;
-  Status st = ShardedExecutor::Run(
-      0, [](std::size_t, OutputSink*) { return Status::OK(); }, &out, {});
+  bool called = false;
+  Status st = MergeItems(
+      0,
+      [&](std::size_t, OutputSink*) {
+        called = true;
+        return Status::OK();
+      },
+      &out, /*threads=*/4);
   EXPECT_TRUE(st.ok());
+  EXPECT_FALSE(called);
   EXPECT_EQ(out.str(), "");
 }
 
@@ -292,7 +307,7 @@ TEST_P(ParallelCorpusEquivalence, DocumentSetMatchesSerialTextAndPretok) {
     pretok_inputs.push_back(ParallelInput::PretokBytes(Tokenize(xml)));
   }
 
-  for (std::size_t threads : kShardCounts) {
+  for (std::size_t threads : kThreadCounts) {
     RunOptions par;
     par.threads = threads;
     StringSink text_out;
@@ -313,93 +328,6 @@ TEST_P(ParallelCorpusEquivalence, DocumentSetMatchesSerialTextAndPretok) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Serial-equivalence differential suite: single-document sharding
-// ---------------------------------------------------------------------------
-
-TEST_P(ParallelCorpusEquivalence, SingleRootedShardingMatchesSerial) {
-  // Every XML *document* is single-rooted: however many shards are
-  // requested, the split finds one top-level tree and the output must be
-  // byte-identical to the serial engine over the whole stream.
-  const BenchQuery& bq = QueryById(GetParam());
-  auto cq = CompiledPlan::Compile(bq.text).ValueOrDie();
-  Rng rng(4242);
-  Forest doc;
-  doc.push_back(Tree::Element("site", RandomForest(&rng, 4)));
-  std::string bytes = Tokenize(ForestToXml(doc));
-
-  PretokSource serial_src(bytes);
-  StringSink serial;
-  ASSERT_TRUE(cq->StreamEvents(&serial_src, &serial).ok()) << bq.id;
-
-  for (std::size_t shards : kShardCounts) {
-    RunOptions par;
-    par.threads = shards;
-    StringSink out;
-    Status st = cq->StreamShardedPretok(bytes, shards, &out, par);
-    ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
-    EXPECT_EQ(out.str(), serial.str()) << bq.id << " shards=" << shards;
-  }
-}
-
-TEST_P(ParallelCorpusEquivalence, MultiTreeShardingMatchesSerialShardRuns) {
-  // A multi-tree forest genuinely splits. The contract: each shard's trees
-  // evaluate as an independent forest document, outputs concatenated in
-  // input order — byte-identical to running the same shards through the
-  // serial engine one by one, for any thread count.
-  const BenchQuery& bq = QueryById(GetParam());
-  auto cq = CompiledPlan::Compile(bq.text).ValueOrDie();
-  Rng rng(987);
-  Forest forest;
-  for (int t = 0; t < 7; ++t) {
-    forest.push_back(Tree::Element("site", RandomForest(&rng, 3)));
-  }
-  std::string bytes = Tokenize(ForestToXml(forest));
-
-  for (std::size_t shards : kShardCounts) {
-    Result<PretokShardPlan> plan = PlanPretokShards(bytes, shards);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-
-    // Serial oracle: the same shard decomposition, one engine at a time.
-    StringSink serial;
-    for (std::size_t i = 0; i < plan.value().shards.size(); ++i) {
-      PretokShardSource src(&plan.value(), i);
-      ASSERT_TRUE(cq->StreamEvents(&src, &serial).ok()) << bq.id;
-    }
-
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      RunOptions par;
-      par.threads = threads;
-      StringSink out;
-      Status st = cq->StreamShardedPretok(bytes, shards, &out, par);
-      ASSERT_TRUE(st.ok()) << bq.id << " " << st.ToString();
-      EXPECT_EQ(out.str(), serial.str())
-          << bq.id << " shards=" << shards << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelPipelineTest, DefaultShardCountIsMachineIndependent) {
-  // shards = 0 must split at every top-level boundary, not at the worker
-  // count: on a multi-tree forest the decomposition shapes the output, so
-  // it may depend only on the input. Same bytes, different thread counts
-  // => byte-identical output, equal to an explicit one-shard-per-tree run.
-  auto cq = CompiledPlan::Compile("<out>{ $input/a }</out>").ValueOrDie();
-  std::string bytes = Tokenize("<a>1</a><a>2</a><a>3</a><a>4</a>");
-
-  StringSink per_tree;
-  ASSERT_TRUE(cq->StreamShardedPretok(bytes, 4, &per_tree).ok());
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{3},
-                              std::size_t{8}}) {
-    RunOptions par;
-    par.threads = threads;
-    StringSink out;
-    ASSERT_TRUE(cq->StreamShardedPretok(bytes, /*shards=*/0, &out, par).ok());
-    EXPECT_EQ(out.str(), per_tree.str()) << "threads=" << threads;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Corpus, ParallelCorpusEquivalence,
                          ::testing::Values("q01", "q02", "q04", "q13", "q16",
                                            "q17", "double", "fourstar",
@@ -407,145 +335,6 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParallelCorpusEquivalence,
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });
-
-// ---------------------------------------------------------------------------
-// Splitter unit suite
-// ---------------------------------------------------------------------------
-
-std::vector<TracedEvent> TraceSource(EventSource* src) {
-  Result<std::vector<TracedEvent>> out = Trace(src);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  return out.ok() ? std::move(out.value()) : std::vector<TracedEvent>{};
-}
-
-// Forest with repeated names across trees (so later shards need the prefix
-// dictionary) and top-level text trees between elements.
-std::string SplitterForestXml() {
-  return "<a><x>one</x></a>"
-         "top"
-         "<b><x>two</x><y/></b>"
-         "<a>three</a>"
-         "mid"
-         "<c><z><x>four</x></z></c>"
-         "<b/>";
-}
-
-TEST(PretokSplitTest, CutAtEveryTopLevelBoundaryReassemblesTheTrace) {
-  std::string bytes = Tokenize(SplitterForestXml());
-
-  PretokSource whole(bytes);
-  std::vector<TracedEvent> full = TraceSource(&whole);
-
-  // max_shards far beyond the tree count: one shard per top-level tree.
-  Result<PretokShardPlan> plan = PlanPretokShards(bytes, 64);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan.value().total_trees, 7u);
-  ASSERT_EQ(plan.value().shards.size(), 7u);
-
-  std::vector<TracedEvent> reassembled;
-  for (std::size_t i = 0; i < plan.value().shards.size(); ++i) {
-    EXPECT_EQ(plan.value().shards[i].trees, 1u);
-    PretokShardSource src(&plan.value(), i);
-    std::vector<TracedEvent> shard_trace = TraceSource(&src);
-    ASSERT_FALSE(shard_trace.empty());
-    EXPECT_EQ(shard_trace.back().type, XmlEventType::kEndOfDocument);
-    shard_trace.pop_back();  // per-shard eod is synthetic
-    reassembled.insert(reassembled.end(), shard_trace.begin(),
-                       shard_trace.end());
-  }
-  reassembled.push_back({XmlEventType::kEndOfDocument, "", ""});
-  EXPECT_EQ(reassembled, full);
-}
-
-TEST(PretokSplitTest, EveryShardCountReassemblesTheTrace) {
-  std::string bytes = Tokenize(SplitterForestXml());
-  PretokSource whole(bytes);
-  std::vector<TracedEvent> full = TraceSource(&whole);
-
-  for (std::size_t shards = 1; shards <= 9; ++shards) {
-    Result<PretokShardPlan> plan = PlanPretokShards(bytes, shards);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    const PretokShardPlan& p = plan.value();
-    EXPECT_EQ(p.shards.size(), shards < 7 ? shards : 7u);
-
-    // Shards tile the record region contiguously and cover every tree.
-    std::size_t trees = 0;
-    for (std::size_t i = 0; i < p.shards.size(); ++i) {
-      trees += p.shards[i].trees;
-      if (i > 0) {
-        EXPECT_EQ(p.shards[i].begin, p.shards[i - 1].end);
-        EXPECT_GE(p.shards[i].defs_before, p.shards[i - 1].defs_before);
-      }
-    }
-    EXPECT_EQ(trees, p.total_trees);
-
-    std::vector<TracedEvent> reassembled;
-    for (std::size_t i = 0; i < p.shards.size(); ++i) {
-      PretokShardSource src(&p, i);
-      std::vector<TracedEvent> shard_trace = TraceSource(&src);
-      shard_trace.pop_back();
-      reassembled.insert(reassembled.end(), shard_trace.begin(),
-                         shard_trace.end());
-    }
-    reassembled.push_back({XmlEventType::kEndOfDocument, "", ""});
-    EXPECT_EQ(reassembled, full) << "shards=" << shards;
-  }
-}
-
-TEST(PretokSplitTest, ShardsResolvePrefixDefinitionsIntoConsumerTable) {
-  std::string bytes = Tokenize(SplitterForestXml());
-  Result<PretokShardPlan> plan = PlanPretokShards(bytes, 64);
-  ASSERT_TRUE(plan.ok());
-  const PretokShardPlan& p = plan.value();
-  // Tree 3 (<a>three</a>) starts after a/x/b/y were defined; its shard must
-  // resolve "a" through the prefix dictionary, into the *bound* table.
-  const PretokShard& s3 = p.shards[3];
-  EXPECT_GT(s3.defs_before, 0u);
-  SymbolTable table;
-  SymbolId zebra = table.Intern(NodeKind::kElement, "zebra");
-  PretokShardSource src(&p, 3);
-  src.BindSymbols(&table);
-  XmlEvent ev;
-  ASSERT_TRUE(src.Next(&ev).ok());
-  EXPECT_EQ(ev.type, XmlEventType::kStartElement);
-  EXPECT_EQ(ev.name, "a");
-  EXPECT_EQ(ev.symbol, table.Find(NodeKind::kElement, "a"));
-  EXPECT_NE(ev.symbol, zebra);
-}
-
-TEST(PretokSplitTest, EmptyForestYieldsOneEmptyShard) {
-  // An empty event stream (header + eod): one engine must still run — the
-  // initial state's epsilon rule can produce output on empty input.
-  std::string bytes;
-  PretokWriter writer(&bytes);
-  XmlEvent eod;
-  eod.type = XmlEventType::kEndOfDocument;
-  ASSERT_TRUE(writer.Feed(eod).ok());
-
-  Result<PretokShardPlan> plan = PlanPretokShards(bytes, 4);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan.value().shards.size(), 1u);
-  EXPECT_EQ(plan.value().total_trees, 0u);
-
-  PretokShardSource src(&plan.value(), 0);
-  XmlEvent ev;
-  ASSERT_TRUE(src.Next(&ev).ok());
-  EXPECT_EQ(ev.type, XmlEventType::kEndOfDocument);
-
-  // The constant query still emits its constant output once.
-  auto cq = CompiledPlan::Compile("<out>{ $input/none }</out>").ValueOrDie();
-  StringSink out;
-  ASSERT_TRUE(cq->StreamShardedPretok(bytes, 4, &out).ok());
-  EXPECT_EQ(out.str(), "<out></out>");
-}
-
-TEST(PretokSplitTest, RejectsMalformedStreams) {
-  EXPECT_FALSE(PlanPretokShards("garbage", 2).ok());
-  std::string bytes = Tokenize("<a><b>t</b></a>");
-  std::string truncated = bytes.substr(0, bytes.size() / 2);
-  EXPECT_FALSE(PlanPretokShards(truncated, 2).ok());
-  EXPECT_TRUE(PlanPretokShards(bytes, 2).ok());
-}
 
 // ---------------------------------------------------------------------------
 // Document-set error handling end to end
@@ -577,6 +366,31 @@ TEST(RunTest, MalformedDocumentAmongManySurfacesItsError) {
   StringSink out;
   Status st = xqmft::Run({cq.get()}, inputs, {&out}, par);
   ASSERT_FALSE(st.ok());
+}
+
+TEST(RunTest, MultiTreePretokInputIsOneForest) {
+  // A pretok input is one document like any other: a multi-tree forest
+  // evaluates as a whole, as its text form does, at every thread count;
+  // an empty forest still runs the query once.
+  auto cq = CompiledPlan::Compile("<out>{ $input/*/x }</out>").ValueOrDie();
+  const std::string forest = "<a><x/></a><b><x/></b>";
+  std::string empty;
+  PretokWriter writer(&empty);
+  XmlEvent eod;
+  eod.type = XmlEventType::kEndOfDocument;
+  ASSERT_TRUE(writer.Feed(eod).ok());
+  const std::vector<ParallelInput> inputs = {
+      ParallelInput::XmlText(forest),
+      ParallelInput::PretokBytes(Tokenize(forest)),
+      ParallelInput::PretokBytes(empty)};
+  const std::string want = "<out><x></x><x></x></out>";
+  for (std::size_t threads : kThreadCounts) {
+    RunOptions par;
+    par.threads = threads;
+    StringSink out;
+    ASSERT_TRUE(xqmft::Run({cq.get()}, inputs, {&out}, par).ok());
+    EXPECT_EQ(out.str(), want + want + "<out></out>") << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -879,16 +693,6 @@ TEST(ParallelInputTest, EveryKindMatchesStreamStringAndForeignPretokFails) {
           << c.name << ": " << all_st.ToString();
     }
   }
-
-  // Single-document sharding checks the same header, in memory and on disk.
-  StringSink sharded;
-  ASSERT_TRUE(plan->StreamShardedPretok(pretok, 0, &sharded).ok());
-  EXPECT_EQ(sharded.str(), want.str());
-  StringSink rejected;
-  EXPECT_EQ(plan->StreamShardedPretok(foreign, 0, &rejected).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(plan->StreamShardedPretokFile(foreign_path, 0, &rejected).code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -245,30 +244,24 @@ TEST(PretokTest, CacheValidityTracksSourceIdentity) {
   std::remove(ptk.c_str());
 }
 
-TEST(PretokTest, BoundedRangeCutMidRecordFailsLoudly) {
-  // A bounded source whose range cuts inside a record (a caller bug the
-  // shard planner never produces) must error, not silently hand out the
-  // next range's bytes as payload.
+TEST(PretokTest, StreamCutMidRecordFailsLoudly) {
+  // A stream cut at any byte (a short write, a truncated copy) must error,
+  // never hand out bytes past the cut as payload. Each cut is its own
+  // allocation, so an overread is a sanitizer fault, not a silent pass.
   std::string bytes = Tokenize("<a>hello world</a>");
   std::size_t records_begin = PretokSource(bytes).bytes_consumed();
-  std::vector<std::string_view> no_prefix;
-  for (std::size_t end = records_begin + 1; end < bytes.size(); ++end) {
-    PretokSource src(bytes, records_begin, end, &no_prefix, 0);
+  for (std::size_t end = records_begin; end < bytes.size(); ++end) {
+    ExactBuffer cut(std::string_view(bytes).substr(0, end));
+    PretokSource src(cut.view());
     XmlEvent ev;
     Status st;
     do {
       st = src.Next(&ev);
-      // Any payload handed out must lie inside the bounded range.
       if (st.ok() && ev.type == XmlEventType::kText) {
-        EXPECT_LE(ev.text.data() + ev.text.size(), bytes.data() + end);
+        EXPECT_LE(ev.text.data() + ev.text.size(), cut.view().data() + end);
       }
     } while (st.ok() && ev.type != XmlEventType::kEndOfDocument);
-    // Cuts at record boundaries with balanced tags may succeed; cuts that
-    // strand an open element or split a record must fail. Either way: no
-    // out-of-range bytes (checked above), no hang, no crash.
-    if (!st.ok()) {
-      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    }
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "cut at " << end;
   }
 }
 
@@ -294,26 +287,18 @@ TEST(PretokTest, RepeatedEndOfDocumentClearsViews) {
 // Subtree skipping: PretokSource::SkipSubtree vs pull-and-drop replay.
 // ---------------------------------------------------------------------------
 
-// SkipLog (event_trace_util.h) of a pretok region through the record-walking
-// skip and through the pull-and-drop oracle, for every single-start skip
-// position; bounded sources replay [begin, end) of `bytes`.
-void ExpectPretokSkipMatchesPull(std::string_view bytes, std::size_t begin,
-                                 std::size_t end, bool bounded) {
+// SkipLog (event_trace_util.h) of a pretok stream through the
+// record-walking skip and through the pull-and-drop oracle, for every
+// single-start skip position.
+void ExpectPretokSkipMatchesPull(std::string_view bytes) {
   ExactBuffer buf(bytes);
-  std::vector<std::string_view> no_prefix;
   for (std::size_t k = 0; k < 8; ++k) {
     auto skip = [k](std::size_t i, std::string_view) { return i == k; };
-    auto open = [&]() {
-      return bounded ? std::make_unique<PretokSource>(buf.view(), begin, end,
-                                                      &no_prefix, 0)
-                     : std::make_unique<PretokSource>(buf.view());
-    };
-    std::unique_ptr<PretokSource> skipping = open();
-    std::unique_ptr<PretokSource> pulled = open();
-    PullOnlySource pulling(pulled.get());
-    EXPECT_EQ(SkipLog(skipping.get(), skip), SkipLog(&pulling, skip))
-        << "skip start #" << k << ", " << bytes.size() << " bytes"
-        << (bounded ? " (bounded)" : "");
+    PretokSource skipping(buf.view());
+    PretokSource pulled(buf.view());
+    PullOnlySource pulling(&pulled);
+    EXPECT_EQ(SkipLog(&skipping, skip), SkipLog(&pulling, skip))
+        << "skip start #" << k << ", " << bytes.size() << " bytes";
   }
 }
 
@@ -323,13 +308,7 @@ const char* const kPretokSkipDoc =
 TEST(PretokSkipTest, SkipMatchesReplayOnTruncatedStreams) {
   const std::string bytes = Tokenize(kPretokSkipDoc);
   for (std::size_t n = 0; n <= bytes.size(); ++n) {
-    ExpectPretokSkipMatchesPull(std::string_view(bytes).substr(0, n), 0, n,
-                                false);
-  }
-  // Bounded ranges cut at every record byte keep their range errors.
-  const std::size_t records_begin = PretokSource(bytes).bytes_consumed();
-  for (std::size_t end = records_begin; end < bytes.size(); ++end) {
-    ExpectPretokSkipMatchesPull(bytes, records_begin, end, true);
+    ExpectPretokSkipMatchesPull(std::string_view(bytes).substr(0, n));
   }
 }
 
@@ -340,7 +319,7 @@ TEST(PretokSkipTest, SkipMatchesReplayOnCorruptStreams) {
     for (unsigned char v : {0x00, 0x01, 0x02, 0x03, 0x04, 0x07, 0x7f, 0xff}) {
       std::string bad = bytes;
       bad[i] = static_cast<char>(v);
-      ExpectPretokSkipMatchesPull(bad, 0, bad.size(), false);
+      ExpectPretokSkipMatchesPull(bad);
     }
   }
 }

@@ -9,8 +9,8 @@
 //   3. the optimized MFT, interpreted         (+ mft/optimize)
 //   4. the optimized MFT, streamed            (+ stream/engine)
 //   5. the GCX baseline (when in fragment)    (gcx/gcx_engine)
-//   6. the optimized MFT, sharded in parallel (+ parallel/, random shard
-//      and thread counts, single-document and document-set shapes)
+//   6. the optimized MFT through Run in parallel (+ parallel/, random
+//      thread counts, pretok replay and document-set shapes)
 //   7. the optimized MFT through the QueryCache (service/query_cache):
 //      cold lookup compiles, warm lookup hits — both byte-identical to the
 //      direct CompiledPlan/streaming output
@@ -19,11 +19,10 @@
 //      forced table run; when it does not, the ops request must fall back
 //      and still match
 //
-// All of these must produce identical serialized output (for the sharded
-// paths: identical to the matching serial evaluation — see the in-line
-// comments for the multi-tree forest contract). This is Theorem 1 and the
-// engine-equivalence claims exercised over a much wider query space than
-// the Figure 3 corpus.
+// All of these must produce identical serialized output (for the document
+// sets: the per-document outputs concatenated in input order). This is
+// Theorem 1 and the engine-equivalence claims exercised over a much wider
+// query space than the Figure 3 corpus.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,7 +37,6 @@
 #include "service/query_cache.h"
 #include "mft/interp.h"
 #include "mft/optimize.h"
-#include "parallel/sharded_executor.h"
 #include "stream/engine.h"
 #include "translate/translate.h"
 #include "util/rng.h"
@@ -288,44 +286,36 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
           << "GCX vs reference\nquery: " << text << "\ndoc: " << xml;
     }
 
-    // 6a. Single-document sharding at top-level forest boundaries, random
-    // shard and thread counts. Parallel must match serial sharded
-    // evaluation (threads = 1, same shard plan) exactly; a document with at
-    // most one top-level tree cannot split, so there the sharded output
-    // must equal the plain streamed output too.
+    // 6a. Pretok replay through Run: the document's event cache, given as
+    // a random number of identical inputs spread over a random thread
+    // count, must reproduce the reference output once per input. A
+    // multi-tree forest is one document here too, never split.
     {
       StringSource doc_src(xml);
       std::string pretok;
       Status tst = PretokenizeXml(&doc_src, {}, &pretok);
       ASSERT_TRUE(tst.ok()) << tst.ToString();
-      std::size_t shard_count = 1 + rng.Below(4);
-      RunOptions serial_par;
-      serial_par.threads = 1;
-      StringSink sharded_serial;
-      Status ss = plan.StreamShardedPretok(pretok, shard_count,
-                                           &sharded_serial, serial_par);
-      ASSERT_TRUE(ss.ok()) << text << "\n" << ss.ToString();
+      const std::size_t copies = 1 + rng.Below(4);
       RunOptions par;
       par.threads = 2 + rng.Below(3);
-      StringSink sharded_par;
-      Status sp = plan.StreamShardedPretok(pretok, shard_count, &sharded_par,
-                                           par);
-      ASSERT_TRUE(sp.ok()) << text << "\n" << sp.ToString();
-      ASSERT_EQ(sharded_par.str(), sharded_serial.str())
-          << "parallel vs serial sharded\nquery: " << text << "\ndoc: "
-          << xml << "\nshards: " << shard_count;
-      if (doc.size() <= 1) {
-        ASSERT_EQ(sharded_par.str(), want.str())
-            << "sharded vs reference (single tree)\nquery: " << text
-            << "\ndoc: " << xml;
-      }
+      const std::vector<ParallelInput> replays(
+          copies, ParallelInput::PretokBytes(pretok));
+      StringSink replayed;
+      Status rs = xqmft::Run({&plan}, replays, {&replayed}, par);
+      ASSERT_TRUE(rs.ok()) << text << "\n" << rs.ToString();
+      std::string want_all;
+      for (std::size_t c = 0; c < copies; ++c) want_all += want.str();
+      ASSERT_EQ(replayed.str(), want_all)
+          << "pretok replay through Run vs reference\nquery: " << text
+          << "\ndoc: " << xml << "\ncopies: " << copies
+          << "\nthreads: " << par.threads;
     }
 
     doc_set.push_back(ParallelInput::XmlText(xml));
     doc_set_serial += stream_sink.str();
   }
 
-  // 6b. Document-set sharding: the three random docs streamed through
+  // 6b. Document-set parallelism: the three random docs streamed through
   // parallel workers must concatenate to the serial per-doc outputs, in
   // input order.
   {

@@ -15,13 +15,12 @@
 // while transforming), --dag (report output-DAG compression instead of
 // writing markup), --stats (print engine statistics to stderr),
 // --pretok-cache <file> (tokenize the input once into a binary event cache;
-// later runs stream the cache with zero scanning), --threads <N> (parallel
-// sharded streaming: a document set fans out across N workers; a single
-// pretok input splits at top-level forest boundaries; 0 = one worker per
-// hardware thread), --engine table|ops (pin the streaming engine; the
-// default picks the lowered opcode engine whenever the plan qualifies —
-// see lower/lower.h. --engine=ops on an unlowerable plan notes the reason
-// on stderr and runs the table engine).
+// later runs stream the cache with zero scanning), --threads <N> (spread
+// the inputs over N workers, one input per worker at a time; 0 = one
+// worker per hardware thread), --engine table|ops (pin the streaming
+// engine; the default picks the lowered opcode engine whenever the plan
+// qualifies — see lower/lower.h. --engine=ops on an unlowerable plan notes
+// the reason on stderr and runs the table engine).
 //
 // Multi-query runs: `run` with repeated --query/-q flags (or --query-file,
 // one query per line) streams EVERY query over each input document in a
@@ -351,8 +350,7 @@ ParallelInput FileInput(const std::string& path) {
 
 // The one driver of `run` and `mft`, for one query or several (-q). A single
 // query over stdin or one file without --threads streams directly, schema
-// validation and --pretok-cache included; a single pretok input under
-// --threads shards at top-level forest boundaries. Everything else — a
+// validation and --pretok-cache included. Everything else — --threads, a
 // document set, or several queries — is one Run: each document one shared
 // pass over every query, documents spread over --threads workers, each
 // query's output in input order.
@@ -427,10 +425,8 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
     }
   }
 
-  // Run state (a document set, or several queries), or single-document
-  // sharding of a pretok cache at top-level forest boundaries.
+  // Run state (--threads, a document set, or several queries).
   std::vector<ParallelInput> run_inputs;
-  std::string sharded_pretok;  // single-document sharding when non-empty
   RunOptions run_options;
   run_options.union_projection = !flags.no_union_projection;
   // Threads are an explicit opt-in: several inputs without --threads run
@@ -443,10 +439,7 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
 
   if (parallel) {
     if (!flags.pretok_cache.empty()) {
-      sharded_pretok = flags.pretok_cache;
-    } else if (!multi_query && inputs.size() == 1 &&
-               IsPretokFile(inputs[0])) {
-      sharded_pretok = inputs[0];
+      run_inputs.push_back(ParallelInput::PretokFile(flags.pretok_cache));
     } else if (inputs.empty()) {
       // Several queries over stdin: one in-memory document.
       run_inputs.push_back(ParallelInput::XmlText(ReadAll(stdin)));
@@ -457,12 +450,11 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
         }
         run_inputs.push_back(FileInput(path));
       }
-      if (run_inputs.size() == 1 && flags.threads_set) {
-        std::fprintf(stderr,
-                     "note: one text-XML input cannot be split; give a "
-                     "pretok cache (--pretok-cache) to shard a single "
-                     "document\n");
-      }
+    }
+    if (run_inputs.size() == 1 && flags.threads_set) {
+      std::fprintf(stderr,
+                   "note: --threads spreads inputs over workers; one input "
+                   "runs on one worker\n");
     }
   } else if (flags.pretok_cache.empty() && input_arg.empty()) {
     serial.bytes = std::make_unique<StdinSource>();
@@ -522,13 +514,6 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
   }
 
   auto stream = [&](OutputSink* sink, StreamStats* stats) {
-    if (!sharded_pretok.empty()) {
-      std::vector<StreamStats> shard_stats;
-      Status st = plan.StreamShardedPretokFile(
-          sharded_pretok, /*shards=*/0, sink, run_options, &shard_stats);
-      *stats = AggregateStreamStats(shard_stats);
-      return st;
-    }
     if (parallel) {
       std::vector<RunResult> results;
       Status st = Run(plans, run_inputs, {sink}, run_options, &results);

@@ -140,7 +140,7 @@ void BenchPretok(benchmark::State& state, const std::string& doc) {
   std::string pretok;
   {
     StringSource src(doc);
-    Status st = PretokenizeXml(&src, {}, &pretok);
+    Status st = PretokenizeXml(&src, &pretok);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

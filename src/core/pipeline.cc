@@ -15,19 +15,6 @@ namespace xqmft {
 
 namespace {
 
-// A pretok stream tokenized under different SAX options replays different
-// events; every pretok input is checked before it reaches an engine.
-Status CheckPretokOptions(SaxOptions declared, SaxOptions expected,
-                          const std::string& what) {
-  if (!SameTokenization(declared, expected)) {
-    return Status::InvalidArgument(
-        "pretok stream " + what +
-        " was tokenized under different SAX options than this pipeline; "
-        "delete it to re-tokenize");
-  }
-  return Status::OK();
-}
-
 // Shared tail of Compile and FromMft: force every lazily-compiled piece of
 // the Mft (dispatch tables, RHS symbol ids, the base symbol table) before
 // the plan escapes — from here on the plan is read-only by construction.
@@ -97,14 +84,14 @@ Status CompiledPlan::StreamFile(const std::string& path, OutputSink* sink,
   // input pays no stdio copy.
   XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
                          MmapSource::Open(path));
-  SaxParser parser(src.get(), options_.stream.sax);
+  SaxParser parser(src.get());
   return StreamEvents(&parser, sink, stats);
 }
 
 Status CompiledPlan::StreamString(const std::string& xml, OutputSink* sink,
                                   StreamStats* stats) const {
   StringSource src(xml);
-  SaxParser parser(&src, options_.stream.sax);
+  SaxParser parser(&src);
   return StreamEvents(&parser, sink, stats);
 }
 
@@ -122,38 +109,28 @@ Status CompiledPlan::StreamEvents(EventSource* events, OutputSink* sink,
   return st;
 }
 
-Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
-                                      const SaxOptions& sax) {
+Result<OpenedInput> OpenParallelInput(const ParallelInput& input) {
   OpenedInput opened;
   switch (input.kind) {
     case ParallelInput::Kind::kXmlFile: {
       // mmap when available: the parser scans the mapping in place.
       XQMFT_ASSIGN_OR_RETURN(opened.bytes, MmapSource::Open(input.value));
-      opened.events = std::make_unique<SaxParser>(opened.bytes.get(), sax);
+      opened.events = std::make_unique<SaxParser>(opened.bytes.get());
       return opened;
     }
     case ParallelInput::Kind::kPretokFile: {
-      XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<PretokSource> src,
+      XQMFT_ASSIGN_OR_RETURN(opened.events,
                              PretokSource::OpenFile(input.value));
-      XQMFT_RETURN_NOT_OK(
-          CheckPretokOptions(src->declared_options(), sax, input.value));
-      opened.events = std::move(src);
       return opened;
     }
     case ParallelInput::Kind::kXmlText:
       opened.bytes = std::make_unique<StringSource>(input.value);
-      opened.events = std::make_unique<SaxParser>(opened.bytes.get(), sax);
+      opened.events = std::make_unique<SaxParser>(opened.bytes.get());
       return opened;
-    case ParallelInput::Kind::kPretokBytes: {
-      auto src = std::make_unique<PretokSource>(input.value);
-      // A bad header surfaces as the source's first Next() error instead.
-      if (src->header_ok()) {
-        XQMFT_RETURN_NOT_OK(
-            CheckPretokOptions(src->declared_options(), sax, "(in-memory)"));
-      }
-      opened.events = std::move(src);
+    case ParallelInput::Kind::kPretokBytes:
+      // A bad header surfaces as the source's first Next() error.
+      opened.events = std::make_unique<PretokSource>(input.value);
       return opened;
-    }
   }
   return Status::Internal("unknown ParallelInput kind");
 }
@@ -214,10 +191,7 @@ Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
                           const RunOptions& options,
                           std::vector<MultiPlanResult>* results,
                           MultiQueryStats* run_stats) {
-  if (plans.empty() || plans.front() == nullptr) {
-    return Status::InvalidArgument("multi-query run needs at least one plan");
-  }
-  SaxParser parser(source, plans.front()->options().stream.sax);
+  SaxParser parser(source);
   return StreamAllTransformEvents(plans, &parser, sinks, options, results,
                                   run_stats);
 }
@@ -250,7 +224,6 @@ Status Run(const std::vector<const CompiledPlan*>& plans,
   }
   const std::size_t k = plans.size();
   const std::size_t n = inputs.size();
-  const SaxOptions sax = plans.front()->options().stream.sax;
   // One merge per plan: input i's output reaches the plan's sink after
   // that of inputs 0..i-1, and never once the plan failed before i.
   std::deque<OrderedMerge> merges;
@@ -282,7 +255,7 @@ Status Run(const std::vector<const CompiledPlan*>& plans,
                                           : Status::OK();
     std::vector<MultiPlanResult> pass_results;
     if (st.ok()) {
-      Result<OpenedInput> in = OpenParallelInput(inputs[i], sax);
+      Result<OpenedInput> in = OpenParallelInput(inputs[i]);
       st = in.status();
       if (in.ok()) {
         MultiQueryRun run(std::move(live_specs), options);

@@ -58,8 +58,8 @@ struct PipelineOptions {
   /// curves); disable only for measurement.
   bool optimize = true;
   OptimizeOptions optimizer;
-  /// Streaming defaults baked into the plan (step budget, tokenization,
-  /// engine core). Per-run state is not among them: see StreamEvents.
+  /// Streaming defaults baked into the plan (step budget, engine core).
+  /// Per-run state is not among them: see StreamEvents.
   StreamOptions stream;
 };
 
@@ -100,13 +100,11 @@ struct OpenedInput {
   std::unique_ptr<EventSource> events;  ///< always set
 };
 
-/// Opens `input` — the one per-kind dispatch behind Run and the CLI; text
-/// parses under `sax`. A pretok input whose header declares
-/// a tokenization other than `sax` is rejected with InvalidArgument (it
-/// would replay different events). The in-memory kinds are read in place,
-/// so `input` must then outlive the result.
-Result<OpenedInput> OpenParallelInput(const ParallelInput& input,
-                                      const SaxOptions& sax);
+/// Opens `input` — the one per-kind dispatch behind Run and the CLI. A
+/// pretok input with a bad header (ParsePretokHeader) fails at its first
+/// Next(). The in-memory kinds are read in place, so `input` must then
+/// outlive the result.
+Result<OpenedInput> OpenParallelInput(const ParallelInput& input);
 
 /// \brief An immutable, shareable compiled query: parse + translate +
 /// optimize happen exactly once, the rule dispatch and base symbol table
@@ -201,8 +199,7 @@ class CompiledPlan {
 /// every plan's engine at once (multiquery/multi_run.h), with the union of
 /// the plans' projections skipping unmatchable subtrees at the source. One
 /// sink per plan, in plan order; each plan streams under its own baked
-/// options (step budget etc.), and the plans' SAX options must tokenize
-/// identically.
+/// options (step budget etc.).
 ///
 /// Per-plan engine failures are isolated: siblings finish normally and the
 /// failure lands in `results`. The returned Status covers setup and
@@ -217,8 +214,7 @@ Status StreamAllTransform(const std::vector<const CompiledPlan*>& plans,
                           MultiQueryStats* run_stats = nullptr);
 
 /// StreamAllTransform over an already-tokenized event stream (e.g. a pretok
-/// cache); the caller is responsible for tokenization compatibility, as
-/// with StreamEvents.
+/// cache, whose header check already ran in PretokSource).
 Status StreamAllTransformEvents(const std::vector<const CompiledPlan*>& plans,
                                 EventSource* events,
                                 const std::vector<OutputSink*>& sinks,
@@ -242,8 +238,7 @@ struct RunResult {
 /// over `options.threads` workers (ShardedExecutor), and each plan's output
 /// reaches its sink in input order, byte-identical to streaming the inputs
 /// serially, for any thread count. One sink per plan, in plan order; each
-/// plan streams under its own baked options, and the plans' SAX options
-/// must tokenize identically.
+/// plan streams under its own baked options.
 ///
 /// Failures are isolated per plan: a plan that fails on input i keeps the
 /// output of the inputs before i and drops out, and its siblings keep

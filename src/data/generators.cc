@@ -1,6 +1,7 @@
 #include "data/generators.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
@@ -486,14 +487,30 @@ Result<std::string> EnsureDataset(DatasetKind kind, std::size_t target_bytes,
   if (::stat(path.c_str(), &st) == 0 && st.st_size > 0) {
     return path;
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Generate under a unique name in the same directory, then rename(2) it
+  // into place: `path` only ever names a complete document, so a run killed
+  // mid-generation or a concurrent caller never sees a truncated one.
+  std::string tmp = path + ".XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  std::FILE* f = fd < 0 ? nullptr : ::fdopen(fd, "wb");
   if (f == nullptr) {
-    return Status::InvalidArgument("cannot create dataset file: " + path);
+    if (fd >= 0) {
+      ::close(fd);
+      std::remove(tmp.c_str());
+    }
+    return Status::InvalidArgument("cannot create dataset file: " + tmp);
   }
+  ::fchmod(fd, 0644);
   Status gen = GenerateDataset(kind, target_bytes, seed, f);
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if ((std::fclose(f) != 0 || write_failed) && gen.ok()) {
+    gen = Status::Internal("short write to dataset file: " + tmp);
+  }
+  if (gen.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    gen = Status::Internal("cannot rename " + tmp + " to " + path);
+  }
   if (!gen.ok()) {
-    std::remove(path.c_str());
+    std::remove(tmp.c_str());
     return gen;
   }
   return path;

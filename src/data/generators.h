@@ -51,7 +51,9 @@ struct DatasetStats {
 Result<DatasetStats> ScanDatasetFile(const std::string& path);
 
 /// Returns the path of a cached generated dataset, generating it on first
-/// use. Files live in `XQMFT_DATA_DIR` (default /tmp/xqmft_data).
+/// use. Files live in `XQMFT_DATA_DIR` (default /tmp/xqmft_data). A file is
+/// written under a temporary name and renamed into place, so the returned
+/// path always holds a complete document.
 Result<std::string> EnsureDataset(DatasetKind kind, std::size_t target_bytes,
                                   std::uint64_t seed = 7);
 

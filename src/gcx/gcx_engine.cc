@@ -652,7 +652,7 @@ Status GcxQuery::Run(ByteSource* source, OutputSink* sink, GcxOptions options,
   // Run-local table copy: path-test ids stay aligned with the compiled
   // steps, input names discovered by the parser grow only this copy.
   SymbolTable symbols = impl.symbols;
-  SaxParser parser(source, options.sax, &symbols);
+  SaxParser parser(source, &symbols);
   XmlEvent ev;
   while (true) {
     XQMFT_RETURN_NOT_OK(parser.Next(&ev));

@@ -37,7 +37,6 @@ namespace xqmft {
 struct GcxOptions {
   /// Abort with ResourceExhausted when live buffers exceed this many bytes.
   std::size_t max_buffer_bytes = static_cast<std::size_t>(-1);
-  SaxOptions sax;
 };
 
 struct GcxStats {

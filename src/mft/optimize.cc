@@ -11,6 +11,10 @@ namespace xqmft {
 
 namespace {
 
+// Rounds of the four passes before OptimizeMft stops even if a pass still
+// reports a change.
+constexpr int kMaxIterations = 100;
+
 // Applies `fn` to every rule RHS of `mft`.
 void ForEachRhs(Mft* mft, const std::function<void(StateId, Rhs*)>& fn) {
   for (StateId q = 0; q < mft->num_states(); ++q) {
@@ -574,7 +578,7 @@ Mft OptimizeMft(const Mft& mft, const OptimizeOptions& options,
   Mft m = mft;
   OptimizeReport local;
   local.before = ComputeStats(m);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     bool changed = false;
     int count = 0;
     if (options.unused_parameters && RemoveUnusedParameters(&m, &count)) {

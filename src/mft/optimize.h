@@ -31,7 +31,6 @@ struct OptimizeOptions {
   bool constant_parameters = true;
   bool stay_moves = true;
   bool unreachable_states = true;
-  int max_iterations = 100;
 };
 
 /// Size snapshot of a transducer.

@@ -76,11 +76,6 @@ Status MultiQueryRun::CheckPlans() const {
       return Status::InvalidArgument(
           "multi-query plan needs a transducer and a sink");
     }
-    if (!SameTokenization(plans_.front().options.sax, p.options.sax)) {
-      return Status::InvalidArgument(
-          "multi-query plans disagree on tokenization options; they must "
-          "share one event stream");
-    }
   }
   return Status::OK();
 }

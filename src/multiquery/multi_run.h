@@ -31,7 +31,6 @@
 #include "stream/engine.h"
 #include "xml/event_source.h"
 #include "xml/events.h"
-#include "xml/sax_parser.h"
 
 namespace xqmft {
 
@@ -42,8 +41,7 @@ struct MultiPlanSpec {
   /// treated as whole_document and disables the union automaton for the
   /// whole run. Must outlive the run.
   const QueryProjection* projection = nullptr;
-  /// Per-plan step budget etc.; `sax` must tokenize identically across all
-  /// plans of a run. The run's cancel token is RunOptions::cancel.
+  /// Per-plan step budget etc. The run's cancel token is RunOptions::cancel.
   StreamOptions options;
   OutputSink* sink = nullptr;
 };

@@ -153,11 +153,9 @@ std::string QueryCache::MakeKey(std::string_view normalized,
   key.push_back(options.optimizer.constant_parameters ? '1' : '0');
   key.push_back(options.optimizer.stay_moves ? '1' : '0');
   key.push_back(options.optimizer.unreachable_states ? '1' : '0');
-  key += std::to_string(options.optimizer.max_iterations);
-  key.push_back('|');
+  key.push_back(
+      static_cast<char>('0' + static_cast<int>(options.stream.engine)));
   key += std::to_string(options.stream.max_steps);
-  key.push_back(options.stream.sax.expand_attributes ? '1' : '0');
-  key.push_back(options.stream.sax.skip_whitespace_text ? '1' : '0');
   return key;
 }
 

@@ -9,7 +9,6 @@
 #include "stream/engine.h"
 #include "util/strings.h"
 #include "xml/pretok.h"
-#include "xml/sax_parser.h"
 
 namespace xqmft {
 
@@ -274,9 +273,7 @@ Status ExecuteWithFault(QueryService* service, const WireRequest& wire,
   stats->cache_hit = lookup.hit;
   stats->compile_ms = lookup.compile_ms;
 
-  XQMFT_ASSIGN_OR_RETURN(
-      OpenedInput opened,
-      OpenParallelInput(in, lookup.plan->options().stream.sax));
+  XQMFT_ASSIGN_OR_RETURN(OpenedInput opened, OpenParallelInput(in));
   FaultInjectingSource events(opened.events.get(), wire.fault);
 
   StreamStats ss;

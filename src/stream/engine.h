@@ -42,6 +42,7 @@ struct StreamOptions {
   /// Rule applications before aborting with ResourceExhausted (guards
   /// against non-terminating stay loops in hand-written transducers).
   std::uint64_t max_steps = UINT64_MAX;
+  /// Empty; kept for bench/xqbench, which reads it (xml/sax_parser.h).
   SaxOptions sax;
   /// Execution core selection (see EngineChoice).
   EngineChoice engine = EngineChoice::kOps;

@@ -13,10 +13,10 @@
 // -present fallback. The two paths are differential-tested against each
 // other (tests/xml_test.cc).
 //
-// SIMD is a pure speedup: it never changes which byte a scan stops at, so it
-// is deliberately NOT a SaxOptions field (those feed tokenization-equality
-// checks and plan-cache keys). The process-wide toggle exists for A/B
-// benchmarking: env XQMFT_SIMD=off, or SetSimdScanEnabled(false).
+// SIMD is a pure speedup: it never changes which byte a scan stops at, so
+// the tokenization (and the pretok header's flags byte) is the same with it
+// on or off. The process-wide toggle exists for A/B benchmarking: env
+// XQMFT_SIMD=off, or SetSimdScanEnabled(false).
 #ifndef XQMFT_XML_CHAR_CLASS_H_
 #define XQMFT_XML_CHAR_CLASS_H_
 

@@ -36,13 +36,6 @@ enum class XmlEventType {
   kEndOfDocument,
 };
 
-/// One attribute of a start tag (only populated when attribute expansion is
-/// disabled). Views follow the event lifetime contract.
-struct XmlAttr {
-  std::string_view name;
-  std::string_view value;
-};
-
 /// \brief One parsing event. All views are valid until the producer's next
 /// Next() call (see the header comment for the lifetime contract).
 struct XmlEvent {
@@ -52,10 +45,6 @@ struct XmlEvent {
   SymbolId symbol = kInvalidSymbol;
   std::string_view name;  ///< element name (start/end)
   std::string_view text;  ///< character data (kText)
-  /// Attribute span, reused between events: non-null only for kStartElement
-  /// when the parser was configured with expand_attributes = false.
-  const XmlAttr* attrs = nullptr;
-  std::size_t attr_count = 0;
 };
 
 /// \brief Receiver of output XML events. Names and content arrive as views;

@@ -13,6 +13,9 @@ namespace {
 
 constexpr char kMagic[] = "XQPTK2\n";  // 7 bytes, no terminator written
 constexpr std::size_t kMagicLen = 7;
+// The flags byte of the one tokenization: bit0 attributes expanded, bit1
+// whitespace-only text dropped.
+constexpr unsigned char kFlags = 0x03;
 
 std::uint64_t Fnv1a64(std::string_view bytes,
                       std::uint64_t h = 1469598103934665603ull) {
@@ -31,23 +34,28 @@ constexpr unsigned char kOpEnd = 0x03;
 constexpr unsigned char kOpText = 0x04;
 
 struct PretokHeader {
-  SaxOptions sax;                 // tokenization options (header flags)
   std::uint64_t source_size = 0;  // declared source identity (0/0 = none)
   std::uint64_t source_hash = 0;
   std::size_t records_begin = 0;  // offset of the first record
 };
 
 // Parses the fixed header at the front of `data`; InvalidArgument on a bad
-// magic or truncation.
+// magic, a flags byte other than kFlags, or truncation. This is the one
+// tokenization check: a stream tokenized any other way would replay events
+// the live parser never produces.
 Result<PretokHeader> ParsePretokHeader(std::string_view data) {
   if (data.size() < kMagicLen + 1 ||
       std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
     return Status::InvalidArgument("bad magic (not a pretok stream)");
   }
+  const unsigned char flags = static_cast<unsigned char>(data[kMagicLen]);
+  if (flags != kFlags) {
+    return Status::InvalidArgument(StrFormat(
+        "unsupported tokenization flags 0x%02x (expected 0x%02x); delete "
+        "the cache to re-tokenize",
+        flags, kFlags));
+  }
   PretokHeader header;
-  unsigned char flags = static_cast<unsigned char>(data[kMagicLen]);
-  header.sax.expand_attributes = (flags & 1) != 0;
-  header.sax.skip_whitespace_text = (flags & 2) != 0;
   std::size_t pos = kMagicLen + 1;
   if (!ReadVarint(data, &pos, &header.source_size) ||
       !ReadVarint(data, &pos, &header.source_hash)) {
@@ -62,14 +70,11 @@ Result<PretokHeader> ParsePretokHeader(std::string_view data) {
 
 // --- Writer ------------------------------------------------------------------
 
-PretokWriter::PretokWriter(std::string* out, SaxOptions sax,
-                           std::uint64_t source_size, std::uint64_t source_hash)
+PretokWriter::PretokWriter(std::string* out, std::uint64_t source_size,
+                           std::uint64_t source_hash)
     : out_(out) {
   out_->append(kMagic, kMagicLen);
-  unsigned char flags = 0;
-  if (sax.expand_attributes) flags |= 1;
-  if (sax.skip_whitespace_text) flags |= 2;
-  out_->push_back(static_cast<char>(flags));
+  out_->push_back(static_cast<char>(kFlags));
   PutVarint(source_size);
   PutVarint(source_hash);
 }
@@ -79,11 +84,6 @@ void PretokWriter::PutVarint(std::uint64_t v) { xqmft::PutVarint(out_, v); }
 Status PretokWriter::Feed(const XmlEvent& event) {
   switch (event.type) {
     case XmlEventType::kStartElement: {
-      if (event.attr_count > 0) {
-        return Status::InvalidArgument(
-            "pretok has no attribute-span records; produce events with "
-            "expand_attributes = true");
-      }
       std::size_t before = local_.size();
       SymbolId fid = local_.Intern(NodeKind::kElement, event.name);
       if (local_.size() > before) {
@@ -123,7 +123,6 @@ void PretokSource::ParseHeader() {
     header_status_ = Fail(header.status().message());
     return;
   }
-  declared_ = header.value().sax;
   source_size_ = header.value().source_size;
   source_hash_ = header.value().source_hash;
   pos_ = header.value().records_begin;
@@ -170,8 +169,6 @@ Status PretokSource::Next(XmlEvent* event) {
     *event = XmlEvent{};
     return Status::OK();
   }
-  event->attrs = nullptr;
-  event->attr_count = 0;
   while (true) {
     if (pos_ >= data_.size()) return Fail("truncated stream (missing eod)");
     unsigned char op = static_cast<unsigned char>(data_[pos_++]);
@@ -288,12 +285,7 @@ Status PretokSource::SkipSubtree(std::uint64_t* events) {
 
 // --- Conversion --------------------------------------------------------------
 
-Status PretokenizeXml(ByteSource* source, SaxOptions sax, std::string* out) {
-  if (!sax.expand_attributes) {
-    return Status::InvalidArgument(
-        "pretok requires expand_attributes = true (the format has no "
-        "attribute-span records)");
-  }
+Status PretokenizeXml(ByteSource* source, std::string* out) {
   // Sources exposing their whole input get a source-identity header, so
   // consumers can tell this cache belongs to *these* bytes; pure streams
   // (stdin) declare none.
@@ -303,8 +295,8 @@ Status PretokenizeXml(ByteSource* source, SaxOptions sax, std::string* out) {
     src_size = whole.size();
     src_hash = Fnv1a64(whole);
   }
-  SaxParser parser(source, sax);
-  PretokWriter writer(out, sax, src_size, src_hash);
+  SaxParser parser(source);
+  PretokWriter writer(out, src_size, src_hash);
   XmlEvent ev;
   do {
     XQMFT_RETURN_NOT_OK(parser.Next(&ev));
@@ -329,11 +321,11 @@ Status WritePretokFile(const std::string& bytes, const std::string& path) {
 }
 
 Status PretokenizeXmlFile(const std::string& xml_path,
-                          const std::string& pretok_path, SaxOptions sax) {
+                          const std::string& pretok_path) {
   XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
                          MmapSource::Open(xml_path));
   std::string out;
-  XQMFT_RETURN_NOT_OK(PretokenizeXml(src.get(), sax, &out));
+  XQMFT_RETURN_NOT_OK(PretokenizeXml(src.get(), &out));
   return WritePretokFile(out, pretok_path);
 }
 
@@ -347,15 +339,13 @@ bool IsPretokFile(const std::string& path) {
 }
 
 bool PretokCacheValid(const std::string& cache_path,
-                      const std::string& input_path,
-                      SaxOptions expected_sax) {
+                      const std::string& input_path) {
   struct stat ist;
   if (::stat(input_path.c_str(), &ist) != 0) return false;
   Result<std::unique_ptr<PretokSource>> cache =
       PretokSource::OpenFile(cache_path);
   if (!cache.ok() || !cache.value()->header_ok()) return false;
   const PretokSource& c = *cache.value();
-  if (!SameTokenization(c.declared_options(), expected_sax)) return false;
   if (c.source_hash() != 0) {
     // Identity declared: the cache is valid iff the input's current bytes
     // are the exact bytes it was tokenized from.

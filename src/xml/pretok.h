@@ -10,10 +10,11 @@
 //
 // Format (all integers unsigned LEB128 varints):
 //
-//   header   "XQPTK2\n" (7 bytes)  flags (1 byte: bit0 expand_attributes,
-//                                  bit1 skip_whitespace_text of the SAX
-//                                  options the events were produced under),
-//                                  varint source_size, varint source_hash
+//   header   "XQPTK2\n" (7 bytes)  flags (1 byte, fixed at 0x03: attributes
+//                                  expanded, whitespace-only text dropped —
+//                                  the one tokenization; any other value is
+//                                  rejected), varint source_size, varint
+//                                  source_hash
 //                                  (byte count and FNV-1a 64 of the XML the
 //                                  stream was tokenized from; both 0 when
 //                                  the producer couldn't see the whole
@@ -48,26 +49,18 @@
 namespace xqmft {
 
 /// \brief Serializes an event stream into the pretok byte format.
-///
-/// Only the start/end/text record kinds exist: attribute *spans* (the
-/// expand_attributes = false representation) are not serialized, so feed
-/// events produced with attribute expansion on (the default, and the
-/// representation the whole streaming system uses). PretokenizeXml rejects
-/// the unsupported option.
 class PretokWriter {
  public:
-  /// Writes the header for events produced under `sax` into `*out`.
-  /// `source_size`/`source_hash` identify the tokenized document (byte count
-  /// + FNV-1a 64) so a consumer can reject a cache built from different
-  /// input; pass 0/0 when the producer cannot see the whole source.
-  explicit PretokWriter(std::string* out, SaxOptions sax = {},
-                        std::uint64_t source_size = 0,
+  /// Writes the header into `*out`. `source_size`/`source_hash` identify the
+  /// tokenized document (byte count + FNV-1a 64) so a consumer can reject a
+  /// cache built from different input; pass 0/0 when the producer cannot
+  /// see the whole source.
+  explicit PretokWriter(std::string* out, std::uint64_t source_size = 0,
                         std::uint64_t source_hash = 0);
 
   /// Appends one event (feed through kEndOfDocument). Events only need
   /// `type`, `name`, and `text` — ids are assigned in the file's own dense
-  /// space, so any producer's events serialize. Events carrying an
-  /// unexpanded attribute span are rejected (see the class comment).
+  /// space, so any producer's events serialize.
   Status Feed(const XmlEvent& event);
 
  private:
@@ -81,7 +74,7 @@ class PretokWriter {
 class PretokSource : public EventSource {
  public:
   /// Reads from `data`, which must outlive the source. The header is parsed
-  /// eagerly; a bad magic surfaces as the first Next() error.
+  /// eagerly; a bad magic or flags byte surfaces as the first Next() error.
   explicit PretokSource(std::string_view data);
 
   /// Opens a pretok file, memory-mapping it when the platform allows.
@@ -97,12 +90,6 @@ class PretokSource : public EventSource {
   /// Bytes consumed of the whole stream, header included.
   std::size_t bytes_consumed() const override { return pos_; }
   void BindSymbols(SymbolTable* symbols) override { symbols_ = symbols; }
-
-  /// The SAX options the stream was tokenized under (header flags).
-  /// Consumers that require a specific tokenization (e.g. the default
-  /// whitespace skipping) must check before streaming — a cache produced
-  /// under different options replays different events.
-  SaxOptions declared_options() const { return declared_; }
 
   /// Declared source identity (0/0 when the producer couldn't see the whole
   /// input); true header parse status without consuming any record.
@@ -124,16 +111,18 @@ class PretokSource : public EventSource {
   std::vector<SymbolId> remap_;  // file id -> consumer SymbolId
   std::vector<SymbolId> open_;   // element stack for end events
   Status header_status_;
-  SaxOptions declared_;
   std::uint64_t source_size_ = 0;
   std::uint64_t source_hash_ = 0;
   bool done_ = false;
 };
 
-/// Parses `source` as XML under `sax` and appends the pretok form to `*out`.
-/// `sax.expand_attributes` must be true (the format has no attribute-span
-/// records); InvalidArgument otherwise.
-Status PretokenizeXml(ByteSource* source, SaxOptions sax, std::string* out);
+/// Parses `source` as XML and appends the pretok form to `*out`.
+Status PretokenizeXml(ByteSource* source, std::string* out);
+/// Ignores the options; kept for bench/xqbench, which still passes them.
+inline Status PretokenizeXml(ByteSource* source, SaxOptions,
+                             std::string* out) {
+  return PretokenizeXml(source, out);
+}
 
 /// Writes already-serialized pretok bytes to `path`; on any short write the
 /// partial file is removed, so a cache path either holds a complete stream
@@ -142,21 +131,19 @@ Status WritePretokFile(const std::string& bytes, const std::string& path);
 
 /// File-to-file convenience: tokenizes `xml_path` into `pretok_path`.
 Status PretokenizeXmlFile(const std::string& xml_path,
-                          const std::string& pretok_path, SaxOptions sax = {});
+                          const std::string& pretok_path);
 
 /// True when `cache_path` holds a pretok stream tokenized from the *current
-/// contents* of `input_path` under `expected_sax`: the header's declared
-/// source identity (size + FNV-1a 64) is compared against the input bytes,
-/// so a document regenerated, restored with an old mtime, or simply swapped
-/// for another file never streams through the wrong token cache — and a
-/// cache tokenized under different SAX options (which replays different
-/// events) is rejected the same way. A header with no identity
-/// (stream-tokenized) falls back to requiring the cache's mtime to be
-/// strictly newer than the input's. A missing input or unreadable cache
-/// returns false, so callers re-tokenize and surface the real error.
+/// contents* of `input_path`: the header's declared source identity (size +
+/// FNV-1a 64) is compared against the input bytes, so a document
+/// regenerated, restored with an old mtime, or simply swapped for another
+/// file never streams through the wrong token cache. A header with no
+/// identity (stream-tokenized) falls back to requiring the cache's mtime to
+/// be strictly newer than the input's. A missing input, or a cache that is
+/// unreadable or fails the header check (bad magic or flags byte), returns
+/// false, so callers re-tokenize and surface the real error.
 bool PretokCacheValid(const std::string& cache_path,
-                      const std::string& input_path,
-                      SaxOptions expected_sax = {});
+                      const std::string& input_path);
 
 /// True when the file at `path` starts with the pretok magic — the cheap
 /// sniff callers use to tell an event cache from text XML (the CLI accepts

@@ -87,10 +87,8 @@ std::size_t MmapSource::Read(char* buf, std::size_t n) {
   return take;
 }
 
-SaxParser::SaxParser(ByteSource* source, SaxOptions options,
-                     SymbolTable* symbols)
+SaxParser::SaxParser(ByteSource* source, SymbolTable* symbols)
     : source_(source),
-      options_(options),
       symbols_(symbols != nullptr ? symbols : &owned_symbols_) {
   std::string_view all;
   if (source_->Contents(&all)) {
@@ -168,8 +166,6 @@ Status SaxParser::Next(XmlEvent* event) {
     const PendingEvent& p = pending_[pending_head_++];
     event->type = p.type;
     event->symbol = p.symbol;
-    event->attrs = nullptr;
-    event->attr_count = 0;
     if (p.type == XmlEventType::kText) {
       event->name = {};
       event->text = std::string_view(tag_spill_).substr(p.text_off, p.text_len);
@@ -248,20 +244,14 @@ Status SaxParser::LexText(XmlEvent* event) {
   std::string_view text =
       spilled ? std::string_view(text_spill_)
               : std::string_view(data_ + run_start, pos_ - run_start);
-  if (all_ws && options_.skip_whitespace_text) {
+  if (all_ws) {
     event->type = XmlEventType::kEndOfDocument;  // sentinel: nothing produced
     return Status::OK();
   }
-  if (!open_.empty() || !all_ws) {
-    event->type = XmlEventType::kText;
-    event->symbol = kInvalidSymbol;
-    event->text = text;
-    event->name = {};
-    event->attrs = nullptr;
-    event->attr_count = 0;
-    return Status::OK();
-  }
-  event->type = XmlEventType::kEndOfDocument;  // top-level whitespace
+  event->type = XmlEventType::kText;
+  event->symbol = kInvalidSymbol;
+  event->text = text;
+  event->name = {};
   return Status::OK();
 }
 
@@ -284,8 +274,6 @@ Status SaxParser::LexMarkup(XmlEvent* event) {
       event->symbol = kInvalidSymbol;
       event->text = text;
       event->name = {};
-      event->attrs = nullptr;
-      event->attr_count = 0;
       return Status::OK();
     }
     XQMFT_RETURN_NOT_OK(SkipDoctype());
@@ -323,8 +311,6 @@ Status SaxParser::LexMarkup(XmlEvent* event) {
     event->symbol = open_.back();
     event->name = symbols_->name(event->symbol);
     event->text = {};
-    event->attrs = nullptr;
-    event->attr_count = 0;
     open_.pop_back();
     return Status::OK();
   }
@@ -373,30 +359,15 @@ Status SaxParser::LexMarkup(XmlEvent* event) {
   event->symbol = sym;
   event->name = symbols_->name(sym);
   event->text = {};
-  event->attrs = nullptr;
-  event->attr_count = 0;
-  if (options_.expand_attributes) {
-    // Encode <e a="v"> as <e><a>v</a>... : attribute nodes become the first
-    // children, each with a single text child (paper Section 2 / Figure 1).
-    for (const AttrRecord& rec : attrs_scratch_) {
+  // Encode <e a="v"> as <e><a>v</a>... : attribute nodes become the first
+  // children, each with a single text child (paper Section 2 / Figure 1).
+  for (const AttrRecord& rec : attrs_scratch_) {
+    pending_.push_back({XmlEventType::kStartElement, rec.symbol, 0, 0});
+    if (rec.value_len > 0) {
       pending_.push_back(
-          {XmlEventType::kStartElement, rec.symbol, 0, 0});
-      if (rec.value_len > 0) {
-        pending_.push_back(
-            {XmlEventType::kText, kInvalidSymbol, rec.value_off,
-             rec.value_len});
-      }
-      pending_.push_back({XmlEventType::kEndElement, rec.symbol, 0, 0});
+          {XmlEventType::kText, kInvalidSymbol, rec.value_off, rec.value_len});
     }
-  } else if (!attrs_scratch_.empty()) {
-    attrs_view_.clear();
-    for (const AttrRecord& rec : attrs_scratch_) {
-      attrs_view_.push_back(
-          {symbols_->name(rec.symbol),
-           std::string_view(tag_spill_).substr(rec.value_off, rec.value_len)});
-    }
-    event->attrs = attrs_view_.data();
-    event->attr_count = attrs_view_.size();
+    pending_.push_back({XmlEventType::kEndElement, rec.symbol, 0, 0});
   }
   if (self_closing) {
     // Queue the matching end event behind any attribute-encoding events.
@@ -446,8 +417,6 @@ Status SaxParser::SkipSubtree(std::uint64_t* events) {
   pending_head_ = pending_.size();
   if (last_start_closed_) return Status::OK();
 
-  const bool skip_ws = options_.skip_whitespace_text;
-  const bool expand = options_.expand_attributes;
   skip_stack_.clear();
   skip_names_.clear();
   std::size_t depth = 1;
@@ -464,7 +433,7 @@ Status SaxParser::SkipSubtree(std::uint64_t* events) {
         const std::size_t n =
             ScanTextRun(p, static_cast<std::size_t>(end - p), &all_ws);
         if (p + n == end || p[n] == '&') break;
-        if (!(all_ws && skip_ws)) ++count;
+        if (!all_ws) ++count;
         p += n;
       }
       if (end - p < 2) break;
@@ -525,7 +494,7 @@ Status SaxParser::SkipSubtree(std::uint64_t* events) {
         const std::size_t v =
             ScanAttrRun(r, static_cast<std::size_t>(end - r), quote);
         if (r + v == end || r[v] != quote) break;  // '&' or window end
-        if (expand) tag_events += v > 0 ? 3 : 2;
+        tag_events += v > 0 ? 3 : 2;
         r += v + 1;
       }
       if (!closed) break;
@@ -630,7 +599,7 @@ Status SaxParser::SkipConstructSlow(std::size_t* depth,
     std::uint32_t value_off = 0;
     std::uint32_t value_len = 0;
     XQMFT_RETURN_NOT_OK(LexAttrValue(&value_off, &value_len));
-    if (options_.expand_attributes) tag_events += value_len > 0 ? 3 : 2;
+    tag_events += value_len > 0 ? 3 : 2;
   }
   *events += tag_events;
   return Status::OK();
@@ -897,16 +866,16 @@ Result<Forest> BuildForest(SaxParser* parser) {
 
 }  // namespace
 
-Result<Forest> ParseXmlForest(std::string_view xml, SaxOptions options) {
+Result<Forest> ParseXmlForest(std::string_view xml) {
   StringSource src(xml);
-  SaxParser parser(&src, options);
+  SaxParser parser(&src);
   return BuildForest(&parser);
 }
 
-Result<Forest> ParseXmlFile(const std::string& path, SaxOptions options) {
+Result<Forest> ParseXmlFile(const std::string& path, SaxOptions) {
   XQMFT_ASSIGN_OR_RETURN(std::unique_ptr<ByteSource> src,
                          MmapSource::Open(path));
-  SaxParser parser(src.get(), options);
+  SaxParser parser(src.get());
   return BuildForest(&parser);
 }
 

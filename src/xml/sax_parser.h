@@ -110,23 +110,11 @@ class MmapSource : public ByteSource {
   std::size_t pos_ = 0;
 };
 
-/// Parser configuration.
-struct SaxOptions {
-  /// Expand attributes into leading child elements with a text-node child
-  /// (the encoding the paper uses for all experiments).
-  bool expand_attributes = true;
-  /// Drop text events that consist solely of ASCII whitespace.
-  bool skip_whitespace_text = true;
-};
-
-/// True when two configurations tokenize identically — the one definition
-/// every pretok-cache compatibility check uses (CLI, pipeline,
-/// PretokCacheValid), so a new tokenization-affecting option cannot be
-/// forgotten at some call sites and silently replay wrong events.
-inline bool SameTokenization(SaxOptions a, SaxOptions b) {
-  return a.expand_attributes == b.expand_attributes &&
-         a.skip_whitespace_text == b.skip_whitespace_text;
-}
+/// Empty: tokenization is fixed. Attributes always expand into leading
+/// child elements with one text child (the paper's encoding, Section 2),
+/// and whitespace-only text is always dropped. Kept for bench/xqbench,
+/// which still spells it.
+struct SaxOptions {};
 
 /// \brief Pull parser: call Next() repeatedly until kEndOfDocument.
 ///
@@ -137,8 +125,9 @@ class SaxParser : public EventSource {
   /// If `symbols` is null the parser owns a private table; pass a shared one
   /// to keep ids consistent with a consumer (the streaming engine passes the
   /// table its rule dispatch was compiled against).
-  SaxParser(ByteSource* source, SaxOptions options = {},
-            SymbolTable* symbols = nullptr);
+  explicit SaxParser(ByteSource* source, SymbolTable* symbols = nullptr);
+  /// Ignores the options; kept for bench/xqbench, which still passes them.
+  SaxParser(ByteSource* source, SaxOptions) : SaxParser(source) {}
 
   /// Produces the next event. After kEndOfDocument, keeps returning it.
   /// Event views are valid until the next call (events.h contract).
@@ -209,7 +198,6 @@ class SaxParser : public EventSource {
   std::string_view SkipTopName() const;
 
   ByteSource* source_;
-  SaxOptions options_;
   SymbolTable owned_symbols_;     // used when no shared table is supplied
   SymbolTable* symbols_;
 
@@ -236,7 +224,6 @@ class SaxParser : public EventSource {
   std::string name_spill_;
   std::string tag_spill_;
   std::vector<AttrRecord> attrs_scratch_;
-  std::vector<XmlAttr> attrs_view_;  // backing for XmlEvent::attrs
   std::vector<PendingEvent> pending_;
   std::size_t pending_head_ = 0;
 
@@ -251,10 +238,12 @@ class SaxParser : public EventSource {
 };
 
 /// Parses a whole document (or forest of documents) into a DOM Forest.
-Result<Forest> ParseXmlForest(std::string_view xml, SaxOptions options = {});
+Result<Forest> ParseXmlForest(std::string_view xml);
 
 /// Parses a file into a DOM Forest (memory-mapped when the platform allows).
-Result<Forest> ParseXmlFile(const std::string& path, SaxOptions options = {});
+/// The options are ignored; the parameter is kept for bench/xqbench, which
+/// still passes them.
+Result<Forest> ParseXmlFile(const std::string& path, SaxOptions = {});
 
 }  // namespace xqmft
 

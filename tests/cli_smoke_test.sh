@@ -91,6 +91,24 @@ skipped: 9), schema validation reads every event"
       || fail "exit $?"
     expect_contains "$OUT" "$WANT"
     ;;
+  run_pretok_flags)
+    # A pretok stream whose header flags byte is not 0x03 (the one
+    # tokenization) is rejected: as a direct .ptk input the run exits 1, and
+    # under --pretok-cache the cache is stale, so it is re-tokenized.
+    CACHE="$TMPDIR_SMOKE/doc.ptk"
+    "$XQMFT" run --pretok-cache "$CACHE" "$QUERY" "$XML" > /dev/null \
+      || fail "exit $?"
+    printf '\001' | dd of="$CACHE" bs=1 seek=7 conv=notrunc 2>/dev/null \
+      || fail "cannot rewrite the flags byte"
+    OUT=$("$XQMFT" run "$QUERY" "$CACHE" 2>&1)
+    test $? -eq 1 || fail "expected exit 1 for flags 0x01, got: $OUT"
+    expect_contains "$OUT" "unsupported tokenization flags 0x01"
+    OUT=$("$XQMFT" run --pretok-cache "$CACHE" "$QUERY" "$XML") \
+      || fail "exit $?"
+    test "$OUT" = "$WANT" || fail "re-tokenized run printed: $OUT"
+    OUT=$("$XQMFT" run "$QUERY" "$CACHE") || fail "exit $?"
+    test "$OUT" = "$WANT" || fail "rewritten cache printed: $OUT"
+    ;;
   run_multi)
     # Several inputs stream through parallel workers; outputs concatenate
     # in input order regardless of completion order.

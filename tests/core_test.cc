@@ -134,11 +134,11 @@ std::uint64_t ExpectProjectionInvisible(const CompiledPlan& plan,
       auto on_src = source();
       StringSink on;
       StreamStats stats;
-      SaxParser on_parser(on_src.get(), plan.options().stream.sax);
+      SaxParser on_parser(on_src.get());
       Status on_st = plan.StreamEvents(&on_parser, &on, &stats);
       auto off_src = source();
       StringSink off;
-      SaxParser off_parser(off_src.get(), plan.options().stream.sax);
+      SaxParser off_parser(off_src.get());
       Status off_st = off_plan.value()->StreamEvents(&off_parser, &off);
       EXPECT_EQ(on_st.ToString(), off_st.ToString())
           << what << " chunk=" << chunk << " simd=" << simd;

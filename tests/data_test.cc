@@ -2,7 +2,15 @@
 // structural profiles (depth per Table 1), and query-target coverage (every
 // Figure 3 query finds work in the XMark data).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "bench_common/queries.h"
@@ -121,6 +129,47 @@ TEST(GeneratorsTest, ScanStatsMatchesParse) {
   Result<std::string> path2 = EnsureDataset(DatasetKind::kXmark, kSmall, 7);
   ASSERT_TRUE(path2.ok());
   EXPECT_EQ(path.value(), path2.value());
+}
+
+// A generator killed mid-write (here by SIGXFSZ at a 64 KiB file-size limit)
+// must leave nothing a later call trusts: the next EnsureDataset returns the
+// complete document.
+TEST(GeneratorsTest, EnsureDatasetSurvivesAWriterKilledMidWrite) {
+  constexpr std::size_t kTarget = 512 * 1024;
+  const std::string dir = ::testing::TempDir() + "/xqmft_ensure_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const char* old_dir = std::getenv("XQMFT_DATA_DIR");
+  const std::string saved = old_dir != nullptr ? old_dir : "";
+  ::setenv("XQMFT_DATA_DIR", dir.c_str(), 1);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const struct rlimit no_core = {0, 0};
+    const struct rlimit fsize = {64 * 1024, 64 * 1024};
+    ::setrlimit(RLIMIT_CORE, &no_core);
+    ::setrlimit(RLIMIT_FSIZE, &fsize);
+    (void)EnsureDataset(DatasetKind::kXmark, kTarget, 11);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGXFSZ) << status;
+
+  Result<std::string> path = EnsureDataset(DatasetKind::kXmark, kTarget, 11);
+  if (old_dir != nullptr) {
+    ::setenv("XQMFT_DATA_DIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("XQMFT_DATA_DIR");
+  }
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  std::stringstream got;
+  got << std::ifstream(path.value(), std::ios::binary).rdbuf();
+  const std::string want =
+      GenerateDatasetString(DatasetKind::kXmark, kTarget, 11).value();
+  EXPECT_EQ(got.str().size(), want.size());
+  EXPECT_TRUE(got.str() == want);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

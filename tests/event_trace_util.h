@@ -47,9 +47,8 @@ inline Result<std::vector<TracedEvent>> Trace(EventSource* src) {
   return out;
 }
 
-inline Result<std::vector<TracedEvent>> Trace(ByteSource* src,
-                                              SaxOptions opts = {}) {
-  SaxParser parser(src, opts);
+inline Result<std::vector<TracedEvent>> Trace(ByteSource* src) {
+  SaxParser parser(src);
   return Trace(static_cast<EventSource*>(&parser));
 }
 
@@ -108,12 +107,7 @@ inline std::string SkipLog(
     if (!st.ok() || ev.type == XmlEventType::kEndOfDocument) break;
     switch (ev.type) {
       case XmlEventType::kStartElement:
-        log += "<" + std::string(ev.name);
-        for (std::size_t i = 0; i < ev.attr_count; ++i) {
-          log += " " + std::string(ev.attrs[i].name) + "=" +
-                 std::string(ev.attrs[i].value);
-        }
-        log += ">";
+        log += "<" + std::string(ev.name) + ">";
         break;
       case XmlEventType::kEndElement:
         log += "</" + std::string(ev.name) + ">";

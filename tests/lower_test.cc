@@ -581,13 +581,13 @@ StreamStats DiffCores(const Mft& m, const std::string& xml,
   StreamOptions table_opts = base;
   table_opts.engine = EngineChoice::kTable;
   ChunkedSource table_src(xml, chunk);
-  SaxParser table_parser(&table_src, table_opts.sax);
+  SaxParser table_parser(&table_src);
   StringSink want;
   Status ts = StreamMftEvents(m, &table_parser, &want, table_opts);
   StreamOptions ops_opts = base;
   ops_opts.engine = EngineChoice::kOps;
   ChunkedSource ops_src(xml, chunk);
-  SaxParser ops_parser(&ops_src, ops_opts.sax);
+  SaxParser ops_parser(&ops_src);
   StringSink got;
   StreamStats stats;
   Status os = StreamMftEvents(m, &ops_parser, &got, ops_opts, &stats);

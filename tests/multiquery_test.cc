@@ -111,7 +111,7 @@ TEST(PushEngine, ManualFeedMatchesPullPump) {
   Engine engine(plan.value()->mft(), &pushed,
                 plan.value()->options().stream);
   StringSource src(xml);
-  SaxParser parser(&src, {});
+  SaxParser parser(&src);
   parser.BindSymbols(engine.symbols());
   ASSERT_TRUE(engine.Prime().ok());
   XmlEvent ev;
@@ -195,7 +195,7 @@ TEST(MultiQuery, Fig3DifferentialPretok) {
   const std::string xml = XmarkDoc(16 * 1024);
   StringSource src(xml);
   std::string pretok;
-  ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+  ASSERT_TRUE(PretokenizeXml(&src, &pretok).ok());
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
     Plans plans = CompileSet(Fig3Set(n));
     std::vector<std::string> want = SerialOutputs(plans, xml);
@@ -299,7 +299,7 @@ TEST(MultiQuery, SkippedEventsAreCountedNotBuilt) {
   std::string pretok;
   {
     StringSource src(xml);
-    ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+    ASSERT_TRUE(PretokenizeXml(&src, &pretok).ok());
   }
   for (bool use_pretok : {false, true}) {
     MultiQueryStats on, off;
@@ -439,21 +439,6 @@ TEST(MultiQuery, AllPlansFailingFailsTheRun) {
   EXPECT_FALSE(results[0].status.ok());
 }
 
-TEST(MultiQuery, MixedTokenizationRejected) {
-  auto a = CompiledPlan::Compile(Fig3Set(1)[0]);
-  PipelineOptions keep_ws;
-  keep_ws.stream.sax.skip_whitespace_text = false;
-  auto b = CompiledPlan::Compile(Fig3Set(2)[1], keep_ws);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  StringSink s1, s2;
-  std::vector<OutputSink*> sink_ptrs{&s1, &s2};
-  StringSource source("<doc/>");
-  Status st = StreamAllTransform({a.value().get(), b.value().get()},
-                                 &source, sink_ptrs, {}, nullptr, nullptr);
-  EXPECT_FALSE(st.ok());
-}
-
 // ---------------------------------------------------------------------------
 // Projection derivation
 
@@ -560,7 +545,7 @@ TEST(OnePlanPass, EveryEntryPointGivesTheSameOutputAndStats) {
   const std::string xml = XmarkDoc(24 * 1024, 3);
   StringSource src(xml);
   std::string pretok;
-  ASSERT_TRUE(PretokenizeXml(&src, {}, &pretok).ok());
+  ASSERT_TRUE(PretokenizeXml(&src, &pretok).ok());
   bool saw_whole_document = false;
   bool saw_projected = false;
   for (const BenchQuery& q : Figure3Queries()) {

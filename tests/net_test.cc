@@ -111,7 +111,7 @@ void CheckCancelledRunContract(EngineChoice choice, bool expect_ops) {
   Engine engine(plan.value()->mft(), &sink, options, &token);
   const std::string doc = BigDoc(500);
   StringSource source(doc);
-  SaxParser parser(&source, {});
+  SaxParser parser(&source);
   parser.BindSymbols(engine.symbols());
 
   ASSERT_TRUE(engine.Prime().ok());
@@ -219,7 +219,7 @@ TEST(FaultInjectionTest, ParsesKindNames) {
 
 TEST(FaultInjectionTest, TruncateTurnsTheTailIntoEndOfDocument) {
   StringSource source(kSmallDoc);
-  SaxParser parser(&source, {});
+  SaxParser parser(&source);
   FaultSpec spec;
   spec.kind = FaultSpec::Kind::kTruncate;
   spec.at_event = 3;
@@ -237,7 +237,7 @@ TEST(FaultInjectionTest, TruncateTurnsTheTailIntoEndOfDocument) {
 
 TEST(FaultInjectionTest, ErrorSurfacesAtTheChosenEvent) {
   StringSource source(kSmallDoc);
-  SaxParser parser(&source, {});
+  SaxParser parser(&source);
   FaultSpec spec;
   spec.kind = FaultSpec::Kind::kError;
   spec.at_event = 2;
@@ -254,7 +254,7 @@ TEST(FaultInjectionTest, ErrorSurfacesAtTheChosenEvent) {
 TEST(FaultInjectionTest, StallDelaysOnceAndPassesThrough) {
   const std::string want = [&] {
     StringSource source(kSmallDoc);
-    SaxParser parser(&source, {});
+    SaxParser parser(&source);
     std::string events;
     XmlEvent event;
     do {
@@ -265,7 +265,7 @@ TEST(FaultInjectionTest, StallDelaysOnceAndPassesThrough) {
   }();
 
   StringSource source(kSmallDoc);
-  SaxParser parser(&source, {});
+  SaxParser parser(&source);
   FaultSpec spec;
   spec.kind = FaultSpec::Kind::kStall;
   spec.at_event = 1;

@@ -117,7 +117,7 @@ TEST(PeakPinTest, UnoptimizedStreamPeaks) {
 TEST(PeakPinTest, PretokAndDocumentSetPeaksMatchTheOptimizedRun) {
   StringSource src(Document());
   std::string pretok;
-  ASSERT_TRUE(PretokenizeXml(&src, SaxOptions{}, &pretok).ok());
+  ASSERT_TRUE(PretokenizeXml(&src, &pretok).ok());
   std::vector<ParallelInput> docset(4, ParallelInput::XmlText(Document()));
   RunOptions par;
   par.threads = 4;

@@ -40,7 +40,7 @@ inline Status StreamMftString(const Mft& mft, const std::string& xml,
                               StreamStats* stats = nullptr,
                               const CancelToken* cancel = nullptr) {
   StringSource source(xml);
-  SaxParser parser(&source, options.sax);
+  SaxParser parser(&source);
   return StreamMftEvents(mft, &parser, sink, options, stats, cancel);
 }
 

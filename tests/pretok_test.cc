@@ -36,10 +36,10 @@ std::vector<TracedEvent> TraceSource(EventSource* src) {
   return out.ok() ? std::move(out.value()) : std::vector<TracedEvent>{};
 }
 
-std::string Tokenize(const std::string& xml, SaxOptions sax = {}) {
+std::string Tokenize(const std::string& xml) {
   StringSource src(xml);
   std::string out;
-  Status st = PretokenizeXml(&src, sax, &out);
+  Status st = PretokenizeXml(&src, &out);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return out;
 }
@@ -109,33 +109,57 @@ TEST(PretokTest, DefinesEachSymbolOnce) {
   EXPECT_LT(bytes.size(), xml.size());
 }
 
-TEST(PretokTest, HeaderDeclaresTokenizationOptions) {
-  // Consumers check the declared options before streaming: a cache built
-  // under non-default tokenization must not replay silently as default.
-  SaxOptions sax;
-  sax.skip_whitespace_text = false;
-  StringSource src("<a> <b/> </a>");
-  std::string bytes;
-  ASSERT_TRUE(PretokenizeXml(&src, sax, &bytes).ok());
-  PretokSource reader(bytes);
-  EXPECT_FALSE(reader.declared_options().skip_whitespace_text);
-  EXPECT_TRUE(reader.declared_options().expand_attributes);
+// The flags byte (offset 7, after the magic) of every stream is 0x03: the
+// one tokenization. Any other value is rejected at the header, on every
+// reader path, before a single event replays.
+TEST(PretokTest, ForeignTokenizationFlagsAreRejectedOnEveryPath) {
+  const std::string xml = "<a x=\"1\"> <b>t</b> </a>";
+  const std::string bytes = Tokenize(xml);
+  ASSERT_EQ(bytes.substr(0, 8), std::string("XQPTK2\n\x03", 8));
+  std::string foreign = bytes;
+  foreign[7] = '\x01';  // attributes expanded, whitespace-only text kept
 
-  std::string default_bytes = Tokenize("<a/>");
-  PretokSource default_reader(default_bytes);
-  EXPECT_TRUE(default_reader.declared_options().skip_whitespace_text);
-}
+  XmlEvent ev;
+  for (int flags = 0; flags < 256; ++flags) {
+    if (flags == 0x03) continue;
+    std::string s = bytes;
+    s[7] = static_cast<char>(flags);
+    PretokSource src(s);
+    EXPECT_FALSE(src.header_ok()) << flags;
+    EXPECT_EQ(src.Next(&ev).code(), StatusCode::kInvalidArgument) << flags;
+  }
 
-TEST(PretokTest, RejectsUnexpandedAttributes) {
-  // The format has no attribute-span records: tokenizing with attribute
-  // expansion off must fail loudly rather than silently dropping the data.
-  SaxOptions sax;
-  sax.expand_attributes = false;
-  StringSource src("<a x=\"1\"/>");
-  std::string out;
-  Status st = PretokenizeXml(&src, sax, &out);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("expand_attributes"), std::string::npos);
+  const std::string dir = ::testing::TempDir();
+  const std::string xml_path = dir + "/xqmft_foreign_flags.xml";
+  const std::string ptk_path = dir + "/xqmft_foreign_flags.ptk";
+  {
+    std::FILE* f = std::fopen(xml_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(xml.data(), 1, xml.size(), f);
+    std::fclose(f);
+  }
+  ASSERT_TRUE(WritePretokFile(foreign, ptk_path).ok());
+  Result<std::unique_ptr<PretokSource>> opened =
+      PretokSource::OpenFile(ptk_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value()->Next(&ev).code(), StatusCode::kInvalidArgument);
+
+  auto plan = CompiledPlan::Compile("<out>{$input/a/b}</out>").ValueOrDie();
+  for (const ParallelInput& input : {ParallelInput::PretokBytes(foreign),
+                                     ParallelInput::PretokFile(ptk_path)}) {
+    StringSink sink;
+    Status st = xqmft::Run({plan.get()}, {input}, {&sink});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(sink.str(), "");
+  }
+
+  // Same source bytes, same declared identity: only the flags differ, and
+  // the cache is still invalid, so callers re-tokenize.
+  EXPECT_FALSE(PretokCacheValid(ptk_path, xml_path));
+  ASSERT_TRUE(WritePretokFile(bytes, ptk_path).ok());
+  EXPECT_TRUE(PretokCacheValid(ptk_path, xml_path));
+  std::remove(xml_path.c_str());
+  std::remove(ptk_path.c_str());
 }
 
 TEST(PretokTest, RejectsCorruptStreams) {
@@ -210,16 +234,6 @@ TEST(PretokTest, CacheValidityTracksSourceIdentity) {
   // Same length, different bytes: the size check alone must not pass it.
   write(xml, "<a>eno</a>");
   EXPECT_FALSE(PretokCacheValid(ptk, xml));
-  // Tokenized under different SAX options: rejected even for identical
-  // bytes — the cache would replay different events.
-  write(xml, "<a>one</a>");
-  {
-    SaxOptions keep_ws;
-    keep_ws.skip_whitespace_text = false;
-    ASSERT_TRUE(PretokenizeXmlFile(xml, ptk, keep_ws).ok());
-    EXPECT_FALSE(PretokCacheValid(ptk, xml));
-    EXPECT_TRUE(PretokCacheValid(ptk, xml, keep_ws));
-  }
   // A cache with no declared identity (stream-tokenized, e.g. stdin) falls
   // back to requiring the cache mtime to be strictly newer than the input.
   write(xml, "<a>one</a>");
@@ -280,7 +294,6 @@ TEST(PretokTest, RepeatedEndOfDocumentClearsViews) {
   EXPECT_EQ(ev.type, XmlEventType::kEndOfDocument);
   EXPECT_TRUE(ev.name.empty());
   EXPECT_TRUE(ev.text.empty());
-  EXPECT_EQ(ev.attrs, nullptr);
 }
 
 // ---------------------------------------------------------------------------

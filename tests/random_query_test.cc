@@ -293,7 +293,7 @@ TEST_P(RandomQueryProperty, AllEvaluationPathsAgree) {
     {
       StringSource doc_src(xml);
       std::string pretok;
-      Status tst = PretokenizeXml(&doc_src, {}, &pretok);
+      Status tst = PretokenizeXml(&doc_src, &pretok);
       ASSERT_TRUE(tst.ok()) << tst.ToString();
       const std::size_t copies = 1 + rng.Below(4);
       RunOptions par;

@@ -127,7 +127,7 @@ Status StreamValidated(const CompiledPlan& plan,
                        StreamStats* stats = nullptr) {
   SchemaValidator validator(std::move(schema));
   StringSource source(xml);
-  SaxParser parser(&source, plan.options().stream.sax);
+  SaxParser parser(&source);
   ValidatingSource events(&parser, &validator);
   return plan.StreamEvents(&events, sink, stats);
 }

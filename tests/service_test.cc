@@ -172,6 +172,16 @@ TEST(QueryCacheTest, PlanShapingOptionsArePartOfTheKey) {
   EXPECT_NE(a.value().plan.get(), b.value().plan.get());
   EXPECT_EQ(cache.stats().compiles, 2u);
   EXPECT_EQ(cache.stats().entries, 2u);
+  // The execution core is replay semantics: a table-pinned lookup must not
+  // be served the ops plan compiled for the same text.
+  PipelineOptions table;
+  table.stream.engine = EngineChoice::kTable;
+  auto c = cache.Lookup(QueryFor("a"), table);
+  ASSERT_TRUE(c.ok());
+  EXPECT_FALSE(c.value().hit);
+  EXPECT_NE(a.value().plan.get(), c.value().plan.get());
+  EXPECT_EQ(c.value().plan->options().stream.engine, EngineChoice::kTable);
+  EXPECT_EQ(cache.stats().compiles, 3u);
 }
 
 TEST(QueryCacheTest, FailedCompileIsReportedAndNotCached) {

@@ -77,7 +77,7 @@ TEST(SymbolTableTest, CopyKeepsIdsAndGrowsIndependently) {
 TEST(SymbolTableTest, ParserThreadsIdsThroughEvents) {
   SymbolTable t;
   StringSource src("<a><b/>hi</a><a/>");
-  SaxParser parser(&src, {}, &t);
+  SaxParser parser(&src, &t);
   std::vector<XmlEvent> events;
   XmlEvent ev;
   do {

@@ -115,34 +115,6 @@ TEST(SaxTest, WhitespaceSkippingByDefault) {
   EXPECT_EQ(ForestToTerm(f), "a(b(\" x \"))");
 }
 
-TEST(SaxTest, WhitespaceKeptWhenConfigured) {
-  SaxOptions opts;
-  opts.skip_whitespace_text = false;
-  Forest f = std::move(ParseXmlForest("<a> <b/></a>", opts).ValueOrDie());
-  ASSERT_EQ(f[0].children.size(), 2u);
-  EXPECT_EQ(f[0].children[0].kind, NodeKind::kText);
-}
-
-TEST(SaxTest, AttributeExpansionCanBeDisabled) {
-  SaxOptions opts;
-  opts.expand_attributes = false;
-  StringSource src("<a x=\"1\" y='two'><b/></a>");
-  SaxParser p(&src, opts);
-  XmlEvent ev;
-  ASSERT_TRUE(p.Next(&ev).ok());
-  EXPECT_EQ(ev.type, XmlEventType::kStartElement);
-  ASSERT_EQ(ev.attr_count, 2u);
-  EXPECT_EQ(ev.attrs[0].name, "x");
-  EXPECT_EQ(ev.attrs[0].value, "1");
-  EXPECT_EQ(ev.attrs[1].name, "y");
-  EXPECT_EQ(ev.attrs[1].value, "two");
-  // Attribute-free events do not carry a span.
-  ASSERT_TRUE(p.Next(&ev).ok());  // <b/>
-  EXPECT_EQ(ev.type, XmlEventType::kStartElement);
-  EXPECT_EQ(ev.attr_count, 0u);
-  EXPECT_EQ(ev.attrs, nullptr);
-}
-
 TEST(SaxTest, ErrorMismatchedTags) {
   EXPECT_FALSE(ParseXmlForest("<a><b></a></b>").ok());
   EXPECT_FALSE(ParseXmlForest("<a>").ok());
@@ -482,7 +454,7 @@ TEST(SimdScanTest, SimdAndScalarTracesAgree) {
 // ---- Subtree skipping: SaxParser::SkipSubtree vs pull-and-drop. ----
 
 // Valid documents covering every construct a skipped subtree can hold:
-// nesting, self-closing and attribute-bearing elements (expanded or not),
+// nesting, self-closing and attribute-bearing elements,
 // entities in text and attribute values, CDATA, comments, PIs, DOCTYPE,
 // whitespace-only runs, `</a >` end tags, and names longer than small
 // refill windows.
@@ -531,7 +503,7 @@ const char* const kSkipMalformed[] = {
 // oracle, for every source shape (mapped, and chunked at 1-7 bytes per
 // Read) and SIMD on and off; the logs must be equal.
 void ExpectSkipMatchesPull(
-    std::string_view xml, SaxOptions opts,
+    std::string_view xml,
     const std::function<bool(std::size_t, std::string_view)>& skip,
     const std::string& what) {
   const bool was_enabled = SimdScanEnabled();
@@ -547,8 +519,8 @@ void ExpectSkipMatchesPull(
         a = std::make_unique<ChunkedSource>(buf.view(), chunk);
         b = std::make_unique<ChunkedSource>(buf.view(), chunk);
       }
-      SaxParser skipping(a.get(), opts);
-      SaxParser pulling_parser(b.get(), opts);
+      SaxParser skipping(a.get());
+      SaxParser pulling_parser(b.get());
       PullOnlySource pulling(&pulling_parser);
       EXPECT_EQ(SkipLog(&skipping, skip), SkipLog(&pulling, skip))
           << what << "\nxml: " << xml << "\nchunk: " << chunk
@@ -559,33 +531,24 @@ void ExpectSkipMatchesPull(
 }
 
 // Every single-start skip position, plus skipping every start named "s".
-void ExpectEverySkipMatches(std::string_view xml, SaxOptions opts) {
+void ExpectEverySkipMatches(std::string_view xml) {
   for (std::size_t k = 0; k < 12; ++k) {
     ExpectSkipMatchesPull(
-        xml, opts, [k](std::size_t i, std::string_view) { return i == k; },
+        xml, [k](std::size_t i, std::string_view) { return i == k; },
         "skip start #" + std::to_string(k));
   }
   ExpectSkipMatchesPull(
-      xml, opts, [](std::size_t, std::string_view n) { return n == "s"; },
+      xml, [](std::size_t, std::string_view n) { return n == "s"; },
       "skip every <s>");
 }
 
 TEST(SaxSkipTest, SkipMatchesPullOnTheCorpus) {
-  for (const char* xml : kSkipCorpus) {
-    for (bool expand : {true, false}) {
-      SaxOptions opts;
-      opts.expand_attributes = expand;
-      ExpectEverySkipMatches(xml, opts);
-    }
-    SaxOptions keep_ws;
-    keep_ws.skip_whitespace_text = false;
-    ExpectEverySkipMatches(xml, keep_ws);
-  }
+  for (const char* xml : kSkipCorpus) ExpectEverySkipMatches(xml);
 }
 
 TEST(SaxSkipTest, ErrorsInsideASkippedSubtreeAreIdentical) {
   for (const char* xml : kSkipMalformed) {
-    ExpectEverySkipMatches(xml, SaxOptions{});
+    ExpectEverySkipMatches(xml);
     // The skip must still see the error: skipping <s> is never OK here.
     StringSource src(xml);
     SaxParser parser(&src);
@@ -600,7 +563,7 @@ TEST(SaxSkipTest, TruncationAtEveryByteIsIdentical) {
       "<r><s a=\"v&amp;\"><!-- c --><x>t&lt;</x ><![CDATA[d]]><y/></s>"
       "<?p?><t>u</t></r>";
   for (std::size_t n = 0; n <= xml.size(); ++n) {
-    ExpectEverySkipMatches(std::string_view(xml).substr(0, n), SaxOptions{});
+    ExpectEverySkipMatches(std::string_view(xml).substr(0, n));
   }
 }
 
@@ -612,16 +575,6 @@ TEST(SaxSkipTest, EdgeCasesCountAndConsumeExactly) {
     EXPECT_EQ(SkipLog(&parser,
                       [](std::size_t, std::string_view n) { return n == "a"; }),
               "<r><a>{skip 4}<b></b></r> | OK @21");
-  }
-  // With attributes left on the start event, only the end is queued.
-  {
-    StringSource src("<r><a x=\"1\"/><b/></r>");
-    SaxOptions opts;
-    opts.expand_attributes = false;
-    SaxParser parser(&src, opts);
-    EXPECT_EQ(SkipLog(&parser,
-                      [](std::size_t, std::string_view n) { return n == "a"; }),
-              "<r><a x=1>{skip 1}<b></b></r> | OK @21");
   }
   // A rejected expanded attribute: its queued text and end.
   {

@@ -367,7 +367,6 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
   }
   // --schema validates on the source (ValidatingSource): per-run state,
   // so serial runs only.
-  const SaxOptions& sax = plan.options().stream.sax;
   std::unique_ptr<SchemaValidator> validator;
   if (!flags.schema_path.empty()) {
     Result<std::string> text = FileOrInline(flags.schema_path);
@@ -404,17 +403,17 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
     bool comparable = !input_arg.empty() && IsFile(input_arg);
     bool cache_fresh =
         comparable
-            ? PretokCacheValid(flags.pretok_cache, input_arg, sax)
+            ? PretokCacheValid(flags.pretok_cache, input_arg)
             : IsFile(flags.pretok_cache);
     if (!cache_fresh) {
       Status st;
       if (input_arg.empty()) {
         StdinSource stdin_source;
         std::string bytes;
-        st = PretokenizeXml(&stdin_source, sax, &bytes);
+        st = PretokenizeXml(&stdin_source, &bytes);
         if (st.ok()) st = WritePretokFile(bytes, flags.pretok_cache);
       } else {
-        st = PretokenizeXmlFile(input_arg, flags.pretok_cache, sax);
+        st = PretokenizeXmlFile(input_arg, flags.pretok_cache);
       }
       if (!st.ok()) return Fail(st);
     } else if (input_arg.empty()) {
@@ -458,13 +457,12 @@ int StreamWith(const std::vector<const CompiledPlan*>& plans,
     }
   } else if (flags.pretok_cache.empty() && input_arg.empty()) {
     serial.bytes = std::make_unique<StdinSource>();
-    serial.events = std::make_unique<SaxParser>(serial.bytes.get(), sax);
+    serial.events = std::make_unique<SaxParser>(serial.bytes.get());
   } else {
     Result<OpenedInput> in = OpenParallelInput(
         flags.pretok_cache.empty()
             ? FileInput(input_arg)
-            : ParallelInput::PretokFile(flags.pretok_cache),
-        sax);
+            : ParallelInput::PretokFile(flags.pretok_cache));
     if (!in.ok()) return Fail(in.status());
     serial = std::move(in).value();
   }
